@@ -39,9 +39,12 @@ def test_table1_row_properties():
         prep = load_design(name, **params)
         row = transpilation_row(prep.graph)
         v, f = row["verilator"], row["rtlflow"]
-        # RTLflow emits more tokens (explicit index arithmetic per access —
-        # the paper: 3.2M -> 10.4M tokens on NVDLA) ...
-        assert f.tokens > v.tokens, name
+        # RTLflow spends more tokens per line (explicit index arithmetic on
+        # every access — the paper: 3.2M -> 10.4M tokens on NVDLA).  The
+        # module totals are about level here: the 2x this row used to show
+        # was the inlined second copy of every task body, deleted with the
+        # `graph-inlined` engine.
+        assert f.tokens / f.loc > v.tokens / v.loc, name
         # ... but *lower* cyclomatic complexity per function: control flow
         # becomes straight-line vector selects (paper: 16.4 -> 4.8 on NVDLA).
         assert f.cc_avg < v.cc_avg, name

@@ -27,7 +27,7 @@ from repro import RTLFlow
 from repro.baselines.essent import EssentSim
 from repro.baselines.scalargen import generate_scalar_model
 from repro.baselines.verilator import VerilatorSim
-from repro.core.simulator import BatchSimulator
+from repro.core.simulator import DEFAULT_EXECUTOR, BatchSimulator
 from repro.designs import DesignBundle, get_design
 from repro.gpu.device import SimulatedDevice
 from repro.pipeline.scheduler import PipelineSimulator
@@ -103,7 +103,7 @@ def load_design(name: str, **params) -> PreparedDesign:
 def make_batch_sim(
     prep: PreparedDesign,
     n: int,
-    executor: str = "graph",
+    executor: str = DEFAULT_EXECUTOR,
     use_mcmc: bool = False,
     device: Optional[SimulatedDevice] = None,
 ) -> BatchSimulator:
@@ -118,7 +118,7 @@ def time_rtlflow(
     prep: PreparedDesign,
     n: int,
     cycles: int,
-    executor: str = "graph",
+    executor: str = DEFAULT_EXECUTOR,
     use_mcmc: bool = False,
     seed: int = 1,
     device: Optional[SimulatedDevice] = None,
@@ -135,7 +135,7 @@ def time_rtlflow_projected(
     prep: PreparedDesign,
     n: int,
     cycles: int,
-    executor: str = "graph",
+    executor: str = DEFAULT_EXECUTOR,
     use_mcmc: bool = False,
     seed: int = 1,
     compute_scale: float = DEVICE_COMPUTE_SCALE,

@@ -33,7 +33,7 @@ def main() -> None:
     # 2. One simulator instance runs N stimulus simultaneously: each lane
     #    of every numpy array below is an independent simulation.
     n = 1024
-    sim = flow.simulator(n=n)  # CUDA-Graph-style executor by default
+    sim = flow.simulator(n=n)  # the fused CUDA-Graph engine by default
 
     # 3. Drive it like Listing 1 of the paper: set inputs, toggle clock.
     rng = np.random.default_rng(0)

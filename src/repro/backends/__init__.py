@@ -7,12 +7,10 @@ executes:
 * ``numpy`` — the default three-tier fused source emission (the
   performance baseline; byte-identical to the pre-backend flow);
 * ``tensor`` — kernel-IR interpretation with einsum/matmul-style
-  packing and memory gather (always available; the reference consumer
-  of :mod:`repro.backends.ir`);
-* ``numba`` / ``cupy`` — the paper's GPU-target scaffolds, available
-  only when their packages import (never required).
+  packing and memory gather (the reference consumer of
+  :mod:`repro.backends.ir`).
 
-All backends produce :class:`~repro.core.codegen.FusedPrograms`
+Both backends produce :class:`~repro.core.codegen.FusedPrograms`
 bundles that are bit-identical at every store boundary, so executors,
 checkpoints and cluster shard merges compose across backends.
 """
@@ -21,20 +19,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Type
 
-from repro.backends.base import Backend, BackendUnavailableError
-from repro.backends.cupy_backend import CupyBackend
+from repro.backends.base import Backend
 from repro.backends.ir import KernelIR, build_kernel_ir, validate_ir
-from repro.backends.numba_backend import NumbaBackend
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.tensor_backend import TensorBackend
 from repro.utils.errors import SimulationError
 
 __all__ = [
     "Backend",
-    "BackendUnavailableError",
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "available_backends",
     "backend_report",
     "get_backend",
     "KernelIR",
@@ -46,14 +40,8 @@ DEFAULT_BACKEND = "numpy"
 
 #: Registry, in documentation order (default first).
 BACKENDS: Dict[str, Type[Backend]] = {
-    cls.name: cls
-    for cls in (NumpyBackend, TensorBackend, NumbaBackend, CupyBackend)
+    cls.name: cls for cls in (NumpyBackend, TensorBackend)
 }
-
-
-def available_backends() -> List[str]:
-    """Names of the backends that can run in this interpreter."""
-    return [name for name, cls in BACKENDS.items() if cls.available()]
 
 
 def get_backend(name: str) -> Backend:
@@ -64,23 +52,12 @@ def get_backend(name: str) -> Backend:
             f"unknown backend {name!r}; known backends: "
             + ", ".join(sorted(BACKENDS))
         )
-    if not cls.available():
-        raise BackendUnavailableError(
-            f"backend {name!r} is not available here: "
-            f"{cls.unavailable_reason() or 'unknown reason'}"
-        )
     return cls()
 
 
 def backend_report() -> List[Dict[str, object]]:
-    """Plain-data availability report (``repro stats --json``)."""
+    """Plain-data registry listing (``repro stats --json``)."""
     return [
-        {
-            "name": name,
-            "available": cls.available(),
-            "accelerated": cls.accelerated,
-            "summary": cls.summary,
-            "reason": cls.unavailable_reason() if not cls.available() else "",
-        }
+        {"name": name, "summary": cls.summary}
         for name, cls in BACKENDS.items()
     ]

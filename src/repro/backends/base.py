@@ -15,8 +15,6 @@ that lets ``--backend`` select a lowering without forking the flow.
 Contract (see ``docs/backends.md`` for the long form):
 
 * ``name`` — the registry key users pass to ``--backend``.
-* ``available()`` — True iff the backend can run in this interpreter
-  (import probes only; never raises).
 * ``compile(model)`` — lower ``model`` to a bundle.  The bundle MUST be
   bit-identical to the numpy lowering at every store boundary: pool
   state after each program call must match byte for byte.  The
@@ -29,16 +27,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.utils.errors import SimulationError
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.codegen import CompiledModel, FusedPrograms
 
-__all__ = ["Backend", "BackendUnavailableError"]
-
-
-class BackendUnavailableError(SimulationError):
-    """Raised when a known backend cannot run here (missing import)."""
+__all__ = ["Backend"]
 
 
 class Backend:
@@ -48,19 +40,6 @@ class Backend:
     name: str = ""
     #: Short human description for ``repro stats`` and docs.
     summary: str = ""
-    #: Whether this backend is part of the paper's GPU target (numba /
-    #: cupy) as opposed to a host-side lowering.
-    accelerated: bool = False
-
-    @classmethod
-    def available(cls) -> bool:
-        """Can this backend run in the current interpreter?"""
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> str:
-        """Why ``available()`` is False (empty when available)."""
-        return ""
 
     def compile(self, model: "CompiledModel") -> "FusedPrograms":
         raise NotImplementedError

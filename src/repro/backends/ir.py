@@ -8,8 +8,8 @@ with which mask — into a small explicit IR that any backend can consume:
 
 * the **numpy** backend keeps emitting fused source (the IR's per-node
   ``origin`` expressions feed the existing three-tier emitter), and
-* the **tensor** backend (and the gated numba/cupy scaffolds) interpret
-  the flattened op lists directly over the same pooled batch layout.
+* the **tensor** backend interprets the flattened op lists directly over
+  the same pooled batch layout.
 
 Semantics contract: every op mirrors the *uint64/widevec tier* of
 :class:`repro.core.codegen.ExprCodegen` exactly — an IR value is an

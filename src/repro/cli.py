@@ -55,6 +55,8 @@ from typing import List, Optional
 from repro import RTLFlow, obs
 from repro.analysis.metrics import code_metrics
 from repro.analysis.report import format_table
+from repro.backends import BACKENDS
+from repro.core.simulator import DEFAULT_EXECUTOR, EXECUTOR_KINDS
 from repro.coverage.collector import CoverageCollector
 from repro.stimulus.batch import StimulusBatch
 from repro.utils.errors import ReproError
@@ -64,30 +66,9 @@ def _load_flow(args) -> RTLFlow:
     return RTLFlow.from_files(args.sources, args.top)
 
 
-#: ``--backend`` choices (availability is checked at use, not parse).
-BACKEND_CHOICES = ("numpy", "tensor", "numba", "cupy")
-
-
-def _resolve_executor_backend(executor: str, backend: str) -> str:
-    """Reconcile ``--executor`` and ``--backend``.
-
-    Non-numpy backends only execute through the fused engine; the default
-    ``graph`` executor silently upgrades (with a note) so
-    ``repro run --backend tensor`` just works.  An explicit non-fused
-    executor is a real conflict and raises.
-    """
-    if backend in (None, "numpy"):
-        return executor
-    if executor in ("graph-fused", "fused"):
-        return executor
-    if executor == "graph":
-        print(f"note: --backend {backend} runs on the fused engine; "
-              f"using executor graph-fused", file=sys.stderr)
-        return "graph-fused"
-    raise ReproError(
-        f"--backend {backend} requires --executor graph-fused "
-        f"(got {executor!r})"
-    )
+#: ``--executor`` choices: every kind but ``sanitize``, which is reached
+#: through ``--verify``.
+EXECUTOR_CHOICES = tuple(k for k in EXECUTOR_KINDS if k != "sanitize")
 
 
 def cmd_stats(args) -> int:
@@ -118,9 +99,8 @@ def cmd_stats(args) -> int:
     ))
     print()
     print(format_table(
-        ["backend", "available", "summary"],
+        ["backend", "summary"],
         [[b["name"] + (" *" if b["name"] == args.backend else ""),
-          "yes" if b["available"] else f"no ({b['reason']})",
           b["summary"]] for b in backends],
         title="executor backends (* = selected)",
     ))
@@ -325,8 +305,8 @@ def _apply_loads(flow: RTLFlow, sim, loads) -> None:
 def cmd_simulate(args) -> int:
     flow = _load_flow(args)
     stim = _make_stimulus(flow, args)
-    executor = _resolve_executor_backend(args.executor, args.backend)
-    sim = flow.simulator(n=stim.n, executor=executor, backend=args.backend)
+    sim = flow.simulator(n=stim.n, executor=args.executor,
+                         backend=args.backend)
     _apply_loads(flow, sim, args.load)
     outs = sim.run(stim, cycles=args.cycles)
     rows = []
@@ -341,7 +321,7 @@ def cmd_simulate(args) -> int:
     if args.vcd is not None:
         from repro.waveform.vcd import dump_vcd
 
-        sim2 = flow.simulator(n=stim.n, executor=executor,
+        sim2 = flow.simulator(n=stim.n, executor=args.executor,
                               backend=args.backend)
         _apply_loads(flow, sim2, args.load)
         dump_vcd(args.vcd, sim2, stim, lane=args.vcd_lane, cycles=args.cycles)
@@ -387,13 +367,14 @@ def cmd_profile(args) -> int:
                     max_iter=args.mcmc_iters,
                     max_unimproved=max(4, args.mcmc_iters // 3),
                 )
-        with tracer.span("transpile+compile", resource="flow"):
-            model = flow.compile(use_mcmc=args.mcmc_iters > 0)
         device = SimulatedDevice(tracer=tracer)
-        executor = _resolve_executor_backend(args.executor, args.backend)
-        sim = BatchSimulator(model, args.batch, executor=executor,
-                             device=device, tracer=tracer, metrics=metrics,
-                             backend=args.backend)
+        with tracer.span("transpile+compile", resource="flow"):
+            # The model lowers lazily: the engine's programs are generated
+            # and compiled when the simulator builds its executor.
+            model = flow.compile(use_mcmc=args.mcmc_iters > 0)
+            sim = BatchSimulator(model, args.batch, executor=args.executor,
+                                 device=device, tracer=tracer,
+                                 metrics=metrics, backend=args.backend)
         bundle.preload(sim)
         stim = bundle.make_stimulus(args.batch, args.cycles, args.seed)
         sim.run(stim)
@@ -416,7 +397,7 @@ def cmd_profile(args) -> int:
     print(format_table(
         ["span", "count", "total", "mean"], rows,
         title=f"profile: {args.design} ({args.batch} stimulus x "
-              f"{args.cycles} cycles, executor={executor}, "
+              f"{args.cycles} cycles, executor={args.executor}, "
               f"backend={sim.backend})",
     ))
     mcmc = flow.mcmc_result
@@ -475,7 +456,7 @@ def cmd_run(args) -> int:
     flow = RTLFlow.from_source(bundle.source, bundle.top)
     model = flow.compile()
 
-    executor = _resolve_executor_backend(args.executor, args.backend)
+    executor = args.executor
     if args.verify:
         executor = _verified_executor(
             model, args.design, executor, backend=args.backend
@@ -641,7 +622,7 @@ def cmd_campaign(args) -> int:
         cycles=args.cycles,
         design=args.design,
         seed=args.seed,
-        executor=_resolve_executor_backend(args.executor, args.backend),
+        executor=args.executor,
         backend=args.backend,
         watch=bundle.watch,
         fault_isolation=args.fault_isolation or bool(lane_faults),
@@ -740,17 +721,19 @@ def _submit_spec(args):
         except ValueError as exc:
             raise ReproError(str(exc)) from exc
         lane_faults.append((f.cycle, f.lane, f.reason))
-    return CampaignSpec(
+    spec = CampaignSpec(
         n=args.batch,
         cycles=args.cycles,
         design=args.design,
         seed=args.seed,
-        executor=_resolve_executor_backend(args.executor, args.backend),
+        executor=args.executor,
         backend=args.backend,
         watch=bundle.watch,
         fault_isolation=bool(lane_faults),
         lane_faults=lane_faults,
     )
+    spec.validate()  # reject a bad executor/backend pair before the POST
+    return spec
 
 
 def _print_job_line(job: dict) -> None:
@@ -873,12 +856,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(_auto_telemetry=True)
 
     def add_backend_arg(p):
-        p.add_argument("--backend", choices=list(BACKEND_CHOICES),
-                       default="numpy",
+        p.add_argument("--backend", choices=list(BACKENDS), default="numpy",
                        help="lowering backend for the fused engine "
-                            "(numpy is the default; tensor always works; "
-                            "numba/cupy when importable — see "
-                            "docs/backends.md)")
+                            "(see docs/backends.md)")
+
+    def add_executor_arg(p):
+        p.add_argument("--executor", choices=list(EXECUTOR_CHOICES),
+                       default=DEFAULT_EXECUTOR,
+                       help="replay engine (default: the fused flat "
+                            "programs; graph/stream are the paper's "
+                            "Table 4 contrast — see docs/fusion.md)")
+        add_backend_arg(p)
 
     def add_stim_args(p):
         p.add_argument("--batch", "-n", type=int, default=256,
@@ -963,9 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a batch simulation")
     add_design_args(p)
     add_stim_args(p)
-    p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
-                   default="graph")
-    add_backend_arg(p)
+    add_executor_arg(p)
     p.add_argument("--vcd", default=None, help="dump one lane's VCD here")
     p.add_argument("--vcd-lane", type=int, default=0)
     add_telemetry_args(p)
@@ -989,9 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", "-n", type=int, default=64)
     p.add_argument("--cycles", "-c", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
-                   default="graph")
-    add_backend_arg(p)
+    add_executor_arg(p)
     p.add_argument("--mcmc-iters", type=int, default=8,
                    help="MCMC partition-tuning iterations (0 disables)")
     p.add_argument("--top", type=int, default=12,
@@ -1013,9 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", "-n", type=int, default=64)
     p.add_argument("--cycles", "-c", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
-                   default="graph")
-    add_backend_arg(p)
+    add_executor_arg(p)
     p.add_argument("--groups", type=int, default=1,
                    help="run through the pipeline scheduler with this many "
                         "stimulus groups (default: single simulator)")
@@ -1059,9 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", "-n", type=int, default=256)
     p.add_argument("--cycles", "-c", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
-                   default="graph")
-    add_backend_arg(p)
+    add_executor_arg(p)
     p.add_argument("--workers", "-w", type=int, default=2,
                    help="worker processes (0 = run shards inline, no "
                         "multiprocessing)")
@@ -1156,9 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", "-n", type=int, default=256)
     p.add_argument("--cycles", "-c", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--executor", choices=["graph", "graph-fused", "graph-conditional", "stream"],
-                   default="graph")
-    add_backend_arg(p)
+    add_executor_arg(p)
     p.add_argument("--inject-lane-fault", action="append", default=[],
                    metavar="CYCLE:LANE[:REASON]",
                    help="deterministically quarantine a global LANE at "

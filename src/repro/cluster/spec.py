@@ -21,7 +21,9 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.utils.errors import ClusterError
+from repro.backends import BACKENDS
+from repro.core.simulator import DEFAULT_EXECUTOR, check_executor
+from repro.utils.errors import ClusterError, SimulationError
 
 __all__ = ["CampaignSpec", "ShardSpec", "plan_shards", "DEFAULT_OVERSUBSCRIPTION"]
 
@@ -68,7 +70,7 @@ class CampaignSpec:
     source: Optional[str] = None
     top: Optional[str] = None
     seed: int = 0
-    executor: str = "graph"
+    executor: str = DEFAULT_EXECUTOR
     watch: Optional[List[str]] = None
     stop: Optional[str] = None
     stop_mode: str = "all"
@@ -109,22 +111,15 @@ class CampaignSpec:
                 )
             if cycle < 0:
                 raise ClusterError(f"lane fault cycle must be >= 0, got {cycle}")
-        # Local import: repro.backends pulls in the codegen stack, which
-        # spec construction/pickling must not depend on.
-        from repro.backends import BACKENDS
-
         if self.backend not in BACKENDS:
             raise ClusterError(
                 f"unknown backend {self.backend!r}; known backends: "
                 + ", ".join(sorted(BACKENDS))
             )
-        if self.backend != "numpy" and self.executor not in (
-            "graph-fused", "fused"
-        ):
-            raise ClusterError(
-                f"backend {self.backend!r} requires executor='graph-fused', "
-                f"got {self.executor!r}"
-            )
+        try:
+            check_executor(self.executor, self.backend)
+        except SimulationError as exc:
+            raise ClusterError(str(exc)) from exc
 
     def signature(self) -> str:
         """Fingerprint tying durable shard results to this exact campaign.

@@ -1,11 +1,14 @@
 """Batch kernel code generation.
 
 Transpiles the partitioned RTL task graph into vectorized Python source
-(the CUDA analog), compiles it with :func:`compile`, and returns a
-:class:`CompiledModel` holding the kernel callables plus everything the
-executors need.
+(the CUDA analog) and compiles it with :func:`compile`.  A
+:class:`CompiledModel` holds the task graph and builds, on first use,
+the two lowerings the executors run: the fused flat programs
+(:meth:`CompiledModel.fused`, the product engine) and the per-task
+kernel module (:meth:`CompiledModel.tasks`, the Table 4 contrast
+engines, the sanitizer and the MCMC estimator).
 
-Each macro task becomes one generated function
+In the per-task module each macro task becomes one generated function
 
 .. code-block:: python
 
@@ -1124,29 +1127,73 @@ def compute_task_accesses(
 
 
 @dataclass
-class CompiledModel:
-    """A transpiled, compiled multi-stimulus simulator for one design."""
+class TaskModule:
+    """The compiled per-task kernel module: one function per macro task
+    over the unpacked layout, plus that layout's commit bindings."""
 
-    graph: RtlGraph
-    taskgraph: TaskGraph
     layout: MemoryLayout
     source: str
     namespace: Dict[str, object]
     task_fns: Dict[int, Callable]
-    fused_comb: Optional[Callable]
-    fused_seq: Dict[Tuple[str, str], Callable]
     mem_writes: List[MemWriteBinding]
     transpile_seconds: float = 0.0
-    _task_accesses: Optional[Dict[int, TaskAccess]] = field(
-        default=None, repr=False, compare=False
-    )
-    _fused: Optional["FusedPrograms"] = field(
-        default=None, repr=False, compare=False
-    )
+
+
+class CompiledModel:
+    """A partitioned design plus its lazily built executable lowerings.
+
+    The product engine only ever needs :meth:`fused`; the per-task
+    module is generated and ``compile()``-d by the first reader of
+    :meth:`tasks` — or of ``layout``/``source``/``task_fns``/
+    ``mem_writes``/``transpile_seconds``, which are views of it — i.e.
+    by the ``graph``/``stream``/``graph-conditional``/``sanitize``
+    executors, the MCMC estimator, ``repro verify`` and ``repro
+    transpile``.  ``tasks_built`` tells whether that happened.
+    """
+
+    def __init__(self, taskgraph: TaskGraph,
+                 tasks: Optional[TaskModule] = None):
+        self.taskgraph = taskgraph
+        self.graph: RtlGraph = taskgraph.graph
+        self._tasks = tasks
+        self._task_accesses: Optional[Dict[int, TaskAccess]] = None
+        self._fused: Optional["FusedPrograms"] = None
 
     @property
     def design(self):
         return self.graph.design
+
+    # -- the per-task module (lazy) ---------------------------------------------
+
+    def tasks(self) -> TaskModule:
+        """The per-task kernel module (built on first use, cached)."""
+        if self._tasks is None:
+            self._tasks = KernelCodegen(self.taskgraph).compile_tasks()
+        return self._tasks
+
+    @property
+    def tasks_built(self) -> bool:
+        return self._tasks is not None
+
+    @property
+    def layout(self) -> MemoryLayout:
+        return self.tasks().layout
+
+    @property
+    def source(self) -> str:
+        return self.tasks().source
+
+    @property
+    def task_fns(self) -> Dict[int, Callable]:
+        return self.tasks().task_fns
+
+    @property
+    def mem_writes(self) -> List[MemWriteBinding]:
+        return self.tasks().mem_writes
+
+    @property
+    def transpile_seconds(self) -> float:
+        return self.tasks().transpile_seconds
 
     def task_accesses(self) -> Dict[int, TaskAccess]:
         """Per-task offset footprints (cached; layout is immutable)."""
@@ -1154,15 +1201,19 @@ class CompiledModel:
             self._task_accesses = compute_task_accesses(self.taskgraph, self.layout)
         return self._task_accesses
 
+    # -- the fused flat programs (lazy) -----------------------------------------
+
     def fused(self) -> "FusedPrograms":
         """The flat-program lowering of this model (built lazily, cached).
 
         Fused programs run against their *own* bit-packed memory layout;
-        the simulator picks it up via the executor's ``layout`` marker.
+        the simulator picks it up from the executor's ``layout``.
         """
         if self._fused is None:
             self._fused = FusedProgramCodegen(self.taskgraph).compile()
         return self._fused
+
+    # -- schedules ----------------------------------------------------------------
 
     def comb_schedule(self) -> List[int]:
         return list(self.taskgraph.comb_topo)
@@ -1253,21 +1304,6 @@ class KernelCodegen:
             lines.append("    pass")
         return lines
 
-    def _fused_fn(self, name: str, tids: List[int]) -> List[str]:
-        lines = [
-            f"# fused kernel: {len(tids)} tasks inlined (whole-graph optimization)",
-            f"def {name}(P8, P16, P32, P64, N, LANE):",
-        ]
-        any_stmt = False
-        for tid in tids:
-            for nid in self.tg.tasks[tid].nodes:
-                for stmt in self._node_stmts(self.graph.nodes[nid]):
-                    lines.append(f"    {stmt}")
-                    any_stmt = True
-        if not any_stmt:
-            lines.append("    pass")
-        return lines
-
     # -- module generation --------------------------------------------------------
 
     def generate_source(self) -> str:
@@ -1291,19 +1327,6 @@ class KernelCodegen:
             body.extend(self._task_fn(task.tid))
             body.append("")
 
-        # Fused variants: the whole comb phase, and each seq domain, as a
-        # single callable (used by the CUDA-Graph-style executor).
-        body.extend(self._fused_fn("comb_fused", list(self.tg.comb_topo)))
-        body.append("")
-        domains: Dict[Tuple[str, str], List[int]] = {}
-        for t in self.tg.tasks:
-            if t.kind is NodeKind.SEQ:
-                domains.setdefault((t.clock, t.edge), []).append(t.tid)
-        self._domains = domains
-        for i, ((clock, edge), tids) in enumerate(domains.items()):
-            body.extend(self._fused_fn(f"seq_fused_{i}", tids))
-            body.append("")
-
         tasklist = ", ".join(f"task_{t.tid}" for t in self.tg.tasks)
         body.append(f"TASKS = [{tasklist}]")
         return "\n".join(header + [""] + body) + "\n"
@@ -1312,33 +1335,27 @@ class KernelCodegen:
         """Commit-time bindings for this codegen's layout (program order)."""
         return mem_write_bindings(self.graph, self.layout)
 
-    def compile(self) -> CompiledModel:
+    def compile_tasks(self) -> TaskModule:
+        """Generate, ``compile()`` and bind the per-task kernel module."""
         t0 = time.perf_counter()
         source = self.generate_source()
         code = compile_source(source, self.graph.design.top)
         ns: Dict[str, object] = {}
         exec(code, ns)
         elapsed = time.perf_counter() - t0
-
-        task_fns = {t.tid: ns[f"task_{t.tid}"] for t in self.tg.tasks}
-        fused_seq = {
-            dom: ns[f"seq_fused_{i}"]
-            for i, dom in enumerate(self._domains)
-        }
-        mem_writes = self._mem_write_bindings()
-
-        return CompiledModel(
-            graph=self.graph,
-            taskgraph=self.tg,
+        return TaskModule(
             layout=self.layout,
             source=source,
             namespace=ns,
-            task_fns=task_fns,
-            fused_comb=ns["comb_fused"],
-            fused_seq=fused_seq,
-            mem_writes=mem_writes,
+            task_fns={t.tid: ns[f"task_{t.tid}"] for t in self.tg.tasks},
+            mem_writes=self._mem_write_bindings(),
             transpile_seconds=elapsed,
         )
+
+    def compile(self) -> CompiledModel:
+        """A model with the per-task module already built (the explicit
+        per-task transpile; :meth:`RTLFlow.compile` leaves it lazy)."""
+        return CompiledModel(self.tg, self.compile_tasks())
 
 
 @dataclass
@@ -1386,13 +1403,13 @@ class FusedPrograms:
 class FusedProgramCodegen(KernelCodegen):
     """Flat-program code generator over the bit-packed layout.
 
-    Where :class:`KernelCodegen` emits one function per macro task (plus
-    inlined concatenations of those bodies), this emits exactly one
-    ``compile()``-d straight-line function per execution unit — the
-    whole comb phase, and each sequential clock domain — with no
-    per-task function calls left on the replay path, mirroring the
-    paper's define-once/replay-per-cycle CUDA Graph.  Expressions lower
-    through :class:`FusedExprCodegen` (packed/native/uint64 tiers).
+    Where :class:`KernelCodegen` emits one function per macro task, this
+    emits exactly one ``compile()``-d straight-line function per
+    execution unit — the whole comb phase, and each sequential clock
+    domain — with no per-task function calls left on the replay path,
+    mirroring the paper's define-once/replay-per-cycle CUDA Graph.
+    Expressions lower through :class:`FusedExprCodegen`
+    (packed/native/uint64 tiers).
     """
 
     def __init__(self, taskgraph: TaskGraph, layout: Optional[MemoryLayout] = None):

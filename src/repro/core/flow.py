@@ -2,13 +2,14 @@
 
 ``RTLFlow`` chains every stage: preprocess/parse → elaborate (module
 inlining, constant propagation) → lower → RTL graph → partition (default
-weights or MCMC) → kernel codegen → compile, and hands out batch
+weights or MCMC) → a compiled model whose lowerings (fused programs,
+per-task kernels) are generated on first use, and hands out batch
 simulators and stimulus generators.
 
 Typical use::
 
     flow = RTLFlow.from_source(verilog_text, top="counter")
-    sim = flow.simulator(n=1024)                    # CUDA-Graph executor
+    sim = flow.simulator(n=1024)                    # fused CUDA-Graph engine
     stim = flow.random_stimulus(n=1024, cycles=10_000, seed=1)
     outs = sim.run(stim)
 """
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence
 
-from repro.core.codegen import CompiledModel, KernelCodegen
-from repro.core.simulator import BatchSimulator
+from repro.core.codegen import CompiledModel
+from repro.core.simulator import DEFAULT_EXECUTOR, BatchSimulator
 from repro.elaborate.elaborator import elaborate
 from repro.elaborate.symexec import LoweredDesign, lower
 from repro.gpu.device import SimulatedDevice
@@ -158,7 +159,12 @@ class RTLFlow:
         strategy: str = "levelpack",
         use_mcmc: bool = False,
     ) -> CompiledModel:
-        """Transpile + compile (cached per configuration)."""
+        """Partition into a model (cached per configuration).
+
+        Nothing is generated yet: ``model.fused()`` and the per-task
+        module (``model.tasks()``) are each built by their first user,
+        so a default simulator never pays for the per-task module.
+        """
         key = (
             "mcmc" if use_mcmc else (id(weights) if weights is not None else "default"),
             target_weight,
@@ -166,7 +172,7 @@ class RTLFlow:
         )
         if key not in self._models:
             tg = self.taskgraph(weights, target_weight, strategy, use_mcmc)
-            self._models[key] = KernelCodegen(tg).compile()
+            self._models[key] = CompiledModel(tg)
         return self._models[key]
 
     # -- MCMC partition tuning ------------------------------------------------------
@@ -205,7 +211,7 @@ class RTLFlow:
     def simulator(
         self,
         n: int,
-        executor: str = "graph",
+        executor: str = DEFAULT_EXECUTOR,
         device: Optional[SimulatedDevice] = None,
         use_mcmc: bool = False,
         target_weight: float = DEFAULT_TARGET_WEIGHT,
@@ -214,13 +220,13 @@ class RTLFlow:
     ) -> BatchSimulator:
         """Build a batch simulator for ``n`` stimulus.
 
-        ``executor`` picks the replay engine: ``"graph"`` (unconditional
-        CUDA-Graph-style replay, the default), ``"graph-fused"``,
-        ``"graph-conditional"`` (activity-aware dirty-set replay that
-        skips quiescent tasks — see docs/activity.md), or ``"stream"``.
-        ``backend`` picks the lowering for the fused engine (see
-        :mod:`repro.backends`; non-numpy backends require
-        ``executor="graph-fused"``).
+        ``executor`` picks the replay engine (see
+        :func:`repro.core.simulator.make_executor`): ``"graph-fused"``
+        (flat fused programs, the default), the paper's Table 4 pair
+        ``"graph"``/``"stream"``, or ``"graph-conditional"``
+        (activity-aware dirty-set replay that skips quiescent tasks —
+        see docs/activity.md).  ``backend`` picks the lowering for the
+        fused engine (see :mod:`repro.backends`).
         """
         model = self.compile(
             target_weight=target_weight, strategy=strategy, use_mcmc=use_mcmc

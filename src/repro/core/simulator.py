@@ -20,6 +20,7 @@ from repro.core import kernels as rt
 from repro.core.codegen import CompiledModel
 from repro.core.memory import PACKED_POOL, DeviceArrays
 from repro.gpu.device import SimulatedDevice
+from repro.gpu.executor import Executor
 from repro.gpu.graphexec import (
     ConditionalGraphExecutor,
     CudaGraphExecutor,
@@ -44,57 +45,76 @@ from repro.utils.timing import Stopwatch
 ArrayLike = Union[int, np.ndarray, Sequence[int]]
 
 
-def make_executor(
-    model: CompiledModel,
-    device: SimulatedDevice,
-    kind: str = "graph",
-    backend: Optional[str] = None,
-    **kwargs,
-):
-    """Executor factory: 'graph' (default), 'graph-fused', 'graph-inlined',
-    'graph-conditional', or 'stream'.
+#: The product engine: every entry point (this factory, the simulators,
+#: ``RTLFlow.simulator``, ``CampaignSpec``, the CLI, the paper benches)
+#: reads its default from here.
+DEFAULT_EXECUTOR = "graph-fused"
 
-    'graph-fused' is the flat-program engine: the whole comb phase (and
-    each clock domain) runs as one straight-line compiled program over a
-    bit-packed layout — no per-task dispatch remains (see
-    :class:`~repro.gpu.graphexec.FusedProgramExecutor` and
-    docs/fusion.md).  'graph-inlined' keeps the older source-level task
-    inlining over the unpacked layout.  'graph-conditional' is the
-    activity-aware engine: it replays only the macro tasks whose inputs
-    changed since their last execution (see
-    :class:`~repro.gpu.graphexec.ConditionalGraphExecutor` and
-    docs/activity.md), trading a small per-replay dirty-set check for
-    skipping quiescent logic entirely.
+#: Everything :func:`make_executor` accepts.  ``graph`` and ``stream``
+#: are the paper's Table 4 contrast, ``graph-conditional`` the
+#: activity-aware replay (docs/activity.md), ``sanitize`` the runtime
+#: hazard checker (``repro run --verify``).
+EXECUTOR_KINDS = (
+    DEFAULT_EXECUTOR, "graph", "graph-conditional", "stream", "sanitize",
+)
 
-    ``backend`` selects the lowering for the fused engine (see
-    :mod:`repro.backends`); only ``graph-fused`` executes alternative
-    backend bundles (the sanitizer runs the reference task path, and
-    ``repro verify --backend`` checks backends statically).
+
+def check_executor(kind: str, backend: Optional[str] = None) -> None:
+    """Reject an unknown executor kind, or a backend it cannot run.
+
+    Only the fused engine executes alternative backend bundles (see
+    :mod:`repro.backends`); the sanitizer replays the reference task
+    path whatever backend was verified statically, so it takes any.
     """
+    if kind not in EXECUTOR_KINDS:
+        raise SimulationError(
+            f"unknown executor kind {kind!r}; accepted kinds: "
+            + ", ".join(EXECUTOR_KINDS)
+        )
     if backend not in (None, "numpy") and kind not in (
-        "graph-fused", "fused", "sanitize", "sanitized"
+        DEFAULT_EXECUTOR, "sanitize"
     ):
         raise SimulationError(
             f"backend {backend!r} requires the fused executor "
-            f"(executor='graph-fused'), not {kind!r}"
+            f"(executor={DEFAULT_EXECUTOR!r}), not {kind!r}"
         )
-    if kind == "graph":
-        return CudaGraphExecutor(model, device, fused=False)
-    if kind in ("graph-fused", "fused"):
+
+
+def make_executor(
+    model: CompiledModel,
+    device: SimulatedDevice,
+    kind: str = DEFAULT_EXECUTOR,
+    backend: Optional[str] = None,
+    **kwargs,
+) -> Executor:
+    """Executor factory over :data:`EXECUTOR_KINDS`.
+
+    'graph-fused' (the default) is the flat-program engine: the whole
+    comb phase (and each clock domain) runs as one straight-line
+    compiled program over a bit-packed layout — no per-task dispatch
+    remains (see :class:`~repro.gpu.graphexec.FusedProgramExecutor` and
+    docs/fusion.md); ``backend`` selects its lowering.  Every other kind
+    replays the per-task kernel module, which the model builds on their
+    first use: 'graph' and 'stream' are the paper's Table 4 pair, and
+    'graph-conditional' replays only the macro tasks whose inputs
+    changed since their last execution (see
+    :class:`~repro.gpu.graphexec.ConditionalGraphExecutor` and
+    docs/activity.md).
+    """
+    check_executor(kind, backend)
+    if kind == DEFAULT_EXECUTOR:
         return FusedProgramExecutor(model, device, backend=backend, **kwargs)
-    if kind in ("graph-inlined", "inlined"):
-        return CudaGraphExecutor(model, device, fused=True)
-    if kind in ("graph-conditional", "conditional"):
+    if kind == "graph":
+        return CudaGraphExecutor(model, device)
+    if kind == "graph-conditional":
         return ConditionalGraphExecutor(model, device, **kwargs)
     if kind == "stream":
         return StreamExecutor(model, device, **kwargs)
-    if kind in ("sanitize", "sanitized"):
-        # Lazy import: repro.verify pulls in the lint registry, which
-        # plain simulation never needs.
-        from repro.verify.hazards import RuntimeSanitizer
+    # Lazy import: repro.verify pulls in the lint registry, which
+    # plain simulation never needs.
+    from repro.verify.hazards import RuntimeSanitizer
 
-        return RuntimeSanitizer(model, device, **kwargs)
-    raise SimulationError(f"unknown executor kind {kind!r}")
+    return RuntimeSanitizer(model, device, **kwargs)
 
 
 _POOL_BITS = (8, 16, 32, 64)
@@ -118,7 +138,7 @@ class BatchSimulator:
         self,
         model: CompiledModel,
         n: int,
-        executor: Union[str, object] = "graph",
+        executor: Union[str, Executor] = DEFAULT_EXECUTOR,
         device: Optional[SimulatedDevice] = None,
         clock: Optional[str] = None,
         tracer: Optional[Tracer] = None,
@@ -136,23 +156,16 @@ class BatchSimulator:
             if isinstance(executor, str)
             else executor
         )
-        # The lowering backend actually in effect (executors built
-        # elsewhere carry their own; plain executors are numpy-lowered).
-        self.backend = (
-            getattr(self.executor, "backend", None) or backend or "numpy"
-        )
-        # The fused executor runs against its own bit-packed layout and
-        # carries the matching memory-write bindings; every other
-        # executor uses the model's unpacked layout.
-        self.layout = getattr(self.executor, "layout", None) or model.layout
-        self.mem_writes = getattr(
-            self.executor, "mem_writes", model.mem_writes
-        )
+        # The executor owns the lowering it replays: its backend, the
+        # layout it runs against (bit-packed for the fused engine, the
+        # per-task module's otherwise) and that layout's commit bindings.
+        self.backend = self.executor.backend
+        self.layout = self.executor.layout
+        self.mem_writes = self.executor.mem_writes
         # Conditional executors need per-offset write epochs to compute
         # their dirty sets; plain executors skip the bookkeeping cost.
         self.arrays = DeviceArrays(
-            self.layout, n,
-            track_epochs=bool(getattr(self.executor, "wants_epochs", False)),
+            self.layout, n, track_epochs=self.executor.wants_epochs
         )
         design = model.design
         self._input_names = {s.name for s in design.inputs}
@@ -168,9 +181,9 @@ class BatchSimulator:
         # invalidates the set_clock scalar cache, so edge detection falls
         # back to the per-lane uniformity scan.
         self.arrays.write_hook = self._on_host_write
-        # Whole-evaluation fast path (see _evaluate_inner): a stable
-        # bound-method reference so the executor can cache its plans.
-        self._run_eval = getattr(self.executor, "run_eval", None)
+        # Stable bound-method references: the executor caches the
+        # evaluation plans that embed the commit (see _evaluate_inner).
+        self._run_eval = self.executor.run_eval
         self._commit_cb = self._commit
         # Fast clock toggling: a cached pool view plus the two level
         # values, set up below once the layout is known.  Disabled under
@@ -504,9 +517,7 @@ class BatchSimulator:
         # The executor's per-task last-run epochs refer to a timeline that
         # the restore just rewound; forget them so every task is dirty
         # once and the first replay re-executes against restored state.
-        reset = getattr(self.executor, "reset_activity", None)
-        if reset is not None:
-            reset()
+        self.executor.reset_activity()
 
     def evaluate(self) -> None:
         """One full-cycle evaluation (edge updates, then comb settle).
@@ -526,20 +537,9 @@ class BatchSimulator:
 
     def _evaluate_inner(self) -> None:
         triggered, levels = self._triggered_domains()
-        if self._run_eval is not None and self.quarantine is None:
-            # Whole-evaluation single-launch replay (fused executor):
-            # same seq -> commit -> comb ordering, one launch call.
-            # Quarantined batches need the generic path (masked commits).
-            self._run_eval(self.arrays, triggered, self._commit_cb)
-        else:
-            # Non-blocking semantics across domains: when several clocks
-            # edge in the same evaluation, every domain's next-state
-            # computes from the pre-edge state before any domain commits.
-            for domain in triggered:
-                self.executor.run_seq(self.arrays, *domain)
-            for domain in triggered:
-                self._commit(domain)
-            self.executor.run_comb(self.arrays)
+        # seq programs of every triggered domain -> commits -> comb
+        # settle (Executor.run_eval); _commit masks quarantined lanes.
+        self._run_eval(self.arrays, triggered, self._commit_cb)
         for clock in self._prev_clock:
             # Input clocks can only change via host writes, so the level
             # sampled during edge detection is still current.  Derived

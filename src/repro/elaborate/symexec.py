@@ -494,8 +494,10 @@ class _Lowerer:
         t: Dict[str, A.Expr],
         e: Dict[str, A.Expr],
     ) -> None:
-        keys = set(t) | set(e)
-        for k in keys:
+        # Insertion-ordered union: this order becomes the SeqBlock update
+        # order, hence graph.seq_nodes, the partition and the generated
+        # source — a set here would make all of them hash-seed dependent.
+        for k in dict.fromkeys((*t, *e)):
             tv = t.get(k)
             ev = e.get(k)
             old = base.get(k)

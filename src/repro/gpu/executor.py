@@ -1,0 +1,76 @@
+"""The one protocol :class:`~repro.core.simulator.BatchSimulator` speaks.
+
+Every evaluation is the same three steps in the same order (CCSS's
+sequential-compute → synchronise → combinational-settle): the sequential
+programs of every triggered clock domain, all reading pre-edge state;
+the per-domain register/memory commits; the comb settle.  That order is
+:meth:`Executor.run_eval`, and it is the only call the simulator makes.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable, List, Tuple
+
+from repro.gpu.device import SimulatedDevice
+
+if TYPE_CHECKING:  # type-only: avoids a core <-> gpu import cycle
+    from repro.core.codegen import CompiledModel
+    from repro.core.memory import DeviceArrays
+
+Domain = Tuple[str, str]  # (clock, edge)
+
+
+class Executor:
+    """Base of every replay engine.
+
+    The simulator reads ``layout`` (the memory layout to allocate
+    :class:`DeviceArrays` for), ``mem_writes`` (commit bindings for that
+    layout), ``backend`` and ``wants_epochs`` (build the arrays with
+    per-offset write epochs), calls :meth:`reset_activity` after a
+    checkpoint restore, and otherwise only :meth:`run_eval`.
+
+    This base binds the per-task module's unpacked layout — reading
+    ``model.layout`` is what makes a lazily lowered model build it — so
+    the task-replaying engines inherit it as is; the fused engine
+    overrides all of it with its packed bundle.
+    """
+
+    name = ""
+    backend = "numpy"
+    wants_epochs = False
+
+    def __init__(self, model: "CompiledModel", device: SimulatedDevice):
+        self.model = model
+        self.device = device
+        self.layout = model.layout
+        self.mem_writes = model.mem_writes
+
+    def reset_activity(self) -> None:
+        """Forget state tied to the write-epoch timeline (none here)."""
+
+    def run_seq(self, arrays: "DeviceArrays", clock: str, edge: str) -> None:
+        raise NotImplementedError
+
+    def run_comb(self, arrays: "DeviceArrays") -> None:
+        raise NotImplementedError
+
+    def run_eval(
+        self,
+        arrays: "DeviceArrays",
+        triggered: List[Domain],
+        commit: Callable[[Domain], None],
+    ) -> None:
+        """One evaluation.  Non-blocking semantics across domains: when
+        several clocks edge together, every domain's next state computes
+        from the pre-edge state before any domain commits.  ``commit`` is
+        the owning simulator's domain commit (it masks quarantined
+        lanes)."""
+        for domain in triggered:
+            self.run_seq(arrays, *domain)
+        for domain in triggered:
+            commit(domain)
+        self.run_comb(arrays)
+
+    def _args(self, arrays: "DeviceArrays") -> tuple:
+        p = arrays.pools
+        return (p[0], p[1], p[2], p[3], arrays.n, arrays.lane)

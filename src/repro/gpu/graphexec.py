@@ -1,11 +1,11 @@
 """CUDA-Graph-style execution (§3.2.2, Fig. 9b).
 
 The task graph is *instantiated once* into an executable plan — a flat,
-dependency-respecting kernel order (plus optional whole-graph fusion into
-a single kernel, the strongest form of the "whole-graph optimizations the
-CUDA runtime can perform").  Each evaluation then replays the plan with a
-single launch call, eliminating the per-kernel stream/event bookkeeping
-the stream executor re-pays every cycle.
+dependency-respecting kernel order, or (the product engine) one fused
+straight-line program per phase, the strongest form of the "whole-graph
+optimizations the CUDA runtime can perform".  Each evaluation then
+replays the plan with a single launch call, eliminating the per-kernel
+stream/event bookkeeping the stream executor re-pays every cycle.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.gpu.device import SimulatedDevice
+from repro.gpu.executor import Executor
 from repro.obs import get_metrics, get_tracer
 from repro.utils.errors import SimulationError
 
@@ -23,32 +24,22 @@ if TYPE_CHECKING:  # type-only: avoids a core <-> gpu import cycle
     from repro.core.memory import DeviceArrays
 
 
-class CudaGraphExecutor:
-    """Define-once-run-repeatedly executor."""
+class CudaGraphExecutor(Executor):
+    """Define-once-run-repeatedly replay of the per-task kernels (the
+    paper's Table 4 ``graph`` row; the product runs ``graph-fused``)."""
 
     name = "graph"
 
-    def __init__(
-        self,
-        model: CompiledModel,
-        device: SimulatedDevice,
-        fused: bool = False,
-    ):
-        self.model = model
-        self.device = device
-        self.fused = fused
+    def __init__(self, model: CompiledModel, device: SimulatedDevice):
+        super().__init__(model, device)
         # --- cudaGraphInstantiate analog: done exactly once -------------
-        if fused:
-            self._comb_plan: List[Callable] = [model.fused_comb]
-            self._seq_plans: Dict[Tuple[str, str], List[Callable]] = {
-                dom: [fn] for dom, fn in model.fused_seq.items()
-            }
-        else:
-            self._comb_plan = [model.task_fns[t] for t in model.comb_schedule()]
-            self._seq_plans = {
-                dom: [model.task_fns[t] for t in model.seq_schedule(*dom)]
-                for dom in model.clock_domains()
-            }
+        self._comb_plan: List[Callable] = [
+            model.task_fns[t] for t in model.comb_schedule()
+        ]
+        self._seq_plans: Dict[Tuple[str, str], List[Callable]] = {
+            dom: [model.task_fns[t] for t in model.seq_schedule(*dom)]
+            for dom in model.clock_domains()
+        }
 
     def run_comb(self, arrays: DeviceArrays) -> None:
         if self._comb_plan:
@@ -59,12 +50,8 @@ class CudaGraphExecutor:
         if plan:
             self.device.launch_graph(plan, self._args(arrays))
 
-    def _args(self, arrays: DeviceArrays) -> tuple:
-        p = arrays.pools
-        return (p[0], p[1], p[2], p[3], arrays.n, arrays.lane)
 
-
-class FusedProgramExecutor:
+class FusedProgramExecutor(Executor):
     """Flat-program replay over the bit-packed layout (§3.2.2, strongest).
 
     Executes the :class:`~repro.core.codegen.FusedPrograms` lowering of
@@ -73,14 +60,11 @@ class FusedProgramExecutor:
     dispatch survives on the replay path, and 1-bit signals live
     lane-packed in the ``P1`` uint64 pool (64 lanes per machine op).
 
-    The simulator reads three markers off this class: ``wants_packed``
-    (build :class:`DeviceArrays` with the packed layout), ``layout``
-    (the packed layout itself — offsets differ from the unpacked
-    model's), and ``mem_writes`` (commit bindings for that layout).
+    ``layout`` and ``mem_writes`` are the bundle's (packed offsets
+    differ from the per-task module's, which this engine never builds).
     """
 
     name = "graph-fused"
-    wants_packed = True
 
     def __init__(
         self,
@@ -89,6 +73,8 @@ class FusedProgramExecutor:
         programs=None,
         backend: Optional[str] = None,
     ):
+        # Not super().__init__: that binds model.layout, which would
+        # build the per-task module this engine exists to avoid.
         self.model = model
         self.device = device
         if programs is None:
@@ -98,7 +84,7 @@ class FusedProgramExecutor:
                 from repro.backends import get_backend
 
                 programs = get_backend(backend).compile(model)
-        self.backend = backend or getattr(programs, "backend", "numpy")
+        self.backend = backend or programs.backend
         self.programs = programs
         self.layout = programs.layout
         self.mem_writes = programs.mem_writes
@@ -171,7 +157,7 @@ class FusedProgramExecutor:
         return args
 
 
-class ConditionalGraphExecutor:
+class ConditionalGraphExecutor(Executor):
     """Activity-aware variant of the CUDA-Graph executor (dirty-set replay).
 
     The unconditional executor replays every macro task each cycle — work
@@ -193,7 +179,7 @@ class ConditionalGraphExecutor:
       the unconditional executor.
 
     Requires a ``DeviceArrays`` built with ``track_epochs=True`` (the
-    simulator arranges this via the ``wants_epochs`` marker).  Skip-rate
+    simulator arranges this via ``wants_epochs``).  Skip-rate
     telemetry: ``tasks_run``/``tasks_skipped`` attributes, the
     ``executor.tasks_run``/``executor.tasks_skipped`` counters in
     :mod:`repro.obs` metrics, and a ``dirty_check`` tracer span per
@@ -210,8 +196,7 @@ class ConditionalGraphExecutor:
         tracer=None,
         metrics=None,
     ):
-        self.model = model
-        self.device = device
+        super().__init__(model, device)
         self.tracer = tracer if tracer is not None else get_tracer()
         self.metrics = metrics if metrics is not None else get_metrics()
         self._fns = model.task_fns
@@ -371,7 +356,3 @@ class ConditionalGraphExecutor:
             plan = self._select(arrays, tids, None)
         if plan:
             self.device.launch_graph(plan, self._args(arrays))
-
-    def _args(self, arrays: DeviceArrays) -> tuple:
-        p = arrays.pools
-        return (p[0], p[1], p[2], p[3], arrays.n, arrays.lane)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from repro.gpu.device import DeviceEvent, SimulatedDevice
+from repro.gpu.executor import Executor
 
 if TYPE_CHECKING:  # type-only: avoids a core <-> gpu import cycle
     from repro.core.codegen import CompiledModel
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # type-only: avoids a core <-> gpu import cycle
 DEFAULT_NUM_STREAMS = 4  # "four streams ... achieves the best performance"
 
 
-class StreamExecutor:
+class StreamExecutor(Executor):
     """Executes one evaluation by scheduling kernels onto streams."""
 
     name = "stream"
@@ -32,8 +33,7 @@ class StreamExecutor:
         device: SimulatedDevice,
         num_streams: int = DEFAULT_NUM_STREAMS,
     ):
-        self.model = model
-        self.device = device
+        super().__init__(model, device)
         self.num_streams = max(1, num_streams)
 
     # NOTE: no state is cached between cycles on purpose — rebuilding the
@@ -71,7 +71,3 @@ class StreamExecutor:
             )
             self.device.record_event().complete()
         self.device.synchronize()
-
-    def _args(self, arrays: DeviceArrays) -> tuple:
-        p = arrays.pools
-        return (p[0], p[1], p[2], p[3], arrays.n, arrays.lane)

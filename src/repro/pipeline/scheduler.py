@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.codegen import CompiledModel
-from repro.core.simulator import BatchSimulator
+from repro.core.simulator import DEFAULT_EXECUTOR, BatchSimulator
 from repro.gpu.device import SimulatedDevice
 from repro.obs import get_metrics, get_tracer
 from repro.obs.metrics import MetricsRegistry
@@ -79,7 +79,7 @@ class PipelineSimulator:
         n: int,
         groups: int = 4,
         cpu_workers: int = 4,
-        executor: str = "graph",
+        executor: str = DEFAULT_EXECUTOR,
         device: Optional[SimulatedDevice] = None,
         pipeline: bool = True,
         tracer: Optional[Tracer] = None,

@@ -58,7 +58,7 @@ def _verify_backend(model, backend: str, report: LintReport) -> None:
     """Append backend-lowering diagnostics for ``backend`` to ``report``.
 
     Checks three things about the non-default lowering: the backend is
-    known and available, its kernel IR is structurally well-formed
+    known, its kernel IR is structurally well-formed
     (:func:`repro.backends.ir.validate_ir`), and the produced bundle
     covers every sequential clock domain of the model.  Failures are
     ERROR diagnostics under the ``verify-backend`` id.

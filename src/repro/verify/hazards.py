@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.gpu.executor import Executor
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.partition.taskgraph import TaskGraph
 from repro.rtlir.graph import NodeKind
@@ -102,7 +103,7 @@ def check_hazards(tg: TaskGraph) -> List[Diagnostic]:
     return out
 
 
-class RuntimeSanitizer:
+class RuntimeSanitizer(Executor):
     """Per-task replay executor that asserts the declared footprints.
 
     Drop-in for the ``graph`` executor (same unpacked layout and task
@@ -111,12 +112,11 @@ class RuntimeSanitizer:
     into write-epoch tracking so epoch monotonicity is checkable too.
     """
 
-    name = "sanitized"
+    name = "sanitize"
     wants_epochs = True
 
     def __init__(self, model, device):
-        self.model = model
-        self.device = device
+        super().__init__(model, device)
         self._accesses = model.task_accesses()
         self._comb_plan = list(model.comb_schedule())
         self._seq_plans = {
@@ -157,10 +157,6 @@ class RuntimeSanitizer:
         plan = self._seq_plans.get((clock, edge))
         if plan:
             self._run_phase(arrays, plan, f"seq {edge} {clock}")
-
-    def _args(self, arrays) -> tuple:
-        p = arrays.pools
-        return (p[0], p[1], p[2], p[3], arrays.n, arrays.lane)
 
     def _run_phase(self, arrays, plan: List[int], phase: str) -> None:
         self._check_epochs(arrays, phase)

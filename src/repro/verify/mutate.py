@@ -73,13 +73,15 @@ def fresh_model():
     """Build an un-shared compiled model of the demo design.
 
     ``target_weight=1.0`` keeps one node per task so the task graph has
-    real edges to corrupt; the fused bundle is forced so mutations hit
-    the cached artifact the verifier will read.
+    real edges to corrupt; both lazy lowerings are forced so mutations
+    hit the cached artifacts the verifier will read (and a corrupted
+    task graph is never what they get built from).
     """
     from repro.core.flow import RTLFlow
 
     flow = RTLFlow.from_source(DEMO_SOURCE, DEMO_TOP, lint=False)
     model = flow.compile(target_weight=1.0)
+    model.tasks()
     model.fused()
     return model
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.baselines.reference import ReferenceSimulator
 from repro.core.codegen import KernelCodegen
-from repro.core.simulator import BatchSimulator
+from repro.core.simulator import DEFAULT_EXECUTOR, BatchSimulator
 from repro.partition.merge import partition
 from repro.stimulus.batch import StimulusBatch
 from repro.stimulus.generator import random_batch
@@ -49,7 +49,7 @@ def batch_traces(
     graph,
     stim: StimulusBatch,
     watch: Sequence[str],
-    executor: str = "graph",
+    executor: str = DEFAULT_EXECUTOR,
     target_weight: float = 64.0,
     strategy: str = "levelpack",
     memories: Optional[Dict[str, Sequence[int]]] = None,
@@ -76,7 +76,7 @@ def assert_batch_matches_reference(
     cycles: int = 20,
     seed: int = 0,
     watch: Optional[Sequence[str]] = None,
-    executor: str = "graph",
+    executor: str = DEFAULT_EXECUTOR,
     memories: Optional[Dict[str, Sequence[int]]] = None,
     target_weight: float = 64.0,
     strategy: str = "levelpack",

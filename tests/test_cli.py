@@ -106,7 +106,7 @@ class TestTelemetryFlags:
         trace = str(tmp_path / "run.trace.json")
         metrics = str(tmp_path / "run.metrics.json")
         assert main(["simulate", counter_v, "--top", "counter",
-                     "-n", "4", "-c", "10",
+                     "-n", "4", "-c", "10", "--executor", "graph",
                      "--trace-json", trace, "--metrics-json", metrics]) == 0
         doc = json.load(open(trace))
         assert doc["traceEvents"]
@@ -123,7 +123,7 @@ class TestProfile:
         trace = str(tmp_path / "p.trace.json")
         metrics = str(tmp_path / "p.metrics.json")
         assert main(["profile", "counter", "-n", "8", "-c", "12",
-                     "--mcmc-iters", "2", "--timeline",
+                     "--mcmc-iters", "2", "--timeline", "--executor", "graph",
                      "--trace-json", trace, "--metrics-json", metrics]) == 0
         out = capsys.readouterr().out
         assert "profile: counter" in out
@@ -204,11 +204,7 @@ class TestBackendFlag:
                      "--backend", "tensor"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["active_backend"] == "tensor"
-        names = {b["name"] for b in payload["backends"]}
-        assert {"numpy", "tensor", "numba", "cupy"} <= names
-        by_name = {b["name"]: b for b in payload["backends"]}
-        assert by_name["numpy"]["available"] is True
-        assert by_name["tensor"]["available"] is True
+        assert [b["name"] for b in payload["backends"]] == ["numpy", "tensor"]
 
     def test_verify_reports_backend(self, counter_v, capsys):
         assert main(["verify", counter_v, "--top", "counter",

@@ -1,0 +1,236 @@
+"""One product engine, one protocol, one deterministic lowering.
+
+* every entry point defaults to ``DEFAULT_EXECUTOR == "graph-fused"``;
+* a default simulator never builds the per-task module, the task-
+  replaying executors build it exactly once;
+* a quarantined batch stays on the fused engine's single-launch
+  ``run_eval`` and its survivors match ``graph`` and the reference;
+* the deleted kinds/aliases/backends are rejected by name;
+* elaboration, partition and generated source do not depend on the
+  interpreter's hash seed.
+"""
+
+import inspect
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+import benchmarks.common as bench_common
+from repro import RTLFlow
+from repro.backends import BACKENDS
+from repro.cli import build_parser, main
+from repro.cluster import CampaignSpec
+from repro.core import codegen
+from repro.core.codegen import transpile
+from repro.core.simulator import (
+    DEFAULT_EXECUTOR,
+    EXECUTOR_KINDS,
+    BatchSimulator,
+    make_executor,
+)
+from repro.gpu import Executor, SimulatedDevice
+from repro.pipeline.scheduler import PipelineSimulator
+from repro.resilience import FaultPlan, LaneFaultSpec
+from repro.utils.errors import ClusterError, SimulationError
+
+from tests.conftest import COUNTER_V, compile_graph
+from tests.helpers import reference_traces
+from tests.test_resilience import counter_stim
+
+
+def _signature_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _cli_executor_defaults():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {
+        name: action.default
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.dest == "executor"
+    }
+
+
+ENTRY_POINT_DEFAULTS = {
+    "make_executor": lambda: _signature_default(make_executor, "kind"),
+    "BatchSimulator": lambda: _signature_default(BatchSimulator, "executor"),
+    "RTLFlow.simulator": lambda: _signature_default(
+        RTLFlow.simulator, "executor"),
+    "PipelineSimulator": lambda: _signature_default(
+        PipelineSimulator, "executor"),
+    "CampaignSpec": lambda: CampaignSpec(n=1, cycles=1).executor,
+    "benchmarks.make_batch_sim": lambda: _signature_default(
+        bench_common.make_batch_sim, "executor"),
+    "benchmarks.time_rtlflow": lambda: _signature_default(
+        bench_common.time_rtlflow, "executor"),
+    "benchmarks.time_rtlflow_projected": lambda: _signature_default(
+        bench_common.time_rtlflow_projected, "executor"),
+}
+
+
+class TestOneDefault:
+    def test_the_constant(self):
+        assert DEFAULT_EXECUTOR == "graph-fused"
+        assert EXECUTOR_KINDS == (
+            "graph-fused", "graph", "graph-conditional", "stream", "sanitize",
+        )
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINT_DEFAULTS))
+    def test_entry_point_default(self, entry):
+        assert ENTRY_POINT_DEFAULTS[entry]() == DEFAULT_EXECUTOR
+
+    def test_every_cli_subcommand_default(self):
+        defaults = _cli_executor_defaults()
+        assert set(defaults) == {
+            "simulate", "profile", "run", "campaign", "submit",
+        }
+        assert set(defaults.values()) == {DEFAULT_EXECUTOR}
+
+
+# A top name no other test uses, so its code-cache entries are this
+# test's alone.
+LAZYPROBE_V = COUNTER_V.replace("module counter", "module lazyprobe")
+
+
+def _cache_keys(top):
+    return [k for k in codegen._CODE_CACHE if k.startswith(f"<rtlflow:{top}:")]
+
+
+class TestPerTaskModuleIsLazy:
+    def test_default_run_never_builds_it_graph_builds_it_once(
+            self, monkeypatch):
+        builds = []
+        real = codegen.KernelCodegen.compile_tasks
+
+        def counting(self):
+            builds.append(self.graph.design.top)
+            return real(self)
+
+        monkeypatch.setattr(codegen.KernelCodegen, "compile_tasks", counting)
+        flow = RTLFlow.from_source(LAZYPROBE_V, "lazyprobe")
+        stim = counter_stim(8, 12, seed=1)
+
+        fused_out = flow.simulator(8).run(stim)
+        model = flow.compile()
+        assert not model.tasks_built and builds == []
+        keys = _cache_keys("lazyprobe")
+        assert keys and all(k.startswith("<rtlflow:lazyprobe:fused:")
+                            for k in keys)
+
+        graph_out = flow.simulator(8, executor="graph").run(stim)
+        flow.simulator(8, executor="stream")
+        assert model.tasks_built and builds == ["lazyprobe"]
+        untagged = [k for k in _cache_keys("lazyprobe") if ":fused:" not in k]
+        assert len(untagged) == 1
+        assert np.array_equal(fused_out["count"], graph_out["count"])
+
+    def test_explicit_transpile_is_eager(self):
+        model = transpile(compile_graph(COUNTER_V, "counter"))
+        assert model.tasks_built and "def task_0" in model.source
+
+
+class TestQuarantineStaysOnRunEval:
+    def test_fused_two_launches_per_cycle_and_survivors_identical(self):
+        n, cycles, dead = 16, 40, 3
+        graph = compile_graph(COUNTER_V, "counter")
+        model = transpile(graph)
+        stim = counter_stim(n, cycles, seed=3)
+        plan = FaultPlan(lane_faults=[LaneFaultSpec(cycle=9, lane=dead)])
+
+        traces = {}
+        for kind in (DEFAULT_EXECUTOR, "graph"):
+            sim = BatchSimulator(model, n, executor=kind,
+                                 fault_isolation=True)
+            traces[kind] = sim.run(stim, trace_every=1, fault_plan=plan)
+            assert sim.quarantine.faulted_lanes() == [dead]
+            if kind == DEFAULT_EXECUTOR:
+                # One launch per evaluation, two evaluations per cycle —
+                # before and after the lane died.
+                assert sim.device.stats.graph_launches == 2 * cycles
+
+        alive = np.arange(n) != dead
+        fused = traces[DEFAULT_EXECUTOR]["count"]
+        assert np.array_equal(fused[:, alive],
+                              traces["graph"]["count"][:, alive])
+        ref = reference_traces(graph, stim, ["count"])["count"]
+        assert (fused[:, alive].astype(object) == ref[:, alive]).all()
+        # The dead lane's register stopped committing when it was fenced.
+        assert (fused[10:, dead] == fused[10, dead]).all()
+
+    def test_every_engine_is_an_executor(self):
+        model = transpile(compile_graph(COUNTER_V, "counter"))
+        for kind in EXECUTOR_KINDS:
+            ex = make_executor(model, SimulatedDevice(), kind)
+            assert isinstance(ex, Executor) and ex.name == kind
+            assert ex.layout.packed == (kind == DEFAULT_EXECUTOR)
+
+
+class TestDeletedSpellingsAreRejected:
+    @pytest.mark.parametrize(
+        "kind", ["graph-inlined", "fused", "inlined", "conditional",
+                 "sanitized"])
+    def test_make_executor_names_the_accepted_kinds(self, kind):
+        model = transpile(compile_graph(COUNTER_V, "counter"))
+        with pytest.raises(SimulationError) as ei:
+            make_executor(model, SimulatedDevice(), kind)
+        for accepted in EXECUTOR_KINDS:
+            assert accepted in str(ei.value)
+
+    def test_campaign_spec_uses_the_same_rule(self):
+        with pytest.raises(ClusterError, match="accepted kinds"):
+            CampaignSpec(n=4, cycles=4, design="counter",
+                         executor="fused").validate()
+        with pytest.raises(ClusterError, match="requires the fused executor"):
+            CampaignSpec(n=4, cycles=4, design="counter", executor="graph",
+                         backend="tensor").validate()
+
+    @pytest.mark.parametrize("backend", ["numba", "cupy"])
+    def test_cli_rejects_removed_backends(self, backend, capsys):
+        assert list(BACKENDS) == ["numpy", "tensor"]
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "counter", "-n", "4", "-c", "4",
+                  "--backend", backend])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'numpy', 'tensor'" in err
+
+    def test_cli_rejects_backend_on_a_contrast_engine(self, capsys):
+        assert main(["run", "counter", "-n", "4", "-c", "4",
+                     "--backend", "tensor", "--executor", "graph"]) == 2
+        assert "requires the fused executor" in capsys.readouterr().err
+
+
+_DETERMINISM_CHILD = textwrap.dedent("""
+    import hashlib
+    from repro import RTLFlow
+    from repro.designs import get_design
+
+    for name, params in (("nvdla", {"pes": 64}), ("riscv_mini", {})):
+        bundle = get_design(name, **params)
+        model = RTLFlow.from_source(bundle.source, bundle.top).compile()
+        digest = hashlib.sha256(model.fused().source.encode()).hexdigest()
+        print(name, len(model.taskgraph.tasks), digest)
+""")
+
+
+def test_lowering_is_identical_across_hash_seeds():
+    """Spawned cluster/serve workers each draw their own hash seed; the
+    task graph and the content-addressed generated source must not."""
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for seed in ("0", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DETERMINISM_CHILD], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 2

@@ -57,14 +57,15 @@ class TestUnsupportedDiagnostics:
         assert "for" in msg  # names what IS supported
 
     def test_wide_multiply_names_width(self):
-        # The rejection happens at kernel codegen (transpile time).
+        # The rejection happens at kernel codegen, which runs when the
+        # simulator's engine lowers the (lazily compiled) model.
         flow = RTLFlow.from_source(
             "module m(input wire [99:0] a, output wire [99:0] y);\n"
             "assign y = a * a;\nendmodule",
             "m",
         )
         with pytest.raises(UnsupportedFeatureError) as ei:
-            flow.compile()
+            flow.simulator(1)
         msg = str(ei.value)
         assert "64" in msg and "*" in msg
 

@@ -111,9 +111,7 @@ class TestExecutorFactory:
         assert isinstance(make_executor(adder_model, device, "stream"), StreamExecutor)
         fused = make_executor(adder_model, device, "graph-fused")
         assert isinstance(fused, FusedProgramExecutor)
-        assert fused.wants_packed and fused.layout.packed
-        inlined = make_executor(adder_model, device, "graph-inlined")
-        assert isinstance(inlined, CudaGraphExecutor) and inlined.fused
+        assert fused.layout.packed
 
     def test_unknown_kind(self, adder_model):
         with pytest.raises(SimulationError):

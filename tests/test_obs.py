@@ -243,7 +243,7 @@ class TestGlobalDefaults:
 class TestSimulatorInstrumentation:
     def test_spans_and_metrics_recorded(self, counter_model):
         with capture() as (tracer, metrics):
-            sim = BatchSimulator(counter_model, 4)
+            sim = BatchSimulator(counter_model, 4, executor="graph")
             stim = random_batch(counter_model.design, 4, 5, seed=0)
             sim.run(stim)
         assert tracer.count("set_inputs") == 5

@@ -168,13 +168,16 @@ class TestSurvivorBitIdentity:
         n, cycles = 8, 30
         stim = bundle.make_stimulus(n, cycles, 11)
 
-        base = BatchSimulator(model, n)
+        # Pinned to the per-task engine: the assertion below compares
+        # whole unpacked pools lane by lane.
+        base = BatchSimulator(model, n, executor="graph")
         bundle.preload(base)
         base.run(stim)
 
         plan = FaultPlan(lane_faults=[LaneFaultSpec(cycle=5, lane=2),
                                       LaneFaultSpec(cycle=14, lane=6)])
-        faulted = BatchSimulator(model, n, fault_isolation=True)
+        faulted = BatchSimulator(model, n, executor="graph",
+                                 fault_isolation=True)
         bundle.preload(faulted)
         faulted.run(stim, fault_plan=plan)
 
@@ -707,7 +710,7 @@ class TestCheckpointResume:
 
             graph = compile_graph(COUNTER_V, "counter")
             model = KernelCodegen(partition(graph, target_weight=64.0)).compile()
-            sim = BatchSimulator(model, 16)
+            sim = BatchSimulator(model, 16, executor="graph")
             stim = counter_stim(16, 60, seed=9)
             mgr = CheckpointManager(%r, policy=CheckpointPolicy(every_cycles=10))
             mgr.begin(sim.cycles_run)
