@@ -74,15 +74,28 @@ EXECUTOR_CHOICES = tuple(k for k in EXECUTOR_KINDS if k != "sanitize")
 def cmd_stats(args) -> int:
     from repro.backends import backend_report
 
-    flow = _load_flow(args)
+    if args.design:
+        from repro.designs import get_design
+
+        bundle = get_design(args.design)
+        flow = RTLFlow.from_source(bundle.source, bundle.top)
+        args.top = bundle.top
+    elif args.sources and args.top:
+        flow = _load_flow(args)
+    else:
+        raise ReproError("pass Verilog source files with --top, or --design")
     stats = flow.graph.stats()
     tg = flow.taskgraph()
     backends = backend_report()
     if args.json:
         import json
 
+        # The size of the fused programs the product engine replays
+        # (statements, temporaries, rolled-up runs, ...): CI asserts
+        # these counts instead of regex-ing generated source.
         print(json.dumps(
             {"top": args.top, "graph": stats, "taskgraph": tg.stats(),
+             "fused": flow.compile().fused().stats,
              "active_backend": args.backend, "backends": backends},
             indent=2, sort_keys=True, default=float,
         ))
@@ -881,7 +894,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable)")
 
     p = sub.add_parser("stats", help="print RTL graph statistics")
-    add_design_args(p)
+    p.add_argument("sources", nargs="*", help="Verilog source files")
+    p.add_argument("--top", default=None,
+                   help="top module name (required with source files)")
+    p.add_argument("--design", default=None, metavar="NAME",
+                   help="a bundled design instead of source files "
+                        "(see `repro designs`)")
     add_backend_arg(p)
     p.add_argument("--json", action="store_true",
                    help="emit the statistics as JSON instead of tables")

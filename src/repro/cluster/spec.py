@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 from repro.backends import BACKENDS
@@ -121,6 +121,20 @@ class CampaignSpec:
         except SimulationError as exc:
             raise ClusterError(str(exc)) from exc
 
+    def _payload(self) -> dict:
+        """The fields by name.  Every field is flat (scalars, or lists of
+        scalars/tuples that are only ``repr``-ed), so this reads them
+        directly instead of deep-copying through ``dataclasses.asdict``
+        once per shard."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @staticmethod
+    def _digest(payload: dict) -> str:
+        h = hashlib.sha256()
+        for key in sorted(payload):
+            h.update(f"{key}={payload[key]!r};".encode())
+        return h.hexdigest()
+
     def signature(self) -> str:
         """Fingerprint tying durable shard results to this exact campaign.
 
@@ -128,14 +142,11 @@ class CampaignSpec:
         ``--resume`` can never silently mix persisted shard results from
         a different design, seed, geometry or fault script.
         """
-        payload = asdict(self)
+        payload = self._payload()
         payload["lane_faults"] = sorted(
             (int(c), int(l), str(r)) for c, l, r in self.lane_faults
         )
-        h = hashlib.sha256()
-        for key in sorted(payload):
-            h.update(f"{key}={payload[key]!r};".encode())
-        return h.hexdigest()
+        return self._digest(payload)
 
     def shard_signature(self, shard: ShardSpec) -> str:
         """Content address of one shard's result, independent of the
@@ -152,16 +163,13 @@ class CampaignSpec:
         the content-addressed result store exploits to re-simulate only
         the shards an edited campaign actually changed.
         """
-        payload = asdict(self)
+        payload = self._payload()
         del payload["lane_faults"]
         payload["shard_range"] = (shard.lo, shard.hi)
         payload["shard_faults"] = sorted(
             (int(c), int(l), str(r)) for c, l, r in self.shard_faults(shard)
         )
-        h = hashlib.sha256()
-        for key in sorted(payload):
-            h.update(f"{key}={payload[key]!r};".encode())
-        return h.hexdigest()
+        return self._digest(payload)
 
     def shard_faults(self, shard: ShardSpec) -> List[Tuple[int, int, str]]:
         """This shard's lane faults, re-based to shard-local lane indices."""

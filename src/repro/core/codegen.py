@@ -53,6 +53,16 @@ _CMP = {"==": "==", "===": "==", "!=": "!=", "!==": "!=",
 _NATIVE_DT = ("u8", "u16", "u32", "u64")
 _NATIVE_BITS = (8, 16, 32, 64)
 
+# Roll-up: a run of same-shape statements is emitted once, as a loop over
+# blocks of ``_ROW_BLOCK_ELEMS // N`` rows — every temporary of the loop
+# body then stays cache-sized however large the batch is (one (k, N)
+# statement over a 512-member run is 6x slower than the unrolled code at
+# N=32768).  ``_ROW`` is the loop variable; any emitted value mentioning
+# it is per-block.
+_ROW_BLOCK_ELEMS = 32768
+_ROW = "_row"
+_MIN_RUN = 3
+
 
 def _dt_name(bits: int) -> str:
     return _NATIVE_DT[_NATIVE_BITS.index(bits)]
@@ -88,15 +98,26 @@ _CODE_CACHE: Dict[str, CodeType] = {}
 _CODE_CACHE_MAX = 128
 
 
+def _clear_code_cache() -> None:
+    """Drop every cached code object together with its ``linecache``
+    entry (a long-lived ``repro serve`` worker cycling through designs
+    would otherwise retain every generated source text forever)."""
+    for filename in _CODE_CACHE:
+        linecache.cache.pop(filename, None)
+    _CODE_CACHE.clear()
+
+
 def compile_source(source: str, top: str, tag: str = "") -> CodeType:
     """Compile generated kernel source under a content-addressed filename.
 
     The pseudo-filename is ``<rtlflow:{top}[:tag]:{digest}>`` where the
     digest hashes the full source, so two different designs sharing a
     ``top`` name never alias in tracebacks, and identical designs reuse
-    the cached code object.  The source is registered with
-    :mod:`linecache` so tracebacks through generated kernels show the
-    offending generated line.
+    the cached code object.  On a cache miss the source is registered
+    with :mod:`linecache` (``mtime=None`` entries survive
+    ``linecache.checkcache``) so tracebacks through generated kernels
+    show the offending generated line; the registration lives exactly as
+    long as the cached code object.
     """
     digest = hashlib.sha256(source.encode()).hexdigest()[:12]
     label = f"{top}:{tag}" if tag else top
@@ -104,12 +125,12 @@ def compile_source(source: str, top: str, tag: str = "") -> CodeType:
     code = _CODE_CACHE.get(filename)
     if code is None:
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
+            _clear_code_cache()
         code = compile(source, filename, "exec")
         _CODE_CACHE[filename] = code
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename
-    )
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
     return code
 
 
@@ -401,9 +422,27 @@ class FusedExprCodegen(ExprCodegen):
         # ahead of each node's store statement.
         self._prelude: List[str] = []
         self._tmp_n = 0
+        # Value numbering, reset per program (begin_program): emitted
+        # code -> temp name, and 0/1 condition code -> {mask bits: temp}.
+        self._memo: Dict[str, str] = {}
+        self._masks: Dict[str, Dict[int, str]] = {}
+        # While a rolled-up run is being emitted (begin_run/end_run):
+        # values that mention the row-block variable are per-block — their
+        # memo dies with the run and they stay inside its loop — while
+        # run-invariant ones are hoisted ahead of the loop (``_hoisted``)
+        # and join the program-wide memo.
+        self.rolled = False
+        self._run_memo: Dict[str, str] = {}
+        self._run_masks: Dict[str, Dict[int, str]] = {}
+        self._hoisted: List[str] = []
+        # temp name -> (defining node, its unit position in the program).
+        self._defs: Dict[str, Tuple[int, int]] = {}
         # Rewrite audit trail for the translation validator; the program
-        # generator stamps the node being emitted into audit_node/target.
+        # generator stamps the program, unit position and node being
+        # emitted into audit_program/audit_pos/audit_node/audit_target.
         self.audit: List[AuditRecord] = []
+        self.audit_program = ""
+        self.audit_pos = -1
         self.audit_node = -1
         self.audit_target = ""
 
@@ -413,15 +452,85 @@ class FusedExprCodegen(ExprCodegen):
             kind=kind, node=self.audit_node, target=self.audit_target,
             expr=expr, detail=detail))
 
+    def begin_program(self, name: str) -> None:
+        """Open a value-numbering scope.  A memoised value never outlives
+        its program: a seq program reads only current slots and writes
+        only shadow/scratch slots, and the comb program stores each
+        signal once, ahead of all its readers — so within one program no
+        store can change what an already-bound temp was computed from."""
+        self.audit_program = name
+        self._memo.clear()
+        self._masks.clear()
+        self._defs.clear()
+
+    def begin_run(self) -> None:
+        self.rolled = True
+
+    def end_run(self) -> None:
+        self.rolled = False
+        self._run_memo.clear()
+        self._run_masks.clear()
+
+    def _reused(self, name: str) -> str:
+        def_node, def_pos = self._defs[name]
+        self._record("cse", temp=name, program=self.audit_program,
+                     def_node=def_node, def_pos=def_pos,
+                     use_pos=self.audit_pos)
+        return name
+
     def _temp(self, code: str) -> str:
-        """Bind ``code`` to a fresh program-local temp (used >1 time)."""
-        name = f"_t{self._tmp_n}"
+        """The program-local temp holding ``code`` (bound on first use,
+        reused from then on)."""
+        per_block = self.rolled and _ROW in code
+        memo = self._run_memo if per_block else self._memo
+        name = memo.get(code)
+        if name is not None:
+            return self._reused(name)
+        name = f"_t{self._tmp_n}{_ROW if per_block else ''}"
         self._tmp_n += 1
-        self._prelude.append(f"{name} = {code}")
+        memo[code] = name
+        self._defs[name] = (self.audit_node, self.audit_pos)
+        dest = (self._hoisted if self.rolled and not per_block
+                else self._prelude)
+        dest.append(f"{name} = {code}")
+        return name
+
+    def _mask(self, c01: str, bits: int) -> str:
+        """Temp holding the all-ones/zeros select mask of the 0/1
+        condition ``c01`` at ``bits``.
+
+        ``c01`` must be a uint8 batch (see :meth:`_cond_mask`), so each
+        mask's dtype is exactly the width it is recorded under.  The
+        condition is evaluated once per program: a mask at a second
+        width is derived from the first (truncate, or sign-extend
+        through the signed view — 0 and -1 survive both) instead of
+        re-evaluating ``c01``.
+        """
+        per_block = self.rolled and _ROW in c01
+        masks = self._run_masks if per_block else self._masks
+        have = masks.setdefault(c01, {})
+        name = have.get(bits)
+        if name is not None:
+            return self._reused(name)
+        dt = _dt_name(bits)
+        if have:
+            src_bits, src = next(iter(have.items()))
+            if bits < src_bits:
+                code = f"{src}.astype({dt})"
+            else:
+                code = (f"{src}.view(np.int{src_bits})"
+                        f".astype(np.int{bits}).view({dt})")
+        else:
+            code = f"({dt}(0) - {c01})"
+        name = have[bits] = self._temp(code)
         return name
 
     def drain_prelude(self) -> List[str]:
         out, self._prelude = self._prelude, []
+        return out
+
+    def drain_hoisted(self) -> List[str]:
+        out, self._hoisted = self._hoisted, []
         return out
 
     # -- constant folding -----------------------------------------------------
@@ -492,24 +601,25 @@ class FusedExprCodegen(ExprCodegen):
             if cf is not None:
                 code, _ = self._value(e.then if cf else e.other)
                 return code, 1
-            mask = self._cond_mask(e.cond, 64)
-            if mask is None:  # wide condition: emit_bool it the base way
-                mask = (f"(u64(0) - (({self.emit_bool(e.cond)}) != 0)"
-                        f".view(u8))")
+            m = self._cond_mask(e.cond, 64)
+            if m is None:  # wide condition: emit_bool it the base way
+                m = self._temp(f"(u64(0) - (({self.emit_bool(e.cond)}) != 0)"
+                               f".view(u8))")
             # A constant-zero branch drops out of the blend entirely
             # (x & 0 == 0): common for reset muxes.
             if self._fold(e.then) == 0:
                 self._record("const0-branch", e.then)
-                m = self._temp(mask)
                 return f"(({self.emit(e.other)}) & ~{m})", 1
             if self._fold(e.other) == 0:
                 self._record("const0-branch", e.other)
-                m = self._temp(mask)
                 return f"(({self.emit(e.then)}) & {m})", 1
-            m = self._temp(mask)
             t = self.emit(e.then)
             f = self.emit(e.other)
             return f"((({t}) & {m}) | (({f}) & ~{m}))", 1
+        if isinstance(e, A.Index) and e.is_memory:
+            row = self._mem_row(e)
+            if row is not None:
+                return f"{row[0]}.astype(u64, copy=False)", 1
         return super()._value(e)
 
     # -- tier 1: lane-packed 1-bit emission -----------------------------------
@@ -521,7 +631,9 @@ class FusedExprCodegen(ExprCodegen):
         reference value of the expression (tail bits zero), so packed
         subvalues compose under &, |, ^ and xnor without re-masking.
         """
-        if _limbs(e.ctx_width) > 1:
+        if _limbs(e.ctx_width) > 1 or self.rolled:
+            # (Word-level ops have no row axis: a rolled-up run computes
+            # its conditions on the native tier.)
             return None
         c = e.value if isinstance(e, A.Number) else self._fold(e)
         if c is not None:
@@ -618,6 +730,26 @@ class FusedExprCodegen(ExprCodegen):
             return None
         return self.mapper.slice_of(slot), _NATIVE_BITS[slot.pool]
 
+    def mem_word(self, e: A.Index):
+        """``(mem slot, address)`` when ``e`` reads a memory at a constant
+        in-range address — the word is then an ordinary slot of the
+        memory's pool — else None: out-of-range and dynamic reads keep
+        going through ``rt.mem_read`` (zeros / a per-lane gather)."""
+        idx = e.index
+        addr = idx.value if type(idx) is A.Number else self._fold(idx)
+        mem = self.layout.mems.get(e.base)
+        if (addr is None or mem is None or mem.width > 64
+                or not 0 <= addr < mem.depth):
+            return None
+        return mem, addr
+
+    def _mem_row(self, e: A.Index) -> Optional[Tuple[str, int]]:
+        """``(slice, dtype_bits)`` of a constant in-range memory word."""
+        word = self.mem_word(e)
+        if word is None:
+            return None
+        return self.mapper.mem_row(*word), _NATIVE_BITS[word[0].pool]
+
     def emit_native(self, e: A.Expr, demand: Optional[int] = None):
         """``(code, dtype_bits)`` at the smallest sound dtype, or None.
 
@@ -670,35 +802,32 @@ class FusedExprCodegen(ExprCodegen):
                 f = self.emit_native(e.other, demand)
                 if f is None:
                     return None
-                mask = self._cond_mask(e.cond, f[1])
-                if mask is None:
+                m = self._cond_mask(e.cond, f[1])
+                if m is None:
                     return None
                 self._record("const0-branch", e.then)
-                m = self._temp(mask)
                 return f"(({f[0]}) & ~{m})", f[1]
             if self._fold(e.other) == 0:
                 t = self.emit_native(e.then, demand)
                 if t is None:
                     return None
-                mask = self._cond_mask(e.cond, t[1])
-                if mask is None:
+                m = self._cond_mask(e.cond, t[1])
+                if m is None:
                     return None
                 self._record("const0-branch", e.other)
-                m = self._temp(mask)
                 return f"(({t[0]}) & {m})", t[1]
             t = self.emit_native(e.then, demand)
             f = self.emit_native(e.other, demand)
             if t is None or f is None:
                 return None
             bits = max(t[1], f[1])
-            mask = self._cond_mask(e.cond, bits)
-            if mask is None:
+            m = self._cond_mask(e.cond, bits)
+            if m is None:
                 return None
             # Branchless mux: (t & m) | (f & ~m) with an all-ones/zeros
             # mask — bitwise selection, so demand-mode wrap garbage in
             # the unread high bits stays harmless.  (np.where pays an
             # order of magnitude more per element here.)
-            m = self._temp(mask)
             return f"((({t[0]}) & {m}) | (({f[0]}) & ~{m}))", bits
         if isinstance(e, A.PartSelect):
             lsb = getattr(e, "_lsb_i")
@@ -714,7 +843,9 @@ class FusedExprCodegen(ExprCodegen):
             if slot.width > lsb + e.width:
                 code = f"(({code}) & {_dt_name(bits)}({bv.mask(e.width)}))"
             return code, bits
-        if isinstance(e, A.Index) and not e.is_memory:
+        if isinstance(e, A.Index) and e.is_memory:
+            return self._mem_row(e)
+        if isinstance(e, A.Index):
             idx = self._fold(e.index)
             if idx is None:
                 return None
@@ -754,25 +885,42 @@ class FusedExprCodegen(ExprCodegen):
             return not e.is_memory
         return False
 
-    def _cond_mask(self, e: A.Expr, bits: int) -> Optional[str]:
-        """All-ones/zeros select mask at ``bits`` from ``e``'s truthiness.
+    def _bool_u8(self, e: A.Expr) -> Optional[str]:
+        """uint8 code of ``e`` when its native emission is exactly 0/1.
 
-        ``dt(0) - cond`` turns an exact 0/1 condition into 0x00…/0xFF…
-        directly — NEP 50 scalar dtypes are strong, so the subtraction
-        lands at the mask dtype without materializing an intermediate.
+        A bit-select of a 16/32/64-bit slot (or a mux of such) is 0/1 at
+        the *slot's* dtype; it is narrowed here, so every 0/1 condition
+        is a uint8 batch and the masks and increments built from it land
+        at exactly the dtype their caller claims (numpy would otherwise
+        promote ``u8(0) - c`` and ``x + c`` to the condition's dtype).
         """
-        dt = _dt_name(bits)
-        if self._is_bool(e):
-            n = self.emit_native(e)
-            if n is not None:
-                return f"({dt}(0) - ({n[0]}))"
-        p = self.emit_packed(e)
-        if p is not None:
-            return f"({dt}(0) - pk.unpack_u8({p}, N))"
+        if not self._is_bool(e):
+            return None
         n = self.emit_native(e)
         if n is None:
             return None
-        return f"({dt}(0) - (({n[0]}) != 0).view(u8))"
+        return n[0] if n[1] == 8 else f"({n[0]}).astype(u8)"
+
+    def _cond_mask(self, e: A.Expr, bits: int) -> Optional[str]:
+        """Temp holding the all-ones/zeros select mask at ``bits`` of
+        ``e``'s truthiness (None when ``e`` has no native emission).
+
+        ``dt(0) - cond`` turns an exact 0/1 condition into 0x00…/0xFF…
+        directly: every condition handed to :meth:`_mask` is a uint8
+        batch, no wider than any mask dtype, so the subtraction lands at
+        exactly ``bits`` (NEP 50 scalar dtypes are strong) without
+        materializing an intermediate.
+        """
+        b = self._bool_u8(e)
+        if b is not None:
+            return self._mask(f"({b})", bits)
+        p = self.emit_packed(e)
+        if p is not None:
+            return self._mask(f"pk.unpack_u8({p}, N)", bits)
+        n = self.emit_native(e)
+        if n is None:
+            return None
+        return self._mask(f"(({n[0]}) != 0).view(u8)", bits)
 
     def _native_inc_mux(
         self, e: A.Ternary, demand: Optional[int]
@@ -811,10 +959,9 @@ class FusedExprCodegen(ExprCodegen):
 
     def _cond01(self, e: A.Expr) -> Optional[str]:
         """A 0/1-valued uint8 batch from ``e``'s truthiness (no mask)."""
-        if self._is_bool(e):
-            n = self.emit_native(e)
-            if n is not None:
-                return n[0]
+        b = self._bool_u8(e)
+        if b is not None:
+            return b
         p = self.emit_packed(e)
         if p is not None:
             return f"pk.unpack_u8({p}, N)"
@@ -1398,6 +1545,59 @@ class FusedPrograms:
     audit: List[AuditRecord] = field(default_factory=list)
     # Which lowering backend produced this bundle (see repro.backends).
     backend: str = "numpy"
+    # Per program: the node ids of each emitted unit, in emission order
+    # (a single node, or the members of one rolled-up run).  ``cse`` and
+    # ``rollup`` audit records name positions in these lists.
+    order: Dict[str, List[List[int]]] = field(default_factory=dict)
+    # Size of the generated programs: ``statements`` (executable lines),
+    # ``temporaries`` (``_t*`` bindings), ``unpack_sites`` /
+    # ``mem_read_sites`` (``pk.unpack_u8`` / ``rt.mem_read`` call sites),
+    # ``rolled_runs`` / ``rolled_members``, ``lines`` (whole source).
+    stats: Dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class _Run:
+    """A rolled-up run: same-shape, mutually independent nodes whose
+    operand ``i`` lives at pool offset ``base[i] + j * strides[i]`` for
+    member ``j`` (operand 0 is the store, stride 0 a broadcast)."""
+
+    nodes: List[RtlNode]
+    anchor: int  # where the run is emitted: its earliest member's place
+    pools: Tuple[int, ...]
+    base: Tuple[int, ...]
+    strides: Tuple[int, ...]
+
+
+def _kids(e: A.Expr) -> Tuple[A.Expr, ...]:
+    """The sub-expressions of ``e`` that emission descends into."""
+    if isinstance(e, A.Binary):
+        return (e.left, e.right)
+    if isinstance(e, A.Ternary):
+        return (e.cond, e.then, e.other)
+    if isinstance(e, A.Unary):
+        return (e.operand,)
+    if isinstance(e, A.Concat):
+        return tuple(e.parts)
+    if isinstance(e, A.Repeat):
+        return (e.value,)
+    if isinstance(e, A.Index):
+        return (e.index,)
+    if isinstance(e, A.IndexedPartSelect):
+        return (e.start,)
+    return ()
+
+
+def _path_to(root: A.Expr, target: A.Expr) -> Optional[Tuple[int, ...]]:
+    """Child indexes leading from ``root`` down to ``target`` (the same
+    path reaches the corresponding node of an equal-shape tree)."""
+    if root is target:
+        return ()
+    for i, kid in enumerate(_kids(root)):
+        sub = _path_to(kid, target)
+        if sub is not None:
+            return (i,) + sub
+    return None
 
 
 class FusedProgramCodegen(KernelCodegen):
@@ -1410,6 +1610,12 @@ class FusedProgramCodegen(KernelCodegen):
     mirroring the paper's define-once/replay-per-cycle CUDA Graph.
     Expressions lower through :class:`FusedExprCodegen`
     (packed/native/uint64 tiers).
+
+    Within a program a sub-expression is computed once (value
+    numbering, see :meth:`FusedExprCodegen.begin_program`), and a run of
+    same-shape statements over evenly spaced slots — the members of a
+    generate loop — is emitted once, over 2-D row-block views of the
+    pools, instead of once per member (see ``docs/fusion.md``).
     """
 
     def __init__(self, taskgraph: TaskGraph, layout: Optional[MemoryLayout] = None):
@@ -1420,6 +1626,8 @@ class FusedProgramCodegen(KernelCodegen):
         )
         self.mapper = PackedIndexMapper(self.layout)
         self.expr = FusedExprCodegen(self.mapper, self.graph)
+        self.order: Dict[str, List[List[int]]] = {}
+        self.stats = {"statements": 0, "rolled_runs": 0, "rolled_members": 0}
 
     # -- statement generation (packed/native-aware stores) ---------------------
 
@@ -1462,31 +1670,281 @@ class FusedProgramCodegen(KernelCodegen):
                 )
         return super()._store(target, expr, shadow)
 
+    # -- roll-up planning -------------------------------------------------------
+
+    def _shape_of(self, node: RtlNode):
+        """``((shape, pools), offsets)`` of a rollable node, else None.
+
+        ``pools``/``offsets`` place the node's operands — operand 0 is
+        the slot it stores to, the rest the slots it reads, one per
+        distinct name in first-occurrence order.  ``shape`` holds
+        everything else emission looks at: node types, operators,
+        constants, the width annotations, and per name its operand index
+        and the slot's width.  Two nodes with equal ``(shape, pools)``
+        therefore emit the same text up to slot offsets.  Not rollable:
+        memory writes, packed or wide targets, anything wide inside
+        (``wv.*`` works on limb matrices), ``/ % **`` (their runtime
+        helpers are per-lane: the div-fault sink takes an ``(N,)``
+        mask), and memory reads that stay on ``rt.mem_read`` (dynamic or
+        out of range).
+        """
+        if node.kind is NodeKind.MEMW:
+            return None
+        target = self.layout.slot(node.target)
+        if target.pool == PACKED_POOL or target.limbs != 1:
+            return None
+        shadow = node.kind is NodeKind.SEQ
+        key: list = [node.kind, target.width]
+        pools = [target.pool]
+        offs = [target.next_offset if shadow else target.offset]
+        seen: Dict[object, int] = {}
+        slots, mem_word = self.layout.slots, self.expr.mem_word
+
+        def operand(name, pool: int, off: int) -> int:
+            i = seen.get(name)
+            if i is None:
+                i = seen[name] = len(offs)
+                pools.append(pool)
+                offs.append(off)
+            return i
+
+        def slot_operand(name: str) -> bool:
+            slot = slots.get(name)
+            if slot is None or slot.limbs != 1:
+                return False
+            key.append(operand(name, slot.pool, slot.offset))
+            key.append(slot.width)
+            return True
+
+        def walk(e: A.Expr) -> bool:
+            w, cw = e.width, e.ctx_width
+            if w > 64 or cw > 64:
+                return False
+            t = type(e)
+            if t is A.Ident:
+                key.extend(("v", w, cw))
+                return slot_operand(e.name)
+            if t is A.Number:
+                key.extend(("n", e.value, w, cw))
+                return True
+            if t is A.Binary:
+                if e.op in ("/", "%", "**"):
+                    return False
+                key.extend(("b", e.op, w, cw))
+                return walk(e.left) and walk(e.right)
+            if t is A.Ternary:
+                key.extend(("t", w, cw))
+                return walk(e.cond) and walk(e.then) and walk(e.other)
+            if t is A.Unary:
+                key.extend(("u", e.op, w, cw))
+                return walk(e.operand)
+            if t is A.Concat:
+                key.extend(("c", len(e.parts), w, cw))
+                return all(walk(p) for p in e.parts)
+            if t is A.Repeat:
+                key.extend(("r", getattr(e, "_count_i"), w, cw))
+                return walk(e.value)
+            if t is A.Index and e.is_memory:
+                word = mem_word(e)
+                if word is None:
+                    return False
+                mem, addr = word
+                key.extend(("m", w, cw, mem.width, operand(
+                    ("mem", e.base, addr), mem.pool, mem.base + addr)))
+                return True
+            if t is A.Index:
+                key.extend(("i", w, cw))
+                return slot_operand(e.base) and walk(e.index)
+            if t is A.PartSelect:
+                key.extend(("p", w, cw, getattr(e, "_lsb_i")))
+                return slot_operand(e.base)
+            if t is A.IndexedPartSelect:
+                key.extend(("x", w, cw, getattr(e, "_width_i"),
+                            getattr(e, "_base_lsb_i", 0), e.descending))
+                return slot_operand(e.base) and walk(e.start)
+            return False
+
+        if not walk(node.expr):
+            return None
+        return (tuple(key), tuple(pools)), tuple(offs)
+
+    @staticmethod
+    def _split_runs(members: List[Tuple[Tuple[int, ...], int, RtlNode]],
+                    pools: Tuple[int, ...]) -> List[_Run]:
+        """Cut one shape group — ``(operand offsets, place, node)`` per
+        member — into runs whose every operand offset advances by a
+        constant stride from member to member.
+
+        A stride vector is usable when the store advances (>= 1), no
+        read moves backwards, and lane-packed operands do not move at
+        all (their words have no row axis).  Members are tried in two
+        orders — by store offset, and by read offsets (a ``for p / for
+        j`` generate nest reads ``w[j]`` with period ``j`` when walked by
+        target but affinely when walked by source) — and the one leaving
+        fewer statements wins.
+        """
+        packed = [i for i, p in enumerate(pools) if p == PACKED_POOL]
+
+        def step(a, b) -> Optional[Tuple[int, ...]]:
+            d = tuple(y - x for x, y in zip(a[0], b[0]))
+            ok = d[0] >= 1 and min(d) >= 0 and not any(d[i] for i in packed)
+            return d if ok else None
+
+        def greedy(ms) -> Tuple[int, List[_Run]]:
+            runs: List[_Run] = []
+            units, i, n = 0, 0, len(ms)
+            while i < n:
+                j, d = i, None
+                if i + 1 < n:
+                    d = step(ms[i], ms[i + 1])
+                if d is not None:
+                    j = i + 1
+                    while j + 1 < n and step(ms[j], ms[j + 1]) == d:
+                        j += 1
+                units += 1
+                if j - i + 1 >= _MIN_RUN:
+                    run = ms[i:j + 1]
+                    runs.append(_Run([m[2] for m in run],
+                                     min(m[1] for m in run),
+                                     pools, run[0][0], d))
+                    i = j + 1
+                else:
+                    i += 1
+            return units, runs
+
+        by_store = greedy(sorted(members, key=lambda m: m[0]))
+        by_reads = greedy(sorted(members, key=lambda m: m[0][1:] + m[0][:1]))
+        return (by_reads if by_reads[0] < by_store[0] else by_store)[1]
+
+    def _plan(self, nodes: List[RtlNode]) -> List[object]:
+        """The emission units of one program: single nodes and rolled-up
+        runs.  Only mutually independent nodes are grouped — the nodes of
+        one level (a seq program is a single level, -1: its nodes read
+        pre-edge state only) — and a run sits where its earliest member
+        sat."""
+        segments: List[List[RtlNode]] = []
+        for node in nodes:
+            if not segments or segments[-1][0].level != node.level:
+                segments.append([])
+            segments[-1].append(node)
+        units: List[object] = []
+        for seg in segments:
+            if len(seg) < _MIN_RUN:
+                units.extend(seg)
+                continue
+            groups: Dict[tuple, list] = {}
+            for pos, node in enumerate(seg):
+                shape = self._shape_of(node)
+                if shape is not None:
+                    groups.setdefault(shape[0], []).append(
+                        (shape[1], pos, node))
+            at: Dict[int, _Run] = {}
+            rolled = set()
+            for (_, pools), members in groups.items():
+                if len(members) < _MIN_RUN:
+                    continue
+                for run in self._split_runs(members, pools):
+                    at[run.anchor] = run
+                    rolled.update(n.nid for n in run.nodes)
+            for pos, node in enumerate(seg):
+                if pos in at:
+                    units.append(at[pos])
+                elif node.nid not in rolled:
+                    units.append(node)
+        return units
+
     # -- program generation ----------------------------------------------------
 
+    def _emit_run(self, run: _Run, pos: int) -> List[str]:
+        """The statements of one rolled-up run: the representative's
+        store, emitted once through the ordinary emitter while the
+        mapper renders every advancing slot as a 2-D row-block view."""
+        rep, k = run.nodes[0], len(run.nodes)
+        operands = []
+        for pool, base, stride in zip(run.pools, run.base, run.strides):
+            operands.append({"pool": pool, "base": base, "stride": stride})
+            if stride:
+                rows = (f"{self.mapper.pool_var(pool)}"
+                        f"[{base}*N:{base + (k - 1) * stride + 1}*N]"
+                        ".reshape(-1, N)")
+                self.mapper.rows[(pool, base)] = rows + (
+                    f"[{_ROW}:{_ROW}+_RB]" if stride == 1 else
+                    f"[{_ROW}*{stride}:({_ROW}+_RB)*{stride}:{stride}]")
+        expr = self.expr
+        expr.audit_node, expr.audit_target = rep.nid, rep.target
+        first = len(expr.audit)
+        expr.begin_run()
+        store = self._store(rep.target, rep.expr,
+                            shadow=rep.kind is NodeKind.SEQ)
+        expr.end_run()
+        self.mapper.rows.clear()
+        # Every member keeps its own rewrite claims: the representative's
+        # records, re-pointed at the member's corresponding sub-expression.
+        for r in [r for r in expr.audit[first:] if r.kind != "cse"]:
+            path = _path_to(rep.expr, r.expr)
+            if path is None:  # pragma: no cover - claims name sub-exprs
+                raise SimulationError(
+                    f"{r.kind} claim of {rep.target} is not about its "
+                    "expression")
+            for node in run.nodes[1:]:
+                e = node.expr
+                for i in path:
+                    e = _kids(e)[i]
+                expr.audit.append(AuditRecord(
+                    r.kind, node.nid, node.target, e, dict(r.detail)))
+        expr._record("rollup", program=expr.audit_program, pos=pos,
+                     members=[n.nid for n in run.nodes], length=k,
+                     operands=operands)
+        self.stats["rolled_runs"] += 1
+        self.stats["rolled_members"] += k
+        op = "=" if rep.kind is NodeKind.COMB else "<="
+        return (
+            [f"# {rep.target} .. {run.nodes[-1].target} {op} ...;  "
+             f"({k} members rolled up, store stride {run.strides[0]})"]
+            + expr.drain_hoisted()
+            + [f"for {_ROW} in range(0, {k}, _RB):"]
+            + [f"    {line}" for line in expr.drain_prelude() + [store]]
+        )
+
     def _program_fn(self, name: str, tids: List[int], title: str) -> List[str]:
-        n_nodes = sum(len(self.tg.tasks[t].nodes) for t in tids)
+        nodes = [self.graph.nodes[nid]
+                 for tid in tids for nid in self.tg.tasks[tid].nodes]
+        # Level by level (a no-op reordering for the level-packing
+        # partitioner, and for seq programs, whose nodes all sit at level
+        # -1): any topological order settles the same values.
+        nodes.sort(key=lambda n: n.level)
+        units = self._plan(nodes)
         lines = [
-            f"# fused program: {title} ({len(tids)} tasks, {n_nodes} nodes, "
+            f"# fused program: {title} ({len(tids)} tasks, {len(nodes)} nodes, "
             "straight-line)",
             f"def {name}(P8, P16, P32, P64, P1, N, W, LANE):",
         ]
-        any_stmt = False
-        for tid in tids:
-            for nid in self.tg.tasks[tid].nodes:
-                self.expr.audit_node = nid
-                self.expr.audit_target = self.graph.nodes[nid].target
-                stmts = self._node_stmts(self.graph.nodes[nid])
-                # Mask temporaries hoisted while emitting this node's
-                # expressions; they only read design state, so they are
-                # sound ahead of every store of the same node.
-                for pre in self.expr.drain_prelude():
-                    lines.append(f"    {pre}")
-                for stmt in stmts:
-                    lines.append(f"    {stmt}")
-                    any_stmt = True
-        if not any_stmt:
-            lines.append("    pass")
+        body: List[str] = []
+        if any(isinstance(u, _Run) for u in units):
+            body.append(f"_RB = max(1, {_ROW_BLOCK_ELEMS} // N)")
+        self.expr.begin_program(name)
+        for pos, unit in enumerate(units):
+            self.expr.audit_pos = pos
+            if isinstance(unit, _Run):
+                body.extend(self._emit_run(unit, pos))
+                continue
+            self.expr.audit_node = unit.nid
+            self.expr.audit_target = unit.target
+            stmts = self._node_stmts(unit)
+            # Temporaries hoisted while emitting this node's expressions;
+            # they only read design state, so they are sound ahead of
+            # every store of the same node.
+            body.extend(self.expr.drain_prelude())
+            body.extend(stmts)
+        self.order[name] = [
+            [n.nid for n in u.nodes] if isinstance(u, _Run) else [u.nid]
+            for u in units
+        ]
+        self.stats["statements"] += sum(
+            1 for line in body if not line.startswith("#"))
+        if not body:
+            body.append("pass")
+        lines.extend(f"    {line}" for line in body)
         return lines
 
     def generate_source(self) -> str:
@@ -1564,6 +2022,14 @@ class FusedProgramCodegen(KernelCodegen):
             namespace=ns,
             transpile_seconds=elapsed,
             audit=list(self.expr.audit),
+            order=self.order,
+            stats={
+                **self.stats,
+                "temporaries": self.expr._tmp_n,
+                "unpack_sites": source.count("pk.unpack_u8("),
+                "mem_read_sites": source.count("rt.mem_read("),
+                "lines": source.count("\n"),
+            },
         )
 
 

@@ -15,7 +15,9 @@ variable goes through :func:`repro.utils.packbits.unpack_u64`.
 
 from __future__ import annotations
 
-from repro.core.memory import PACKED_POOL, MemoryLayout, VarSlot
+from typing import Dict, Tuple
+
+from repro.core.memory import PACKED_POOL, MemoryLayout, MemSlot, VarSlot
 from repro.utils.errors import SimulationError
 
 POOL_VARS = ("P8", "P16", "P32", "P64", "P1")
@@ -66,9 +68,24 @@ class PackedIndexMapper(IndexMapper):
 
     Packed slots index by word blocks (stride ``W``), everything else
     falls through to the byte-per-lane mapping above.
+
+    While the fused emitter renders a rolled-up run of same-shape nodes
+    it fills ``rows``: ``(pool, offset)`` of each of the representative's
+    slots that advances across the run -> the 2-D row-block view
+    standing for all members' slots.  Every other access renders as the
+    usual 1-D slice (which broadcasts against the row blocks).
     """
 
+    def __init__(self, layout: MemoryLayout):
+        super().__init__(layout)
+        self.rows: Dict[Tuple[int, int], str] = {}
+
     def slice_of(self, slot: VarSlot, shadow: bool = False) -> str:
+        if self.rows:
+            off = slot.next_offset if shadow else slot.offset
+            view = self.rows.get((slot.pool, off))
+            if view is not None:
+                return view
         if slot.pool != PACKED_POOL:
             return super().slice_of(slot, shadow=shadow)
         off = slot.next_offset if shadow else slot.offset
@@ -81,6 +98,15 @@ class PackedIndexMapper(IndexMapper):
         if slot.pool != PACKED_POOL:
             return super().load(name)
         return f"pk.unpack_u64({self.slice_of(slot)}, N)"
+
+    def mem_row(self, mem: MemSlot, addr: int) -> str:
+        """The batch slice of one memory word (a constant, in-range
+        address is an ordinary slot load)."""
+        off = mem.base + addr
+        view = self.rows.get((mem.pool, off))
+        if view is not None:
+            return view
+        return f"{self.pool_var(mem.pool)}[{off}*N:{off + 1}*N]"
 
     def comment_for(self, name: str) -> str:
         slot = self.layout.slot(name)

@@ -16,12 +16,14 @@ source locations.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.memory import PACKED_POOL, MemoryLayout
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.partition.taskgraph import TaskGraph
-from repro.rtlir.graph import NodeKind, RtlGraph
+from repro.rtlir.graph import NodeKind, RtlGraph, RtlNode
+from repro.verilog import ast_nodes as A
 
 __all__ = [
     "check_graph",
@@ -466,6 +468,37 @@ def check_fused(model) -> List[Diagnostic]:
                 rid, f"fused program for domain {dom} claims "
                 f"{prog.n_nodes} nodes, task graph has {per_dom[dom]}"))
 
+    # Emission order: the emitter regroups nodes (level by level, a
+    # rolled-up run where its first member sat), so re-derive that every
+    # program still emits each of its nodes exactly once and that the
+    # comb program stores every signal in a unit before any unit reading
+    # it (members of one unit run as a single statement).
+    progs = [(fused.comb, {nid for t in tg.comb_topo
+                           for nid in tg.tasks[t].nodes})]
+    progs += [(prog, {nid for t in tg.tasks
+                      if t.kind is NodeKind.SEQ and (t.clock, t.edge) == dom
+                      for nid in t.nodes})
+              for dom, prog in fused.seq.items()]
+    for prog, want in progs:
+        units = fused.order.get(prog.name, [])
+        flat = [nid for unit in units for nid in unit]
+        if sorted(flat) != sorted(want):
+            out.append(_err(
+                rid, f"program {prog.name} emits nodes {sorted(flat)[:8]}… "
+                f"({len(flat)}), its tasks hold {len(want)}"))
+            continue
+        if prog.kind != "comb":
+            continue
+        unit_of = {nid: i for i, unit in enumerate(units) for nid in unit}
+        for nid in flat:
+            for p in graph.preds.get(nid, ()):
+                if unit_of.get(p, -1) >= unit_of[nid]:
+                    out.append(_err(
+                        rid, f"program {prog.name} emits node {nid} "
+                        f"({graph.nodes[nid].target}) no later than its "
+                        f"dependency {p} ({graph.nodes[p].target})",
+                        subject=graph.nodes[nid].target))
+
     out.extend(_check_mem_bindings(rid, model.mem_writes, model.layout,
                                    graph))
     out.extend(_check_mem_bindings(rid, fused.mem_writes, fused.layout,
@@ -478,14 +511,241 @@ def check_fused(model) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
+_POOL_NAMES = ("P8", "P16", "P32", "P64", "P1")
+_TEMP_DEF_RE = re.compile(r"^\s+(_t\d+\w*) = (.*)$", re.M)
+_TEMP_USE_RE = re.compile(r"\b_t\d+\w*")
+_SLICE_RE = re.compile(r"\b(P(?:8|16|32|64|1))\[(\d+)\*[NW]:(\d+)\*[NW]\]")
+
+#: One pool interval ``[lo, hi)`` of offsets: ``(pool, lo, hi)``.
+_Range = Tuple[int, int, int]
+
+
+def _write_ranges(node: RtlNode, layout: MemoryLayout) -> List[_Range]:
+    """Pool offsets the fused program stores to when it emits ``node``:
+    a comb signal's live slot, a register's shadow, a memory write's
+    cond/addr/data scratch."""
+    if node.kind is NodeKind.MEMW:
+        sc = layout.scratch.get(node.nid)
+        slots = [] if sc is None else [sc.cond, sc.addr, sc.data]
+        return [(s.pool, s.offset, s.offset + s.limbs) for s in slots]
+    slot = layout.slots.get(node.target)
+    if slot is None:
+        return []
+    lo = slot.offset
+    if node.kind is NodeKind.SEQ and slot.next_offset is not None:
+        lo = slot.next_offset
+    return [(slot.pool, lo, lo + slot.limbs)]
+
+
+def _temp_reads(source: str) -> Dict[str, List[_Range]]:
+    """What every ``_t*`` binding of the generated ``source`` reads,
+    re-derived from the text itself: the pool slices of its right-hand
+    side plus, transitively, those of the temps it mentions."""
+    rhs = dict(_TEMP_DEF_RE.findall(source))
+    out: Dict[str, List[_Range]] = {}
+
+    def reads(name: str, trail: Tuple[str, ...] = ()) -> List[_Range]:
+        if name not in out:
+            code = rhs.get(name, "")
+            found = [(_POOL_NAMES.index(p), int(lo), int(hi))
+                     for p, lo, hi in _SLICE_RE.findall(code)]
+            for inner in _TEMP_USE_RE.findall(code):
+                if inner != name and inner not in trail:
+                    found.extend(reads(inner, trail + (name,)))
+            out[name] = found
+        return out[name]
+
+    for name in rhs:
+        reads(name)
+    return out
+
+
+def _overlap(a: _Range, b: _Range) -> bool:
+    return a[0] == b[0] and a[1] < b[2] and b[1] < a[2]
+
+
+def _node_shape(node: RtlNode, layout: MemoryLayout, graph: RtlGraph):
+    """``(shape, operands)`` of a comb/seq node for the roll-up proof.
+
+    ``shape`` is the node's expression tree with every signal replaced
+    by the index of its first occurrence plus its slot's pool and width
+    (constants, operators and width annotations kept); ``operands`` is
+    the ``(pool, offset)`` each distinct name resolves to, the store
+    target first.  Two nodes the emitter may render with one statement
+    must agree on ``shape``; ``operands`` is what may differ.  Returns
+    None for shapes no rolled statement can express (wide values, words
+    of a memory at a non-constant or out-of-range address).
+    """
+    from repro.verify import knownbits as kb
+
+    target = layout.slots.get(node.target)
+    if target is None or target.limbs != 1 or node.expr is None:
+        return None
+    shadow = node.kind is NodeKind.SEQ
+    operands = [(target.pool,
+                 target.next_offset if shadow else target.offset)]
+    index: Dict[object, int] = {}
+
+    def name_ref(key, pool: int, offset: int, width: int):
+        if key not in index:
+            index[key] = len(operands)
+            operands.append((pool, offset))
+        return (index[key], pool, width)
+
+    def slot_ref(name: str):
+        slot = layout.slots.get(name)
+        if slot is None or slot.limbs != 1:
+            raise LookupError(name)
+        return name_ref(name, slot.pool, slot.offset, slot.width)
+
+    def walk(e: A.Expr):
+        head = (type(e).__name__, e.width, e.ctx_width)
+        if e.width > 64 or e.ctx_width > 64:
+            raise LookupError("wide")
+        if isinstance(e, A.Number):
+            return head + (e.value,)
+        if isinstance(e, A.Ident):
+            return head + (slot_ref(e.name),)
+        if isinstance(e, A.Unary):
+            return head + (e.op, walk(e.operand))
+        if isinstance(e, A.Binary):
+            return head + (e.op, walk(e.left), walk(e.right))
+        if isinstance(e, A.Ternary):
+            return head + (walk(e.cond), walk(e.then), walk(e.other))
+        if isinstance(e, A.Concat):
+            return head + tuple(walk(p) for p in e.parts)
+        if isinstance(e, A.Repeat):
+            return head + (getattr(e, "_count_i", None), walk(e.value))
+        if isinstance(e, A.Index) and e.is_memory:
+            mem = layout.mems.get(e.base)
+            addr = kb.expr_bits(e.index, {}, graph)
+            if (mem is None or not addr.is_const
+                    or not 0 <= addr.value < mem.depth):
+                raise LookupError(e.base)
+            return head + ("mem", name_ref(
+                ("mem", e.base, addr.value), mem.pool,
+                mem.base + addr.value, mem.width))
+        if isinstance(e, A.Index):
+            return head + (slot_ref(e.base), walk(e.index))
+        if isinstance(e, A.PartSelect):
+            return head + (slot_ref(e.base), getattr(e, "_lsb_i", None))
+        if isinstance(e, A.IndexedPartSelect):
+            return head + (slot_ref(e.base), getattr(e, "_width_i", None),
+                           getattr(e, "_base_lsb_i", 0), e.descending,
+                           walk(e.start))
+        raise LookupError(type(e).__name__)
+
+    try:
+        shape = (node.kind, target.pool, target.width, walk(node.expr))
+    except LookupError:
+        return None
+    return shape, operands
+
+
+def _check_cse(rec, fused, graph: RtlGraph, reads,
+               clean: Dict[tuple, int]) -> Optional[str]:
+    """Why the reuse claimed by ``rec`` cannot be re-proved (or None).
+
+    ``clean`` remembers, per (program, temp, definition), up to which
+    unit the stores were already shown not to touch the temp's reads, so
+    a mask reused by a thousand nodes is scanned once, not a thousand
+    times."""
+    d = rec.detail
+    units = fused.order.get(d.get("program"))
+    temp, dp, up = d.get("temp"), d.get("def_pos"), d.get("use_pos")
+    if units is None or temp not in reads:
+        return f"names an unknown program or temporary ({temp!r})"
+    if not (isinstance(dp, int) and isinstance(up, int)
+            and 0 <= dp <= up < len(units)):
+        return f"has no valid definition/use order ({dp!r} .. {up!r})"
+    if d.get("def_node") not in units[dp] or rec.node not in units[up]:
+        return "places its definition or its use in the wrong unit"
+    # The defining unit's own stores follow the binding, so they count.
+    key = (d.get("program"), temp, dp)
+    start = max(dp, clean.get(key, dp))
+    clean[key] = max(up, start)
+    for pos in range(start, up):
+        for nid in units[pos]:
+            for wr in _write_ranges(graph.nodes[nid], fused.layout):
+                for rd in reads[temp]:
+                    if _overlap(wr, rd):
+                        return (
+                            f"reads {_POOL_NAMES[rd[0]]} offsets "
+                            f"[{rd[1]}, {rd[2]}) but node {nid} "
+                            f"({graph.nodes[nid].target}) stores to "
+                            f"[{wr[1]}, {wr[2]}) between the definition "
+                            "and the reuse")
+    return None
+
+
+def _check_rollup(rec, fused, graph: RtlGraph) -> Optional[str]:
+    """Why the rolled-up run claimed by ``rec`` is unsound (or None)."""
+    d = rec.detail
+    layout = fused.layout
+    members = d.get("members") or []
+    k, claimed = d.get("length"), d.get("operands") or []
+    units = fused.order.get(d.get("program"))
+    pos = d.get("pos")
+    if (units is None or not isinstance(pos, int)
+            or not 0 <= pos < len(units) or units[pos] != members):
+        return "is not the unit the program order lists at its position"
+    if k != len(members) or k < 3 or len(set(members)) != k:
+        return f"claims {k} members but lists {len(members)}"
+    if any(not 0 <= nid < len(graph.nodes) for nid in members):
+        return "lists a nonexistent node"
+    nodes = [graph.nodes[nid] for nid in members]
+    rep = nodes[0]
+    if rep.kind is NodeKind.MEMW:
+        return "rolls up memory writes"
+    # Mutually independent: one level of the comb DAG, or one clock
+    # domain of registers (which only read pre-edge state).
+    domain = (rep.kind, rep.level, rep.clock, rep.edge)
+    for n in nodes:
+        if (n.kind, n.level, n.clock, n.edge) != domain:
+            return (f"mixes node {n.nid} ({n.target}) with node {rep.nid} "
+                    f"({rep.target}) across levels or clock domains")
+    shapes = [_node_shape(n, layout, graph) for n in nodes]
+    if shapes[0] is None:
+        return f"has a representative ({rep.target}) that cannot be rolled"
+    for n, sh in zip(nodes, shapes):
+        if sh is None or sh[0] != shapes[0][0]:
+            return (f"member {n.nid} ({n.target}) is not structurally "
+                    f"equal to the representative ({rep.target})")
+    if len(claimed) != len(shapes[0][1]):
+        return (f"claims {len(claimed)} operands, the representative "
+                f"has {len(shapes[0][1])}")
+    sizes = list(layout.pool_sizes) + [layout.packed_size]
+    rows: List[Tuple[int, Set[int]]] = []
+    for j, op in enumerate(claimed):
+        pool, base, stride = op.get("pool"), op.get("base"), op.get("stride")
+        for i, (_, ops) in enumerate(shapes):
+            if ops[j] != (pool, base + i * stride):
+                return (f"operand {j} of member {members[i]} "
+                        f"({nodes[i].target}) sits at {ops[j]}, not at "
+                        f"the claimed pool {pool} offset "
+                        f"{base} + {i}*{stride}")
+        if stride < (1 if j == 0 else 0) or (pool == PACKED_POOL and stride):
+            return f"operand {j} has an unusable stride {stride}"
+        if base < 0 or base + (k - 1) * stride >= sizes[pool]:
+            return f"operand {j} leaves pool {pool}"
+        rows.append((pool, {base + i * stride for i in range(k)}))
+    wpool, wrows = rows[0]
+    for j, (pool, rrows) in enumerate(rows[1:], start=1):
+        if pool == wpool and wrows & rrows:
+            return (f"stores to offsets {sorted(wrows & rrows)[:4]} of pool "
+                    f"{pool} that operand {j} of the same run reads")
+    return None
+
+
 def check_audit(model) -> List[Diagnostic]:
     """Re-prove every rewrite the fused emitter recorded.
 
     The emitter's :class:`~repro.core.codegen.AuditRecord` stream says
     *what* it rewrote (dropped constant-zero mux branch, increment-mux
-    peephole, demand-width truncated store, packed 1-bit store); this
-    pass re-establishes each claim through the independent known-bits
-    engine and structural checks.  A claim that cannot be re-proved is
+    peephole, demand-width truncated store, packed 1-bit store, reused
+    temporary, rolled-up run of same-shape statements); this pass
+    re-establishes each claim through the independent known-bits engine
+    and structural checks.  A claim that cannot be re-proved is
     an ERROR: either the emitter is wrong or the record was corrupted.
     """
     from repro.verify import knownbits as kb
@@ -497,9 +757,26 @@ def check_audit(model) -> List[Diagnostic]:
     layout = fused.layout
     env: Dict[str, kb.KnownBits] = {}  # empty: only constant facts count
 
+    reads: Optional[Dict[str, List[_Range]]] = None
+    clean: Dict[tuple, int] = {}
+
     for rec in getattr(fused, "audit", []):
         where = f"node {rec.node}" if rec.node >= 0 else "unknown node"
-        if rec.kind == "const0-branch":
+        if rec.kind == "cse":
+            if reads is None:
+                reads = _temp_reads(fused.source)
+            why = _check_cse(rec, fused, graph, reads, clean)
+            if why is not None:
+                out.append(_err(
+                    rid, f"reuse of {rec.detail.get('temp')} at {where} "
+                    f"{why}", subject=rec.target))
+        elif rec.kind == "rollup":
+            why = _check_rollup(rec, fused, graph)
+            if why is not None:
+                out.append(_err(
+                    rid, f"rolled-up run at {where} {why}",
+                    subject=rec.target))
+        elif rec.kind == "const0-branch":
             # Evaluate at >= 1 bit: a width-0 TOP has max_value 0 and
             # would vacuously "prove" any unannotated expression zero.
             w = max(1, rec.expr.ctx_width or rec.expr.width

@@ -28,25 +28,35 @@ __all__ = ["MUTATIONS", "Mutation", "fresh_model", "verify_selftest",
 #: Small design exercising every IR feature the mutations need: chained
 #: comb logic, two same-domain registers, 1-bit signals (packed pool),
 #: a guarded memory write (scratch slots), a reset mux (const0-branch
-#: audit record) and an enable counter (inc-mux audit record).
+#: audit record), an enable counter (inc-mux audit record), two muxes on
+#: one comb-produced condition (a ``cse`` record whose temp reads a slot
+#: the comb program stores) and a three-register shift chain (a
+#: ``rollup`` record with unit strides).
 DEMO_SOURCE = """
 module mut_demo(
   input clk, input rst, input en,
   input [7:0] din,
   output [7:0] dout,
+  output [7:0] pick,
+  output [7:0] tail,
   output flag
 );
   reg [7:0] acc;
   reg [3:0] cnt;
   reg bit0, bit1;
+  reg [7:0] lane0, lane1, lane2, lane3;
   reg [7:0] mem [0:15];
 
   wire [7:0] sum = acc + din;
   wire [7:0] masked = sum & 8'h7f;
   wire high = masked > 8'h40;
   wire [3:0] nxt = en ? cnt + 4'd1 : cnt;
+  wire [7:0] hi_a = high ? acc : din;
+  wire [7:0] hi_b = high ? din : sum;
 
   assign dout = masked;
+  assign pick = hi_a ^ hi_b;
+  assign tail = lane3;
   assign flag = high ^ bit0;
 
   always @(posedge clk) begin
@@ -54,6 +64,10 @@ module mut_demo(
     cnt <= rst ? 4'd0 : nxt;
     bit0 <= en;
     bit1 <= high;
+    lane0 <= rst ? 8'd0 : din;
+    lane1 <= rst ? 8'd0 : lane0;
+    lane2 <= rst ? 8'd0 : lane1;
+    lane3 <= rst ? 8'd0 : lane2;
     if (en) mem[cnt] <= din;
   end
 endmodule
@@ -319,6 +333,27 @@ def _mut_audit_incmux_corrupt(model) -> None:
     recs[0].expr = recs[0].expr.other  # no longer the c ? x+1 : x shape
 
 
+def _mut_reuse_across_store(model) -> None:
+    """Claim a memoised mask was bound in the unit that *stores* the
+    condition it reads: that store then sits between binding and reuse."""
+    fused = model.fused()
+    producer = model.graph.producer.get("high")
+    _need(producer is not None, "comb-produced mux condition 'high'")
+    units = fused.order.get(fused.comb.name, [])
+    recs = [r for r in fused.audit if r.kind == "cse"
+            and r.detail.get("program") == fused.comb.name]
+    _need(bool(recs) and [producer] in units,
+          "a reused temporary in the comb program")
+    recs[0].detail["def_node"] = producer
+    recs[0].detail["def_pos"] = units.index([producer])
+
+
+def _mut_rollup_bad_stride(model) -> None:
+    recs = [r for r in model.fused().audit if r.kind == "rollup"]
+    _need(bool(recs), "a rolled-up run")
+    recs[0].detail["operands"][-1]["stride"] += 1
+
+
 MUTATIONS: List[Mutation] = [
     Mutation("drop-node-edge", "graph",
              "remove a comb dependency edge", _mut_drop_node_edge),
@@ -373,6 +408,12 @@ MUTATIONS: List[Mutation] = [
     Mutation("audit-incmux-corrupt", "fused",
              "break an increment-mux claim's shape",
              _mut_audit_incmux_corrupt),
+    Mutation("reuse-across-store", "fused",
+             "reuse a memoised temp across a store to a slot it read",
+             _mut_reuse_across_store),
+    Mutation("rollup-bad-stride", "fused",
+             "skew one operand stride of a rolled-up run",
+             _mut_rollup_bad_stride),
 ]
 
 

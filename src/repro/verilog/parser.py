@@ -30,6 +30,12 @@ _BINARY_LEVELS = [
     ["**"],
 ]
 
+# ``{op: level}`` for precedence climbing (all binary operators are parsed
+# left-associative, ``**`` included).
+_BINARY_PREC = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+}
+
 _UNARY_OPS = {"~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"}
 
 
@@ -42,8 +48,11 @@ class Parser:
     # ---- token plumbing ---------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+        # ``pos`` never passes the trailing EOF token (see :meth:`next`),
+        # so only a real look-ahead needs clamping.
+        if not ahead:
+            return self.toks[self.pos]
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -633,16 +642,20 @@ class Parser:
             return A.Ternary(cond, then, other)
         return cond
 
-    def _parse_binary(self, level: int) -> A.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.peek().kind is TokenKind.OP and self.peek().text in ops:
-            op = self.next().text
-            right = self._parse_binary(level + 1)
-            left = A.Binary(op, left, right)
-        return left
+    def _parse_binary(self, min_level: int) -> A.Expr:
+        """Precedence climbing: one loop per operand instead of one call
+        per precedence level."""
+        left = self._parse_unary()
+        toks = self.toks
+        while True:
+            t = toks[self.pos]
+            if t.kind is not TokenKind.OP:
+                return left
+            level = _BINARY_PREC.get(t.text)
+            if level is None or level < min_level:
+                return left
+            self.pos += 1
+            left = A.Binary(t.text, left, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> A.Expr:
         t = self.peek()

@@ -206,6 +206,25 @@ class TestBackendFlag:
         assert payload["active_backend"] == "tensor"
         assert [b["name"] for b in payload["backends"]] == ["numpy", "tensor"]
 
+    def test_stats_json_reports_fused_program_sizes(self, counter_v, capsys):
+        import json
+
+        assert main(["stats", "--json", "--design", "nvdla"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["top"] == "nvdla_lite"
+        fused = payload["fused"]
+        assert set(fused) == {
+            "statements", "temporaries", "unpack_sites", "mem_read_sites",
+            "rolled_runs", "rolled_members", "lines"}
+        assert fused["temporaries"] <= 80 and fused["unpack_sites"] <= 10
+        assert fused["statements"] <= 150 and fused["mem_read_sites"] == 0
+        assert fused["rolled_runs"] >= 1
+        # Source files still work, and neither form is an error to omit.
+        assert main(["stats", counter_v, "--top", "counter", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["fused"]["rolled_runs"] == 0
+        assert main(["stats", counter_v]) == 2
+        assert "--design" in capsys.readouterr().err
+
     def test_verify_reports_backend(self, counter_v, capsys):
         assert main(["verify", counter_v, "--top", "counter",
                      "--backend", "tensor"]) == 0

@@ -134,6 +134,58 @@ class TestPerTaskModuleIsLazy:
         assert model.tasks_built and "def task_0" in model.source
 
 
+class TestGeneratedSourceRegistration:
+    """``linecache`` holds a generated source exactly as long as the code
+    cache holds its code object."""
+
+    SRC = "def boom(x):\n    return 1 // x  # generated line\n"
+
+    def test_registered_on_a_miss_only(self):
+        import linecache
+
+        code = codegen.compile_source(self.SRC, "lcprobe_miss")
+        name = code.co_filename
+        assert linecache.cache[name][2] == self.SRC.splitlines(True)
+        # A hit must not re-split and re-register the source.
+        sentinel = (0, None, ["sentinel\n"], name)
+        linecache.cache[name] = sentinel
+        assert codegen.compile_source(self.SRC, "lcprobe_miss") is code
+        assert linecache.cache[name] is sentinel
+        linecache.cache[name] = (
+            len(self.SRC), None, self.SRC.splitlines(True), name)
+
+    def test_clearing_the_code_cache_drops_the_sources(self, monkeypatch):
+        import linecache
+
+        monkeypatch.setattr(codegen, "_CODE_CACHE", {})
+        monkeypatch.setattr(codegen, "_CODE_CACHE_MAX", 2)
+        names = [
+            codegen.compile_source(f"x = {i}\n", "lcprobe_evict").co_filename
+            for i in range(2)
+        ]
+        assert all(n in linecache.cache for n in names)
+        third = codegen.compile_source("x = 2\n", "lcprobe_evict").co_filename
+        assert list(codegen._CODE_CACHE) == [third]
+        assert not any(n in linecache.cache for n in names)
+        assert third in linecache.cache
+        codegen._clear_code_cache()
+        assert third not in linecache.cache
+
+    def test_traceback_shows_the_generated_line(self):
+        import linecache
+        import traceback
+
+        ns = {}
+        exec(codegen.compile_source(self.SRC, "lcprobe_tb"), ns)
+        linecache.checkcache()  # mtime=None entries survive this
+        try:
+            ns["boom"](0)
+        except ZeroDivisionError:
+            text = traceback.format_exc()
+        assert "<rtlflow:lcprobe_tb:" in text
+        assert "return 1 // x  # generated line" in text
+
+
 class TestQuarantineStaysOnRunEval:
     def test_fused_two_launches_per_cycle_and_survivors_identical(self):
         n, cycles, dead = 16, 40, 3

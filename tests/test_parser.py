@@ -312,3 +312,84 @@ class TestErrors:
         with pytest.raises(VerilogSyntaxError) as ei:
             parse_source("module m(input wire a);\nassign = 1;\nendmodule")
         assert ":2:" in str(ei.value)
+
+
+# -- precedence climbing must build the parent's trees ---------------------------
+
+
+def _parse_with_oracle(text):
+    """Parse with the parent commit's ``_parse_binary`` (one call per
+    precedence level): the oracle the single-loop version must match."""
+    from repro.verilog.lexer import Lexer, TokenKind
+    from repro.verilog.parser import _BINARY_LEVELS, Parser
+    from repro.verilog.preprocessor import preprocess
+
+    tokens = list(Lexer(preprocess(text, None, (), "<input>"), "<input>").tokens())
+    parser = Parser(tokens, "<input>")
+
+    def parse_binary(level):
+        if level >= len(_BINARY_LEVELS):
+            return parser._parse_unary()
+        ops = _BINARY_LEVELS[level]
+        left = parse_binary(level + 1)
+        while parser.peek().kind is TokenKind.OP and parser.peek().text in ops:
+            op = parser.next().text
+            left = A.Binary(op, left, parse_binary(level + 1))
+        return left
+
+    parser._parse_binary = parse_binary
+    return parser.parse()
+
+
+def _dump(e):
+    """Structural dump of an expression (parenthesised prefix form)."""
+    if isinstance(e, A.Number):
+        return str(e.value)
+    if isinstance(e, A.Ident):
+        return e.name
+    if isinstance(e, A.Unary):
+        return f"({e.op}u {_dump(e.operand)})"
+    if isinstance(e, A.Binary):
+        return f"({e.op} {_dump(e.left)} {_dump(e.right)})"
+    if isinstance(e, A.Ternary):
+        return f"(? {_dump(e.cond)} {_dump(e.then)} {_dump(e.other)})"
+    raise AssertionError(type(e).__name__)
+
+
+class TestPrecedenceClimbing:
+    @pytest.mark.parametrize("text,want", [
+        ("a-b-c", "(- (- a b) c)"),
+        ("a<<b+c", "(<< a (+ b c))"),
+        ("a&b==c", "(& a (== b c))"),
+        ("a**b**c", "(** (** a b) c)"),  # the subset parses ** left-assoc
+        ("a?b:c?a:b", "(? a b (? c a b))"),
+        ("a + -b * ~c", "(+ a (* (-u b) (~u c)))"),
+        ("-a ** b", "(** (-u a) b)"),
+        ("a || b && c | a ^ b & c", "(|| a (&& b (| c (^ a (& b c)))))"),
+        ("a < b == c >= a", "(== (< a b) (>= c a))"),
+        ("a * b / c % a", "(% (/ (* a b) c) a)"),
+        ("a ~^ b ^~ c", "(^~ (~^ a b) c)"),
+        ("a >>> b <<< c >> a", "(>> (<<< (>>> a b) c) a)"),
+        ("a === b !== c", "(!== (=== a b) c)"),
+        ("(a + b) * c", "(* (+ a b) c)"),
+        ("a ? b + c : b - c", "(? a (+ b c) (- b c))"),
+    ])
+    def test_table(self, text, want):
+        assert _dump(parse_expr(text)) == want
+
+    @pytest.mark.parametrize("name,params", [
+        ("counter", {}), ("riscv_mini", {}), ("spinal", {"taps": 8}),
+        ("nvdla", {"pes": 4}), ("crypto", {"rounds": 4}),
+    ])
+    def test_bundled_designs_parse_to_the_parents_ast(self, name, params):
+        from repro.designs import get_design
+
+        text = get_design(name, **params).source
+        # Dataclass equality is structural over the whole source unit.
+        assert parse_source(text) == _parse_with_oracle(text)
+
+    def test_every_bundled_design_is_covered(self):
+        from repro.designs import list_designs
+
+        assert sorted(list_designs()) == [
+            "counter", "crypto", "nvdla", "riscv_mini", "spinal"]
