@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import linecache
+import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple
@@ -48,6 +50,15 @@ from repro.verilog import ast_nodes as A
 
 _CMP = {"==": "==", "===": "==", "!=": "!=", "!==": "!=",
         "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+_SHIFTS = ("<<", "<<<", ">>", ">>>")
+_M64 = (1 << 64) - 1
+
+# A call of a runtime helper in generated source (``FusedPrograms.stats``).
+_HELPER_RE = re.compile(r"(?:wv|bvb|pk|rt)\.\w+\(")
+
+# Packed all-lanes constants (see FusedExprCodegen.emit_packed).
+_PK_ZEROS = "pk.zeros(N)"
+_PK_ONES = "pk.ones(N)"
 
 # Native-dtype emission tables (pool index order: var8..var64).
 _NATIVE_DT = ("u8", "u16", "u32", "u64")
@@ -70,18 +81,22 @@ def _dt_name(bits: int) -> str:
 
 @dataclass
 class AuditRecord:
-    """One rewrite claim the fused emitter made, kept for re-proving.
+    """One rewrite claim the emitter made, kept for re-proving.
 
     The fused tier drops mux branches it folded to constant zero,
     collapses ``c ? x + 1 : x`` into a single add, truncates stores to
-    the slot's demanded width, and lane-packs 1-bit stores.  Each such
-    rewrite appends a record naming the claim; the translation validator
+    the slot's demanded width, lane-packs 1-bit stores and folds packed
+    constants; every tier lowers constant shifts, bit-selects, small
+    replications and rotates as word ops.  Each such rewrite appends a
+    record naming the claim; the translation validator
     (:func:`repro.verify.ir_checks.check_audit`) re-establishes every
     claim through an independent known-bits analysis, so an emitter bug
     surfaces as a verification error instead of silent corruption.
     """
 
-    kind: str  # const0-branch | inc-mux | demand-store | packed-store
+    # const0-branch | inc-mux | demand-store | packed-store | packed-const
+    # | const-shift | const-index | replicate | rotate | cse | rollup
+    kind: str
     node: int  # RTL node id being emitted (-1 when unknown)
     target: str  # driven signal of that node
     expr: Optional[A.Expr] = None  # the expression the claim is about
@@ -139,19 +154,68 @@ def _limbs(width: int) -> int:
     return 1 if width <= 64 else (width + 63) // 64
 
 
+class _Absent(dict):
+    """A read-only stand-in for design state: every missing key reads
+    ``default`` (folding evaluates only subtrees whose value does not
+    depend on what it reads)."""
+
+    def __init__(self, default):
+        super().__init__()
+        self.default = default
+
+    def __missing__(self, key):
+        return self.default
+
+
+_ZERO_STATE = _Absent(0)
+_NO_MEMS = _Absent(())
+_UNSEEN = object()
+
+
 class ExprCodegen:
     """Expression-to-source translation (uint64 compute, ctx masking).
 
     Representation rule: an emitted expression is a (N,) uint64 array when
     its context width fits one limb, and a (L, N) little-endian limb
     matrix otherwise (L = ceil(ctx/64)); the wide ops live in
-    :mod:`repro.utils.widevec` (Verilator's VL_WIDE analog).
+    :mod:`repro.utils.widevec` (Verilator's VL_WIDE analog).  Every
+    emitted value is canonical — below ``2**ctx`` — and, unless the
+    expression folds to a constant, a batch array.
+
+    Operators lower by operand kind (GSIM's word-level lowering,
+    Verilator's constant-amount ``VL_SHIFTL``): a subtree whose value
+    does not depend on design state is folded through the reference
+    semantics once (:meth:`_fold`); a wide constant is bound once at
+    module level as a ``(L, 1)`` column (:meth:`const_lines`); constant
+    shift amounts, bit-select indices and small replications become
+    plain word ops; ``(x << k) | (x >> (W-k))`` becomes one limb rotate;
+    limb-aligned selects and concats become row slices.  The shift,
+    bit-select, replication and rotate rewrites each leave an
+    :class:`AuditRecord` for the verifier.
     """
 
     def __init__(self, mapper: IndexMapper, graph: RtlGraph):
         self.mapper = mapper
         self.graph = graph
         self.design = graph.design
+        self._widths = {s.name: s.width for s in self.design.signals.values()}
+        self._fold_cache: Dict[int, Optional[int]] = {}
+        # Wide constants: (value, limbs) -> module-level column name.
+        self.consts: Dict[Tuple[int, int], str] = {}
+        # Rewrite audit trail for the translation validator; the program
+        # generator stamps the program, unit position and node being
+        # emitted into audit_program/audit_pos/audit_node/audit_target.
+        self.audit: List[AuditRecord] = []
+        self.audit_program = ""
+        self.audit_pos = -1
+        self.audit_node = -1
+        self.audit_target = ""
+
+    def _record(self, kind: str, expr: Optional[A.Expr] = None,
+                **detail) -> None:
+        self.audit.append(AuditRecord(
+            kind=kind, node=self.audit_node, target=self.audit_target,
+            expr=expr, detail=detail))
 
     # -- public entry points -------------------------------------------------
 
@@ -182,14 +246,112 @@ class ExprCodegen:
         code = self.emit(e)
         return code if _limbs(e.ctx_width) == 1 else f"wv.narrow({code})"
 
+    def const_lines(self) -> List[str]:
+        """Module-level bindings of the wide constants emitted so far."""
+        return [f"{name} = wv.column({hex(value)}, {limbs})"
+                for (value, limbs), name in self.consts.items()]
+
+    # -- constant folding -----------------------------------------------------
+
+    def _const_tree(self, e: A.Expr) -> bool:
+        """True when ``e``'s value does not depend on design state:
+        constant leaves, and the shapes whose value structure decides — a
+        shift by at least the context width, a bit/part-select wholly
+        above its signal, a mux whose condition (or whose pair of equal
+        branches) is constant.  Children are asked through the memoised
+        :meth:`_fold`, so each node is classified once."""
+        fold = self._fold
+        if isinstance(e, A.Number):
+            return True
+        if isinstance(e, A.Unary):
+            return fold(e.operand) is not None
+        if isinstance(e, A.Binary):
+            # ``**`` is excluded: a huge constant exponent would make the
+            # fold itself unbounded.
+            if e.op == "**":
+                return False
+            if e.op in _SHIFTS:
+                amt = fold(e.right)
+                if amt is not None and amt >= e.ctx_width:
+                    return True
+            return fold(e.left) is not None and fold(e.right) is not None
+        if isinstance(e, A.Ternary):
+            c = fold(e.cond)
+            if c is not None:
+                return fold(e.then if c else e.other) is not None
+            t = fold(e.then)
+            return t is not None and t == fold(e.other)
+        if isinstance(e, A.Concat):
+            return all(fold(p) is not None for p in e.parts)
+        if isinstance(e, A.Repeat):
+            return fold(e.value) is not None
+        if isinstance(e, A.Index) and not e.is_memory:
+            idx = fold(e.index)
+            return idx is not None and idx >= self._widths.get(e.base, idx + 1)
+        if isinstance(e, A.PartSelect):
+            return getattr(e, "_lsb_i") >= self._widths.get(e.base, 1 << 30)
+        return False  # Ident / memory Index / IndexedPartSelect
+
+    def _fold(self, e: A.Expr) -> Optional[int]:
+        """Reference-semantics value of a state-independent subtree, else
+        None."""
+        key = id(e)
+        val = self._fold_cache.get(key, _UNSEEN)
+        if val is not _UNSEEN:
+            return val
+        val = None
+        if self._const_tree(e):
+            from repro.baselines.reference import eval_expr
+            try:
+                val = int(eval_expr(e, _ZERO_STATE, _NO_MEMS, self._widths))
+            except Exception:
+                val = None
+        self._fold_cache[key] = val
+        return val
+
+    def _const(self, value: int, limbs: int) -> str:
+        """A constant at ``limbs``: a uint64 scalar, or a wide column."""
+        if limbs == 1:
+            return f"u64({value & _M64})"
+        return self.consts.setdefault((value, limbs), f"_k{len(self.consts)}")
+
+    @staticmethod
+    def _same(a: A.Expr, b: A.Expr) -> bool:
+        """Structural equality of two (small) expressions."""
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, A.Ident):
+            return a.name == b.name
+        if isinstance(a, A.Number):
+            return a.value == b.value
+        if isinstance(a, A.Unary):
+            return a.op == b.op and ExprCodegen._same(a.operand, b.operand)
+        if isinstance(a, A.Binary):
+            return (a.op == b.op
+                    and ExprCodegen._same(a.left, b.left)
+                    and ExprCodegen._same(a.right, b.right))
+        return False
+
+    @staticmethod
+    def _masked(code: str, limbs: int, width: int) -> str:
+        """``code`` — a ``(limbs, N)`` value — canonicalized to ``width``
+        bits; a no-op (and so not emitted) when the limbs are exactly
+        ``width`` bits."""
+        if width == 64 * limbs:
+            return code
+        return f"wv.mask_width({code}, {width})"
+
     # -- dispatch (returns (code, repr_limbs)) ----------------------------------
 
     def _value(self, e: A.Expr):
-        if isinstance(e, A.Number):
-            L = _limbs(e.ctx_width)
-            if L == 1:
-                return f"u64({e.value & ((1 << 64) - 1)})", 1
-            return f"wv.from_const({e.value}, {L}, N)", L
+        if not isinstance(e, A.Ident):
+            c = e.value if type(e) is A.Number else self._fold(e)
+            if c is not None:
+                L = _limbs(e.ctx_width)
+                return self._const(c, L), L
+        return self._lower(e)
+
+    def _lower(self, e: A.Expr):
         if isinstance(e, A.Ident):
             return self._load(e.name)
         if isinstance(e, A.Unary):
@@ -205,33 +367,23 @@ class ExprCodegen:
                 return f"np.where(({c}) != 0, {t}, {f})", 1
             return f"wv.mux({c}, {t}, {f})", L
         if isinstance(e, A.Concat):
-            return self._concat([(p, p.width) for p in e.parts], e.width)
+            return self._concat(list(e.parts), e.width)
         if isinstance(e, A.Repeat):
-            count = getattr(e, "_count_i")
-            return self._concat(
-                [(e.value, e.value.width)] * count, e.width
-            )
+            return self._repeat(e)
         if isinstance(e, A.Index):
-            idx = self.emit_amount(e.index)
             if e.is_memory:
+                idx = self.emit_amount(e.index)
                 return self.mapper.mem_read_call(e.base, idx), 1
+            k = self._fold(e.index)
+            if k is not None:
+                return self._bit(e, k), 1
+            idx = self.emit_amount(e.index)
             base, base_limbs = self._load(e.base)
             if base_limbs == 1:
                 return f"(bvb.b_shr({base}, {idx}) & u64(1))", 1
             return f"(wv.narrow(wv.shr({base}, {idx})) & u64(1))", 1
         if isinstance(e, A.PartSelect):
-            lsb = getattr(e, "_lsb_i")
-            m = bv.mask(e.width)
-            base, base_limbs = self._load(e.base)
-            if base_limbs == 1:
-                if lsb == 0:
-                    return f"(({base}) & u64({m}))", 1
-                return f"((({base}) >> u64({lsb})) & u64({m}))", 1
-            inner = f"wv.shr_const({base}, {lsb})" if lsb else base
-            if e.width <= 64:
-                return f"(wv.narrow({inner}) & u64({m}))", 1
-            L = _limbs(e.width)
-            return f"wv.mask_width({inner}, {e.width})", L
+            return self._part_select(e)
         if isinstance(e, A.IndexedPartSelect):
             w = getattr(e, "_width_i")
             sig_lsb = getattr(e, "_base_lsb_i", 0)
@@ -255,26 +407,126 @@ class ExprCodegen:
         lo, hi = slot.offset, slot.offset + slot.limbs
         return f"P64[{lo}*N:{hi}*N].reshape({slot.limbs}, N)", slot.limbs
 
-    def _concat(self, parts, total_width: int):
-        """Concat/replicate ``parts`` (MSB first) into ``total_width`` bits."""
-        L = _limbs(total_width)
+    def _rows(self, name: str, lo: int, hi: int, matrix: bool = False) -> str:
+        """Limb rows ``[lo, hi)`` of a wide signal, loaded directly: an
+        (N,) uint64 row, or (``matrix``/several rows) a (k, N) view."""
+        off = self.mapper.layout.slot(name).offset
+        code = f"P64[{off + lo}*N:{off + hi}*N]"
+        return f"{code}.reshape({hi - lo}, N)" if matrix or hi - lo > 1 else code
+
+    def _bit(self, e: A.Index, k: int) -> str:
+        """Constant bit-select ``x[k]`` (``k`` inside the signal: a select
+        above it folds to 0): a shift and an AND, on a wide base one limb
+        row."""
+        self._record("const-index", e, k=k)
+        if self.mapper.layout.slot(e.base).limbs > 1:
+            base, k = self._rows(e.base, k // 64, k // 64 + 1), k % 64
+        else:
+            base = self._load(e.base)[0]
+        word = f"(({base}) >> u64({k}))" if k else f"({base})"
+        return f"({word} & u64(1))"
+
+    def _part_select(self, e: A.PartSelect):
+        lsb = getattr(e, "_lsb_i")
+        w = e.width
+        m = bv.mask(w)
+        slot = self.mapper.layout.slot(e.base)
+        if slot.limbs == 1:
+            base = self._load(e.base)[0]
+            if lsb == 0:
+                return f"(({base}) & u64({m}))", 1
+            return f"((({base}) >> u64({lsb})) & u64({m}))", 1
+        row, s = divmod(lsb, 64)
+        top = (lsb + w - 1) // 64
+        if top < slot.limbs and (w <= 64 or s == 0):
+            if w > 64:  # limb-aligned: a row slice
+                return self._masked(self._rows(e.base, row, top + 1), top + 1 - row,
+                                    w), top + 1 - row
+            lo = self._rows(e.base, row, row + 1)
+            word = f"(({lo}) >> u64({s}))" if s else lo
+            if top != row:  # straddles two limbs
+                hi = self._rows(e.base, top, top + 1)
+                word = f"({word} | (({hi}) << u64({64 - s})))"
+            return (f"(({word}) & u64({m}))" if s + w < 64 or top != row
+                    else word), 1
+        base = self._load(e.base)[0]
+        inner = f"wv.shr_const({base}, {lsb})" if lsb else base
+        if w <= 64:
+            return f"(wv.narrow({inner}) & u64({m}))", 1
+        return f"wv.mask_width({inner}, {w})", _limbs(w)
+
+    def _repeat(self, e: A.Repeat):
+        count = getattr(e, "_count_i")
+        w = e.value.width
+        if count * w > 64:
+            return self._concat([e.value] * count, e.width)
+        # {c{v}} fits a word: one multiply by the repeating constant
+        # sum(2**(i*w)) — v < 2**w, so the copies never carry into each
+        # other (a 1-bit v times all-ones is the sign-extension idiom).
+        self._record("replicate", e, count=count, width=w)
+        x = self.emit(e.value)
+        if count == 1:
+            return x, 1
+        k = sum(1 << (i * w) for i in range(count))
+        return f"(({x}) * u64({k}))", 1
+
+    def _concat(self, parts: List[A.Expr], width: int):
+        """Concat/replicate ``parts`` (MSB first) into ``width`` bits."""
+        # Leading constant-zero parts are zero extension.
+        while len(parts) > 1 and self._fold(parts[0]) == 0:
+            width -= parts[0].width
+            parts = parts[1:]
+        if len(parts) == 1:
+            return self._value(parts[0])
+        L = _limbs(width)
         if L == 1:
-            acc = self.emit(parts[0][0])
-            for p, w in parts[1:]:
-                acc = f"((({acc}) << u64({w})) | ({self.emit(p)}))"
+            acc = self.emit(parts[0])
+            for p in parts[1:]:
+                acc = f"(({acc}) << u64({p.width}))"
+                if self._fold(p) != 0:
+                    acc = f"({acc} | ({self.emit(p)}))"
             return acc, 1
+        rows = self._aligned_rows(parts)
+        if rows is not None:
+            return f"np.concatenate(({', '.join(reversed(rows))}))", L
+
         def as_limbs(p: A.Expr) -> str:
-            # Constants become limb matrices directly (a scalar u64 has no
-            # lane axis for extend to replicate).
-            if isinstance(p, A.Number):
-                return f"wv.from_const({p.value}, {L}, N)"
+            c = self._fold(p)
+            if c is not None:
+                return self._const(c, L)
             pc, _ = self._value(p)
             return f"wv.extend({pc}, {L}, N)"
 
-        acc = as_limbs(parts[0][0])
-        for p, w in parts[1:]:
-            acc = f"(wv.shl_const({acc}, {w}) | {as_limbs(p)})"
+        acc = as_limbs(parts[0])
+        for p in parts[1:]:
+            acc = f"(wv.shl_const({acc}, {p.width}) | {as_limbs(p)})"
         return acc, L
+
+    def _aligned_rows(self, parts: List[A.Expr]) -> Optional[List[str]]:
+        """(k, N) limb-row code per part (MSB first) when every part below
+        the top one fills whole limbs and none is constant, else None."""
+        if any(p.width % 64 for p in parts[1:]):
+            return None
+        rows = []
+        for p in parts:
+            if self._fold(p) is not None:
+                return None
+            if isinstance(p, A.PartSelect):
+                slot = self.mapper.layout.slot(p.base)
+                lsb = getattr(p, "_lsb_i")
+                hi = lsb // 64 + _limbs(p.width)
+                if slot.limbs > 1 and lsb % 64 == 0 and hi <= slot.limbs:
+                    code = self._rows(p.base, lsb // 64, hi, matrix=True)
+                    rows.append(self._masked(code, hi - lsb // 64, p.width))
+                    continue
+            code, limbs = self._value(p)
+            want = _limbs(p.width)
+            if limbs != want:
+                code = f"wv.extend({code}, {want}, N)"
+            elif want == 1:
+                code = f"({code})[None]"
+            rows.append(code)
+        return rows
 
     def _unary(self, e: A.Unary):
         L = _limbs(e.ctx_width)
@@ -289,13 +541,15 @@ class ExprCodegen:
                 if e.op == "-":
                     return f"((u64(0) - ({x})) & u64({m}))", 1
                 return x, 1
+            xl = _limbs(e.operand.ctx_width)
             if e.op == "~":
-                return f"wv.mask_width(wv.bit_not({x}), {e.ctx_width})", L
+                return self._masked(f"wv.bit_not({x})", xl, e.ctx_width), L
             if e.op == "-":
-                return f"wv.mask_width(wv.neg({x}), {e.ctx_width})", L
+                return self._masked(f"wv.neg({x})", xl, e.ctx_width), L
             return x, L
         # Reductions: operand at its self-determined representation.
-        x, xl = self._value(e.operand)
+        x = self.emit(e.operand)
+        xl = _limbs(e.operand.ctx_width)
         w = e.operand.width
         if xl == 1:
             table = {
@@ -319,6 +573,42 @@ class ExprCodegen:
             return table[e.op], 1
         raise SimulationError(f"unknown unary op {e.op!r}")
 
+    def _const_shift(self, e: A.Binary, k: int):
+        """``x << k`` / ``x >> k`` by a constant ``k`` below the context
+        width (a larger one folds to 0): word shifts on one limb,
+        ``shl_const``/``shr_const`` limb moves on a matrix."""
+        self._record("const-shift", e, k=k)
+        x = self.emit(e.left)
+        L = _limbs(e.ctx_width)
+        left = e.op in ("<<", "<<<")
+        if not k:
+            return x, L
+        if L == 1:
+            if left:
+                m = bv.mask(e.ctx_width)
+                return f"((({x}) << u64({k})) & u64({m}))", 1
+            return f"(({x}) >> u64({k}))", 1
+        if left:
+            return self._masked(f"wv.shl_const({x}, {k})", L, e.ctx_width), L
+        return f"wv.shr_const({x}, {k})", L
+
+    def _rotate(self, e: A.Binary) -> Optional[str]:
+        """``(x << k) | (x >> (W - k))`` at context width ``W``: one limb
+        rotate (either arm order), else None."""
+        l, r = e.left, e.right
+        if not (isinstance(l, A.Binary) and isinstance(r, A.Binary)):
+            return None
+        if l.op in (">>", ">>>"):
+            l, r = r, l
+        if l.op not in ("<<", "<<<") or r.op not in (">>", ">>>"):
+            return None
+        k, k2, w = self._fold(l.right), self._fold(r.right), e.ctx_width
+        if (k is None or k2 is None or k + k2 != w or not 0 < k < w
+                or not self._same(l.left, r.left)):
+            return None
+        self._record("rotate", e, k=k, complement=k2, width=w)
+        return f"wv.rotl_const({self.emit(l.left)}, {k}, {w})"
+
     def _binary(self, e: A.Binary):
         op = e.op
         L = _limbs(e.ctx_width)
@@ -341,7 +631,10 @@ class ExprCodegen:
                   "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}[op]
             return f"wv.{fn}({l}, {r})", 1
 
-        if op in ("<<", "<<<", ">>", ">>>"):
+        if op in _SHIFTS:
+            k = self._fold(e.right)
+            if k is not None:
+                return self._const_shift(e, k)
             l = self.emit(e.left)
             r = self.emit_amount(e.right)
             if L == 1:
@@ -350,9 +643,13 @@ class ExprCodegen:
                     return f"(bvb.b_shl({l}, {r}) & u64({m}))", 1
                 return f"bvb.b_shr({l}, {r})", 1
             if op in ("<<", "<<<"):
-                return f"wv.mask_width(wv.shl({l}, {r}), {e.ctx_width})", L
+                return self._masked(f"wv.shl({l}, {r})", L, e.ctx_width), L
             return f"wv.shr({l}, {r})", L
 
+        if op == "|" and L > 1:
+            rot = self._rotate(e)
+            if rot is not None:
+                return rot, L
         l = self.emit(e.left)
         r = self.emit(e.right)
         if L == 1:
@@ -378,14 +675,15 @@ class ExprCodegen:
                 f"operator {op!r} is not supported on values wider than 64 "
                 f"bits (context width {e.ctx_width})"
             )
+        w = e.ctx_width
         table = {
-            "+": f"wv.mask_width(wv.add({l}, {r}), {e.ctx_width})",
-            "-": f"wv.mask_width(wv.sub({l}, {r}), {e.ctx_width})",
+            "+": self._masked(f"wv.add({l}, {r})", L, w),
+            "-": self._masked(f"wv.sub({l}, {r})", L, w),
             "&": f"(({l}) & ({r}))",
             "|": f"(({l}) | ({r}))",
             "^": f"(({l}) ^ ({r}))",
-            "~^": f"wv.mask_width(wv.bit_not(({l}) ^ ({r})), {e.ctx_width})",
-            "^~": f"wv.mask_width(wv.bit_not(({l}) ^ ({r})), {e.ctx_width})",
+            "~^": self._masked(f"wv.bit_not(({l}) ^ ({r}))", L, w),
+            "^~": self._masked(f"wv.bit_not(({l}) ^ ({r}))", L, w),
         }
         if op in table:
             return table[op], L
@@ -408,15 +706,16 @@ class FusedExprCodegen(ExprCodegen):
     concats), with packed operands unpacked at the boundary by the
     :class:`~repro.core.indexmap.PackedIndexMapper`.
 
-    Pure-constant subtrees are folded through ``eval_expr`` once at
-    transpile time (parameterized reset values like ``{W{1'b1}}``
-    otherwise replay a chain of scalar ops every cycle).
+    State-independent subtrees fold through the inherited
+    :meth:`~ExprCodegen._fold` on every tier (parameterized reset values
+    like ``{W{1'b1}}`` otherwise replay a chain of scalar ops every
+    cycle).  An attempt on the packed or native tier that bails rolls
+    back the temporaries and audit records it made (:meth:`_rollback`).
     """
 
     def __init__(self, mapper: IndexMapper, graph: RtlGraph):
         super().__init__(mapper, graph)
         self.layout = mapper.layout
-        self._fold_cache: Dict[int, Optional[int]] = {}
         # Hoisted-subexpression statements (mask temporaries for the
         # branchless muxes below).  The program generator drains these
         # ahead of each node's store statement.
@@ -437,20 +736,8 @@ class FusedExprCodegen(ExprCodegen):
         self._hoisted: List[str] = []
         # temp name -> (defining node, its unit position in the program).
         self._defs: Dict[str, Tuple[int, int]] = {}
-        # Rewrite audit trail for the translation validator; the program
-        # generator stamps the program, unit position and node being
-        # emitted into audit_program/audit_pos/audit_node/audit_target.
-        self.audit: List[AuditRecord] = []
-        self.audit_program = ""
-        self.audit_pos = -1
-        self.audit_node = -1
-        self.audit_target = ""
-
-    def _record(self, kind: str, expr: Optional[A.Expr] = None,
-                **detail) -> None:
-        self.audit.append(AuditRecord(
-            kind=kind, node=self.audit_node, target=self.audit_target,
-            expr=expr, detail=detail))
+        # How to take back each binding made since the last drain.
+        self._undo: List[Callable[[], object]] = []
 
     def begin_program(self, name: str) -> None:
         """Open a value-numbering scope.  A memoised value never outlives
@@ -493,7 +780,21 @@ class FusedExprCodegen(ExprCodegen):
         dest = (self._hoisted if self.rolled and not per_block
                 else self._prelude)
         dest.append(f"{name} = {code}")
+
+        def unbind():
+            del memo[code], self._defs[name]
+            dest.pop()
+            self._tmp_n -= 1
+        self._undo.append(unbind)
         return name
+
+    def _rollback(self, mark: Tuple[int, int]) -> None:
+        """Take back the temporaries and audit records made since
+        ``mark`` (by an emission attempt whose result is discarded)."""
+        bound, records = mark
+        while len(self._undo) > bound:
+            self._undo.pop()()
+        del self.audit[records:]
 
     def _mask(self, c01: str, bits: int) -> str:
         """Temp holding the all-ones/zeros select mask of the 0/1
@@ -523,54 +824,23 @@ class FusedExprCodegen(ExprCodegen):
         else:
             code = f"({dt}(0) - {c01})"
         name = have[bits] = self._temp(code)
+        self._undo.append(lambda: have.pop(bits))
         return name
 
     def drain_prelude(self) -> List[str]:
         out, self._prelude = self._prelude, []
+        self._undo.clear()
         return out
 
     def drain_hoisted(self) -> List[str]:
         out, self._hoisted = self._hoisted, []
         return out
 
-    # -- constant folding -----------------------------------------------------
-
-    def _const_tree(self, e: A.Expr) -> bool:
-        if isinstance(e, A.Number):
-            return True
-        if isinstance(e, A.Unary):
-            return self._const_tree(e.operand)
-        if isinstance(e, A.Binary):
-            # ``**`` is excluded: a huge constant exponent would make the
-            # fold itself unbounded.
-            return (e.op != "**" and self._const_tree(e.left)
-                    and self._const_tree(e.right))
-        if isinstance(e, A.Ternary):
-            return (self._const_tree(e.cond) and self._const_tree(e.then)
-                    and self._const_tree(e.other))
-        if isinstance(e, A.Concat):
-            return all(self._const_tree(p) for p in e.parts)
-        if isinstance(e, A.Repeat):
-            return self._const_tree(e.value)
-        return False  # Ident / Index / PartSelect / ...
-
-    def _fold(self, e: A.Expr) -> Optional[int]:
-        """Reference-semantics value of a pure-constant subtree, else None."""
-        key = id(e)
-        if key in self._fold_cache:
-            return self._fold_cache[key]
-        val: Optional[int] = None
-        if self._const_tree(e):
-            from repro.baselines.reference import eval_expr
-            try:
-                val = int(eval_expr(e, {}, {}, {}))
-            except Exception:
-                val = None
-        self._fold_cache[key] = val
-        return val
-
     def _has_ident(self, e: A.Expr) -> bool:
-        """True when the emitted value is guaranteed to be a batch array."""
+        """True when the emitted value is guaranteed to be a batch array
+        (it reads design state and does not fold)."""
+        if self._fold(e) is not None:
+            return False
         if isinstance(e, (A.Ident, A.Index, A.PartSelect, A.IndexedPartSelect)):
             return True
         if isinstance(e, A.Unary):
@@ -586,16 +856,9 @@ class FusedExprCodegen(ExprCodegen):
             return self._has_ident(e.value)
         return False
 
-    # -- tier 3: uint64 fallback with folding ---------------------------------
+    # -- tier 3: uint64 fallback ----------------------------------------------
 
-    def _value(self, e: A.Expr):
-        if not isinstance(e, (A.Number, A.Ident)):
-            c = self._fold(e)
-            if c is not None:
-                L = _limbs(e.ctx_width)
-                if L == 1:
-                    return f"u64({c & ((1 << 64) - 1)})", 1
-                return f"wv.from_const({c}, {L}, N)", L
+    def _lower(self, e: A.Expr):
         if isinstance(e, A.Ternary) and _limbs(e.ctx_width) == 1:
             cf = self._fold(e.cond)
             if cf is not None:
@@ -620,7 +883,7 @@ class FusedExprCodegen(ExprCodegen):
             row = self._mem_row(e)
             if row is not None:
                 return f"{row[0]}.astype(u64, copy=False)", 1
-        return super()._value(e)
+        return super()._lower(e)
 
     # -- tier 1: lane-packed 1-bit emission -----------------------------------
 
@@ -635,15 +898,72 @@ class FusedExprCodegen(ExprCodegen):
             # (Word-level ops have no row axis: a rolled-up run computes
             # its conditions on the native tier.)
             return None
+        mark = len(self._undo), len(self.audit)
+        code = self._packed(e)
+        if code is None:
+            self._rollback(mark)
+        return code
+
+    def _pack_bool(self, cond: str) -> str:
+        """``pk.pack_bool(cond)`` — or the temp this program bound to it
+        (a packed mux binds its condition, see :meth:`_packed_mux`)."""
+        code = f"pk.pack_bool({cond}, N)"
+        name = self._memo.get(code)
+        return code if name is None else self._reused(name)
+
+    def _folded(self, arms, codes) -> None:
+        """Record the all-lanes-constant operands a packed fold drops."""
+        for arm, code in zip(arms, codes):
+            if code in (_PK_ZEROS, _PK_ONES):
+                self._record("packed-const", arm, value=int(code == _PK_ONES))
+
+    @staticmethod
+    def _pand(a: str, b: str) -> str:
+        if _PK_ZEROS in (a, b):
+            return _PK_ZEROS
+        if a == _PK_ONES or b == _PK_ONES:
+            return b if a == _PK_ONES else a
+        return f"(({a}) & ({b}))"
+
+    @staticmethod
+    def _por(a: str, b: str) -> str:
+        if _PK_ONES in (a, b):
+            return _PK_ONES
+        if a == _PK_ZEROS or b == _PK_ZEROS:
+            return b if a == _PK_ZEROS else a
+        return f"(({a}) | ({b}))"
+
+    def _packed_mux(self, e: A.Ternary, c: str, t: str, f: str) -> str:
+        """``c ? t : f`` on words: ``(c & t) | (~c & f)`` — tail-safe
+        without re-masking because t and f have zero tails — with
+        all-lanes-constant branches folded away (``c ? 0 : f`` is
+        ``~c & f``, ``c ? 1 : f`` is ``c | f``, ``c ? t : 0`` is
+        ``c & t``)."""
+        self._folded((e.then, e.other), (t, f))
+        if c.startswith("pk.pack_bool("):
+            # Mux conditions recur (one decoder compare steers many
+            # signals): value-number them.
+            c = self._temp(c)
+        if t == _PK_ONES:
+            return self._por(c, f)
+        if f == _PK_ONES:
+            return self._por(f"pk.not_({c}, N)", t)
+        if t == _PK_ZEROS:
+            return f"(~({c}) & ({f}))"
+        if f == _PK_ZEROS:
+            return self._pand(c, t)
+        return f"((({c}) & ({t})) | (~({c}) & ({f})))"
+
+    def _packed(self, e: A.Expr) -> Optional[str]:
         c = e.value if isinstance(e, A.Number) else self._fold(e)
         if c is not None:
             # Only canonical 0/1 constants are packable: a wider constant
             # (e.g. 2'd2 drifting into a comparison) must keep its raw
             # value, which the native/base tiers preserve.
             if c == 0:
-                return "pk.zeros(N)"
+                return _PK_ZEROS
             if c == 1:
-                return "pk.ones(N)"
+                return _PK_ONES
             return None
         if isinstance(e, A.Ident):
             slot = self.layout.slots.get(e.name)
@@ -658,33 +978,39 @@ class FusedExprCodegen(ExprCodegen):
             if e.op == "!":
                 n = self.emit_native(e.operand)
                 if n is not None and self._has_ident(e.operand):
-                    return f"pk.pack_bool(({n[0]}) == 0, N)"
+                    return self._pack_bool(f"({n[0]}) == 0")
             return None
         if isinstance(e, A.Ternary):
+            cf = self._fold(e.cond)
+            if cf is not None:
+                return self.emit_packed(e.then if cf else e.other)
             cc = self.emit_packed(e.cond)
             tc = self.emit_packed(e.then)
             fc = self.emit_packed(e.other)
             if cc is None or tc is None or fc is None:
                 return None
-            # (c & t) | (~c & f): tail-safe without re-masking because t
-            # and f have zero tails.
-            return f"((({cc}) & ({tc})) | (~({cc}) & ({fc})))"
+            return self._packed_mux(e, cc, tc, fc)
         if isinstance(e, A.Binary):
             op = e.op
             if op in ("&", "&&", "|", "||", "^"):
+                mark = len(self._undo), len(self.audit)
                 l = self.emit_packed(e.left)
                 r = self.emit_packed(e.right)
                 if l is not None and r is not None:
-                    sym = {"&": "&", "&&": "&", "|": "|", "||": "|",
-                           "^": "^"}[op]
-                    return f"(({l}) {sym} ({r}))"
+                    if op == "^":
+                        return f"(({l}) ^ ({r}))"
+                    self._folded((e.left, e.right), (l, r))
+                    if op in ("&", "&&"):
+                        return self._pand(l, r)
+                    return self._por(l, r)
+                self._rollback(mark)
                 if op in ("&&", "||"):
                     ln = self.emit_native(e.left)
                     rn = self.emit_native(e.right)
                     if ln is not None and rn is not None and self._has_ident(e):
                         sym = "&" if op == "&&" else "|"
-                        return (f"pk.pack_bool((({ln[0]}) != 0) {sym} "
-                                f"(({rn[0]}) != 0), N)")
+                        return self._pack_bool(
+                            f"(({ln[0]}) != 0) {sym} (({rn[0]}) != 0)")
                 return None
             if op in ("~^", "^~") and e.ctx_width == 1:
                 l = self.emit_packed(e.left)
@@ -693,17 +1019,18 @@ class FusedExprCodegen(ExprCodegen):
                     return f"pk.not_(({l}) ^ ({r}), N)"
                 return None
             if op in ("==", "!="):
+                mark = len(self._undo), len(self.audit)
                 l = self.emit_packed(e.left)
                 r = self.emit_packed(e.right)
                 if l is not None and r is not None:
                     x = f"(({l}) ^ ({r}))"
                     return x if op == "!=" else f"pk.not_({x}, N)"
+                self._rollback(mark)
             if op in _CMP:
                 ln = self.emit_native(e.left)
                 rn = self.emit_native(e.right)
                 if ln is not None and rn is not None and self._has_ident(e):
-                    return (f"pk.pack_bool(({ln[0]}) {_CMP[op]} "
-                            f"({rn[0]}), N)")
+                    return self._pack_bool(f"({ln[0]}) {_CMP[op]} ({rn[0]})")
             return None
         return None
 
@@ -774,6 +1101,13 @@ class FusedExprCodegen(ExprCodegen):
         compute dtype wider than uint64; the caller then falls back to
         the uint64 tier.
         """
+        mark = len(self._undo), len(self.audit)
+        out = self._native(e, demand)
+        if out is None:
+            self._rollback(mark)
+        return out
+
+    def _native(self, e: A.Expr, demand: Optional[int]):
         if _limbs(e.ctx_width) > 1:
             return None
         if demand is not None and demand >= e.ctx_width:
@@ -829,43 +1163,36 @@ class FusedExprCodegen(ExprCodegen):
             # the unread high bits stays harmless.  (np.where pays an
             # order of magnitude more per element here.)
             return f"((({t[0]}) & {m}) | (({f[0]}) & ~{m}))", bits
-        if isinstance(e, A.PartSelect):
-            lsb = getattr(e, "_lsb_i")
-            loaded = self._native_load(e.base)
-            if loaded is None or loaded[1] == 8 and self._is_packed(e.base):
-                return None
-            code, bits = loaded
-            if lsb:
-                if lsb >= bits:
-                    return self._native_const(0, e.ctx_width)
-                code = f"(({code}) >> {lsb})"
-            slot = self.layout.slot(e.base)
-            if slot.width > lsb + e.width:
-                code = f"(({code}) & {_dt_name(bits)}({bv.mask(e.width)}))"
-            return code, bits
         if isinstance(e, A.Index) and e.is_memory:
             return self._mem_row(e)
-        if isinstance(e, A.Index):
-            idx = self._fold(e.index)
-            if idx is None:
-                return None
+        if isinstance(e, (A.Index, A.PartSelect)):
+            # (A select wholly above its signal folded to 0 above.)
+            if isinstance(e, A.Index):
+                lsb, width = self._fold(e.index), 1
+                if lsb is None:
+                    return None
+            else:
+                lsb, width = getattr(e, "_lsb_i"), e.width
             slot = self.layout.slots.get(e.base)
-            if slot is None or slot.limbs != 1:
+            if slot is None:
                 return None
-            if idx >= slot.width:
-                return self._native_const(0, e.ctx_width)
-            if slot.pool == PACKED_POOL:  # 1-bit base, idx == 0
-                return self._native_load(e.base)
-            bits = _NATIVE_BITS[slot.pool]
-            code = self.mapper.slice_of(slot)
-            if idx:
-                code = f"(({code}) >> {idx})"
-            return f"(({code}) & {_dt_name(bits)}(1))", bits
+            if slot.pool == PACKED_POOL:  # 1-bit base: x[0], x[0:0]
+                return self._native_load(e.base) if width == 1 else None
+            if slot.limbs == 1:
+                code, bits, avail = (self.mapper.slice_of(slot),
+                                     _NATIVE_BITS[slot.pool], slot.width)
+            else:  # one limb row of a wide signal
+                row, lsb = divmod(lsb, 64)
+                if lsb + width > 64:
+                    return None
+                code, bits = self._rows(e.base, row, row + 1), 64
+                avail = min(64, slot.width - 64 * row)
+            if lsb:
+                code = f"(({code}) >> {lsb})"
+            if avail > lsb + width:
+                code = f"(({code}) & {_dt_name(bits)}({bv.mask(width)}))"
+            return code, bits
         return None
-
-    def _is_packed(self, name: str) -> bool:
-        slot = self.layout.slots.get(name)
-        return slot is not None and slot.pool == PACKED_POOL
 
     def _is_bool(self, e: A.Expr) -> bool:
         """True when the native emission of ``e`` is exactly 0/1-valued."""
@@ -969,23 +1296,6 @@ class FusedExprCodegen(ExprCodegen):
         if n is None:
             return None
         return f"(({n[0]}) != 0).view(u8)"
-
-    @staticmethod
-    def _same(a: A.Expr, b: A.Expr) -> bool:
-        """Structural equality of two (small) expressions."""
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, A.Ident):
-            return a.name == b.name
-        if isinstance(a, A.Number):
-            return a.value == b.value
-        if isinstance(a, A.Unary):
-            return a.op == b.op and FusedExprCodegen._same(a.operand, b.operand)
-        if isinstance(a, A.Binary):
-            return (a.op == b.op
-                    and FusedExprCodegen._same(a.left, b.left)
-                    and FusedExprCodegen._same(a.right, b.right))
-        return False
 
     @staticmethod
     def _fit_bits(width: int) -> Optional[int]:
@@ -1095,8 +1405,10 @@ class FusedExprCodegen(ExprCodegen):
             code, bits = l
             if amt >= bits:
                 # The operand value has no bits there (and C shift-by-
-                # >=width is undefined; sidestep it).
-                return self._native_const(0, e.ctx_width)
+                # >=width is undefined; sidestep it).  Still a batch: the
+                # operand reads design state (a scalar here would pack
+                # into lane 0 only).
+                return f"(({code}) & {_dt_name(bits)}(0))", bits
             return (f"(({code}) >> {amt})" if amt else code), bits
         if op in ("+", "-", "*", "&", "|", "^", "~^", "^~"):
             # Low result bits of all of these depend only on equally-low
@@ -1403,10 +1715,13 @@ class KernelCodegen:
             )
         off = slot.next_offset if shadow else slot.offset
         lo, hi = off, off + slot.limbs
-        return (
-            f"P64[{lo}*N:{hi}*N] = "
-            f"wv.mask_width({self.expr.emit(expr)}, {slot.width}).reshape(-1)"
-        )
+        code = self.expr.emit(expr)
+        # Emitted values are canonical at their context width: only a
+        # wider context (or a different limb count) needs the mask.
+        if expr.ctx_width > slot.width or _limbs(expr.ctx_width) != slot.limbs:
+            code = f"wv.mask_width({code}, {slot.width})"
+        # Assigning through the (L, N) view broadcasts a constant column.
+        return f"P64[{lo}*N:{hi}*N].reshape({slot.limbs}, N)[:] = {code}"
 
     def _node_stmts(self, node: RtlNode) -> List[str]:
         out: List[str] = []
@@ -1476,6 +1791,13 @@ class KernelCodegen:
 
         tasklist = ", ".join(f"task_{t.tid}" for t in self.tg.tasks)
         body.append(f"TASKS = [{tasklist}]")
+        return self._module(header, body)
+
+    def _module(self, header: List[str], body: List[str]) -> str:
+        """Header, the wide constants the body bound, then the body."""
+        consts = self.expr.const_lines()
+        if consts:
+            header = header + [""] + consts
         return "\n".join(header + [""] + body) + "\n"
 
     def _mem_write_bindings(self) -> List[MemWriteBinding]:
@@ -1550,10 +1872,11 @@ class FusedPrograms:
     # ``rollup`` audit records name positions in these lists.
     order: Dict[str, List[List[int]]] = field(default_factory=dict)
     # Size of the generated programs: ``statements`` (executable lines),
-    # ``temporaries`` (``_t*`` bindings), ``unpack_sites`` /
-    # ``mem_read_sites`` (``pk.unpack_u8`` / ``rt.mem_read`` call sites),
+    # ``temporaries`` (``_t*`` bindings), ``helper_sites`` (call sites per
+    # ``wv.``/``bvb.``/``pk.``/``rt.`` helper), of which ``unpack_sites`` /
+    # ``mem_read_sites`` (``pk.unpack_u8`` / ``rt.mem_read``),
     # ``rolled_runs`` / ``rolled_members``, ``lines`` (whole source).
-    stats: Dict[str, int] = field(default_factory=dict)
+    stats: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -1640,7 +1963,7 @@ class FusedProgramCodegen(KernelCodegen):
                 # Assignment to a 1-bit target keeps the low bit only.
                 self.expr._record("packed-store", expr, mode="const",
                                   value=c & 1)
-                return f"{tgt} = {'pk.ones(N)' if (c & 1) else 'pk.zeros(N)'}"
+                return f"{tgt} = {_PK_ONES if (c & 1) else _PK_ZEROS}"
             pcode = self.expr.emit_packed(expr)
             if pcode is not None:
                 self.expr._record("packed-store", expr, mode="packed")
@@ -1985,7 +2308,7 @@ class FusedProgramCodegen(KernelCodegen):
                 )
             )
             body.append("")
-        return "\n".join(header + [""] + body) + "\n"
+        return self._module(header, body)
 
     def compile(self) -> FusedPrograms:  # type: ignore[override]
         t0 = time.perf_counter()
@@ -1994,6 +2317,7 @@ class FusedProgramCodegen(KernelCodegen):
         ns: Dict[str, object] = {}
         exec(code, ns)
         elapsed = time.perf_counter() - t0
+        sites = Counter(m[:-1] for m in _HELPER_RE.findall(source))
         comb = FusedProgram(
             name="fused_comb",
             kind="comb",
@@ -2026,8 +2350,9 @@ class FusedProgramCodegen(KernelCodegen):
             stats={
                 **self.stats,
                 "temporaries": self.expr._tmp_n,
-                "unpack_sites": source.count("pk.unpack_u8("),
-                "mem_read_sites": source.count("rt.mem_read("),
+                "helper_sites": dict(sorted(sites.items())),
+                "unpack_sites": sites["pk.unpack_u8"],
+                "mem_read_sites": sites["rt.mem_read"],
                 "lines": source.count("\n"),
             },
         )

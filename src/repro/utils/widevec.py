@@ -72,6 +72,18 @@ def from_const(value: int, limbs: int, n: int) -> np.ndarray:
     return out
 
 
+def column(value: int, limbs: int) -> np.ndarray:
+    """A constant as a read-only (limbs, 1) column.
+
+    Generated modules bind each wide constant once at import; the column
+    broadcasts against (limbs, N) operands in every helper here, so no
+    per-cycle (limbs, N) copy of the constant is ever built.
+    """
+    out = from_const(value, limbs, 1)
+    out.setflags(write=False)
+    return out
+
+
 def mask_width(a: np.ndarray, width: int) -> np.ndarray:
     """Truncate a (L, N) value to ``width`` bits (canonicalize)."""
     limbs = limbs_for(width)
@@ -83,11 +95,16 @@ def mask_width(a: np.ndarray, width: int) -> np.ndarray:
 # -- arithmetic ----------------------------------------------------------------
 
 
+def _result(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (L, N) output of a binary op whose operand may be a column."""
+    return np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=_U64)
+
+
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wide addition with limb carry propagation."""
-    out = np.empty_like(a)
-    carry = np.zeros(a.shape[1], dtype=_U64)
-    for l in range(a.shape[0]):
+    out = _result(a, b)
+    carry = np.zeros(out.shape[1], dtype=_U64)
+    for l in range(out.shape[0]):
         s = a[l] + b[l]
         c1 = (s < a[l]).astype(_U64)
         s2 = s + carry
@@ -99,9 +116,9 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wide subtraction with limb borrow propagation."""
-    out = np.empty_like(a)
-    borrow = np.zeros(a.shape[1], dtype=_U64)
-    for l in range(a.shape[0]):
+    out = _result(a, b)
+    borrow = np.zeros(out.shape[1], dtype=_U64)
+    for l in range(out.shape[0]):
         d = a[l] - b[l]
         b1 = (a[l] < b[l]).astype(_U64)
         d2 = d - borrow
@@ -113,7 +130,7 @@ def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def neg(a: np.ndarray) -> np.ndarray:
     """Wide two's-complement negation (caller masks)."""
-    return add(bit_not(a), from_const(1, a.shape[0], a.shape[1]))
+    return add(bit_not(a), column(1, a.shape[0]))
 
 
 # -- bitwise --------------------------------------------------------------------
@@ -229,6 +246,25 @@ def shr_const(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def rotl_const(a: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Rotate a canonical ``width``-bit value left by a constant ``k``.
+
+    When ``width`` fills the limbs exactly this is a limb permutation plus
+    one funnel shift — two gathers over the whole matrix instead of the
+    per-lane index arithmetic of :func:`shl` / :func:`shr`.
+    """
+    L = a.shape[0]
+    k %= width
+    if width != 64 * L:
+        return mask_width(shl_const(a, k), width) | shr_const(a, width - k)
+    word, bits = divmod(k, 64)
+    order = [(l - word) % L for l in range(L)]
+    if not bits:
+        return a[order]
+    prev = [(l - word - 1) % L for l in range(L)]
+    return (a[order] << _U64(bits)) | (a[prev] >> _U64(64 - bits))
+
+
 def saturate_narrow(a: np.ndarray) -> np.ndarray:
     """Wide value as a (N,) shift/address amount: anything with high-limb
     bits set saturates to a huge value (flushes shifts, drops writes)."""
@@ -253,7 +289,7 @@ def ne(a, b):
 
 def lt(a, b):
     """Wide unsigned less-than -> (N,) 0/1 (top-limb-first)."""
-    n = a.shape[1]
+    n = max(a.shape[1], b.shape[1])  # either side may be a column
     result = np.zeros(n, dtype=_U64)
     decided = np.zeros(n, dtype=bool)
     for l in range(a.shape[0] - 1, -1, -1):
@@ -336,22 +372,21 @@ def narrow(a: np.ndarray) -> np.ndarray:
 
 
 def to_ints(a: np.ndarray) -> List[int]:
-    """Per-lane Python ints (host-side readback)."""
-    out = []
-    for lane in range(a.shape[1]):
-        v = 0
-        for l in range(a.shape[0] - 1, -1, -1):
-            v = (v << 64) | int(a[l, lane])
-        out.append(v)
-    return out
+    """Per-lane Python ints (host-side readback).
+
+    Each lane's limbs are contiguous little-endian bytes of the
+    transposed matrix, so one ``int.from_bytes`` per lane decodes it.
+    """
+    step = 8 * a.shape[0]
+    raw = np.ascontiguousarray(a.T, dtype="<u8").tobytes()
+    return [int.from_bytes(raw[i:i + step], "little")
+            for i in range(0, len(raw), step)]
 
 
 def from_ints(values, limbs: int) -> np.ndarray:
-    """(L, N) limb matrix from per-lane Python ints."""
-    n = len(values)
-    out = np.empty((limbs, n), dtype=_U64)
-    for lane, v in enumerate(values):
-        v = int(v)
-        for l in range(limbs):
-            out[l, lane] = (v >> (64 * l)) & 0xFFFFFFFFFFFFFFFF
-    return out
+    """(L, N) limb matrix from per-lane Python ints (truncated to
+    ``limbs`` limbs, two's complement for negatives)."""
+    step, m = 8 * limbs, (1 << (64 * limbs)) - 1
+    raw = b"".join((int(v) & m).to_bytes(step, "little") for v in values)
+    lanes = np.frombuffer(raw, dtype="<u8").reshape(-1, limbs)
+    return np.array(lanes.T, dtype=_U64, order="C")

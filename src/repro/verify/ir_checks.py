@@ -737,16 +737,82 @@ def _check_rollup(rec, fused, graph: RtlGraph) -> Optional[str]:
     return None
 
 
+def _const_amount(e, graph, kb) -> Optional[int]:
+    """``e``'s value when the known-bits engine proves it constant (a
+    width-0 TOP proves nothing)."""
+    bits = kb.expr_bits(e, {}, graph)
+    return bits.value if bits.width and bits.is_const else None
+
+
+def _check_lowering(rec, graph, kb) -> Optional[str]:
+    """Why a constant-aware lowering claim (``const-shift``,
+    ``const-index``, ``replicate``, ``rotate``) cannot be re-proved, or
+    None.  Each names the constant it lowered by; the amount is
+    re-derived from the expression itself."""
+    e, d = rec.expr, rec.detail
+    if rec.kind == "const-shift":
+        if getattr(e, "op", None) not in ("<<", "<<<", ">>", ">>>"):
+            return "is not about a shift"
+        k = _const_amount(e.right, graph, kb)
+        if k is None or k != d.get("k") or not k < e.ctx_width:
+            return (f"shifts by a constant {d.get('k')!r}, but the amount "
+                    f"re-proves as {k!r} (context width {e.ctx_width})")
+        return None
+    if rec.kind == "const-index":
+        if not isinstance(e, A.Index) or e.is_memory:
+            return "is not about a bit-select"
+        k = _const_amount(e.index, graph, kb)
+        sig = graph.design.signals.get(e.base)
+        width = sig.width if sig is not None else 0
+        if k is None or k != d.get("k") or not k < width:
+            return (f"selects constant bit {d.get('k')!r}, but the index "
+                    f"re-proves as {k!r} (signal width {width})")
+        return None
+    if rec.kind == "replicate":
+        if not isinstance(e, A.Repeat):
+            return "is not about a replication"
+        from repro.elaborate.constfold import try_const
+
+        c, w = try_const(e.count), e.value.width
+        if c != d.get("count") or w != d.get("width") or not (
+                w == 1 or c * w <= 64):
+            return (f"replicates {d.get('count')!r} x {d.get('width')!r} "
+                    f"bits in one word, but the operand is {c!r} x {w} bits")
+        return None
+    # rotate: (x << k) | (x >> k') with k + k' == W == the context width.
+    arms = (getattr(e, "left", None), getattr(e, "right", None))
+    if getattr(e, "op", None) != "|" or not all(
+            isinstance(a, A.Binary) for a in arms):
+        return "is not about an OR of two shifts"
+    shl, shr = sorted(arms, key=lambda a: a.op not in ("<<", "<<<"))
+    if shl.op not in ("<<", "<<<") or shr.op not in (">>", ">>>"):
+        return "does not OR a left shift with a right shift"
+    if not kb.same_expr(shl.left, shr.left):
+        return "shifts two different operands"
+    k = _const_amount(shl.right, graph, kb)
+    k2 = _const_amount(shr.right, graph, kb)
+    w = e.ctx_width
+    claimed = (d.get("k"), d.get("complement"), d.get("width"))
+    if None in (k, k2) or (k, k2, w) != claimed or k + k2 != w \
+            or not 0 < k < w:
+        return (f"rotates by {d.get('k')!r} with complement "
+                f"{d.get('complement')!r} at width {d.get('width')!r}, but "
+                f"the shifts re-prove as {k!r} + {k2!r} at context width {w}")
+    return None
+
+
 def check_audit(model) -> List[Diagnostic]:
     """Re-prove every rewrite the fused emitter recorded.
 
     The emitter's :class:`~repro.core.codegen.AuditRecord` stream says
     *what* it rewrote (dropped constant-zero mux branch, increment-mux
-    peephole, demand-width truncated store, packed 1-bit store, reused
-    temporary, rolled-up run of same-shape statements); this pass
-    re-establishes each claim through the independent known-bits engine
-    and structural checks.  A claim that cannot be re-proved is
-    an ERROR: either the emitter is wrong or the record was corrupted.
+    peephole, demand-width truncated store, packed 1-bit store, folded
+    packed constant, constant shift / bit-select, word replication, limb
+    rotate, reused temporary, rolled-up run of same-shape statements);
+    this pass re-establishes each claim through the independent
+    known-bits engine and structural checks.  A claim that cannot be
+    re-proved is an ERROR: either the emitter is wrong or the record was
+    corrupted.
     """
     from repro.verify import knownbits as kb
 
@@ -846,6 +912,28 @@ def check_audit(model) -> List[Diagnostic]:
                         rid, f"packed constant store to {rec.target!r} at "
                         f"{where} claims value {want}, not re-provable",
                         subject=rec.target))
+        elif rec.kind == "packed-const":
+            # The folded operand must be all-lanes 0 or 1 — its whole
+            # value, not just the low bit (as for const0-branch, at >= 1
+            # bit so an unannotated operand proves nothing).
+            want = rec.detail.get("value")
+            bits = None
+            if rec.expr is not None:
+                w = max(1, rec.expr.ctx_width or rec.expr.width)
+                bits = kb.expr_bits(rec.expr, env, graph, width=w)
+            if bits is None or not bits.is_const or bits.value != want:
+                out.append(_err(
+                    rid, f"packed fold at {where} dropped an operand "
+                    f"claimed to be constant {want}, not re-provable",
+                    subject=rec.target))
+        elif rec.kind in ("const-shift", "const-index", "replicate",
+                          "rotate"):
+            why = ("has no expression" if rec.expr is None
+                   else _check_lowering(rec, graph, kb))
+            if why is not None:
+                out.append(_err(
+                    rid, f"{rec.kind} lowering at {where} {why}",
+                    subject=rec.target))
         else:
             out.append(_err(rid, f"unknown audit record kind "
                             f"{rec.kind!r} at {where}", subject=rec.target))

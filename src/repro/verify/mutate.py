@@ -30,8 +30,10 @@ __all__ = ["MUTATIONS", "Mutation", "fresh_model", "verify_selftest",
 #: a guarded memory write (scratch slots), a reset mux (const0-branch
 #: audit record), an enable counter (inc-mux audit record), two muxes on
 #: one comb-produced condition (a ``cse`` record whose temp reads a slot
-#: the comb program stores) and a three-register shift chain (a
-#: ``rollup`` record with unit strides).
+#: the comb program stores), a three-register shift chain (a ``rollup``
+#: record with unit strides) and a 128-bit rotate beside a constant
+#: shift and bit-select (``rotate`` / ``const-shift`` / ``const-index``
+#: records).
 DEMO_SOURCE = """
 module mut_demo(
   input clk, input rst, input en,
@@ -39,7 +41,8 @@ module mut_demo(
   output [7:0] dout,
   output [7:0] pick,
   output [7:0] tail,
-  output flag
+  output flag,
+  output [7:0] spun
 );
   reg [7:0] acc;
   reg [3:0] cnt;
@@ -53,11 +56,14 @@ module mut_demo(
   wire [3:0] nxt = en ? cnt + 4'd1 : cnt;
   wire [7:0] hi_a = high ? acc : din;
   wire [7:0] hi_b = high ? din : sum;
+  wire [127:0] wide = {16{din}};
+  wire [127:0] spin = (wide << 12) | (wide >> 116);
 
   assign dout = masked;
   assign pick = hi_a ^ hi_b;
   assign tail = lane3;
   assign flag = high ^ bit0;
+  assign spun = spin[75:68] ^ {din[3:0] << 1, din[7]};
 
   always @(posedge clk) begin
     acc <= rst ? 8'd0 : sum;
@@ -354,6 +360,20 @@ def _mut_rollup_bad_stride(model) -> None:
     recs[0].detail["operands"][-1]["stride"] += 1
 
 
+def _mut_const_shift_off_by_one(model) -> None:
+    recs = [r for r in model.fused().audit if r.kind == "const-shift"]
+    _need(bool(recs), "a constant-shift lowering")
+    recs[0].detail["k"] += 1
+
+
+def _mut_rotate_bad_complement(model) -> None:
+    """Claim a rotate whose two shift amounts do not add up to the width
+    (``(x << k) | (x >> (W - k - 1))`` is not a rotate)."""
+    recs = [r for r in model.fused().audit if r.kind == "rotate"]
+    _need(bool(recs), "a limb rotate")
+    recs[0].detail["complement"] -= 1
+
+
 MUTATIONS: List[Mutation] = [
     Mutation("drop-node-edge", "graph",
              "remove a comb dependency edge", _mut_drop_node_edge),
@@ -414,6 +434,12 @@ MUTATIONS: List[Mutation] = [
     Mutation("rollup-bad-stride", "fused",
              "skew one operand stride of a rolled-up run",
              _mut_rollup_bad_stride),
+    Mutation("const-shift-off-by-one", "fused",
+             "claim a constant shift lowered by one more than its amount",
+             _mut_const_shift_off_by_one),
+    Mutation("rotate-bad-complement", "fused",
+             "claim a rotate whose shift amounts miss the width by one",
+             _mut_rotate_bad_complement),
 ]
 
 

@@ -214,11 +214,16 @@ class TestBackendFlag:
         assert payload["top"] == "nvdla_lite"
         fused = payload["fused"]
         assert set(fused) == {
-            "statements", "temporaries", "unpack_sites", "mem_read_sites",
-            "rolled_runs", "rolled_members", "lines"}
+            "statements", "temporaries", "helper_sites", "unpack_sites",
+            "mem_read_sites", "rolled_runs", "rolled_members", "lines"}
         assert fused["temporaries"] <= 80 and fused["unpack_sites"] <= 10
         assert fused["statements"] <= 150 and fused["mem_read_sites"] == 0
         assert fused["rolled_runs"] >= 1
+        assert fused["helper_sites"]["pk.unpack_u8"] == fused["unpack_sites"]
+        # The per-helper counts the constant-aware lowering is judged by.
+        assert main(["stats", "--json", "--design", "crypto"]) == 0
+        sites = json.loads(capsys.readouterr().out)["fused"]["helper_sites"]
+        assert "wv.shl" not in sites and sites["wv.rotl_const"] >= 1
         # Source files still work, and neither form is an error to omit.
         assert main(["stats", counter_v, "--top", "counter", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["fused"]["rolled_runs"] == 0

@@ -21,7 +21,43 @@ _BIN_OPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
             "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
 _UN_OPS = ["~", "-", "!", "&", "|", "^"]
 
-_INPUTS = [("a", 8), ("b", 8), ("c", 16), ("d", 32), ("e", 1), ("f", 100)]
+_INPUTS = [("a", 8), ("b", 8), ("c", 16), ("d", 32), ("e", 1), ("f", 100),
+           ("g", 256)]
+
+# Output (assignment context) widths: narrow, one limb exactly, limb
+# boundaries +-1, and multi-limb.
+_OUT_WIDTHS = [1, 8, 32, 63, 64, 65, 100, 128, 256]
+
+
+def _shift_amounts(w):
+    """Constant shift amounts around the edges of a ``w``-bit context and
+    of a 64-bit limb (a shift by ``w`` or more leaves zero)."""
+    return st.sampled_from(sorted({0, 1, 63, 64, 65, w - 1, w, w + 1}))
+
+
+def _bit_indices(w):
+    """Constant bit-selects of a ``w``-bit signal, including ones above
+    it (they read zero) and at the 64-bit limb seams."""
+    return st.one_of(st.integers(0, w - 1),
+                     st.sampled_from([w, w + 5, 63, 64, 65, 127, 128]))
+
+
+@st.composite
+def narrow_operands(draw):
+    """An operand of self-determined width 1..8 (what ``{k{e}}``
+    replicates)."""
+    w = draw(st.integers(1, 8))
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        name, width = draw(st.sampled_from(
+            [(n, x) for n, x in _INPUTS if x >= max(w, 2)]))
+        lo = draw(st.integers(0, width - w))
+        return f"{name}[{lo + w - 1}:{lo}]"
+    if choice == 1:
+        return f"{w}'d{draw(st.integers(0, (1 << w) - 1))}"
+    l = draw(expr_strings(3))
+    r = draw(expr_strings(3))
+    return f"({l} == {r})"
 
 
 @st.composite
@@ -40,7 +76,7 @@ def expr_strings(draw, depth=0):
         hi = draw(st.integers(0, w - 1))
         lo = draw(st.integers(0, hi))
         return f"{name}[{hi}:{lo}]"
-    kind = draw(st.integers(0, 3))
+    kind = draw(st.integers(0, 6))
     if kind == 0:
         op = draw(st.sampled_from(_BIN_OPS))
         l = draw(expr_strings(depth + 1))
@@ -55,28 +91,44 @@ def expr_strings(draw, depth=0):
         t = draw(expr_strings(depth + 1))
         f = draw(expr_strings(depth + 1))
         return f"(({c}) ? ({t}) : ({f}))"
+    if kind == 4:  # replication
+        return f"{{{draw(st.integers(1, 64))}{{{draw(narrow_operands())}}}}}"
+    if kind == 5:  # constant bit-select, narrow and wide bases
+        name, w = draw(st.sampled_from([(n, w) for n, w in _INPUTS if w > 1]))
+        return f"{name}[{draw(_bit_indices(w))}]"
+    if kind == 6:  # constant shift
+        op = draw(st.sampled_from(["<<", ">>"]))
+        k = draw(_shift_amounts(draw(st.sampled_from(_OUT_WIDTHS + [16]))))
+        return f"({draw(expr_strings(depth + 1))} {op} {k})"
     l = draw(expr_strings(depth + 1))
     r = draw(expr_strings(depth + 1))
     return f"{{{l}, {r}}}"
 
 
-def _comb_module(exprs):
-    ports = ", ".join(
-        f"input wire [{w - 1}:{0}] {n}" if w > 1 else f"input wire {n}"
-        for n, w in _INPUTS
-    )
-    outs = ", ".join(f"output wire [31:0] y{i}" for i in range(len(exprs)))
+def _ports(decls):
+    return ", ".join(
+        f"{kind} wire [{w - 1}:0] {n}" if w > 1 else f"{kind} wire {n}"
+        for kind, n, w in decls)
+
+
+def _comb_module(exprs, widths=None):
+    widths = widths or [32] * len(exprs)
+    ports = _ports([("input", n, w) for n, w in _INPUTS]
+                   + [("output", f"y{i}", w) for i, w in enumerate(widths)])
     body = "\n".join(f"    assign y{i} = {e};" for i, e in enumerate(exprs))
-    return f"module fuzz ({ports}, {outs});\n{body}\nendmodule\n"
+    return f"module fuzz ({ports});\n{body}\nendmodule\n"
 
 
 class TestRandomCombExpressions:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(expr_strings(), min_size=1, max_size=4), st.integers(0, 2**31))
-    def test_batch_matches_reference(self, exprs, seed):
-        src = _comb_module(exprs)
+    @given(st.lists(st.tuples(expr_strings(), st.sampled_from(_OUT_WIDTHS)),
+                    min_size=1, max_size=4),
+           st.integers(0, 2**31), st.sampled_from(["graph-fused", "graph"]))
+    def test_batch_matches_reference(self, outs, seed, executor):
+        src = _comb_module([e for e, _ in outs], [w for _, w in outs])
         try:
-            assert_batch_matches_reference(src, "fuzz", n=16, cycles=4, seed=seed)
+            assert_batch_matches_reference(src, "fuzz", n=16, cycles=4,
+                                           seed=seed, executor=executor)
         except Exception as exc:  # noqa: BLE001
             from repro.utils.errors import UnsupportedFeatureError, WidthError
             # Two rejections are correct behaviour, not fuzz failures:
@@ -85,6 +137,88 @@ class TestRandomCombExpressions:
             if isinstance(exc, (WidthError, UnsupportedFeatureError)):
                 return
             raise
+
+
+# --- constant-aware lowering idioms ------------------------------------------
+
+
+_IDIOM_WIDTHS = [8, 32, 63, 64, 65, 128, 256, 512]
+
+
+@st.composite
+def lowering_modules(draw):
+    """Wires and registers of width W in {8 .. 512} built from the idioms
+    the emitter lowers by operand kind: the rotate ``(x << k) | (x >> (W -
+    k))`` (either arm order), a limb-aligned or unaligned part-select swap,
+    constant shifts and bit-selects at the context and limb edges,
+    replication, wide constants in add/sub/compare/mux and stored whole,
+    and 1-bit mux chains with constant branches (the packed folds)."""
+    decls, body = [], []
+    # Every idiom in every example (hypothesis favours early choices).
+    for i, kind in enumerate(["rotate", "swap", "shift", "index", "repeat",
+                              "const", "pmux"]):
+        w = draw(st.sampled_from(_IDIOM_WIDTHS))
+        x = f"x{i}"
+        body.append(f"    wire [{w - 1}:0] {x} = s[{w - 1}:0] ^ t[{w - 1}:0];")
+        k = draw(st.integers(1, w - 1))
+        cst = draw(st.integers(0, (1 << w) - 1))
+        if kind == "rotate":
+            l, r = f"({x} << {k})", f"({x} >> {w - k})"
+            expr = f"{l} | {r}" if draw(st.booleans()) else f"{r} | {l}"
+        elif kind == "swap":
+            a = draw(st.sampled_from(sorted(
+                {m for m in (64, 128, 256, w // 2, k) if 0 < m < w})))
+            expr = f"{{{x}[{a - 1}:0], {x}[{w - 1}:{a}]}}"
+        elif kind == "shift":
+            op = draw(st.sampled_from(["<<", ">>"]))
+            expr = f"({x} {op} {draw(_shift_amounts(w))}) ^ {x}"
+        elif kind == "index":
+            expr = f"{x}[{draw(_bit_indices(w))}] ? {x} : ~{x}"
+        elif kind == "repeat":
+            c, rw = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+            expr = f"{{{c}{{{x}[{rw - 1}:0]}}}} ^ {x}"
+        elif kind == "const":
+            form = draw(st.sampled_from([
+                "({x} + {w}'d{c}) ^ ({w}'d{c} - {x})",
+                "({x} < {w}'d{c}) ? {w}'d{c} : {x}",
+                "en ? {w}'d{c} : {w}'d{k}",
+                "{w}'d{c}"]))
+            expr = form.format(x=x, w=w, c=cst, k=k)
+        else:  # pmux: constant branches fold on the packed tier
+            conds = [f"(a == 8'd{draw(st.integers(0, 3))})", "en", "b1"]
+            if draw(st.booleans()):  # a bit-select keeps it off that tier
+                conds.append(f"{x}[{draw(st.integers(0, w - 1))}]")
+            expr = draw(st.sampled_from(["b1", "en"]))
+            for _ in range(draw(st.integers(1, 4))):
+                c = draw(st.sampled_from(conds))
+                t = draw(st.sampled_from(["1'b0", "1'b1", "b1", "en"]))
+                expr = (f"({c} ? {t} : {expr})" if draw(st.booleans())
+                        else f"({c} ? {expr} : {t})")
+            decls.append(("output", f"y{i}", 1))
+            body.append(f"    assign y{i} = {expr};")
+            continue
+        decls.append(("output", f"y{i}", w))
+        if draw(st.booleans()):
+            body.append(f"    assign y{i} = {expr};")
+        else:  # registered: the reset value is a (wide) constant store
+            body.append(f"    reg [{w - 1}:0] r{i};")
+            body.append(f"    always @(posedge clk) r{i} <= rst ? "
+                        f"{w}'d{cst} : {expr};")
+            body.append(f"    assign y{i} = r{i};")
+    ins = [("input", "clk", 1), ("input", "rst", 1), ("input", "en", 1),
+           ("input", "b1", 1), ("input", "a", 8), ("input", "s", 512),
+           ("input", "t", 512)]
+    return (f"module lowfuzz ({_ports(ins + decls)});\n"
+            + "\n".join(body) + "\nendmodule\n")
+
+
+class TestConstantAwareLowering:
+    @settings(max_examples=40, deadline=None)
+    @given(lowering_modules(), st.integers(0, 2**31),
+           st.sampled_from(["graph-fused", "graph"]), st.sampled_from([1, 65]))
+    def test_batch_matches_reference(self, src, seed, executor, n):
+        assert_batch_matches_reference(src, "lowfuzz", n=n, cycles=4,
+                                       seed=seed, executor=executor)
 
 
 # --- random sequential designs -----------------------------------------------

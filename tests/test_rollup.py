@@ -12,7 +12,9 @@
   a byte (a bit-select of a 32/64-bit signal), alone and in rolled runs;
 * quarantine, mid-run checkpoint/restore and cross-backend parity hold on
   a design whose programs are almost entirely rolled up (``nvdla``);
-* the sizes the ISSUE named are asserted from ``fused.stats``.
+* the sizes named before each change are asserted from ``fused.stats``
+  (program sizes, per-helper call sites), and ``counter``'s source is
+  pinned byte for byte.
 """
 
 import hashlib
@@ -514,15 +516,34 @@ class TestProgramSizes:
         assert stats["rolled_members"] >= 1280
 
     def test_spinal_and_riscv_temporaries(self):
-        assert _fused("spinal", taps=8).stats["temporaries"] <= 17  # 42
-        assert _fused("riscv_mini").stats["temporaries"] <= 36  # 58
+        # 42 and 58 before value numbering; 17 and 36 masks after it.  A
+        # packed mux condition is value-numbered too (spinal 1, riscv_mini
+        # 15), and an attempt that bails no longer leaves a mask behind.
+        assert _fused("spinal", taps=8).stats["temporaries"] == 18
+        assert _fused("riscv_mini").stats["temporaries"] == 45
 
-    def test_crypto_source_is_byte_identical_to_the_parents(self):
-        fused = _fused("crypto", rounds=4)
+    def test_counter_source_is_byte_identical_to_the_parents(self):
+        # No constant shift, bit-select, replication or packed constant:
+        # constant-aware lowering leaves nothing to change.
+        fused = _fused("counter")
         assert hashlib.sha256(fused.source.encode()).hexdigest() == (
-            "ac6e0773ba1deac16edfb2431de48dea1810b481dda028bdb4cefefd15b8a71a")
+            "dbcf73cc9ff38572d54780ea2661cfd5dad0ddb68eb01e22c75c1d32f7255889")
+
+    def test_crypto_lowers_by_operand_kind(self):
+        fused = _fused("crypto", rounds=4)
+        sites = fused.stats["helper_sites"]
+        assert sites.get("wv.shl", 0) == sites.get("wv.shr", 0) == 0  # 4, 4
+        assert sites["wv.rotl_const"] == 4  # one per round
+        assert sites.get("wv.mask_width", 0) <= 10  # 31
+        assert sites.get("wv.from_const", 0) == 0  # 6
         assert fused.stats["temporaries"] == 0
         assert fused.stats["rolled_runs"] == 0
+
+    def test_riscv_mini_lowers_by_operand_kind(self):
+        sites = _fused("riscv_mini").stats["helper_sites"]
+        assert sites["bvb.b_shr"] <= 6  # 80: the six dynamic shifts remain
+        assert sites["pk.pack_bool"] <= 22  # 72: one per distinct compare
+        assert sites.get("pk.zeros", 0) + sites.get("pk.ones", 0) <= 2  # 33
 
     def test_counter_does_not_grow(self):
         stats = _fused("counter").stats
@@ -543,3 +564,8 @@ class TestProgramSizes:
             re.findall(r"^\s+_t\d+\w* = ", src, re.M))
         assert fused.stats["rolled_runs"] == src.count("for _row in range(")
         assert fused.stats["lines"] == len(src.splitlines())
+        sites = fused.stats["helper_sites"]
+        assert sum(sites.values()) == len(re.findall(
+            r"\b(?:wv|bvb|pk|rt)\.\w+\(", src))
+        assert fused.stats["unpack_sites"] == src.count("pk.unpack_u8(")
+        assert fused.stats["mem_read_sites"] == src.count("rt.mem_read(")

@@ -237,6 +237,59 @@ class TestWidevecUnits:
         cond = np.array([1, 0], dtype=np.uint64)
         assert wv.to_ints(wv.mux(cond, T, F)) == [1, 4]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**512 - 1),
+           st.sampled_from([65, 100, 128, 192, 256, 300, 512]),
+           st.sampled_from([1, 2, 63, 64, 65, 127, 128, 255, 256, 511]))
+    def test_rotl_const_matches_python(self, a, width, k):
+        """Limb-exact widths rotate by permutation, others by two shifts."""
+        m = (1 << width) - 1
+        v, k = a & m, k % width
+        got = wv.to_ints(wv.rotl_const(wv.from_ints([v], (width + 63) // 64),
+                                       k, width))
+        assert got[0] == ((v << k) | (v >> (width - k))) & m
+
+    def test_column_constants_broadcast(self):
+        K = wv.column(5, 2)
+        X = wv.from_ints([1, 2, (1 << 128) - 1], 2)
+        assert K.shape == (2, 1) and not K.flags.writeable
+        assert wv.to_ints(wv.add(X, K)) == [6, 7, 4]
+        assert wv.to_ints(wv.add(K, X)) == [6, 7, 4]
+        assert wv.to_ints(wv.sub(K, X)) == [4, 3, 6]
+        assert wv.lt(K, X).tolist() == [0, 0, 1]
+        assert wv.lt(X, K).tolist() == [1, 1, 0]
+        assert wv.to_ints(wv.mux(np.array([1, 0, 1], dtype=np.uint64), K, X)) \
+            == [5, 2, 5]
+
+    @pytest.mark.parametrize("limbs", range(2, 9))
+    def test_readback_matches_the_per_limb_loop(self, limbs):
+        def to_ints_loop(a):
+            out = []
+            for lane in range(a.shape[1]):
+                v = 0
+                for l in range(a.shape[0] - 1, -1, -1):
+                    v = (v << 64) | int(a[l, lane])
+                out.append(v)
+            return out
+
+        def from_ints_loop(values, limbs):
+            out = np.empty((limbs, len(values)), dtype=np.uint64)
+            for lane, v in enumerate(values):
+                for l in range(limbs):
+                    out[l, lane] = (int(v) >> (64 * l)) & 0xFFFFFFFFFFFFFFFF
+            return out
+
+        top = 1 << (64 * limbs)
+        rng = np.random.default_rng(limbs)
+        values = [0, top - 1, top >> 1, 1, 1 << 64] + [
+            int.from_bytes(rng.bytes(8 * limbs), "little") for _ in range(40)]
+        want = from_ints_loop(values, limbs)
+        got = wv.from_ints(values, limbs)
+        assert got.dtype == np.uint64 and got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+        assert wv.to_ints(want) == to_ints_loop(want) == values
+        assert wv.from_ints([], limbs).shape == (limbs, 0)
+
     def test_constant_folded_wide_ternary_cond(self):
         # Regression: a concatenation-of-constants condition used to
         # reach wv.mux as a 0-d scalar and raise IndexError.
