@@ -16,14 +16,13 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from repro.core.codegen import CompiledModel
 from repro.core.simulator import DEFAULT_EXECUTOR, BatchSimulator
 from repro.elaborate.elaborator import elaborate
 from repro.elaborate.symexec import LoweredDesign, lower
 from repro.gpu.device import SimulatedDevice
-from repro.partition.mcmc import Estimator, MCMCPartitioner, MCMCResult
 from repro.partition.merge import DEFAULT_TARGET_WEIGHT, partition
 from repro.partition.taskgraph import TaskGraph
 from repro.partition.weights import WeightVector
@@ -33,6 +32,10 @@ from repro.stimulus.batch import StimulusBatch
 from repro.stimulus.generator import directed_batch, random_batch
 from repro.verilog.parser import parse_source
 
+if TYPE_CHECKING:  # lint and the MCMC sampler are imported by their first user
+    from repro.lint import LintReport
+    from repro.partition.mcmc import MCMCResult
+
 
 class RTLFlow:
     """One design, transpiled once, simulated many ways."""
@@ -40,11 +43,26 @@ class RTLFlow:
     def __init__(self, graph: RtlGraph):
         self.graph = graph
         self._models: Dict[tuple, CompiledModel] = {}
-        self.mcmc_result: Optional[MCMCResult] = None
+        self.mcmc_result: Optional["MCMCResult"] = None
         self._mcmc_weights: Optional[WeightVector] = None
-        # Filled by from_source when the embedded lint pass runs; None
-        # when the flow was built directly from a graph or lint=False.
-        self.lint_report = None
+        # Set by from_source when the embedded lint pass runs (see
+        # ``lint_report``); both stay None when the flow was built
+        # directly from a graph or with lint=False.
+        self._lint_report: Optional["LintReport"] = None
+        self._lint_pending: Optional[tuple] = None
+
+    @property
+    def lint_report(self) -> Optional["LintReport"]:
+        """The embedded lint pass's report: error-severity rules ran in
+        ``from_source``; the warning and info rules run on first read,
+        over the artifacts ``from_source`` kept."""
+        if self._lint_pending is not None:
+            from repro.lint import lint_artifacts
+
+            ctx, text = self._lint_pending
+            self._lint_pending = None
+            lint_artifacts(ctx, text=text, errors=False, into=self._lint_report)
+        return self._lint_report
 
     # -- construction -----------------------------------------------------------
 
@@ -68,8 +86,9 @@ class RTLFlow:
         artifacts: error-severity findings raise
         :class:`~repro.utils.errors.LintError` (a structurally bad design
         is never silently simulated); warnings collect on
-        ``flow.lint_report``.  ``// repro lint_off RULE`` comments in the
-        source waive findings (see :mod:`repro.lint`).
+        ``flow.lint_report``, computed on its first read.  ``// repro
+        lint_off RULE`` comments in the source waive findings (see
+        :mod:`repro.lint`).
         """
         from repro.elaborate.optimize import optimize_design
 
@@ -83,19 +102,16 @@ class RTLFlow:
             from repro.lint import LintContext, lint_artifacts
             from repro.utils.errors import LintError
 
-            report = lint_artifacts(
-                LintContext(
-                    top=top,
-                    filename=filename,
-                    unit=unit,
-                    flat=flat,
-                    lowered=lowered,
-                    optimized=optimized,
-                    graph=graph,
-                ),
-                text=text,
+            ctx = LintContext(
+                top=top,
+                filename=filename,
+                unit=unit,
+                flat=flat,
+                lowered=lowered,
+                optimized=optimized,
+                graph=graph,
             )
-            flow.lint_report = report
+            report = lint_artifacts(ctx, text=text, errors=True)
             if report.errors:
                 first = report.errors[0]
                 raise LintError(
@@ -110,6 +126,8 @@ class RTLFlow:
                     line=first.loc.line if first.loc else 0,
                     col=first.loc.col if first.loc else 0,
                 )
+            flow._lint_report = report
+            flow._lint_pending = (ctx, text)
         return flow
 
     @classmethod
@@ -185,8 +203,10 @@ class RTLFlow:
         max_unimproved: int = 30,
         target_weight: float = DEFAULT_TARGET_WEIGHT,
         seed: int = 0,
-    ) -> MCMCResult:
+    ) -> "MCMCResult":
         """Run the GPU-aware MCMC sampler and remember the best weights."""
+        from repro.partition.mcmc import Estimator, MCMCPartitioner
+
         est = Estimator(self.graph, n_stimulus=n_stimulus, cycles=cycles, seed=seed)
         opt = MCMCPartitioner(
             self.graph,

@@ -187,35 +187,30 @@ def optimize_design(design: LoweredDesign, inverters: bool = True) -> LoweredDes
         seq.append(nb)
 
     # Pass 2: liveness from outputs / seq / memw reads, backwards fixpoint.
+    # Each producer's reads are computed once, on its first visit; ``live``
+    # then holds every name a surviving expression reads.
     producers = {ca.target: ca for ca in comb}
     live: Set[str] = set(keep)
     for blk in seq:
         for upd in blk.updates:
-            live |= set(A.expr_reads(upd.expr))
+            live.update(A.expr_reads(upd.expr))
         for mw in blk.mem_writes:
-            live |= set(A.expr_reads(mw.cond))
-            live |= set(A.expr_reads(mw.addr))
-            live |= set(A.expr_reads(mw.data))
+            live.update(A.expr_reads(mw.cond))
+            live.update(A.expr_reads(mw.addr))
+            live.update(A.expr_reads(mw.data))
     worklist = [s for s in live if s in producers]
-    seen = set(worklist)
+    visited: Set[str] = set()
     while worklist:
         name = worklist.pop()
-        for read in A.expr_reads(producers[name].expr):
-            if read not in live:
-                live.add(read)
-            if read in producers and read not in seen:
-                seen.add(read)
-                worklist.append(read)
+        if name in visited:
+            continue
+        visited.add(name)
+        reads = set(A.expr_reads(producers[name].expr))
+        live |= reads
+        worklist.extend(r for r in reads if r in producers and r not in visited)
 
     comb = [ca for ca in comb if ca.target in live]
-    used: Set[str] = set(live)
-    for ca in comb:
-        used |= set(A.expr_reads(ca.expr))
-    signals = {
-        name: sig
-        for name, sig in design.signals.items()
-        if name in used or name in keep
-    }
+    signals = {name: sig for name, sig in design.signals.items() if name in live}
 
     return LoweredDesign(
         top=design.top,

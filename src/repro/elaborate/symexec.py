@@ -16,10 +16,9 @@ RTL-graph construction and every code generator in the package.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.elaborate.constfold import eval_const, fold_expr, try_const
 from repro.elaborate.elaborator import FlatDesign, Memory, Signal
@@ -117,13 +116,84 @@ class LoweredDesign:
 # ---------------------------------------------------------------------------
 
 
-def copy_expr(e: A.Expr) -> A.Expr:
-    """Deep copy an expression tree (annotation fields are per-node)."""
-    return copy.deepcopy(e)
-
-
 def _mask_const(width: int) -> A.Number:
     return A.Number((1 << width) - 1, None)
+
+
+def _clone(e: A.Expr) -> A.Expr:
+    """A fresh copy of the tree under ``e`` (annotation fields unset)."""
+    t = type(e)
+    if t is A.Number:
+        return A.Number(e.value, e.size, e.xz_mask)
+    if t is A.Ident:
+        return A.Ident(e.name)
+    if t is A.Unary:
+        return A.Unary(e.op, _clone(e.operand))
+    if t is A.Binary:
+        return A.Binary(e.op, _clone(e.left), _clone(e.right))
+    if t is A.Ternary:
+        return A.Ternary(_clone(e.cond), _clone(e.then), _clone(e.other))
+    if t is A.Concat:
+        return A.Concat([_clone(p) for p in e.parts])
+    if t is A.Repeat:
+        return A.Repeat(_clone(e.count), _clone(e.value))
+    if t is A.Index:
+        return A.Index(e.base, _clone(e.index), e.is_memory)
+    if t is A.PartSelect:
+        return A.PartSelect(e.base, _clone(e.msb), _clone(e.lsb))
+    if t is A.IndexedPartSelect:
+        return A.IndexedPartSelect(
+            e.base, _clone(e.start), _clone(e.part_width), e.descending
+        )
+    if t is A.FuncCall:
+        return A.FuncCall(e.name, [_clone(a) for a in e.args], e.resolved)
+    raise ElaborationError(f"cannot clone {t.__name__}")
+
+
+# Child slots of each node type; Concat.parts / FuncCall.args are lists.
+_SLOTS = {
+    A.Unary: ("operand",),
+    A.Binary: ("left", "right"),
+    A.Ternary: ("cond", "then", "other"),
+    A.Repeat: ("count", "value"),
+    A.Index: ("index",),
+    A.PartSelect: ("msb", "lsb"),
+    A.IndexedPartSelect: ("start", "part_width"),
+}
+
+
+def _unshare(root: A.Expr, seen: Set[int]) -> A.Expr:
+    """Return ``root`` as a tree none of whose nodes is in ``seen``.
+
+    Symbolic execution shares subtrees instead of copying them; width
+    annotation then writes ``width``/``ctx_width`` in place, so a node
+    reached twice (``seen`` holds the ids of every node reached so far
+    in the design) is replaced by a clone.  Linear in the result.
+    """
+    if id(root) in seen:
+        return _clone(root)
+    seen.add(id(root))
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        slots = _SLOTS.get(type(n))
+        if slots is not None:
+            for name in slots:
+                c = getattr(n, name)
+                if id(c) in seen:
+                    setattr(n, name, _clone(c))
+                else:
+                    seen.add(id(c))
+                    stack.append(c)
+        elif type(n) is A.Concat or type(n) is A.FuncCall:
+            items = n.parts if type(n) is A.Concat else n.args
+            for i, c in enumerate(items):
+                if id(c) in seen:
+                    items[i] = _clone(c)
+                else:
+                    seen.add(id(c))
+                    stack.append(c)
+    return root
 
 
 class _Lowerer:
@@ -170,7 +240,7 @@ class _Lowerer:
             self._call_depth -= 1
         result = env_f[fdef.ret]
         return A.Binary(
-            "&", copy_expr(result), A.Number((1 << fdef.ret_width) - 1, None)
+            "&", result, A.Number((1 << fdef.ret_width) - 1, None)
         )
 
     # -- reads ---------------------------------------------------------------
@@ -178,13 +248,14 @@ class _Lowerer:
     def subst(self, e: A.Expr, env: Dict[str, A.Expr]) -> A.Expr:
         """Substitute blocking-assignment values into a read expression.
 
-        Always returns a freshly-built tree (no sharing with ``env``).
+        Nodes of the result are fresh except the ``env`` values, which
+        are shared, not copied (see :func:`_unshare`).
         """
         if isinstance(e, A.Number):
             return A.Number(e.value, e.size, e.xz_mask)
         if isinstance(e, A.Ident):
             if e.name in env:
-                return copy_expr(env[e.name])
+                return env[e.name]
             return A.Ident(e.name)
         if isinstance(e, A.FuncCall):
             return self._inline_call(e, env)
@@ -209,7 +280,7 @@ class _Lowerer:
             if e.base in env:
                 # Bit select of a blocking-assigned value: (val >> i) & 1.
                 return A.Binary(
-                    "&", A.Binary(">>", copy_expr(env[e.base]), idx), A.Number(1, None)
+                    "&", A.Binary(">>", env[e.base], idx), A.Number(1, None)
                 )
             return A.Index(e.base, idx)
         if isinstance(e, A.PartSelect):
@@ -218,7 +289,7 @@ class _Lowerer:
                 msb = eval_const(e.msb)
                 return A.Binary(
                     "&",
-                    A.Binary(">>", copy_expr(env[e.base]), A.Number(lsb, None)),
+                    A.Binary(">>", env[e.base], A.Number(lsb, None)),
                     _mask_const(msb - lsb + 1),
                 )
             return A.PartSelect(e.base, self.subst(e.msb, env), self.subst(e.lsb, env))
@@ -230,7 +301,7 @@ class _Lowerer:
                     start = A.Binary("-", start, A.Number(w - 1, None))
                 return A.Binary(
                     "&",
-                    A.Binary(">>", copy_expr(env[e.base]), start),
+                    A.Binary(">>", env[e.base], start),
                     _mask_const(w),
                 )
             return A.IndexedPartSelect(
@@ -248,7 +319,7 @@ class _Lowerer:
 
     def _current(self, view: Dict[str, A.Expr], name: str) -> A.Expr:
         if name in view:
-            return copy_expr(view[name])
+            return view[name]
         return A.Ident(name)
 
     def store(self, lhs: A.Expr, val: A.Expr, view: Dict[str, A.Expr]) -> None:
@@ -262,13 +333,15 @@ class _Lowerer:
                     "internal: memory writes must be routed through store_mem"
                 )
             sig = self._sig(lhs.base)
-            pos = A.Binary("-", copy_expr(lhs.index), A.Number(sig.lsb, None)) \
-                if sig.lsb else copy_expr(lhs.index)
+            # L-value selects belong to the elaborated AST: clone them so
+            # that width annotation never writes into the flat design.
+            pos = A.Binary("-", _clone(lhs.index), A.Number(sig.lsb, None)) \
+                if sig.lsb else _clone(lhs.index)
             old = self._current(view, lhs.base)
             bitmask = A.Binary("<<", A.Number(1, None), pos)
             cleared = A.Binary("&", old, A.Unary("~", bitmask))
             setbit = A.Binary(
-                "<<", A.Binary("&", val, A.Number(1, None)), copy_expr(pos)
+                "<<", A.Binary("&", val, A.Number(1, None)), pos
             )
             view[lhs.base] = A.Binary("|", cleared, setbit)
             return
@@ -290,7 +363,7 @@ class _Lowerer:
         if isinstance(lhs, A.IndexedPartSelect):
             sig = self._sig(lhs.base)
             w = eval_const(lhs.part_width)
-            start = copy_expr(lhs.start)
+            start = _clone(lhs.start)
             if lhs.descending:
                 start = A.Binary("-", start, A.Number(w - 1, None))
             if sig.lsb:
@@ -299,7 +372,7 @@ class _Lowerer:
             maskshift = A.Binary("<<", _mask_const(w), start)
             cleared = A.Binary("&", old, A.Unary("~", maskshift))
             part = A.Binary(
-                "<<", A.Binary("&", val, _mask_const(w)), copy_expr(start)
+                "<<", A.Binary("&", val, _mask_const(w)), start
             )
             view[lhs.base] = A.Binary("|", cleared, part)
             return
@@ -312,7 +385,7 @@ class _Lowerer:
             for p, w in zip(lhs.parts, widths):
                 pos -= w
                 piece = A.Binary(
-                    "&", A.Binary(">>", copy_expr(val), A.Number(pos, None)), _mask_const(w)
+                    "&", A.Binary(">>", val, A.Number(pos, None)), _mask_const(w)
                 )
                 self.store(p, piece, view)
             return
@@ -481,7 +554,7 @@ class _Lowerer:
             )
         if else_stmt is not None:
             self.exec_stmt(
-                else_stmt, e_env, e_nba, memw, path + [A.Unary("!", copy_expr(cond))],
+                else_stmt, e_env, e_nba, memw, path + [A.Unary("!", cond)],
                 sequential,
             )
         self._merge(cond, env, t_env, e_env)
@@ -506,10 +579,7 @@ class _Lowerer:
             default = old if old is not None else A.Ident(k)
             tval = tv if tv is not None else default
             eval_ = ev if ev is not None else default
-            if tval is eval_:
-                base[k] = copy_expr(tval)
-            else:
-                base[k] = A.Ternary(copy_expr(cond), copy_expr(tval), copy_expr(eval_))
+            base[k] = tval if tval is eval_ else A.Ternary(cond, tval, eval_)
 
     def _exec_case(
         self,
@@ -537,12 +607,12 @@ class _Lowerer:
                     conds.append(
                         A.Binary(
                             "==",
-                            A.Binary("&", copy_expr(subject), A.Number(care & _care_mask(lab), None)),
+                            A.Binary("&", subject, A.Number(care & _care_mask(lab), None)),
                             A.Number(lab.value & care, None),
                         )
                     )
                 else:
-                    conds.append(A.Binary("==", copy_expr(subject), lab))
+                    conds.append(A.Binary("==", subject, lab))
             cond = conds[0]
             for extra in conds[1:]:
                 cond = A.Binary("||", cond, extra)
@@ -564,7 +634,7 @@ class _Lowerer:
             t_env, t_nba = dict(env_), dict(nba_)
             e_env, e_nba = dict(env_), dict(nba_)
             self.exec_stmt(body, t_env, t_nba, memw, path_ + [cond], sequential)
-            build(i + 1, e_env, e_nba, path_ + [A.Unary("!", copy_expr(cond))])
+            build(i + 1, e_env, e_nba, path_ + [A.Unary("!", cond)])
             self._merge(cond, env_, t_env, e_env)
             self._merge(cond, nba_, t_nba, e_nba)
             for k in t_env:
@@ -579,9 +649,9 @@ class _Lowerer:
     def _conj(self, path: List[A.Expr]) -> A.Expr:
         if not path:
             return A.Number(1, 1)
-        cond = copy_expr(path[0])
+        cond = path[0]
         for p in path[1:]:
-            cond = A.Binary("&&", cond, copy_expr(p))
+            cond = A.Binary("&&", cond, p)
         return cond
 
 
@@ -675,6 +745,20 @@ def lower(flat: FlatDesign) -> LoweredDesign:
         raise ElaborationError(
             "signals driven by both comb and seq logic: " + ", ".join(both)
         )
+
+    # Expressions may share subtrees up to here; the returned design holds
+    # trees (the ids in ``reached`` stay valid: every node is still
+    # referenced).
+    reached: Set[int] = set()
+    for ca in comb:
+        ca.expr = _unshare(ca.expr, reached)
+    for blk in seq:
+        for upd in blk.updates:
+            upd.expr = _unshare(upd.expr, reached)
+        for mw in blk.mem_writes:
+            mw.cond = _unshare(mw.cond, reached)
+            mw.addr = _unshare(mw.addr, reached)
+            mw.data = _unshare(mw.data, reached)
 
     return LoweredDesign(
         top=flat.top,

@@ -15,7 +15,9 @@ Two entry points:
   pipeline already ran (and already raised on anything structural), so
   this only applies the registered rules to the artifacts in hand and
   returns the report; the flow raises :class:`~repro.utils.errors.LintError`
-  if any error-severity finding survives waivers.
+  if any error-severity finding survives waivers.  The flow splits the
+  pass: the error-severity rules run at construction, the rest on the
+  first read of ``flow.lint_report`` (``errors=`` / ``into=`` below).
 """
 
 from __future__ import annotations
@@ -71,9 +73,13 @@ def _run_rules(
     report: LintReport,
     waivers: Optional[WaiverSet],
     only: Optional[Iterable[str]],
+    errors: Optional[bool] = None,
 ) -> None:
-    """Apply every selected rule whose stage artifact exists."""
+    """Apply every selected rule whose stage artifact exists (only the
+    error-severity rules, or only the others, when ``errors`` is set)."""
     for r in _select_rules(only):
+        if errors is not None and (r.severity is Severity.ERROR) != errors:
+            continue
         attr = _STAGE_ATTR.get(r.stage)
         if attr is not None and getattr(ctx, attr, None) is None:
             continue
@@ -89,15 +95,24 @@ def lint_artifacts(
     *,
     text: Optional[str] = None,
     rules: Optional[Iterable[str]] = None,
+    errors: Optional[bool] = None,
+    into: Optional[LintReport] = None,
 ) -> LintReport:
     """Lint already-built artifacts (the embedded path).
 
     ``text`` enables ``// repro lint_off`` waiver scanning; without it
-    every finding is reported.
+    every finding is reported.  ``errors=True`` runs only the
+    error-severity rules and ``errors=False`` only the others.  ``into``
+    adds the findings to an earlier report of the same context, in the
+    order a single unsplit run would have produced them.
     """
-    report = LintReport(top=ctx.top, filename=ctx.filename)
+    report = into if into is not None else LintReport(top=ctx.top, filename=ctx.filename)
     waivers = scan_waivers(text) if text is not None else None
-    _run_rules(ctx, report, waivers, rules)
+    _run_rules(ctx, report, waivers, rules, errors)
+    if into is not None:
+        rank = {r.rule_id: i for i, r in enumerate(all_rules())}
+        report.diagnostics.sort(key=lambda d: rank.get(d.rule_id, len(rank)))
+        report.waived.sort(key=lambda d: rank.get(d.rule_id, len(rank)))
     return report
 
 

@@ -95,6 +95,8 @@ class LintContext:
     model: Optional[object] = None
     _synthetic: Optional[Set[str]] = field(default=None, repr=False)
     _kb_env: Optional[Dict[str, object]] = field(default=None, repr=False)
+    _reads: Optional[Set[str]] = field(default=None, repr=False)
+    _edges: Optional[tuple] = field(default=None, repr=False)
 
     # -- helpers shared by rules -------------------------------------------
 
@@ -144,6 +146,20 @@ class LintContext:
             except ValueError:
                 return base
         return name
+
+    def design_reads(self) -> Set[str]:
+        """Cached :func:`_all_design_reads` of ``lowered``."""
+        if self._reads is None:
+            assert self.lowered is not None
+            self._reads = _all_design_reads(self.lowered)
+        return self._reads
+
+    def comb_edges(self):
+        """Cached :func:`_comb_edges` of ``lowered``."""
+        if self._edges is None:
+            assert self.lowered is not None
+            self._edges = _comb_edges(self.lowered)
+        return self._edges
 
     def knownbits_env(self) -> Dict[str, object]:
         """Cached known-bits facts per signal (requires ``graph``)."""
@@ -548,7 +564,7 @@ def _sccs(n: int, succs: Dict[int, Set[int]]) -> List[List[int]]:
 def check_comb_loop(ctx: LintContext) -> Iterable[Diagnostic]:
     design = ctx.lowered
     assert design is not None
-    _producer, _preds, succs, _selfdep = _comb_edges(design)
+    _producer, _preds, succs, _selfdep = ctx.comb_edges()
     for comp in _sccs(len(design.comb), succs):
         names = [ctx.display_name(design.comb[i].target) for i in comp]
         path = " -> ".join(names + [names[0]])
@@ -572,7 +588,7 @@ def check_comb_loop(ctx: LintContext) -> Iterable[Diagnostic]:
 def check_inferred_latch(ctx: LintContext) -> Iterable[Diagnostic]:
     design = ctx.lowered
     assert design is not None
-    _producer, _preds, _succs, selfdep = _comb_edges(design)
+    _producer, _preds, _succs, selfdep = ctx.comb_edges()
     for i in sorted(set(selfdep)):
         target = design.comb[i].target
         yield Diagnostic(
@@ -609,7 +625,7 @@ def check_undriven(ctx: LintContext) -> Iterable[Diagnostic]:
         clocks.update(blk.pseudo_async)
         driven.update(upd.target for upd in blk.updates)
     syn = ctx.synthetic_names()
-    reads = _all_design_reads(design) | clocks
+    reads = ctx.design_reads() | clocks
     for name in sorted(reads):
         sig = design.signals.get(name)
         if (
@@ -639,7 +655,7 @@ def check_undriven(ctx: LintContext) -> Iterable[Diagnostic]:
 def check_unused(ctx: LintContext) -> Iterable[Diagnostic]:
     design = ctx.lowered
     assert design is not None
-    reads = _all_design_reads(design)
+    reads = ctx.design_reads()
     keep: Set[str] = {s.name for s in design.outputs}
     for blk in design.seq:
         keep.add(blk.clock)

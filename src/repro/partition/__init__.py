@@ -11,14 +11,13 @@
 from repro.partition.taskgraph import Task, TaskGraph
 from repro.partition.weights import WeightVector
 from repro.partition.merge import partition
-from repro.partition.mcmc import MCMCPartitioner, MCMCResult, Estimator
+
+# repro.partition.mcmc is not re-exported: importing the package (as
+# every `import repro` does) must not load the sampler.
 
 __all__ = [
     "Task",
     "TaskGraph",
     "WeightVector",
     "partition",
-    "MCMCPartitioner",
-    "MCMCResult",
-    "Estimator",
 ]

@@ -13,12 +13,18 @@ from repro.verilog import ast_nodes as A
 from repro.verilog.width import annotate_design
 
 
+_BASE_READS = (A.Index, A.PartSelect, A.IndexedPartSelect)
+
+
 def _collect(expr: A.Expr, hist: Counter, reads: List[str]) -> None:
+    """Op histogram and read names of ``expr``, in one walk."""
+    tag = A.op_type_name
     for node in A.walk_expr(expr):
-        hist[A.op_type_name(node)] += 1
-        if isinstance(node, A.Ident):
+        hist[tag(node)] += 1
+        t = type(node)
+        if t is A.Ident:
             reads.append(node.name)
-        elif isinstance(node, (A.Index, A.PartSelect, A.IndexedPartSelect)):
+        elif t in _BASE_READS:
             reads.append(node.base)
 
 

@@ -405,44 +405,50 @@ class SourceUnit:
 # ---------------------------------------------------------------------------
 
 
-def walk_expr(e: Expr):
-    """Yield ``e`` and all sub-expressions, pre-order."""
-    yield e
-    if isinstance(e, Unary):
-        yield from walk_expr(e.operand)
-    elif isinstance(e, Binary):
-        yield from walk_expr(e.left)
-        yield from walk_expr(e.right)
-    elif isinstance(e, Ternary):
-        yield from walk_expr(e.cond)
-        yield from walk_expr(e.then)
-        yield from walk_expr(e.other)
-    elif isinstance(e, Concat):
-        for p in e.parts:
-            yield from walk_expr(p)
-    elif isinstance(e, Repeat):
-        yield from walk_expr(e.count)
-        yield from walk_expr(e.value)
-    elif isinstance(e, Index):
-        yield from walk_expr(e.index)
-    elif isinstance(e, PartSelect):
-        yield from walk_expr(e.msb)
-        yield from walk_expr(e.lsb)
-    elif isinstance(e, IndexedPartSelect):
-        yield from walk_expr(e.start)
-        yield from walk_expr(e.part_width)
-    elif isinstance(e, FuncCall):
-        for a in e.args:
-            yield from walk_expr(a)
+def walk_expr(e: Expr) -> List[Expr]:
+    """``e`` and all its sub-expressions, pre-order.
+
+    An explicit-stack walk that returns a list: one call per tree, and no
+    recursion limit on deep (unrolled) expressions.
+    """
+    out: List[Expr] = []
+    stack = [e]
+    pop, push, emit = stack.pop, stack.extend, out.append
+    while stack:
+        n = pop()
+        emit(n)
+        t = type(n)
+        if t is Binary:
+            push((n.right, n.left))
+        elif t is Ident or t is Number:
+            continue
+        elif t is Ternary:
+            push((n.other, n.then, n.cond))
+        elif t is Unary:
+            stack.append(n.operand)
+        elif t is Index:
+            stack.append(n.index)
+        elif t is Concat:
+            push(reversed(n.parts))
+        elif t is Repeat:
+            push((n.value, n.count))
+        elif t is PartSelect:
+            push((n.lsb, n.msb))
+        elif t is IndexedPartSelect:
+            push((n.part_width, n.start))
+        elif t is FuncCall:
+            push(reversed(n.args))
+    return out
 
 
 def expr_reads(e: Expr) -> List[str]:
     """Names of all signals read by expression ``e`` (with duplicates)."""
     out: List[str] = []
     for n in walk_expr(e):
-        if isinstance(n, Ident):
+        t = type(n)
+        if t is Ident:
             out.append(n.name)
-        elif isinstance(n, (Index, PartSelect, IndexedPartSelect)):
+        elif t is Index or t is PartSelect or t is IndexedPartSelect:
             out.append(n.base)
     return out
 
@@ -453,22 +459,23 @@ def op_type_name(e: Expr) -> str:
     These play the role of the "top k most frequently appeared RTL nodes"
     in the paper's weight function (Eq. 1).
     """
-    if isinstance(e, Binary):
-        return f"bin:{e.op}"
-    if isinstance(e, Unary):
-        return f"un:{e.op}"
-    if isinstance(e, Ternary):
-        return "mux"
-    if isinstance(e, Concat):
-        return "concat"
-    if isinstance(e, Repeat):
-        return "repeat"
-    if isinstance(e, Index):
+    t = type(e)
+    if t is Binary:
+        return "bin:" + e.op
+    if t is Unary:
+        return "un:" + e.op
+    if t is Index:
         return "arrsel" if e.is_memory else "bitsel"
-    if isinstance(e, (PartSelect, IndexedPartSelect)):
-        return "partsel"
-    if isinstance(e, Ident):
-        return "varref"
-    if isinstance(e, Number):
-        return "const"
-    return type(e).__name__.lower()
+    tag = _OP_TAGS.get(t)
+    return tag if tag is not None else t.__name__.lower()
+
+
+_OP_TAGS = {
+    Ternary: "mux",
+    Concat: "concat",
+    Repeat: "repeat",
+    PartSelect: "partsel",
+    IndexedPartSelect: "partsel",
+    Ident: "varref",
+    Number: "const",
+}

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from repro.utils.errors import VerilogSyntaxError
 
@@ -34,18 +33,26 @@ OPERATORS = [
     "(", ")", "[", "]", "{", "}", ";", ":", ",", ".", "@", "#", "?", "=",
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">",
 ]
-_OP_RE = re.compile("|".join(re.escape(op) for op in OPERATORS))
+_OP_RE = "|".join(re.escape(op) for op in OPERATORS)
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_IDENT_RE = r"[A-Za-z_][A-Za-z0-9_$]*"
 # Verilog numbers: optional size, base, digits — or a bare decimal.
-_BASED_RE = re.compile(r"(\d+)?\s*'\s*[sS]?([bBoOdDhH])\s*([0-9a-fA-FxXzZ_?]+)")
-_DEC_RE = re.compile(r"\d[\d_]*")
+_BASED_RE = r"(?P<size>\d+)?\s*'\s*[sS]?(?P<base>[bBoOdDhH])\s*(?P<digits>[0-9a-fA-FxXzZ_?]+)"
+_DEC_RE = r"\d[\d_]*"
+
+# One master pattern; the alternatives are tried in this order at each
+# position, so a based literal wins over a bare decimal and an identifier.
+_TOKEN_RE = re.compile(
+    rf"(?P<nl>\n)|(?P<ws>[ \t\r]+)|(?P<based>{_BASED_RE})"
+    rf"|(?P<ident>{_IDENT_RE})|(?P<dec>{_DEC_RE})|(?P<op>{_OP_RE})"
+)
 
 _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token (an immutable tuple: a dataclass costs ~3x to build)."""
+
     kind: TokenKind
     text: str
     line: int
@@ -98,53 +105,42 @@ class Lexer:
 
     def tokens(self) -> Iterator[Token]:
         text = self.text
+        match = _TOKEN_RE.match
         pos = 0
         line = 1
         line_start = 0
         n = len(text)
         while pos < n:
-            c = text[pos]
-            if c == "\n":
-                line += 1
-                pos += 1
-                line_start = pos
-                continue
-            if c in " \t\r":
-                pos += 1
-                continue
+            m = match(text, pos)
+            if m is None:
+                raise VerilogSyntaxError(
+                    f"unexpected character {text[pos]!r}", self.filename,
+                    line, pos - line_start + 1,
+                )
+            kind = m.lastgroup
             col = pos - line_start + 1
-
-            m = _BASED_RE.match(text, pos)
-            if m:
-                value, size, xz = _parse_based(m.group(1), m.group(2), m.group(3), line, col)
-                yield Token(TokenKind.NUMBER, m.group(0), line, col, value, size, xz)
-                pos = m.end()
+            pos = m.end()
+            if kind == "ws":
                 continue
-
-            m = _IDENT_RE.match(text, pos)
-            if m:
-                word = m.group(0)
-                kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-                yield Token(kind, word, line, col)
-                pos = m.end()
-                continue
-
-            m = _DEC_RE.match(text, pos)
-            if m:
-                value = int(m.group(0).replace("_", ""))
-                yield Token(TokenKind.NUMBER, m.group(0), line, col, value, None)
-                pos = m.end()
-                continue
-
-            m = _OP_RE.match(text, pos)
-            if m:
-                yield Token(TokenKind.OP, m.group(0), line, col)
-                pos = m.end()
-                continue
-
-            raise VerilogSyntaxError(
-                f"unexpected character {c!r}", self.filename, line, col
-            )
+            if kind == "nl":
+                line += 1
+                line_start = pos
+            elif kind == "ident":
+                word = m.group()
+                yield Token(
+                    TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT,
+                    word, line, col,
+                )
+            elif kind == "op":
+                yield Token(TokenKind.OP, m.group(), line, col)
+            elif kind == "dec":
+                word = m.group()
+                yield Token(TokenKind.NUMBER, word, line, col, int(word.replace("_", "")))
+            else:
+                value, size, xz = _parse_based(
+                    m.group("size"), m.group("base"), m.group("digits"), line, col
+                )
+                yield Token(TokenKind.NUMBER, m.group(), line, col, value, size, xz)
         yield Token(TokenKind.EOF, "", line, 1)
 
 

@@ -39,6 +39,9 @@ _BINARY_PREC = {
 _UNARY_OPS = {"~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"}
 
 
+_OP_OR_KEYWORD = (TokenKind.OP, TokenKind.KEYWORD)
+
+
 class Parser:
     def __init__(self, tokens: List[Token], filename: str = "<input>"):
         self.toks = tokens
@@ -61,8 +64,8 @@ class Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in (TokenKind.OP, TokenKind.KEYWORD)
+        t = self.toks[self.pos]
+        return t.text == text and t.kind in _OP_OR_KEYWORD
 
     def accept(self, text: str) -> bool:
         if self.at(text):

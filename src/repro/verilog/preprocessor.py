@@ -26,33 +26,33 @@ _MACRO_USE_RE = re.compile(r"`(\w+)")
 _MAX_EXPANSION_DEPTH = 32
 
 
-def strip_comments(text: str) -> str:
+# A line comment, a block comment (just ``/*`` when it never closes) or a
+# string literal, which shields comment markers inside it.  Scanning left
+# to right, the leftmost alternative wins, so this is exactly a
+# character-by-character scan.
+_COMMENT_RE = re.compile(r'//[^\n]*|/\*(?:.*?\*/)?|"(?:[^"\\]|\\.)*"?', re.S)
+
+
+def strip_comments(text: str, filename: str = "<input>") -> str:
     """Remove ``//`` and ``/* */`` comments, preserving line structure."""
-    out: List[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise VerilogSyntaxError("unterminated block comment")
-            # keep embedded newlines so line numbers survive
-            out.append("\n" * text.count("\n", i, j + 2))
-            i = j + 2
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            out.append(text[i : j + 1])
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+
+    def repl(m: re.Match) -> str:
+        s = m.group()
+        if s[0] == '"':
+            return s
+        if s[1] == "/":
+            return ""
+        if len(s) == 2:
+            at = m.start()
+            line_start = text.rfind("\n", 0, at) + 1
+            raise VerilogSyntaxError(
+                "unterminated block comment", filename,
+                text.count("\n", 0, at) + 1, at - line_start + 1,
+            )
+        # keep embedded newlines so line numbers survive
+        return "\n" * s.count("\n")
+
+    return _COMMENT_RE.sub(repl, text)
 
 
 def _expand_macros(line: str, defines: Dict[str, str], lineno: int, depth: int = 0) -> str:
@@ -98,7 +98,7 @@ def _preprocess_shared(
     def active() -> bool:
         return all(frame[0] for frame in cond_stack)
 
-    for lineno, raw in enumerate(strip_comments(text).split("\n"), start=1):
+    for lineno, raw in enumerate(strip_comments(text, filename).split("\n"), start=1):
         m = _DIRECTIVE_RE.match(raw)
         if m:
             directive, rest = m.group(1), m.group(2).strip()

@@ -11,16 +11,24 @@ import pytest
 from repro import RTLFlow
 from repro.cli import main
 from repro.designs import get_design, list_designs
+from repro.elaborate.elaborator import elaborate
+from repro.elaborate.optimize import optimize_design
+from repro.elaborate.symexec import lower
 from repro.lint import (
     RULES,
     Diagnostic,
+    LintContext,
     LintReport,
+    Rule,
     Severity,
     all_rules,
+    lint_artifacts,
     lint_source,
     scan_waivers,
 )
-from repro.utils.errors import LintError
+from repro.rtlir.build import build_graph
+from repro.utils.errors import ElaborationError, LintError
+from repro.verilog.parser import parse_source
 
 
 def ids(report):
@@ -474,6 +482,152 @@ endmodule
         flow = RTLFlow.from_source(src, "m")
         assert flow.lint_report.clean
         assert flow.lint_report.waived
+
+
+def _eager_report(src, top, filename="<input>"):
+    """The whole rule pack in one pass over the artifacts from_source builds."""
+    unit = parse_source(src, filename)
+    flat = elaborate(unit, top)
+    lowered = lower(flat)
+    optimized = optimize_design(lowered)
+    ctx = LintContext(
+        top=top, filename=filename, unit=unit, flat=flat, lowered=lowered,
+        optimized=optimized, graph=build_graph(optimized),
+    )
+    return lint_artifacts(ctx, text=src)
+
+
+def _same_report(lazy, eager):
+    assert lazy.to_json() == eager.to_json()
+    # Insertion order too, not only the rendered (sorted) order.
+    assert [d.to_dict() for d in lazy.diagnostics] == [
+        d.to_dict() for d in eager.diagnostics
+    ]
+    assert [d.to_dict() for d in lazy.waived] == [d.to_dict() for d in eager.waived]
+
+
+# Copy propagation deletes these aliases, so the pipeline accepts the
+# design and only the eager error rules reject it.
+ALIAS_LOOP = """
+module m(input a, output wire y);
+  wire p, q;
+  assign p = q;
+  assign q = p;
+  assign y = a;
+endmodule
+"""
+ALIAS_LATCH = """
+module m(input a, output wire y);
+  wire p;
+  assign p = p;
+  assign y = a;
+endmodule
+"""
+RULE_HINTS = {
+    "comb-loop": "break the feedback with a register, or restructure so "
+    "each signal depends only on earlier logic",
+    "inferred-latch": "assign a default at the top of the block or complete "
+    "every if/case branch",
+}
+
+_LAZY_FIXTURES = {
+    "comb-loop-waived": "// repro lint_off comb-loop\n" + ALIAS_LOOP,
+    # The waived inferred-latch is found first but is listed after the
+    # waived derived-clock, as in one eager pass.
+    "latch-and-clock-waived": """// repro lint_off *
+module m(input clk, input rst, input d, output reg q);
+  wire p;
+  assign p = p;
+  reg slow;
+  always @(posedge clk) slow <= rst ? 1'b0 : ~slow;
+  always @(posedge slow) q <= d;
+endmodule
+""",
+    "undriven": TestUndriven.POSITIVE,
+    "unused": TestUnused.POSITIVE,
+    "unused-waived": "// repro lint_off unused\n" + TestUnused.POSITIVE,
+    "width-trunc": TestWidthTrunc.POSITIVE,
+    "no-reset-waived": "// repro lint_off no-reset\n" + TestNoReset.POSITIVE,
+    "derived-clock": TestDerivedClock.POSITIVE,
+    "mem-bounds": TestMemBounds.POSITIVE,
+    "star-waived": "// repro lint_off *\n" + TestDerivedClock.POSITIVE,
+}
+
+
+class TestLazyEmbeddedLint:
+    """from_source runs the error rules; the rest run on first read of
+    ``flow.lint_report`` and give exactly the eager report."""
+
+    @pytest.mark.parametrize("read_after_run", [False, True])
+    @pytest.mark.parametrize("name", list_designs())
+    def test_bundled_design_report_equals_eager(self, name, read_after_run):
+        b = get_design(name)
+        flow = RTLFlow.from_source(b.source, b.top, filename=name)
+        if read_after_run:
+            # Codegen and simulation must not touch what the deferred
+            # rules read.
+            sim = flow.simulator(4)
+            b.preload(sim)
+            sim.run(b.make_stimulus(4, 8, seed=1), watch=b.watch)
+        _same_report(flow.lint_report, _eager_report(b.source, b.top, name))
+
+    @pytest.mark.parametrize("read_after_run", [False, True])
+    @pytest.mark.parametrize("fixture", sorted(_LAZY_FIXTURES))
+    def test_fixture_report_equals_eager(self, fixture, read_after_run):
+        src = _LAZY_FIXTURES[fixture]
+        flow = RTLFlow.from_source(src, "m", filename="f.v")
+        if read_after_run:
+            flow.simulator(3).run(flow.random_stimulus(3, 6, seed=2))
+        _same_report(flow.lint_report, _eager_report(src, "m", "f.v"))
+
+    def test_warning_rules_run_on_first_read_only(self, monkeypatch):
+        calls = []
+        rule = RULES["no-reset"]
+
+        def counting(ctx):
+            calls.append(1)
+            return rule.fn(ctx)
+
+        monkeypatch.setitem(
+            RULES, "no-reset", Rule(rule.rule_id, rule.severity, rule.summary,
+                                    rule.stage, counting),
+        )
+        flow = RTLFlow.from_source(TestNoReset.POSITIVE, "m")
+        assert calls == []
+        assert flow.lint_report.rule_ids() == ["no-reset"]
+        assert flow.lint_report.rule_ids() == ["no-reset"]
+        assert calls == [1]
+
+    @pytest.mark.parametrize("src, rule_id, message", [
+        (ALIAS_LOOP, "comb-loop", "combinational loop through signals: p -> q -> p"),
+        (ALIAS_LATCH, "inferred-latch",
+         "combinational driver of 'p' reads its own value — some path through "
+         "the always block leaves it unassigned (inferred latch)"),
+    ])
+    def test_lint_error_diagnostics_unchanged(self, src, rule_id, message):
+        with pytest.raises(LintError) as ei:
+            RTLFlow.from_source(src, "m", filename="f.v")
+        assert str(ei.value) == f"f.v:3:8: lint: [{rule_id}] {message}"
+        (diag,) = ei.value.diagnostics
+        assert diag.to_dict() == {
+            "rule": rule_id, "severity": "error", "message": message,
+            "hint": RULE_HINTS[rule_id], "subject": "p",
+            "file": "f.v", "line": 3, "col": 8,
+        }
+        assert [d.to_dict() for d in ei.value.diagnostics] == [
+            d.to_dict() for d in _eager_report(src, "m", "f.v").errors
+        ]
+
+    def test_multi_driven_is_rejected_before_lint(self):
+        # Lowering refuses a second driver before any lint rule runs; the
+        # multi-driven rule reports it through `repro lint`.
+        with pytest.raises(ElaborationError, match="multiple combinational drivers for: w"):
+            RTLFlow.from_source(TestMultiDriven.POSITIVE, "m")
+        assert only(lint_source(TestMultiDriven.POSITIVE, "m"), "multi-driven")
+
+    def test_lint_false_leaves_no_report(self):
+        flow = RTLFlow.from_source(TestNoReset.POSITIVE, "m", lint=False)
+        assert flow.lint_report is None
 
 
 class TestReportRendering:

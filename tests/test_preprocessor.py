@@ -21,6 +21,20 @@ class TestComments:
         with pytest.raises(VerilogSyntaxError):
             strip_comments("a /* b")
 
+    def test_unterminated_block_is_located(self):
+        # Points at the opening `/*`; neither the `*/` inside the string
+        # before it nor the `/*/` closes it.
+        src = 'wire a; // x\n  wire b = "*/"; /*/ y\nwire c;'
+        with pytest.raises(VerilogSyntaxError) as ei:
+            preprocess(src, filename="top.v")
+        assert ei.value.message == "unterminated block comment"
+        assert (ei.value.filename, ei.value.line, ei.value.col) == ("top.v", 2, 18)
+        assert str(ei.value).startswith("top.v:2:18: ")
+
+    def test_comments_and_strings_mixed(self):
+        src = 'a = "/* no */"; // c "\nb /* x\ny */ = "\\"//"; /**/c'
+        assert strip_comments(src) == 'a = "/* no */"; \nb \n = "\\"//"; c'
+
     def test_comment_inside_string_kept(self):
         assert '"//x"' in strip_comments('a = "//x";')
 
