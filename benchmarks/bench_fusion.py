@@ -38,10 +38,10 @@ def _design_stim(prep, n: int, cycles: int, seed: int = 0):
     return random_batch(prep.graph.design, n, cycles, seed=seed)
 
 
-def _outputs(model, n, stim, executor, backend=None):
+def _outputs(model, n, stim, executor):
     from repro.core.simulator import BatchSimulator
 
-    sim = BatchSimulator(model, n, executor=executor, backend=backend)
+    sim = BatchSimulator(model, n, executor=executor)
     sim.run(stim)
     return {
         s.name: np.asarray(sim.get(s.name)).copy()
@@ -49,38 +49,19 @@ def _outputs(model, n, stim, executor, backend=None):
     }
 
 
-def check_bit_identity(model, n, stim, backend=None):
+def check_bit_identity(model, n, stim):
     """Assert fused output batches equal the unfused executor's, bit for bit."""
     base = _outputs(model, n, stim, "graph")
-    fused = _outputs(model, n, stim, "graph-fused", backend=backend)
+    fused = _outputs(model, n, stim, "graph-fused")
     for name, want in base.items():
         got = fused[name]
         if not np.array_equal(want, got):
             bad = int(np.flatnonzero(want != got)[0])
             raise AssertionError(
-                f"fused executor ({backend or 'numpy'}) diverged on output "
+                f"fused executor diverged on output "
                 f"{name!r} at lane {bad}: {want[bad]!r} != {got[bad]!r}"
             )
     return sorted(base)
-
-
-def _backend_fused_time(model, n, stim, backend, repeats):
-    """Best-of-``repeats`` fused-executor time under ``backend``.
-
-    Mirrors ``_batch_times``'s per-variant warm-up (one untimed run pays
-    the lowering cost) for a single executor/backend pair.
-    """
-    from repro.core.simulator import BatchSimulator
-
-    BatchSimulator(model, n, executor="graph-fused", backend=backend).run(stim)
-    best = None
-    for _ in range(max(1, repeats)):
-        sim = BatchSimulator(model, n, executor="graph-fused", backend=backend)
-        t0 = time.perf_counter()
-        sim.run(stim)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return best
 
 
 # The verifier is opt-in and runs off-cycle, so turning it on must not
@@ -145,15 +126,8 @@ def run_verify_guard(model, n, stim, repeats, sanitized_lanes=256):
 
 
 def run_fusion_bench(n: int = 8192, cycles: int = 300, repeats: int = 3,
-                     designs=DESIGNS, backend: str = "numpy"):
-    """Time graph vs graph-fused per design; returns the report payload.
-
-    With a non-default ``backend`` each design additionally gets a
-    backend-lowered fused leg: a fresh bit-identity check against the
-    per-node executor plus a ``batch_fused_{backend}_seconds`` timing
-    (the default ``batch_fused_seconds`` stays the numpy lowering, so
-    historical reports remain comparable).
-    """
+                     designs=DESIGNS):
+    """Time graph vs graph-fused per design; returns the report payload."""
     results = []
     for name in designs:
         prep = load_design(name)
@@ -181,17 +155,12 @@ def run_fusion_bench(n: int = 8192, cycles: int = 300, repeats: int = 3,
             "batch_sanitized_seconds": t_san,
             "sanitized_lanes": n_s,
         }
-        if backend != "numpy":
-            check_bit_identity(model, n_check, stim_check, backend=backend)
-            rec[f"batch_fused_{backend}_seconds"] = _backend_fused_time(
-                model, n, stim, backend, repeats)
         results.append(rec)
     return {
         "bench": "fusion",
         "n": n,
         "cycles": cycles,
         "repeats": repeats,
-        "backend": backend,
         "results": results,
     }
 
@@ -204,9 +173,6 @@ def main(argv=None) -> int:
     ap.add_argument("--cycles", type=int, default=None)
     ap.add_argument("--repeats", type=int, default=None)
     ap.add_argument("--designs", nargs="*", default=None)
-    ap.add_argument("--backend", default="numpy",
-                    help="also time graph-fused under this lowering backend "
-                         "(see docs/backends.md); numpy disables the extra leg")
     ap.add_argument("--out", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_fusion.json",
@@ -221,7 +187,6 @@ def main(argv=None) -> int:
         cycles=args.cycles or cycles,
         repeats=args.repeats or repeats,
         designs=tuple(args.designs) if args.designs else DESIGNS,
-        backend=args.backend,
     )
     atomic_write_json(args.out, payload)
     print(f"wrote {args.out}")

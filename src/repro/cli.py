@@ -55,7 +55,6 @@ from typing import List, Optional
 from repro import RTLFlow, obs
 from repro.analysis.metrics import code_metrics
 from repro.analysis.report import format_table
-from repro.backends import BACKENDS
 from repro.core.simulator import DEFAULT_EXECUTOR, EXECUTOR_KINDS
 from repro.coverage.collector import CoverageCollector
 from repro.stimulus.batch import StimulusBatch
@@ -72,8 +71,6 @@ EXECUTOR_CHOICES = tuple(k for k in EXECUTOR_KINDS if k != "sanitize")
 
 
 def cmd_stats(args) -> int:
-    from repro.backends import backend_report
-
     if args.design:
         from repro.designs import get_design
 
@@ -86,7 +83,6 @@ def cmd_stats(args) -> int:
         raise ReproError("pass Verilog source files with --top, or --design")
     stats = flow.graph.stats()
     tg = flow.taskgraph()
-    backends = backend_report()
     if args.json:
         import json
 
@@ -95,8 +91,7 @@ def cmd_stats(args) -> int:
         # these counts instead of regex-ing generated source.
         print(json.dumps(
             {"top": args.top, "graph": stats, "taskgraph": tg.stats(),
-             "fused": flow.compile().fused().stats,
-             "active_backend": args.backend, "backends": backends},
+             "fused": flow.compile().fused().stats},
             indent=2, sort_keys=True, default=float,
         ))
         return 0
@@ -109,13 +104,6 @@ def cmd_stats(args) -> int:
         [[k, round(v, 2) if isinstance(v, float) else v]
          for k, v in tg.stats().items()],
         title="default task graph",
-    ))
-    print()
-    print(format_table(
-        ["backend", "summary"],
-        [[b["name"] + (" *" if b["name"] == args.backend else ""),
-          b["summary"]] for b in backends],
-        title="executor backends (* = selected)",
     ))
     return 0
 
@@ -237,19 +225,14 @@ def cmd_verify(args) -> int:
 
     reports = [
         verify_source(text, top, filename=fname, rules=rules,
-                      target_weight=args.target_weight,
-                      backend=args.backend)
+                      target_weight=args.target_weight)
         for fname, text, top in jobs
     ]
 
     if args.json:
         import json
 
-        payload = []
-        for r in reports:
-            d = r.to_dict()
-            d["backend"] = args.backend
-            payload.append(d)
+        payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload,
                          indent=2, sort_keys=True))
     else:
@@ -257,7 +240,6 @@ def cmd_verify(args) -> int:
             if i:
                 print()
             print(report.format_text())
-            print(f"backend under verification: {args.backend}")
 
     if args.fail_on == "never":
         return 0
@@ -318,8 +300,7 @@ def _apply_loads(flow: RTLFlow, sim, loads) -> None:
 def cmd_simulate(args) -> int:
     flow = _load_flow(args)
     stim = _make_stimulus(flow, args)
-    sim = flow.simulator(n=stim.n, executor=args.executor,
-                         backend=args.backend)
+    sim = flow.simulator(n=stim.n, executor=args.executor)
     _apply_loads(flow, sim, args.load)
     outs = sim.run(stim, cycles=args.cycles)
     rows = []
@@ -334,8 +315,7 @@ def cmd_simulate(args) -> int:
     if args.vcd is not None:
         from repro.waveform.vcd import dump_vcd
 
-        sim2 = flow.simulator(n=stim.n, executor=args.executor,
-                              backend=args.backend)
+        sim2 = flow.simulator(n=stim.n, executor=args.executor)
         _apply_loads(flow, sim2, args.load)
         dump_vcd(args.vcd, sim2, stim, lane=args.vcd_lane, cycles=args.cycles)
         print(f"wrote {args.vcd} (lane {args.vcd_lane})")
@@ -387,7 +367,7 @@ def cmd_profile(args) -> int:
             model = flow.compile(use_mcmc=args.mcmc_iters > 0)
             sim = BatchSimulator(model, args.batch, executor=args.executor,
                                  device=device, tracer=tracer,
-                                 metrics=metrics, backend=args.backend)
+                                 metrics=metrics)
         bundle.preload(sim)
         stim = bundle.make_stimulus(args.batch, args.cycles, args.seed)
         sim.run(stim)
@@ -410,8 +390,7 @@ def cmd_profile(args) -> int:
     print(format_table(
         ["span", "count", "total", "mean"], rows,
         title=f"profile: {args.design} ({args.batch} stimulus x "
-              f"{args.cycles} cycles, executor={args.executor}, "
-              f"backend={sim.backend})",
+              f"{args.cycles} cycles, executor={args.executor})",
     ))
     mcmc = flow.mcmc_result
     if mcmc is not None:
@@ -430,21 +409,17 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _verified_executor(
-    model, design: str, executor: str, backend: str = "numpy"
-) -> str:
-    """``--verify`` preflight: statically verify the compiled model (the
-    selected backend's lowering included), then swap the executor for the
-    runtime sanitizer so the run also checks declared write footprints
-    and epoch monotonicity.  The sanitizer replays the reference task
-    path regardless of backend — the backend's bundle was just verified
-    statically, and the sanitizer's job is the task-level invariants."""
+def _verified_executor(model, design: str) -> str:
+    """``--verify`` preflight: statically verify the compiled model (its
+    fused lowering included), then swap the executor for the runtime
+    sanitizer so the run also checks declared write footprints and epoch
+    monotonicity.  The sanitizer replays the reference task path — the
+    fused bundle was just verified statically, and the sanitizer's job is
+    the task-level invariants."""
     from repro.utils.errors import VerificationError
     from repro.verify import verify_model
 
-    report = verify_model(
-        model, filename=f"<design:{design}>", backend=backend
-    )
+    report = verify_model(model, filename=f"<design:{design}>")
     if report.errors:
         raise VerificationError(
             f"{design}: verifier found {len(report.errors)} error(s):\n"
@@ -471,9 +446,7 @@ def cmd_run(args) -> int:
 
     executor = args.executor
     if args.verify:
-        executor = _verified_executor(
-            model, args.design, executor, backend=args.backend
-        )
+        executor = _verified_executor(model, args.design)
 
     plan = None
     if args.inject_lane_fault or args.inject_checkpoint_failure:
@@ -503,19 +476,13 @@ def cmd_run(args) -> int:
         raise ReproError("--resume requires --checkpoint-dir")
 
     if args.groups > 1:
-        if args.backend != "numpy":
-            raise ReproError(
-                "--groups > 1 (pipeline scheduler) supports only the "
-                "numpy backend for now"
-            )
         sim = PipelineSimulator(
             model, args.batch, groups=args.groups, executor=executor,
             fault_isolation=isolation,
         )
     else:
         sim = BatchSimulator(model, args.batch, executor=executor,
-                             fault_isolation=isolation,
-                             backend=args.backend)
+                             fault_isolation=isolation)
     bundle.preload(sim)
 
     start = 0
@@ -546,8 +513,6 @@ def cmd_run(args) -> int:
         ["output", "final values (hex, first lanes)"], rows,
         title=f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
               f"(executor={executor}"
-              + (f", backend={args.backend}" if args.backend != "numpy"
-                 else "")
               + (f", groups={args.groups}" if args.groups > 1 else "") + ")",
     ))
     if mgr is not None:
@@ -591,8 +556,7 @@ def cmd_campaign(args) -> int:
         from repro.verify import verify_source
 
         report = verify_source(bundle.source, bundle.top,
-                               filename=f"<design:{args.design}>",
-                               backend=args.backend)
+                               filename=f"<design:{args.design}>")
         if report.errors:
             raise VerificationError(
                 f"{args.design}: verifier found {len(report.errors)} "
@@ -636,7 +600,6 @@ def cmd_campaign(args) -> int:
         design=args.design,
         seed=args.seed,
         executor=args.executor,
-        backend=args.backend,
         watch=bundle.watch,
         fault_isolation=args.fault_isolation or bool(lane_faults),
         lane_faults=lane_faults,
@@ -666,9 +629,7 @@ def cmd_campaign(args) -> int:
         ["output", "final values (hex, first lanes)"], rows,
         title=f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
               f"({len(result.shards)} shards, {args.workers} workers, "
-              f"executor={spec.executor}"
-              + (f", backend={spec.backend}" if spec.backend != "numpy"
-                 else "") + ")",
+              f"executor={spec.executor})",
     ))
     print(result.summary())
     hits = sum(1 for o in result.shards if o.cache_hit)
@@ -740,12 +701,11 @@ def _submit_spec(args):
         design=args.design,
         seed=args.seed,
         executor=args.executor,
-        backend=args.backend,
         watch=bundle.watch,
         fault_isolation=bool(lane_faults),
         lane_faults=lane_faults,
     )
-    spec.validate()  # reject a bad executor/backend pair before the POST
+    spec.validate()  # reject a bad spec before the POST
     return spec
 
 
@@ -868,18 +828,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a metrics snapshot JSON of the run")
         p.set_defaults(_auto_telemetry=True)
 
-    def add_backend_arg(p):
-        p.add_argument("--backend", choices=list(BACKENDS), default="numpy",
-                       help="lowering backend for the fused engine "
-                            "(see docs/backends.md)")
-
     def add_executor_arg(p):
         p.add_argument("--executor", choices=list(EXECUTOR_CHOICES),
                        default=DEFAULT_EXECUTOR,
                        help="replay engine (default: the fused flat "
                             "programs; graph/stream are the paper's "
                             "Table 4 contrast — see docs/fusion.md)")
-        add_backend_arg(p)
 
     def add_stim_args(p):
         p.add_argument("--batch", "-n", type=int, default=256,
@@ -900,7 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default=None, metavar="NAME",
                    help="a bundled design instead of source files "
                         "(see `repro designs`)")
-    add_backend_arg(p)
     p.add_argument("--json", action="store_true",
                    help="emit the statistics as JSON instead of tables")
     p.set_defaults(fn=cmd_stats)
@@ -949,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the mutation self-test instead: inject "
                         "synthetic IR corruptions and require the "
                         "verifier to flag every one")
-    add_backend_arg(p)
     p.add_argument("--json", action="store_true",
                    help="emit structured diagnostics as JSON")
     p.add_argument("--fail-on", choices=["error", "warning", "info", "never"],

@@ -198,7 +198,7 @@ def merge_payloads(
 
     Every payload must also carry this campaign's exact
     :meth:`~repro.cluster.spec.CampaignSpec.signature` — results
-    produced under a different spec (design, seed, cycles, backend, ...)
+    produced under a different spec (design, seed, cycles, executor, ...)
     are rejected up front with a clear error instead of surfacing later
     as a numpy shape mismatch (or worse, merging cleanly into silently
     wrong lanes when the shapes happen to agree).
@@ -213,7 +213,7 @@ def merge_payloads(
             "shard results were produced under mismatched campaign "
             f"signatures: expected {expected_sig[:12]}..., got "
             + ", ".join(f"{s}..." for s in bad_sigs)
-            + " (design/seed/cycles/backend or fault script changed); "
+            + " (design/seed/cycles/executor or fault script changed); "
             "refusing to merge results from different campaigns"
         )
     payloads = sorted(payloads, key=lambda p: p["shard"][1])

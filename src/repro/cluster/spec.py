@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
-from repro.backends import BACKENDS
 from repro.core.simulator import DEFAULT_EXECUTOR, check_executor
 from repro.utils.errors import ClusterError, SimulationError
 
@@ -87,10 +86,6 @@ class CampaignSpec:
     # Workers rebuild the design independently; this catches a worker
     # whose rebuild produced corrupt IR, not just a bad input design.
     verify: bool = False
-    # Lowering backend every worker rebuilds (see repro.backends).
-    # Part of the signature: shard results from different lowerings are
-    # bit-identical by contract but must never silently mix on resume.
-    backend: str = "numpy"
 
     def validate(self) -> None:
         if self.n <= 0:
@@ -111,13 +106,8 @@ class CampaignSpec:
                 )
             if cycle < 0:
                 raise ClusterError(f"lane fault cycle must be >= 0, got {cycle}")
-        if self.backend not in BACKENDS:
-            raise ClusterError(
-                f"unknown backend {self.backend!r}; known backends: "
-                + ", ".join(sorted(BACKENDS))
-            )
         try:
-            check_executor(self.executor, self.backend)
+            check_executor(self.executor)
         except SimulationError as exc:
             raise ClusterError(str(exc)) from exc
 
@@ -155,7 +145,7 @@ class CampaignSpec:
         Like :meth:`signature` this covers every result-affecting field
         (design text/digest, seed, cycles, batch width ``n`` — lane
         stimulus is sliced out of the full ``n``-wide batch, so it is
-        part of the content — executor, backend, stop/trace options),
+        part of the content — executor, stop/trace options),
         but it replaces the *global* ``lane_faults`` list with the lane
         range ``[lo, hi)`` plus only the faults re-based into that
         range.  Two campaigns that differ only in faults targeting

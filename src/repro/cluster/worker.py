@@ -159,7 +159,6 @@ class _WorkerContext:
             sim = BatchSimulator(
                 self.model, shard.n, executor=spec.executor,
                 fault_isolation=spec.fault_isolation or plan is not None,
-                backend=getattr(spec, "backend", "numpy"),
             )
             if self.bundle is not None:
                 self.bundle.preload(sim)

@@ -1474,36 +1474,6 @@ class MemWriteBinding:
     data_off: int
 
 
-def mem_write_bindings(graph: RtlGraph, layout: MemoryLayout) -> List[MemWriteBinding]:
-    """Commit-time bindings for ``layout``'s scratch slots (program order).
-
-    Shared by every lowering of the same layout — the generated-source
-    codegens and the IR-interpreting backends must agree on these offsets
-    or commits would scatter through the wrong scratch.
-    """
-    mem_writes: List[MemWriteBinding] = []
-    for node in graph.memw_nodes:  # original program order
-        sc = layout.scratch[node.nid]
-        ms = layout.mem(node.target)
-        mem_writes.append(
-            MemWriteBinding(
-                node_id=node.nid,
-                clock=node.clock or "",
-                edge=node.edge,
-                mem_pool=ms.pool,
-                mem_base=ms.base,
-                mem_depth=ms.depth,
-                cond_pool=sc.cond.pool,
-                cond_off=sc.cond.offset,
-                addr_pool=sc.addr.pool,
-                addr_off=sc.addr.offset,
-                data_pool=sc.data.pool,
-                data_off=sc.data.offset,
-            )
-        )
-    return mem_writes
-
-
 @dataclass
 class TaskAccess:
     """Offset-level read/write footprint of one macro task.
@@ -1802,7 +1772,28 @@ class KernelCodegen:
 
     def _mem_write_bindings(self) -> List[MemWriteBinding]:
         """Commit-time bindings for this codegen's layout (program order)."""
-        return mem_write_bindings(self.graph, self.layout)
+        layout = self.layout
+        mem_writes: List[MemWriteBinding] = []
+        for node in self.graph.memw_nodes:  # original program order
+            sc = layout.scratch[node.nid]
+            ms = layout.mem(node.target)
+            mem_writes.append(
+                MemWriteBinding(
+                    node_id=node.nid,
+                    clock=node.clock or "",
+                    edge=node.edge,
+                    mem_pool=ms.pool,
+                    mem_base=ms.base,
+                    mem_depth=ms.depth,
+                    cond_pool=sc.cond.pool,
+                    cond_off=sc.cond.offset,
+                    addr_pool=sc.addr.pool,
+                    addr_off=sc.addr.offset,
+                    data_pool=sc.data.pool,
+                    data_off=sc.data.offset,
+                )
+            )
+        return mem_writes
 
     def compile_tasks(self) -> TaskModule:
         """Generate, ``compile()`` and bind the per-task kernel module."""
@@ -1829,13 +1820,8 @@ class KernelCodegen:
 
 @dataclass
 class FusedProgram:
-    """One straight-line compiled program (a partition x clock-domain unit).
-
-    The backend-neutral handle the simulator executes: ``fn`` is today a
-    compiled numpy program, but the fields deliberately expose nothing
-    numpy-specific, so a future backend can lower the same
-    :class:`FusedPrograms` bundle through a different code path.
-    """
+    """One straight-line compiled program (a partition x clock-domain unit):
+    ``fn`` is the compiled numpy program the simulator executes."""
 
     name: str
     kind: str  # "comb" | "seq"
@@ -1865,8 +1851,6 @@ class FusedPrograms:
     transpile_seconds: float = 0.0
     # Rewrite claims the emitter made, for the translation validator.
     audit: List[AuditRecord] = field(default_factory=list)
-    # Which lowering backend produced this bundle (see repro.backends).
-    backend: str = "numpy"
     # Per program: the node ids of each emitted unit, in emission order
     # (a single node, or the members of one rolled-up run).  ``cse`` and
     # ``rollup`` audit records name positions in these lists.

@@ -236,7 +236,6 @@ class RTLFlow:
         use_mcmc: bool = False,
         target_weight: float = DEFAULT_TARGET_WEIGHT,
         strategy: str = "levelpack",
-        backend: Optional[str] = None,
     ) -> BatchSimulator:
         """Build a batch simulator for ``n`` stimulus.
 
@@ -245,15 +244,12 @@ class RTLFlow:
         (flat fused programs, the default), the paper's Table 4 pair
         ``"graph"``/``"stream"``, or ``"graph-conditional"``
         (activity-aware dirty-set replay that skips quiescent tasks —
-        see docs/activity.md).  ``backend`` picks the lowering for the
-        fused engine (see :mod:`repro.backends`).
+        see docs/activity.md).
         """
         model = self.compile(
             target_weight=target_weight, strategy=strategy, use_mcmc=use_mcmc
         )
-        return BatchSimulator(
-            model, n, executor=executor, device=device, backend=backend
-        )
+        return BatchSimulator(model, n, executor=executor, device=device)
 
     # -- stimulus ----------------------------------------------------------------
 

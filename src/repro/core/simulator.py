@@ -59,24 +59,12 @@ EXECUTOR_KINDS = (
 )
 
 
-def check_executor(kind: str, backend: Optional[str] = None) -> None:
-    """Reject an unknown executor kind, or a backend it cannot run.
-
-    Only the fused engine executes alternative backend bundles (see
-    :mod:`repro.backends`); the sanitizer replays the reference task
-    path whatever backend was verified statically, so it takes any.
-    """
+def check_executor(kind: str) -> None:
+    """Reject an unknown executor kind."""
     if kind not in EXECUTOR_KINDS:
         raise SimulationError(
             f"unknown executor kind {kind!r}; accepted kinds: "
             + ", ".join(EXECUTOR_KINDS)
-        )
-    if backend not in (None, "numpy") and kind not in (
-        DEFAULT_EXECUTOR, "sanitize"
-    ):
-        raise SimulationError(
-            f"backend {backend!r} requires the fused executor "
-            f"(executor={DEFAULT_EXECUTOR!r}), not {kind!r}"
         )
 
 
@@ -84,7 +72,6 @@ def make_executor(
     model: CompiledModel,
     device: SimulatedDevice,
     kind: str = DEFAULT_EXECUTOR,
-    backend: Optional[str] = None,
     **kwargs,
 ) -> Executor:
     """Executor factory over :data:`EXECUTOR_KINDS`.
@@ -93,7 +80,7 @@ def make_executor(
     comb phase (and each clock domain) runs as one straight-line
     compiled program over a bit-packed layout — no per-task dispatch
     remains (see :class:`~repro.gpu.graphexec.FusedProgramExecutor` and
-    docs/fusion.md); ``backend`` selects its lowering.  Every other kind
+    docs/fusion.md).  Every other kind
     replays the per-task kernel module, which the model builds on their
     first use: 'graph' and 'stream' are the paper's Table 4 pair, and
     'graph-conditional' replays only the macro tasks whose inputs
@@ -101,9 +88,9 @@ def make_executor(
     :class:`~repro.gpu.graphexec.ConditionalGraphExecutor` and
     docs/activity.md).
     """
-    check_executor(kind, backend)
+    check_executor(kind)
     if kind == DEFAULT_EXECUTOR:
-        return FusedProgramExecutor(model, device, backend=backend, **kwargs)
+        return FusedProgramExecutor(model, device, **kwargs)
     if kind == "graph":
         return CudaGraphExecutor(model, device)
     if kind == "graph-conditional":
@@ -144,7 +131,6 @@ class BatchSimulator:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_isolation: bool = False,
-        backend: Optional[str] = None,
     ):
         self.model = model
         self.n = n
@@ -152,14 +138,13 @@ class BatchSimulator:
         self.metrics = metrics if metrics is not None else get_metrics()
         self.device = device or SimulatedDevice(tracer=self.tracer)
         self.executor = (
-            make_executor(model, self.device, executor, backend=backend)
+            make_executor(model, self.device, executor)
             if isinstance(executor, str)
             else executor
         )
-        # The executor owns the lowering it replays: its backend, the
-        # layout it runs against (bit-packed for the fused engine, the
-        # per-task module's otherwise) and that layout's commit bindings.
-        self.backend = self.executor.backend
+        # The executor owns the lowering it replays: the layout it runs
+        # against (bit-packed for the fused engine, the per-task
+        # module's otherwise) and that layout's commit bindings.
         self.layout = self.executor.layout
         self.mem_writes = self.executor.mem_writes
         # Conditional executors need per-offset write epochs to compute

@@ -25,9 +25,9 @@ class Executor:
 
     The simulator reads ``layout`` (the memory layout to allocate
     :class:`DeviceArrays` for), ``mem_writes`` (commit bindings for that
-    layout), ``backend`` and ``wants_epochs`` (build the arrays with
-    per-offset write epochs), calls :meth:`reset_activity` after a
-    checkpoint restore, and otherwise only :meth:`run_eval`.
+    layout) and ``wants_epochs`` (build the arrays with per-offset write
+    epochs), calls :meth:`reset_activity` after a checkpoint restore,
+    and otherwise only :meth:`run_eval`.
 
     This base binds the per-task module's unpacked layout — reading
     ``model.layout`` is what makes a lazily lowered model build it — so
@@ -36,7 +36,6 @@ class Executor:
     """
 
     name = ""
-    backend = "numpy"
     wants_epochs = False
 
     def __init__(self, model: "CompiledModel", device: SimulatedDevice):

@@ -66,26 +66,12 @@ class FusedProgramExecutor(Executor):
 
     name = "graph-fused"
 
-    def __init__(
-        self,
-        model: CompiledModel,
-        device: SimulatedDevice,
-        programs=None,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, model: CompiledModel, device: SimulatedDevice):
         # Not super().__init__: that binds model.layout, which would
         # build the per-task module this engine exists to avoid.
         self.model = model
         self.device = device
-        if programs is None:
-            if backend in (None, "numpy"):
-                programs = model.fused()
-            else:
-                from repro.backends import get_backend
-
-                programs = get_backend(backend).compile(model)
-        self.backend = backend or programs.backend
-        self.programs = programs
+        self.programs = programs = model.fused()
         self.layout = programs.layout
         self.mem_writes = programs.mem_writes
         # cudaGraphInstantiate analog: plans are fixed at construction.

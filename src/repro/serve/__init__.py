@@ -9,7 +9,7 @@ cluster workers, and never simulates the same content twice thanks to a
 content-addressed per-shard result store (:class:`ResultStore`).
 
 The cache key is :meth:`CampaignSpec.shard_signature` — design text,
-seed, cycles, batch geometry, executor/backend and the shard's own lane
+seed, cycles, batch geometry, executor and the shard's own lane
 range + faults — so an identical resubmission is served entirely from
 the store (hit rate 1.0, byte-identical merged outputs) and an edited
 campaign re-simulates only the shards whose content changed.

@@ -3,7 +3,7 @@
 The store maps a shard's *content key* — the sha256
 :meth:`~repro.cluster.spec.CampaignSpec.shard_signature`, which covers
 the design text, stimulus seed, cycle count, batch width, executor,
-backend, run options, the shard's lane range and the faults re-based
+run options, the shard's lane range and the faults re-based
 into it — to the shard's complete result payload (the same plain-data
 dict the cluster worker returns).  Because the key is derived from
 *content*, not from which campaign or job produced the result:

@@ -54,62 +54,19 @@ __all__ = [
 VERIFY_STAGES = ("graph", "taskgraph", "fused")
 
 
-def _verify_backend(model, backend: str, report: LintReport) -> None:
-    """Append backend-lowering diagnostics for ``backend`` to ``report``.
-
-    Checks three things about the non-default lowering: the backend is
-    known, its kernel IR is structurally well-formed
-    (:func:`repro.backends.ir.validate_ir`), and the produced bundle
-    covers every sequential clock domain of the model.  Failures are
-    ERROR diagnostics under the ``verify-backend`` id.
-    """
-    from repro.backends import (
-        BACKENDS,
-        build_kernel_ir,
-        get_backend,
-        validate_ir,
-    )
-    from repro.utils.errors import ReproError
-
-    def err(msg: str) -> None:
-        report.add(Diagnostic("verify-backend", Severity.ERROR, msg))
-
-    if backend not in BACKENDS:
-        err(f"unknown backend {backend!r}; known backends: "
-            + ", ".join(sorted(BACKENDS)))
-        return
-    try:
-        bundle = get_backend(backend).compile(model)
-    except ReproError as e:
-        err(f"[{backend}] lowering failed: {getattr(e, 'message', e)}")
-        return
-    ir = build_kernel_ir(model.taskgraph, layout=bundle.layout)
-    for problem in validate_ir(ir):
-        err(f"[{backend}] {problem}")
-    have = set(bundle.seq)
-    want = set(model.clock_domains())
-    if have != want:
-        err(f"[{backend}] bundle covers clock domains {sorted(have)}, "
-            f"model has {sorted(want)}")
-
-
 def verify_model(
     model,
     *,
     filename: str = "<input>",
     text: Optional[str] = None,
     rules: Optional[Iterable[str]] = None,
-    backend: Optional[str] = None,
 ) -> LintReport:
     """Run the verifier passes over a compiled model.
 
     Returns a :class:`LintReport` of ``verify-*`` findings (restrict or
     widen with ``rules``).  ``text`` enables source waivers.  Building
     the report forces the fused lowering (``model.fused()``) — the
-    verifier's whole point is checking that artifact.  With ``backend``
-    set to a non-default lowering, the report additionally covers that
-    backend's bundle (availability, kernel-IR validity, clock-domain
-    coverage).
+    verifier's whole point is checking that artifact.
     """
     design = model.graph.design
     ctx = LintContext(
@@ -121,10 +78,7 @@ def verify_model(
         model=model,
     )
     selected = tuple(rules) if rules is not None else VERIFY_RULE_IDS
-    report = lint_artifacts(ctx, text=text, rules=selected)
-    if backend not in (None, "numpy"):
-        _verify_backend(model, backend, report)
-    return report
+    return lint_artifacts(ctx, text=text, rules=selected)
 
 
 def verify_source(
@@ -135,7 +89,6 @@ def verify_source(
     defines: Optional[Mapping[str, str]] = None,
     rules: Optional[Iterable[str]] = None,
     target_weight: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> LintReport:
     """Build ``text`` through the full flow and verify the result.
 
@@ -162,6 +115,4 @@ def verify_source(
             "elab", Severity.ERROR, getattr(e, "message", str(e)), loc=loc
         ))
         return report
-    return verify_model(
-        model, filename=filename, text=text, rules=rules, backend=backend
-    )
+    return verify_model(model, filename=filename, text=text, rules=rules)

@@ -28,6 +28,31 @@ class TestStats:
         assert main(["stats", counter_v, "--top", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_stats_json_reports_fused_program_sizes(self, counter_v, capsys):
+        import json
+
+        assert main(["stats", "--json", "--design", "nvdla"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"top", "graph", "taskgraph", "fused"}
+        assert payload["top"] == "nvdla_lite"
+        fused = payload["fused"]
+        assert set(fused) == {
+            "statements", "temporaries", "helper_sites", "unpack_sites",
+            "mem_read_sites", "rolled_runs", "rolled_members", "lines"}
+        assert fused["temporaries"] <= 80 and fused["unpack_sites"] <= 10
+        assert fused["statements"] <= 150 and fused["mem_read_sites"] == 0
+        assert fused["rolled_runs"] >= 1
+        assert fused["helper_sites"]["pk.unpack_u8"] == fused["unpack_sites"]
+        # The per-helper counts the constant-aware lowering is judged by.
+        assert main(["stats", "--json", "--design", "crypto"]) == 0
+        sites = json.loads(capsys.readouterr().out)["fused"]["helper_sites"]
+        assert "wv.shl" not in sites and sites["wv.rotl_const"] >= 1
+        # Source files still work, and neither form is an error to omit.
+        assert main(["stats", counter_v, "--top", "counter", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["fused"]["rolled_runs"] == 0
+        assert main(["stats", counter_v]) == 2
+        assert "--design" in capsys.readouterr().err
+
 
 class TestTranspile:
     def test_writes_kernel_module(self, counter_v, tmp_path, capsys):
@@ -182,60 +207,3 @@ class TestMemoryLoad:
         assert main(["simulate", counter_v, "--top", "counter", "-n", "2",
                      "-c", "2", "--load", "oops"]) == 2
         assert "NAME=FILE" in capsys.readouterr().err
-
-
-class TestBackendFlag:
-    def test_run_tensor_backend(self, capsys):
-        assert main(["run", "counter", "-n", "16", "-c", "20",
-                     "--backend", "tensor"]) == 0
-        out = capsys.readouterr().out
-        assert "backend=tensor" in out
-        assert "count" in out
-
-    def test_simulate_tensor_backend(self, counter_v, capsys):
-        assert main(["simulate", counter_v, "--top", "counter",
-                     "-n", "4", "-c", "20", "--backend", "tensor"]) == 0
-        assert "count" in capsys.readouterr().out
-
-    def test_stats_json_reports_backends(self, counter_v, capsys):
-        import json
-
-        assert main(["stats", counter_v, "--top", "counter", "--json",
-                     "--backend", "tensor"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["active_backend"] == "tensor"
-        assert [b["name"] for b in payload["backends"]] == ["numpy", "tensor"]
-
-    def test_stats_json_reports_fused_program_sizes(self, counter_v, capsys):
-        import json
-
-        assert main(["stats", "--json", "--design", "nvdla"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["top"] == "nvdla_lite"
-        fused = payload["fused"]
-        assert set(fused) == {
-            "statements", "temporaries", "helper_sites", "unpack_sites",
-            "mem_read_sites", "rolled_runs", "rolled_members", "lines"}
-        assert fused["temporaries"] <= 80 and fused["unpack_sites"] <= 10
-        assert fused["statements"] <= 150 and fused["mem_read_sites"] == 0
-        assert fused["rolled_runs"] >= 1
-        assert fused["helper_sites"]["pk.unpack_u8"] == fused["unpack_sites"]
-        # The per-helper counts the constant-aware lowering is judged by.
-        assert main(["stats", "--json", "--design", "crypto"]) == 0
-        sites = json.loads(capsys.readouterr().out)["fused"]["helper_sites"]
-        assert "wv.shl" not in sites and sites["wv.rotl_const"] >= 1
-        # Source files still work, and neither form is an error to omit.
-        assert main(["stats", counter_v, "--top", "counter", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["fused"]["rolled_runs"] == 0
-        assert main(["stats", counter_v]) == 2
-        assert "--design" in capsys.readouterr().err
-
-    def test_verify_reports_backend(self, counter_v, capsys):
-        assert main(["verify", counter_v, "--top", "counter",
-                     "--backend", "tensor"]) == 0
-        assert "backend under verification: tensor" in capsys.readouterr().out
-
-    def test_run_rejects_groups_with_non_numpy_backend(self, capsys):
-        assert main(["run", "counter", "-n", "16", "-c", "20",
-                     "--backend", "tensor", "--groups", "2"]) == 2
-        assert "numpy backend" in capsys.readouterr().err

@@ -279,24 +279,26 @@ class TestCampaignSpec:
 
     def test_signature_keys_are_pinned(self):
         """Store keys and resume fingerprints are durable: the digests
-        below were produced by the ``dataclasses.asdict`` implementation
-        and must survive any change to how the payload is gathered."""
+        below must survive any change to how the payload is gathered, and
+        change only when the set of spec fields does (each such change
+        makes every earlier store entry and ``--resume`` directory a
+        miss; see docs/cluster.md)."""
         kw = dict(n=96, cycles=40, design="riscv_mini", seed=7,
                   watch=["pc", "x10"], stop="halted", trace_every=8,
                   checkpoint_every=16)
         shard = ShardSpec(id=1, lo=32, hi=80)
         plain = CampaignSpec(**kw)
         assert plain.signature() == (
-            "4432d749af69dfc1e9e8db7795f670f792fc38f55432f59d9727ec2fd603172e")
+            "962da80b4d8fd19541ecc72f3fb7a1f90042beb5791fb6021de45ed7688fe2ac")
         assert plain.shard_signature(shard) == (
-            "953bcc02f6879713a754b4c64ae67573b028c7602e92e73425e84b2f56196823")
+            "69db3d88299e34bc50d2fb05524822833fbaf40eee4f812b6607e269538d9fd5")
         faulty = CampaignSpec(
             **kw, fault_isolation=True,
             lane_faults=[(5, 70, "bitflip"), (3, 2, "stuck"), (9, 40, "x")])
         assert faulty.signature() == (
-            "74ee0461013218bdcc10875e812ebc31dd675ecb28aa8c324ce1332db60bb67a")
+            "0bbff84458aa5325268fe8ee9d30cca0728185d40a1e6a0b204ae1b5a370bdd2")
         assert faulty.shard_signature(shard) == (
-            "076c9a47bac05c896599589f113c12406992f20688ae12bdc3e189d981b08c7e")
+            "bdd067f627d982ce6556e154ee903b58ebc9e7a11ee852da175f620ab6a37279")
         # Signing reads the spec, it never rewrites it.
         assert faulty.lane_faults[0] == (5, 70, "bitflip")
 

@@ -5,12 +5,15 @@
   replaying executors build it exactly once;
 * a quarantined batch stays on the fused engine's single-launch
   ``run_eval`` and its survivors match ``graph`` and the reference;
-* the deleted kinds/aliases/backends are rejected by name;
+* the deleted kinds/aliases are rejected by name, and the removed
+  lowering selector is an error on the CLI, the spec and the wire;
 * elaboration, partition and generated source do not depend on the
   interpreter's hash seed.
 """
 
+import http.client
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +24,6 @@ import pytest
 
 import benchmarks.common as bench_common
 from repro import RTLFlow
-from repro.backends import BACKENDS
 from repro.cli import build_parser, main
 from repro.cluster import CampaignSpec
 from repro.core import codegen
@@ -35,6 +37,13 @@ from repro.core.simulator import (
 from repro.gpu import Executor, SimulatedDevice
 from repro.pipeline.scheduler import PipelineSimulator
 from repro.resilience import FaultPlan, LaneFaultSpec
+from repro.serve import (
+    BackgroundService,
+    CampaignService,
+    ServiceClient,
+    ServiceError,
+    spec_from_dict,
+)
 from repro.utils.errors import ClusterError, SimulationError
 
 from tests.conftest import COUNTER_V, compile_graph
@@ -237,24 +246,64 @@ class TestDeletedSpellingsAreRejected:
         with pytest.raises(ClusterError, match="accepted kinds"):
             CampaignSpec(n=4, cycles=4, design="counter",
                          executor="fused").validate()
-        with pytest.raises(ClusterError, match="requires the fused executor"):
-            CampaignSpec(n=4, cycles=4, design="counter", executor="graph",
-                         backend="tensor").validate()
 
     @pytest.mark.parametrize("backend", ["numba", "cupy"])
     def test_cli_rejects_removed_backends(self, backend, capsys):
-        assert list(BACKENDS) == ["numpy", "tensor"]
         with pytest.raises(SystemExit) as ei:
             main(["run", "counter", "-n", "4", "-c", "4",
                   "--backend", backend])
         assert ei.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice" in err and "'numpy', 'tensor'" in err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_cli_rejects_backend_on_a_contrast_engine(self, capsys):
-        assert main(["run", "counter", "-n", "4", "-c", "4",
-                     "--backend", "tensor", "--executor", "graph"]) == 2
-        assert "requires the fused executor" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "counter", "-n", "4", "-c", "4",
+                  "--backend", "tensor", "--executor", "graph"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+class TestRemovedBackendSurface:
+    """The fused engine has one lowering; its old selector is gone from
+    every surface, and a stale caller gets an error naming it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "counter"],
+        ["simulate", "c.v", "--top", "counter"],
+        ["profile", "counter"],
+        ["campaign", "counter"],
+        ["verify"],
+        ["stats"],
+        ["submit", "counter"],
+    ], ids=lambda argv: argv[0])
+    def test_cli_flag_is_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--backend", "numpy"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_campaign_spec_field_is_gone(self):
+        with pytest.raises(TypeError, match="backend"):
+            CampaignSpec(n=4, cycles=4, design="counter", backend="numpy")
+
+    def test_stale_client_spec_is_a_400_naming_the_field(self, tmp_path):
+        stale = {"n": 4, "cycles": 4, "design": "counter", "backend": "numpy"}
+        with pytest.raises(ServiceError, match="'backend'"):
+            spec_from_dict(stale)
+        bg = BackgroundService(CampaignService(
+            data_dir=str(tmp_path / "svc"), port=0, workers=0)).start()
+        try:
+            ServiceClient(bg.base_url).wait_ready()
+            conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=30)
+            conn.request("POST", "/jobs", body=json.dumps({"spec": stale}),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            conn.close()
+        finally:
+            bg.stop(drain=True)
+        assert resp.status == 400
+        assert "'backend'" in body["error"]
 
 
 _DETERMINISM_CHILD = textwrap.dedent("""

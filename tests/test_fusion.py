@@ -74,6 +74,26 @@ module memoob (
 endmodule
 """
 
+# Combinational operator soup: mul/div/mod (the division-by-zero fault
+# sink), shifts by a dynamic amount, reductions with inversion, concat
+# with constant parts, part selects and a mux.
+OPSOUP_V = """
+module opsoup (
+    input wire [7:0] a,
+    input wire [7:0] b,
+    input wire [2:0] s,
+    output wire [7:0] y,
+    output wire r,
+    output wire [15:0] w
+);
+    wire [7:0] m = (a * b) + (a / (b | 8'h1)) - (a % (b | 8'h3));
+    wire [7:0] sh = (a << s) | (b >> s);
+    assign y = s[0] ? m ^ sh : m + sh;
+    assign r = ^a & |b & ~&b[3:0];
+    assign w = {a, b} + {8'd0, a[6:2], s};
+endmodule
+"""
+
 
 def _model(src, top):
     return transpile(compile_graph(src, top))
@@ -105,6 +125,7 @@ DIFFERENTIAL_MATRIX = [
     pytest.param(MEMDUT_V, "memdut", id="memory"),
     pytest.param(MEMOOB_V, "memoob", id="memory-oob"),
     pytest.param(WIDEACC_V, "wideacc", id="wide-96bit"),
+    pytest.param(OPSOUP_V, "opsoup", id="op-soup"),
 ]
 
 
@@ -124,6 +145,7 @@ def test_fused_bit_identical_to_graph(src, top, n):
     pytest.param(COUNTER_V, "counter", id="counter"),
     pytest.param(MEMOOB_V, "memoob", id="memory-oob"),
     pytest.param(WIDEACC_V, "wideacc", id="wide-96bit"),
+    pytest.param(OPSOUP_V, "opsoup", id="op-soup"),
 ])
 def test_fused_matches_golden_reference(src, top):
     # The scalar golden model is the authority, not the graph executor.

@@ -10,8 +10,8 @@
 * masks of one condition at several widths are derived from the first
   one, in both directions — also when the condition itself is wider than
   a byte (a bit-select of a 32/64-bit signal), alone and in rolled runs;
-* quarantine, mid-run checkpoint/restore and cross-backend parity hold on
-  a design whose programs are almost entirely rolled up (``nvdla``);
+* quarantine and mid-run checkpoint/restore hold on a design whose
+  programs are almost entirely rolled up (``nvdla``);
 * the sizes named before each change are asserted from ``fused.stats``
   (program sizes, per-helper call sites), and ``counter``'s source is
   pinned byte for byte.
@@ -132,8 +132,8 @@ def rollmix():
     return flow, flow.compile()
 
 
-def _traces(model, n, stim, executor, **kw):
-    sim = BatchSimulator(model, n, executor=executor, **kw)
+def _traces(model, n, stim, executor):
+    sim = BatchSimulator(model, n, executor=executor)
     sim.load_memory("wmem", WMEM)
     out = sim.run(stim, watch=WATCH, trace_every=1)
     return {k: np.asarray(v).copy() for k, v in out.items()}
@@ -224,15 +224,6 @@ class TestRollmix:
         want = _reference_lane(flow.graph, stim, n - 1)
         got = np.stack([fused[w][:, n - 1] for w in WATCH], axis=1)
         np.testing.assert_array_equal(got.astype(np.uint64), want)
-
-    def test_tensor_backend_agrees(self, rollmix):
-        _, model = rollmix
-        n = 65
-        stim = random_batch(model.design, n, 10, seed=2)
-        a = _traces(model, n, stim, "graph-fused", backend="numpy")
-        b = _traces(model, n, stim, "graph-fused", backend="tensor")
-        for w in WATCH:
-            np.testing.assert_array_equal(a[w], b[w], err_msg=w)
 
 
 # One condition feeding muxes of several widths: narrow mask first for
@@ -442,8 +433,8 @@ class TestValueNumbering:
 
 
 class TestNvdlaRolledUp:
-    """Everything around the programs is untouched: quarantine, mid-run
-    checkpoints and the tensor backend see the same pools."""
+    """Everything around the programs is untouched: quarantine and mid-run
+    checkpoints see the same pools."""
 
     @pytest.fixture(scope="class")
     def nvdla(self):
@@ -477,9 +468,7 @@ class TestNvdlaRolledUp:
             np.testing.assert_array_equal(
                 outs["graph-fused"][w], outs["graph"][w], err_msg=w)
 
-    @pytest.mark.parametrize("resume_backend", ["numpy", "tensor"])
-    def test_midrun_checkpoint_restore_across_backends(
-            self, nvdla, resume_backend):
+    def test_midrun_checkpoint_restore(self, nvdla):
         b, _ = nvdla
         n, cycles = 20, 36
         stim = b.make_stimulus(n, cycles, 3)
@@ -488,7 +477,7 @@ class TestNvdlaRolledUp:
         sim = self._sim(nvdla, n)
         sim.run(stim, cycles=17)
         ckpt = sim.save_checkpoint()
-        fresh = self._sim(nvdla, n, backend=resume_backend)
+        fresh = self._sim(nvdla, n)
         fresh.restore_checkpoint(ckpt)
         out = fresh.run(stim, watch=b.watch, trace_every=1,
                         start_cycle=fresh.cycles_run)

@@ -226,8 +226,7 @@ class TestResultStore:
 
 class TestProtocol:
     def test_spec_roundtrip(self):
-        spec = _spec(lane_faults=[(2, 5, "stuck")], backend="numpy",
-                     coverage=True)
+        spec = _spec(lane_faults=[(2, 5, "stuck")], coverage=True)
         assert spec_from_dict(spec_to_dict(spec)) == spec
         # ... and survives JSON, which is what actually crosses the wire.
         assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
