@@ -104,11 +104,9 @@ def make_batch_sim(
     prep: PreparedDesign,
     n: int,
     executor: str = DEFAULT_EXECUTOR,
-    use_mcmc: bool = False,
     device: Optional[SimulatedDevice] = None,
 ) -> BatchSimulator:
-    model = prep.flow.compile(use_mcmc=use_mcmc)
-    sim = BatchSimulator(model, n, executor=executor, device=device)
+    sim = BatchSimulator(prep.flow.compile(), n, executor=executor, device=device)
     for mem, vals in prep.memories.items():
         sim.load_memory(mem, vals)
     return sim
@@ -119,12 +117,11 @@ def time_rtlflow(
     n: int,
     cycles: int,
     executor: str = DEFAULT_EXECUTOR,
-    use_mcmc: bool = False,
     seed: int = 1,
     device: Optional[SimulatedDevice] = None,
 ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Wall seconds for one full RTLflow batch run (plus outputs)."""
-    sim = make_batch_sim(prep, n, executor=executor, use_mcmc=use_mcmc, device=device)
+    sim = make_batch_sim(prep, n, executor=executor, device=device)
     stim = prep.bundle.make_stimulus(n, cycles, seed)
     t0 = time.perf_counter()
     outs = sim.run(stim)
@@ -136,7 +133,6 @@ def time_rtlflow_projected(
     n: int,
     cycles: int,
     executor: str = DEFAULT_EXECUTOR,
-    use_mcmc: bool = False,
     seed: int = 1,
     compute_scale: float = DEVICE_COMPUTE_SCALE,
 ) -> Tuple[float, float, Dict[str, np.ndarray]]:
@@ -150,8 +146,7 @@ def time_rtlflow_projected(
     """
     device = SimulatedDevice()
     wall, outs = time_rtlflow(
-        prep, n, cycles, executor=executor, use_mcmc=use_mcmc, seed=seed,
-        device=device,
+        prep, n, cycles, executor=executor, seed=seed, device=device,
     )
     busy = device.stats.busy_seconds
     projected = (

@@ -7,7 +7,7 @@ the candidate, and accepts/rejects by the Metropolis–Hastings rule.
 Run:  python examples/partition_tuning.py
 """
 
-from repro import RTLFlow
+from repro import BatchSimulator, RTLFlow
 from repro.designs import get_design
 from repro.partition.merge import partition
 
@@ -39,8 +39,9 @@ def main() -> None:
         bar = "#" * int(1 + 40 * (c - lo) / (hi - lo + 1e-12))
         print(f"  {i:3d} {c * 1e3:8.3f} ms {bar}")
 
-    # The tuned weights are used transparently by flow.simulator(use_mcmc=True).
-    sim = flow.simulator(n=256, use_mcmc=True)
+    # The tuned partition drives a per-task engine (the fused default
+    # engine does not partition, so it has nothing to tune).
+    sim = BatchSimulator(flow.compile(use_mcmc=True), 256, executor="graph")
     stim = bundle.make_stimulus(256, 50, seed=2)
     outs = sim.run(stim)
     print(f"\nsimulated 256 stimulus with the tuned partition; "

@@ -349,6 +349,13 @@ def cmd_profile(args) -> int:
     from repro.designs import get_design
 
     bundle = get_design(args.design)
+    if args.mcmc_iters > 0 and args.executor == DEFAULT_EXECUTOR:
+        # A partition only orders nodes within a level for the fused
+        # engine, so tuning one is work its result cannot use.
+        replay = "|".join(k for k in EXECUTOR_CHOICES if k != DEFAULT_EXECUTOR)
+        raise ReproError(
+            "--mcmc-iters tunes the macro-task partition, which only the "
+            f"task-replay engines use: pass --executor {replay}")
     with obs.capture() as (tracer, metrics):
         with tracer.span("parse+elaborate", resource="flow"):
             flow = RTLFlow.from_source(bundle.source, bundle.top)
@@ -946,8 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", "-c", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     add_executor_arg(p)
-    p.add_argument("--mcmc-iters", type=int, default=8,
-                   help="MCMC partition-tuning iterations (0 disables)")
+    p.add_argument("--mcmc-iters", type=int, default=0,
+                   help="MCMC partition-tuning iterations for a task-replay "
+                        "--executor (default 0: no tuning)")
     p.add_argument("--top", type=int, default=12,
                    help="rows in the printed span table")
     p.add_argument("--timeline", action="store_true",

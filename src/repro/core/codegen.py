@@ -1,12 +1,12 @@
 """Batch kernel code generation.
 
-Transpiles the partitioned RTL task graph into vectorized Python source
-(the CUDA analog) and compiles it with :func:`compile`.  A
-:class:`CompiledModel` holds the task graph and builds, on first use,
-the two lowerings the executors run: the fused flat programs
-(:meth:`CompiledModel.fused`, the product engine) and the per-task
-kernel module (:meth:`CompiledModel.tasks`, the Table 4 contrast
-engines, the sanitizer and the MCMC estimator).
+Transpiles the RTL graph into vectorized Python source (the CUDA
+analog) and compiles it with :func:`compile`.  A :class:`CompiledModel`
+holds the graph and builds, on first use, the two lowerings the
+executors run: the fused flat programs (:meth:`CompiledModel.fused`, the
+product engine) and the per-task kernel module over a macro-task
+partition (:meth:`CompiledModel.tasks`, the Table 4 contrast engines,
+the sanitizer and the MCMC estimator).
 
 In the per-task module each macro task becomes one generated function
 
@@ -1569,21 +1569,22 @@ class TaskModule:
 
 
 class CompiledModel:
-    """A partitioned design plus its lazily built executable lowerings.
+    """An RTL graph plus its lazily built executable lowerings.
 
-    The product engine only ever needs :meth:`fused`; the per-task
-    module is generated and ``compile()``-d by the first reader of
-    :meth:`tasks` — or of ``layout``/``source``/``task_fns``/
-    ``mem_writes``/``transpile_seconds``, which are views of it — i.e.
-    by the ``graph``/``stream``/``graph-conditional``/``sanitize``
+    The product engine only ever needs :meth:`fused`, built from the
+    graph.  The partition (``taskgraph``) and the per-task module over it
+    (:meth:`tasks`, and its views ``layout``/``source``/``task_fns``/
+    ``mem_writes``/``transpile_seconds``) are made by their first
+    reader: the ``graph``/``stream``/``graph-conditional``/``sanitize``
     executors, the MCMC estimator, ``repro verify`` and ``repro
-    transpile``.  ``tasks_built`` tells whether that happened.
+    transpile``.  ``tasks_built`` tells whether the module was built.
     """
 
-    def __init__(self, taskgraph: TaskGraph,
+    def __init__(self, graph: RtlGraph,
+                 taskgraph: Optional[TaskGraph] = None,
                  tasks: Optional[TaskModule] = None):
-        self.taskgraph = taskgraph
-        self.graph: RtlGraph = taskgraph.graph
+        self.graph = graph
+        self._taskgraph = taskgraph
         self._tasks = tasks
         self._task_accesses: Optional[Dict[int, TaskAccess]] = None
         self._fused: Optional["FusedPrograms"] = None
@@ -1591,6 +1592,14 @@ class CompiledModel:
     @property
     def design(self):
         return self.graph.design
+
+    @property
+    def taskgraph(self) -> TaskGraph:
+        """The macro-task partition (default settings unless one was
+        passed in; made on first read, cached)."""
+        if self._taskgraph is None:
+            self._taskgraph = partition(self.graph)
+        return self._taskgraph
 
     # -- the per-task module (lazy) ---------------------------------------------
 
@@ -1639,7 +1648,7 @@ class CompiledModel:
         the simulator picks it up from the executor's ``layout``.
         """
         if self._fused is None:
-            self._fused = FusedProgramCodegen(self.taskgraph).compile()
+            self._fused = FusedProgramCodegen(self.graph).compile()
         return self._fused
 
     # -- schedules ----------------------------------------------------------------
@@ -1655,11 +1664,7 @@ class CompiledModel:
         ]
 
     def clock_domains(self) -> List[Tuple[str, str]]:
-        seen: List[Tuple[str, str]] = []
-        for t in self.taskgraph.tasks:
-            if t.kind is NodeKind.SEQ and (t.clock, t.edge) not in seen:
-                seen.append((t.clock, t.edge))
-        return seen
+        return list(self.graph.clock_domains())
 
 
 class KernelCodegen:
@@ -1815,13 +1820,13 @@ class KernelCodegen:
     def compile(self) -> CompiledModel:
         """A model with the per-task module already built (the explicit
         per-task transpile; :meth:`RTLFlow.compile` leaves it lazy)."""
-        return CompiledModel(self.tg, self.compile_tasks())
+        return CompiledModel(self.graph, self.tg, self.compile_tasks())
 
 
 @dataclass
 class FusedProgram:
-    """One straight-line compiled program (a partition x clock-domain unit):
-    ``fn`` is the compiled numpy program the simulator executes."""
+    """One straight-line compiled program (the comb phase, or one clock
+    domain): ``fn`` is the compiled numpy program the simulator executes."""
 
     name: str
     kind: str  # "comb" | "seq"
@@ -1832,7 +1837,7 @@ class FusedProgram:
 
 @dataclass
 class FusedPrograms:
-    """The fused flat-program lowering of a task graph.
+    """The fused flat-program lowering of an RTL graph.
 
     One program for the whole combinational phase, one per sequential
     clock domain — no per-task dispatch loop remains.  Runs against a
@@ -1914,9 +1919,10 @@ class FusedProgramCodegen(KernelCodegen):
     emits exactly one ``compile()``-d straight-line function per
     execution unit — the whole comb phase, and each sequential clock
     domain — with no per-task function calls left on the replay path,
-    mirroring the paper's define-once/replay-per-cycle CUDA Graph.
-    Expressions lower through :class:`FusedExprCodegen`
-    (packed/native/uint64 tiers).
+    mirroring the paper's define-once/replay-per-cycle CUDA Graph.  The
+    comb program is the RTL graph's levels flattened, a seq program its
+    domain's nodes; no partition is involved.  Expressions lower through
+    :class:`FusedExprCodegen` (packed/native/uint64 tiers).
 
     Within a program a sub-expression is computed once (value
     numbering, see :meth:`FusedExprCodegen.begin_program`), and a run of
@@ -1925,12 +1931,9 @@ class FusedProgramCodegen(KernelCodegen):
     pools, instead of once per member (see ``docs/fusion.md``).
     """
 
-    def __init__(self, taskgraph: TaskGraph, layout: Optional[MemoryLayout] = None):
-        self.tg = taskgraph
-        self.graph = taskgraph.graph
-        self.layout = layout or MemoryLayout.from_graph(
-            self.graph, pack_bits=True
-        )
+    def __init__(self, graph: RtlGraph, layout: Optional[MemoryLayout] = None):
+        self.graph = graph
+        self.layout = layout or MemoryLayout.from_graph(graph, pack_bits=True)
         self.mapper = PackedIndexMapper(self.layout)
         self.expr = FusedExprCodegen(self.mapper, self.graph)
         self.order: Dict[str, List[List[int]]] = {}
@@ -2213,17 +2216,11 @@ class FusedProgramCodegen(KernelCodegen):
             + [f"    {line}" for line in expr.drain_prelude() + [store]]
         )
 
-    def _program_fn(self, name: str, tids: List[int], title: str) -> List[str]:
-        nodes = [self.graph.nodes[nid]
-                 for tid in tids for nid in self.tg.tasks[tid].nodes]
-        # Level by level (a no-op reordering for the level-packing
-        # partitioner, and for seq programs, whose nodes all sit at level
-        # -1): any topological order settles the same values.
-        nodes.sort(key=lambda n: n.level)
+    def _program_fn(self, name: str, nids: List[int], title: str) -> List[str]:
+        nodes = [self.graph.nodes[nid] for nid in nids]
         units = self._plan(nodes)
         lines = [
-            f"# fused program: {title} ({len(tids)} tasks, {len(nodes)} nodes, "
-            "straight-line)",
+            f"# fused program: {title} ({len(nodes)} nodes, straight-line)",
             f"def {name}(P8, P16, P32, P64, P1, N, W, LANE):",
         ]
         body: List[str] = []
@@ -2258,9 +2255,9 @@ class FusedProgramCodegen(KernelCodegen):
         header = [
             '"""Fused batch RTL programs transpiled by repro.core.',
             "",
-            "Auto-generated; do not edit.  One straight-line program per",
-            "partition x clock domain; 1-bit signals are lane-packed into",
-            "uint64 words (pool P1, W = ceil(N/64) words per signal).",
+            "Auto-generated; do not edit.  One straight-line program for the",
+            "comb phase and one per clock domain; 1-bit signals are lane-packed",
+            "into uint64 words (pool P1, W = ceil(N/64) words per signal).",
             '"""',
             "import numpy as np",
             "from repro.core import kernels as rt",
@@ -2274,21 +2271,21 @@ class FusedProgramCodegen(KernelCodegen):
             "u64 = np.uint64",
             "",
         ]
-        header.extend(render_header(self.tg))
-        body: List[str] = []
-        body.extend(
-            self._program_fn("fused_comb", list(self.tg.comb_topo), "comb phase")
-        )
+        g = self.graph
+        self._comb = [nid for level in g.levels for nid in level]
+        self._domains = g.clock_domains()
+        header += [
+            "# === RTLflow transpilation annotations ===",
+            f"# design: {g.design.top}",
+            f"# nodes: {len(g.nodes)}  levels: {len(g.levels)}  "
+            f"domains: {len(self._domains)}",
+        ]
+        body = self._program_fn("fused_comb", self._comb, "comb phase")
         body.append("")
-        domains: Dict[Tuple[str, str], List[int]] = {}
-        for t in self.tg.tasks:
-            if t.kind is NodeKind.SEQ:
-                domains.setdefault((t.clock, t.edge), []).append(t.tid)
-        self._domains = domains
-        for i, ((clock, edge), tids) in enumerate(domains.items()):
+        for i, ((clock, edge), nids) in enumerate(self._domains.items()):
             body.extend(
                 self._program_fn(
-                    f"fused_seq_{i}", tids, f"{edge} {clock} domain"
+                    f"fused_seq_{i}", nids, f"{edge} {clock} domain"
                 )
             )
             body.append("")
@@ -2307,9 +2304,7 @@ class FusedProgramCodegen(KernelCodegen):
             kind="comb",
             domain=None,
             fn=ns["fused_comb"],
-            n_nodes=sum(
-                len(self.tg.tasks[t].nodes) for t in self.tg.comb_topo
-            ),
+            n_nodes=len(self._comb),
         )
         seq = {
             dom: FusedProgram(
@@ -2317,9 +2312,9 @@ class FusedProgramCodegen(KernelCodegen):
                 kind="seq",
                 domain=dom,
                 fn=ns[f"fused_seq_{i}"],
-                n_nodes=sum(len(self.tg.tasks[t].nodes) for t in tids),
+                n_nodes=len(nids),
             )
-            for i, (dom, tids) in enumerate(self._domains.items())
+            for i, (dom, nids) in enumerate(self._domains.items())
         }
         return FusedPrograms(
             layout=self.layout,

@@ -1,10 +1,11 @@
 """The end-to-end RTLflow pipeline (Fig. 3).
 
 ``RTLFlow`` chains every stage: preprocess/parse → elaborate (module
-inlining, constant propagation) → lower → RTL graph → partition (default
-weights or MCMC) → a compiled model whose lowerings (fused programs,
-per-task kernels) are generated on first use, and hands out batch
-simulators and stimulus generators.
+inlining, constant propagation) → lower → RTL graph → a compiled model
+whose lowerings are generated on first use, and hands out batch
+simulators and stimulus generators.  The default engine's fused programs
+are built from the RTL graph; the macro-task partition (default weights
+or MCMC) is made only for the per-task engines.
 
 Typical use::
 
@@ -162,13 +163,8 @@ class RTLFlow:
         strategy: str = "levelpack",
         use_mcmc: bool = False,
     ) -> TaskGraph:
-        if use_mcmc:
-            if weights is not None:
-                raise ValueError("pass either weights or use_mcmc, not both")
-            weights = self.mcmc_weights()
-        return partition(
-            self.graph, weights=weights, target_weight=target_weight, strategy=strategy
-        )
+        """The macro-task partition of :meth:`compile`'s model."""
+        return self.compile(weights, target_weight, strategy, use_mcmc).taskgraph
 
     def compile(
         self,
@@ -177,20 +173,26 @@ class RTLFlow:
         strategy: str = "levelpack",
         use_mcmc: bool = False,
     ) -> CompiledModel:
-        """Partition into a model (cached per configuration).
+        """A model of the design (cached per partition configuration).
 
         Nothing is generated yet: ``model.fused()`` and the per-task
-        module (``model.tasks()``) are each built by their first user,
-        so a default simulator never pays for the per-task module.
+        module (``model.tasks()``) are each built by their first user.
+        With default settings nothing is partitioned either until
+        ``model.taskgraph`` is first read.
         """
+        if use_mcmc:
+            if weights is not None:
+                raise ValueError("pass either weights or use_mcmc, not both")
+            weights = self.mcmc_weights()
         key = (
-            "mcmc" if use_mcmc else (id(weights) if weights is not None else "default"),
+            None if weights is None else tuple(sorted(weights.values.items())),
             target_weight,
             strategy,
         )
         if key not in self._models:
-            tg = self.taskgraph(weights, target_weight, strategy, use_mcmc)
-            self._models[key] = CompiledModel(tg)
+            tg = (None if key == (None, DEFAULT_TARGET_WEIGHT, "levelpack")
+                  else partition(self.graph, weights, target_weight, strategy))
+            self._models[key] = CompiledModel(self.graph, tg)
         return self._models[key]
 
     # -- MCMC partition tuning ------------------------------------------------------
@@ -233,9 +235,6 @@ class RTLFlow:
         n: int,
         executor: str = DEFAULT_EXECUTOR,
         device: Optional[SimulatedDevice] = None,
-        use_mcmc: bool = False,
-        target_weight: float = DEFAULT_TARGET_WEIGHT,
-        strategy: str = "levelpack",
     ) -> BatchSimulator:
         """Build a batch simulator for ``n`` stimulus.
 
@@ -244,12 +243,10 @@ class RTLFlow:
         (flat fused programs, the default), the paper's Table 4 pair
         ``"graph"``/``"stream"``, or ``"graph-conditional"``
         (activity-aware dirty-set replay that skips quiescent tasks —
-        see docs/activity.md).
+        see docs/activity.md).  For a tuned partition:
+        ``BatchSimulator(flow.compile(use_mcmc=True), n, executor="graph")``.
         """
-        model = self.compile(
-            target_weight=target_weight, strategy=strategy, use_mcmc=use_mcmc
-        )
-        return BatchSimulator(model, n, executor=executor, device=device)
+        return BatchSimulator(self.compile(), n, executor=executor, device=device)
 
     # -- stimulus ----------------------------------------------------------------
 

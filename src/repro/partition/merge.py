@@ -104,10 +104,7 @@ def partition(
         raise SimulationError(f"unknown partition strategy {strategy!r}")
 
     # Sequential nodes: group per clock domain, then pack by weight.
-    domains: Dict[tuple, List[int]] = {}
-    for n in graph.seq_nodes + graph.memw_nodes:
-        domains.setdefault((n.clock, n.edge), []).append(n.nid)
-    for (clock, edge), nids in domains.items():
+    for (clock, edge), nids in graph.clock_domains().items():
         _pack_level(
             graph, tg, nids, weights, target_weight, NodeKind.SEQ, clock, edge
         )

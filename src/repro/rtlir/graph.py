@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.elaborate.symexec import LoweredDesign
 from repro.verilog import ast_nodes as A
@@ -77,6 +77,15 @@ class RtlGraph:
 
     def node(self, nid: int) -> RtlNode:
         return self.nodes[nid]
+
+    def clock_domains(self) -> Dict[Tuple[str, str], List[int]]:
+        """SEQ then MEMW node ids grouped by ``(clock, edge)``, domains in
+        order of first appearance: the one grouping the partitioner, the
+        fused codegen and the simulator's edge detection all read."""
+        domains: Dict[Tuple[str, str], List[int]] = {}
+        for n in self.seq_nodes + self.memw_nodes:
+            domains.setdefault((n.clock, n.edge), []).append(n.nid)
+        return domains
 
     def op_histogram(self) -> Counter:
         """Aggregate op-type histogram over the whole design (Eq. 1 input)."""

@@ -437,47 +437,45 @@ def _check_mem_bindings(rid: str, bindings, layout: MemoryLayout,
 
 
 def check_fused(model) -> List[Diagnostic]:
-    """Fused bundle vs model: domains, node counts, commit bindings."""
+    """Fused bundle vs the RTL graph: domains, node counts, commit
+    bindings."""
     rid = "verify-fused"
     out: List[Diagnostic] = []
-    tg = model.taskgraph
     graph = model.graph
     fused = model.fused()
 
-    domains = set(model.clock_domains())
+    # Re-derived here rather than read from graph.clock_domains(), the
+    # grouping the emitter itself used.
+    per_dom: Dict[Tuple[str, str], Set[int]] = {}
+    for n in graph.nodes:
+        if n.kind is not NodeKind.COMB:
+            per_dom.setdefault((n.clock, n.edge), set()).add(n.nid)
     have = set(fused.seq.keys())
-    if have != domains:
+    if have != set(per_dom):
         out.append(_err(
-            rid, f"fused sequential programs cover domains {sorted(have)} "
-            f"but the model has {sorted(domains)} — the trigger-set plan "
+            rid, f"fused sequential programs cover domains "
+            f"{sorted(have, key=str)} but the graph has "
+            f"{sorted(per_dom, key=str)} — the trigger-set plan "
             "cache would miss a clock domain"))
 
-    n_comb = sum(len(tg.tasks[t].nodes) for t in tg.comb_topo)
-    if fused.comb.n_nodes != n_comb:
+    comb = {n.nid for n in graph.nodes if n.kind is NodeKind.COMB}
+    if fused.comb.n_nodes != len(comb):
         out.append(_err(rid, f"fused comb program claims "
-                        f"{fused.comb.n_nodes} nodes, task graph has "
-                        f"{n_comb}"))
-    per_dom: Dict[Tuple[str, str], int] = {}
-    for t in tg.tasks:
-        if t.kind is NodeKind.SEQ:
-            dom = (t.clock, t.edge)
-            per_dom[dom] = per_dom.get(dom, 0) + len(t.nodes)
+                        f"{fused.comb.n_nodes} nodes, the graph has "
+                        f"{len(comb)}"))
     for dom, prog in fused.seq.items():
-        if dom in per_dom and prog.n_nodes != per_dom[dom]:
+        if dom in per_dom and prog.n_nodes != len(per_dom[dom]):
             out.append(_err(
                 rid, f"fused program for domain {dom} claims "
-                f"{prog.n_nodes} nodes, task graph has {per_dom[dom]}"))
+                f"{prog.n_nodes} nodes, the graph has {len(per_dom[dom])}"))
 
     # Emission order: the emitter regroups nodes (level by level, a
     # rolled-up run where its first member sat), so re-derive that every
     # program still emits each of its nodes exactly once and that the
     # comb program stores every signal in a unit before any unit reading
     # it (members of one unit run as a single statement).
-    progs = [(fused.comb, {nid for t in tg.comb_topo
-                           for nid in tg.tasks[t].nodes})]
-    progs += [(prog, {nid for t in tg.tasks
-                      if t.kind is NodeKind.SEQ and (t.clock, t.edge) == dom
-                      for nid in t.nodes})
+    progs = [(fused.comb, comb)]
+    progs += [(prog, per_dom.get(dom, set()))
               for dom, prog in fused.seq.items()]
     for prog, want in progs:
         units = fused.order.get(prog.name, [])
@@ -485,7 +483,7 @@ def check_fused(model) -> List[Diagnostic]:
         if sorted(flat) != sorted(want):
             out.append(_err(
                 rid, f"program {prog.name} emits nodes {sorted(flat)[:8]}… "
-                f"({len(flat)}), its tasks hold {len(want)}"))
+                f"({len(flat)}), the graph holds {len(want)}"))
             continue
         if prog.kind != "comb":
             continue

@@ -169,6 +169,14 @@ class TestProfile:
         assert "mcmc.acceptance_rate" in snap["gauges"]
         assert snap["gauges"]["device.kernel_launches"]["value"] >= 0
 
+    def test_profile_mcmc_needs_a_task_replay_engine(self, tmp_path, capsys):
+        trace = str(tmp_path / "p.trace.json")
+        assert main(["profile", "counter", "-n", "4", "-c", "4",
+                     "--mcmc-iters", "2", "--trace-json", trace]) == 2
+        err = capsys.readouterr().err
+        assert "--executor graph|graph-conditional|stream" in err
+        assert not os.path.exists(trace)
+
     def test_profile_unknown_design(self, capsys):
         assert main(["profile", "nope"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -8,7 +8,9 @@
 * the deleted kinds/aliases are rejected by name, and the removed
   lowering selector is an error on the CLI, the spec and the wire;
 * elaboration, partition and generated source do not depend on the
-  interpreter's hash seed.
+  interpreter's hash seed;
+* the default path and a campaign worker never partition: only a
+  task-replaying executor makes the task graph, on first use.
 """
 
 import http.client
@@ -335,3 +337,63 @@ def test_lowering_is_identical_across_hash_seeds():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == 2
+
+
+_PARTITION_CALLS_CHILD = textwrap.dedent("""
+    import json
+    import sys
+
+    import numpy as np
+
+    from repro import BatchSimulator, RTLFlow
+    from repro.cluster import CampaignSpec, run_campaign
+    from repro.designs import get_design
+    from repro.partition import merge
+
+    calls = []
+    code = merge.partition.__code__
+    sys.setprofile(lambda frame, event, arg: calls.append(1)
+                   if event == "call" and frame.f_code is code else None)
+
+    b = get_design("spinal")
+    flow = RTLFlow.from_source(b.source, b.top)
+    stim = b.make_stimulus(16, 12, 1)
+    sim = flow.simulator(16)
+    b.preload(sim)
+    fused = sim.run(stim)
+    default = len(calls)
+
+    run_campaign(CampaignSpec(n=16, cycles=12, design="spinal", seed=1),
+                 workers=0, shard_lanes=8)
+    campaign = len(calls) - default
+
+    sim = BatchSimulator(flow.compile(), 16, executor="graph")
+    b.preload(sim)
+    graph = sim.run(stim)
+    sys.setprofile(None)
+    print(json.dumps({
+        "default": default,
+        "campaign": campaign,
+        "graph": len(calls) - default - campaign,
+        "same": sorted(graph) == sorted(fused) and all(
+            np.array_equal(graph[k], fused[k]) for k in fused),
+    }))
+""")
+
+
+def test_default_path_never_partitions():
+    """A fresh interpreter counts every ``partition()`` call: none for
+    ``from_source`` -> ``simulator()`` -> ``run()`` or for a campaign
+    worker's ``flow.compile()`` + ``BatchSimulator``; one when the
+    ``graph`` executor first reads the same model's task graph, whose
+    outputs match the fused engine's."""
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARTITION_CALLS_CHILD],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"default": 0, "campaign": 0, "graph": 1, "same": True}

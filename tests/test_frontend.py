@@ -223,17 +223,13 @@ def test_bundled_designs_lower_to_trees(name):
 # ---------------------------------------------------------------------------
 
 FUSED_SHA256 = {
-    # Byte-identical to the deep-copying front end.
-    "counter": "dbcf73cc9ff38572d54780ea2661cfd5dad0ddb68eb01e22c75c1d32f7255889",
-    "crypto": "bcdf003486e79504ba3832aa7d3f017ac212ca7a5ff02cab80775af31324254f",
-    "nvdla": "ad2fd201df5e45eb15698e3bf7bb0fb1eb7283dddf4c804acdbaad8453c45b4f",
-    "spinal": "72e6210bb648064b6d917cb159936e7fb8cbd6b203d43dc595330eb96df6f652",
-    # Re-pinned: with shared arms, `c ? x : x` merges collapse to `x`.
-    # The next-PC mux loses three redundant `pc + 4` arms, and one 32-bit
-    # and one packed 1-bit select elsewhere collapse.  The three
-    # `opcode == k` compares those arms used are still read by a later
-    # mux, so they are only emitted later: 45 temporaries either way.
-    "riscv_mini": "554a9835bb683c6bfe57672b39456f41172c463ec0b4428a1f95b62658443f5e",
+    # Built from the RTL graph, no partition: the comb program is
+    # `graph.levels` flattened, one seq program per clock domain.
+    "counter": "404c1e0c0469bc9bce6559be348dfbfd76db7a57fbd434e4af884784fec68e49",
+    "crypto": "2034b2a7c9d3c20927cc2a4cd0fbed7d9add867f318a96c0c9c821a916cdd09a",
+    "nvdla": "05dd9285b34f2c1f8244bb5d6950479d0d77f9e16dbd03b5d4a47548b1692243",
+    "spinal": "1f590e0efde2cb25b75963a18fe6656dbcc3dacf95554902768cb184326aa652",
+    "riscv_mini": "a560b6fac6ba4ce7ec68b27a1c9a8a42256a4191e546e9b1846814ecc33216f9",
 }
 
 

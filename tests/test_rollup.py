@@ -352,8 +352,7 @@ class TestValueNumbering:
 
         graph = assert_batch_matches_reference(
             MASKMIX_V, "maskmix", n=67, cycles=12, seed=4)
-        fused = codegen.FusedProgramCodegen(
-            codegen.partition(graph)).compile()
+        fused = codegen.FusedProgramCodegen(graph).compile()
         # Two conditions, each evaluated once; the six other masks are
         # sign-extensions or truncations of the first.
         assert fused.stats["temporaries"] == 8
@@ -371,8 +370,7 @@ class TestValueNumbering:
 
         graph = assert_batch_matches_reference(
             WIDECOND_V, "widecond", n=67, cycles=16, seed=4)
-        fused = codegen.FusedProgramCodegen(
-            codegen.partition(graph)).compile()
+        fused = codegen.FusedProgramCodegen(graph).compile()
         src = fused.source
         # Narrow mask first (sign-extended to 32 and 64 bits), wide mask
         # first (truncated to 16 and 8), for both kinds of condition.
@@ -395,8 +393,7 @@ class TestValueNumbering:
         src = widecond_rolled_source()
         graph = assert_batch_matches_reference(
             src, "widecondr", n=n, cycles=10, seed=n)
-        fused = codegen.FusedProgramCodegen(
-            codegen.partition(graph)).compile()
+        fused = codegen.FusedProgramCodegen(graph).compile()
         assert fused.stats["rolled_runs"] == 3
         # Inside the 32-bit run the per-block 8-bit mask is sign-extended.
         assert "_row.view(np.int8).astype(np.int32).view(u32)" in fused.source
@@ -520,7 +517,7 @@ class TestProgramSizes:
         # constant-aware lowering leaves nothing to change.
         fused = _fused("counter")
         assert hashlib.sha256(fused.source.encode()).hexdigest() == (
-            "dbcf73cc9ff38572d54780ea2661cfd5dad0ddb68eb01e22c75c1d32f7255889")
+            "404c1e0c0469bc9bce6559be348dfbfd76db7a57fbd434e4af884784fec68e49")
 
     def test_crypto_lowers_by_operand_kind(self):
         fused = _fused("crypto", rounds=4)

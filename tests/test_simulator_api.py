@@ -1,5 +1,6 @@
 """Tests for the BatchSimulator public API (checkpointing, traces, flows)."""
 
+import inspect
 import pickle
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from repro import RTLFlow
 from repro.core.codegen import transpile
 from repro.core.simulator import BatchSimulator
+from repro.designs import get_design
+from repro.partition.merge import partition
+from repro.partition.weights import WeightVector
 from repro.stimulus.generator import random_batch
 from repro.utils.errors import SimulationError
 
@@ -125,12 +129,22 @@ class TestFlowApi:
         assert w1 is w2
 
     def test_weights_and_use_mcmc_conflict(self):
-        from repro.partition.weights import WeightVector
-
         flow = RTLFlow.from_source(COUNTER_V, "counter")
         w = WeightVector.ones(flow.graph)
         with pytest.raises(ValueError):
             flow.taskgraph(weights=w, use_mcmc=True)
+
+    def test_simulator_takes_no_partition_settings(self):
+        params = list(inspect.signature(RTLFlow.simulator).parameters)
+        assert params == ["self", "n", "executor", "device"]
+
+    def test_default_compile_partitions_on_first_read(self):
+        flow = RTLFlow.from_source(COUNTER_V, "counter")
+        model = flow.compile()
+        model.fused()
+        assert model._taskgraph is None
+        assert _tasks(model.taskgraph) == _tasks(partition(flow.graph))
+        assert model.taskgraph is model.taskgraph
 
     def test_directed_stimulus(self):
         flow = RTLFlow.from_source(COUNTER_V, "counter")
@@ -139,6 +153,55 @@ class TestFlowApi:
         )
         assert stim.cycles == 12
         assert stim.n == 4
+
+
+def _spinal_flow():
+    b = get_design("spinal")
+    return RTLFlow.from_source(b.source, b.top)
+
+
+def _scaled(graph, s):
+    w = WeightVector.ones(graph)
+    w.values = {t: s for t in w.values}
+    return w
+
+
+def _tasks(tg):
+    return [t.nodes for t in tg.tasks]
+
+
+class TestCompileCache:
+    """``RTLFlow.compile`` keys its models by weight values: keyed by
+    ``id(weights)``, a freed vector's reused id returned a model
+    partitioned for other weights, and ``use_mcmc`` returned the first
+    tuning's model after a second one."""
+
+    def test_fresh_weight_vectors_get_their_own_partition(self):
+        flow = _spinal_flow()
+        g = flow.graph
+        for i in range(40):
+            # Each vector is freed after its call, so ids get reused.
+            got = flow.compile(weights=_scaled(g, 1.0 + i / 4)).taskgraph
+            want = partition(g, weights=_scaled(g, 1.0 + i / 4))
+            assert _tasks(got) == _tasks(want), i
+
+    def test_use_mcmc_follows_the_latest_tuning(self, monkeypatch):
+        from repro.partition import mcmc
+
+        flow = _spinal_flow()
+        g = flow.graph
+        tuned = iter([_scaled(g, 1.0), _scaled(g, 8.0)])
+        monkeypatch.setattr(
+            mcmc.MCMCPartitioner, "optimize",
+            lambda self: mcmc.MCMCResult(next(tuned), 1.0, 1.0))
+        first = flow.optimize_partition().weights
+        m1 = flow.compile(use_mcmc=True)
+        second = flow.optimize_partition().weights
+        m2 = flow.compile(use_mcmc=True)
+        assert _tasks(partition(g, weights=first)) != _tasks(
+            partition(g, weights=second))
+        assert m2 is not m1
+        assert _tasks(m2.taskgraph) == _tasks(partition(g, weights=second))
 
 
 class TestStopCondition:
