@@ -550,6 +550,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _lane_faults(args) -> list:
+    """``--inject-lane-fault CYCLE:LANE[:REASON]`` as campaign triples."""
+    from repro import resilience as rz
+
+    faults = []
+    for s in args.inject_lane_fault:
+        try:
+            f = rz.parse_lane_fault(s)
+        except ValueError as exc:
+            raise ReproError(str(exc)) from exc
+        faults.append((f.cycle, f.lane, f.reason))
+    return faults
+
+
 def cmd_campaign(args) -> int:
     """Run a bundled design as a sharded multi-process campaign."""
     from repro import resilience as rz
@@ -574,13 +588,7 @@ def cmd_campaign(args) -> int:
         print(f"verify: {args.design} passed; workers will re-verify",
               file=sys.stderr)
 
-    lane_faults = []
-    for s in args.inject_lane_fault:
-        try:
-            f = rz.parse_lane_fault(s)
-        except ValueError as exc:
-            raise ReproError(str(exc)) from exc
-        lane_faults.append((f.cycle, f.lane, f.reason))
+    lane_faults = _lane_faults(args)
 
     crash = {}
     for s in args.inject_worker_crash:
@@ -690,18 +698,11 @@ def cmd_serve(args) -> int:
 
 def _submit_spec(args):
     """Build the CampaignSpec a ``repro submit`` invocation describes."""
-    from repro import resilience as rz
     from repro.cluster import CampaignSpec
     from repro.designs import get_design
 
     bundle = get_design(args.design)
-    lane_faults = []
-    for s in args.inject_lane_fault:
-        try:
-            f = rz.parse_lane_fault(s)
-        except ValueError as exc:
-            raise ReproError(str(exc)) from exc
-        lane_faults.append((f.cycle, f.lane, f.reason))
+    lane_faults = _lane_faults(args)
     spec = CampaignSpec(
         n=args.batch,
         cycles=args.cycles,
@@ -1050,7 +1051,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heartbeat-timeout", type=float, default=None,
                    metavar="T",
                    help="declare a worker dead after T seconds of silence "
-                        "(default: process-death detection only)")
+                        "on a dispatched shard; workers heartbeat every "
+                        "min(0.25, T/4) s (default: process-death "
+                        "detection only)")
     p.add_argument("--max-restarts", type=int, default=3,
                    help="restart budget per shard before the campaign "
                         "fails (default 3)")

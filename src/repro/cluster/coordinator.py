@@ -1,24 +1,23 @@
 """The campaign coordinator: shard scheduling, liveness, crash recovery.
 
-The coordinator owns a pool of spawn-started worker processes and a
-work queue of lane shards (more shards than workers — see
-:func:`~repro.cluster.spec.plan_shards`).  Shards are dispatched to
-whichever worker frees up first, so a slow shard never staggers the
-rest of the campaign behind it.
+The coordinator plans a campaign into lane shards (more shards than
+workers — see :func:`~repro.cluster.spec.plan_shards`) and drives a
+:class:`~repro.cluster.pool.ShardPool` from one synchronous loop,
+whatever the worker count: shards go to whichever worker frees up first,
+so a slow shard never staggers the rest of the campaign behind it.
 
-Failure handling, layered on PR 4's resilience machinery:
+Failure handling, layered on the resilience layer (the pool makes the
+retry-or-give-up decision; this loop acts on it):
 
-* **Worker death** (SIGKILL, OOM, segfault): detected by process exit
-  while a shard is in flight.  The shard is re-queued and a fresh worker
-  is spawned; the retry resumes from the shard's own durable
-  :class:`~repro.resilience.CheckpointManager` checkpoint when one
-  exists (from scratch otherwise — same merged result either way, the
-  checkpoint only saves recomputation).  A shard that keeps killing its
-  workers exhausts ``max_restarts`` and fails the campaign.
-* **Worker silence**: heartbeats ride the shared result queue; an
-  optional ``heartbeat_timeout`` declares a silent worker dead and
-  forcibly terminates it (off by default — process death detection is
-  the primary signal).
+* **Worker death** (SIGKILL, OOM, segfault): the shard is re-queued and
+  a fresh worker is spawned; the retry resumes from the shard's own
+  durable :class:`~repro.resilience.CheckpointManager` checkpoint when
+  one exists (from scratch otherwise — same merged result either way,
+  the checkpoint only saves recomputation).  A shard that keeps killing
+  its workers exhausts ``max_restarts`` and fails the campaign.
+* **Worker silence**: with ``heartbeat_timeout`` set, a worker holding a
+  shard that sends nothing for that long is terminated and handled as a
+  death (off by default — process death detection is the primary signal).
 * **Coordinator death**: each completed shard's payload is persisted
   atomically under ``checkpoint_dir`` (``result-shard-NNNN.pkl``);
   ``resume=True`` reloads completed shards instantly and restarts only
@@ -37,49 +36,27 @@ undercount the merged report.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import obs
 from repro.cluster.merge import CampaignResult, ShardOutcome, merge_payloads
+from repro.cluster.pool import ShardPool
 from repro.cluster.spec import CampaignSpec, ShardSpec, plan_shards
-from repro.cluster.worker import PAYLOAD_SCHEMA, run_shard_inline, worker_main
+from repro.cluster.worker import PAYLOAD_SCHEMA
 from repro.resilience.checkpoint import atomic_write_bytes
 from repro.utils.errors import ClusterError
 
 __all__ = ["CampaignCoordinator", "run_campaign"]
 
-_POLL_S = 0.1
-
-
-class _Worker:
-    """Coordinator-side handle for one worker process."""
-
-    __slots__ = ("id", "process", "task_q", "current", "last_seen")
-
-    def __init__(self, id: int, process, task_q):
-        self.id = id
-        self.process = process
-        self.task_q = task_q
-        self.current: Optional[dict] = None  # in-flight task, if any
-        self.last_seen = time.monotonic()
-
 
 class CampaignCoordinator:
-    """Splits one campaign into lane shards and runs them out of process.
+    """Splits one campaign into lane shards and runs them on a pool.
 
-    ``stimulus`` may be an explicit batch (``StimulusBatch`` or, for the
-    no-decode handoff, ``TextStimulusBatch``); the coordinator slices it
-    per shard with ``.lanes(lo, hi)`` and ships the slice inside the task
-    message.  Without it, workers regenerate stimulus from the spec's
-    seed and slice locally.
-
-    ``workers=0`` runs every shard inline in this process (no
+    ``workers=0`` runs every shard in this process on this thread (no
     multiprocessing; crash injection is ignored) — the same code path
     end to end, handy for debugging and deterministic tests.
     """
@@ -91,14 +68,9 @@ class CampaignCoordinator:
         shard_lanes: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
-        stimulus=None,
         inject_worker_crash: Optional[Dict[int, int]] = None,
-        heartbeat_seconds: float = 0.5,
         heartbeat_timeout: Optional[float] = None,
         max_restarts: int = 3,
-        start_method: str = "spawn",
-        metrics=None,
-        tracer=None,
         store=None,
     ):
         spec.validate()
@@ -106,10 +78,6 @@ class CampaignCoordinator:
             raise ClusterError(f"worker count must be >= 0, got {workers}")
         if resume and not checkpoint_dir:
             raise ClusterError("resume=True requires a checkpoint_dir")
-        if stimulus is not None and getattr(stimulus, "n", spec.n) != spec.n:
-            raise ClusterError(
-                f"explicit stimulus has {stimulus.n} lanes, spec expects {spec.n}"
-            )
         self.spec = spec
         self.workers = workers
         self.shards = plan_shards(spec.n, max(1, workers), shard_lanes)
@@ -117,14 +85,9 @@ class CampaignCoordinator:
             os.path.abspath(checkpoint_dir) if checkpoint_dir else None
         )
         self.resume = resume
-        self.stimulus = stimulus
         self.inject_worker_crash = dict(inject_worker_crash or {})
-        self.heartbeat_seconds = heartbeat_seconds
         self.heartbeat_timeout = heartbeat_timeout
         self.max_restarts = max_restarts
-        self.start_method = start_method
-        self.metrics = metrics
-        self.tracer = tracer
         # Content-addressed result store (repro.serve.store.ResultStore
         # or a directory path): shards whose content key is already in
         # the store are adopted instead of simulated, and every freshly
@@ -191,23 +154,6 @@ class CampaignCoordinator:
             return None
         return payload
 
-    def _load_from_store(self, shard: ShardSpec):
-        """Adopt ``shard``'s result from the content-addressed store.
-
-        The stored payload may come from a *different* campaign whose
-        shard content matched (that is the point of content addressing);
-        :func:`~repro.serve.store.adopt_payload` re-stamps it with this
-        campaign's signature after the key proves equivalence.
-        """
-        from repro.serve.store import adopt_payload
-
-        payload = self.store.get(self.spec.shard_signature(shard))
-        if payload is None or payload.get("schema") != PAYLOAD_SCHEMA:
-            return None
-        payload = adopt_payload(payload, self.spec, shard)
-        self._outcomes[shard.id].cache_hit = True
-        return payload
-
     # -- task construction -----------------------------------------------------
 
     def _make_task(self, shard: ShardSpec, attempt: int) -> dict:
@@ -217,23 +163,13 @@ class CampaignCoordinator:
             and not self.spec.coverage  # coverage is not checkpointed
         )
         crash = None
-        if attempt == 0:
+        if attempt == 0 and self.workers:  # never SIGKILL the caller
             crash = self.inject_worker_crash.get(shard.id)
         return {
             "shard": (shard.id, shard.lo, shard.hi),
             "attempt": attempt,
             "resume": resume,
             "crash_cycle": crash,
-            "stimulus": (
-                self.stimulus.lanes(shard.lo, shard.hi)
-                if self.stimulus is not None else None
-            ),
-        }
-
-    def _worker_cfg(self) -> dict:
-        return {
-            "checkpoint_dir": self.checkpoint_dir,
-            "heartbeat_seconds": self.heartbeat_seconds,
         }
 
     # -- running ---------------------------------------------------------------
@@ -248,7 +184,8 @@ class CampaignCoordinator:
                 if (self.resume and self.checkpoint_dir) else None
             )
             if payload is None and self.store is not None:
-                payload = self._load_from_store(shard)
+                payload = self.store.lookup(self.spec, shard)
+                self._outcomes[shard.id].cache_hit = payload is not None
             if payload is not None:
                 done[shard.id] = payload
                 out = self._outcomes[shard.id]
@@ -257,130 +194,37 @@ class CampaignCoordinator:
             else:
                 pending.append((shard, 0))
         if pending:
-            if self.workers == 0:
-                self._run_inline(pending, done)
-            else:
-                self._run_pool(pending, done)
+            self._drive(pending, done)
         result = self._merge(done)
         result.wall_seconds = time.monotonic() - t_start
         return result
 
-    def _run_inline(self, pending: deque, done: Dict[int, dict]) -> None:
-        cfg = self._worker_cfg()
-        while pending:
-            shard, attempt = pending.popleft()
-            task = self._make_task(shard, attempt)
-            task["crash_cycle"] = None  # never SIGKILL the caller
-            payload = run_shard_inline(self.spec, task, cfg)
-            self._complete(shard.id, payload, done)
-
-    def _run_pool(self, pending: deque, done: Dict[int, dict]) -> None:
+    def _drive(self, pending: deque, done: Dict[int, dict]) -> None:
+        """Dispatch ``pending`` to a pool until every shard is ``done``."""
         total = len(done) + len(pending)
-        ctx = mp.get_context(self.start_method)
-        result_q = ctx.Queue()
-        alive: Dict[int, _Worker] = {}
-        spawned: List[_Worker] = []
-        next_id = 0
-
-        def spawn() -> _Worker:
-            nonlocal next_id
-            task_q = ctx.Queue()
-            proc = ctx.Process(
-                target=worker_main,
-                args=(next_id, self.spec, task_q, result_q, self._worker_cfg()),
-                daemon=True,
-                name=f"repro-cluster-w{next_id}",
-            )
-            proc.start()
-            w = _Worker(next_id, proc, task_q)
-            alive[w.id] = w
-            spawned.append(w)
-            next_id += 1
-            return w
-
-        idle: deque = deque(
-            spawn() for _ in range(min(self.workers, len(pending)))
-        )
+        pool = ShardPool(
+            min(self.workers, len(pending)),
+            checkpoint_dir=self.checkpoint_dir,
+            max_restarts=self.max_restarts,
+            heartbeat_timeout=self.heartbeat_timeout,
+            warm=self.spec,
+        ).start()
         try:
             while len(done) < total:
-                while idle and pending:
-                    w = idle.popleft()
+                for wid in pool.idle()[:len(pending)]:
                     shard, attempt = pending.popleft()
-                    task = self._make_task(shard, attempt)
-                    w.current = task
-                    w.task_q.put(task)
-                self._pump_messages(result_q, alive, idle, done)
-                self._reap_dead(alive, idle, pending, spawn, done)
-                if self.heartbeat_timeout is not None:
-                    self._enforce_heartbeats(alive)
+                    pool.send(wid, None, self.spec,
+                              self._make_task(shard, attempt))
+                for kind, _wid, _job, sid, data in pool.poll():
+                    if kind == "result" and sid not in done:
+                        self._complete(sid, data, done)
+                    elif kind == "retry":
+                        pending.appendleft((self.shards[sid], data))
+                        self.restarts += 1
+                    elif kind == "error":
+                        raise ClusterError(data)
         finally:
-            self._shutdown(spawned)
-
-    def _pump_messages(self, result_q, alive, idle, done) -> None:
-        """Drain the result queue: one timed get, then whatever is ready."""
-        block = True
-        while True:
-            try:
-                msg = result_q.get(timeout=_POLL_S if block else 0)
-            except queue_mod.Empty:
-                return
-            block = False
-            kind, wid = msg[0], msg[1]
-            w = alive.get(wid)
-            if w is not None:
-                w.last_seen = time.monotonic()
-            if kind == "heartbeat":
-                continue
-            if kind in ("ready", "started"):
-                continue
-            if kind == "result":
-                _kind, _wid, sid, payload = msg
-                if w is not None:
-                    w.current = None
-                    idle.append(w)
-                if sid not in done:  # a re-run raced its twin: first wins
-                    self._complete(sid, payload, done)
-                continue
-            if kind in ("error", "fatal"):
-                _kind, _wid, sid, text = msg
-                where = f"shard {sid}" if sid is not None else "startup"
-                raise ClusterError(
-                    f"worker {wid} failed deterministically at {where}: {text}"
-                )
-
-    def _reap_dead(self, alive, idle, pending, spawn, done) -> None:
-        for wid in [w for w in alive if alive[w].process.exitcode is not None]:
-            w = alive.pop(wid)
-            try:
-                idle.remove(w)
-            except ValueError:
-                pass
-            task = w.current
-            if task is not None:
-                sid = task["shard"][0]
-                if sid not in done:
-                    attempt = task["attempt"] + 1
-                    if attempt > self.max_restarts:
-                        raise ClusterError(
-                            f"shard {sid} killed {attempt} worker(s) "
-                            f"(max_restarts={self.max_restarts}); giving up"
-                        )
-                    shard = self.shards[sid]
-                    pending.appendleft((shard, attempt))
-                    self.restarts += 1
-            if pending:
-                idle.append(spawn())
-
-    def _enforce_heartbeats(self, alive) -> None:
-        now = time.monotonic()
-        for w in alive.values():
-            if (
-                w.current is not None
-                and now - w.last_seen > self.heartbeat_timeout
-            ):
-                # Silent but alive: force the crash path to reclaim the
-                # shard (the reap on the next loop iteration requeues it).
-                w.process.terminate()
+            pool.stop()
 
     def _complete(self, shard_id: int, payload: dict, done: Dict[int, dict]):
         if payload.get("signature") != self.spec.signature():
@@ -401,30 +245,10 @@ class CampaignCoordinator:
         out.wall_seconds = payload.get("wall_seconds", 0.0)
         out.pid = payload.get("pid")
 
-    def _shutdown(self, spawned: List[_Worker]) -> None:
-        for w in spawned:
-            if w.process.exitcode is None:
-                try:
-                    w.task_q.put(None)
-                except Exception:
-                    pass
-        deadline = time.monotonic() + 5.0
-        for w in spawned:
-            w.process.join(timeout=max(0.1, deadline - time.monotonic()))
-        for w in spawned:
-            if w.process.exitcode is None:
-                w.process.terminate()
-                w.process.join(timeout=1.0)
-            if w.process.exitcode is None:
-                w.process.kill()
-
     # -- merging ---------------------------------------------------------------
 
     def _merge(self, done: Dict[int, dict]) -> CampaignResult:
-        result = merge_payloads(
-            self.spec, list(done.values()),
-            metrics=self.metrics, tracer=self.tracer,
-        )
+        result = merge_payloads(self.spec, list(done.values()))
         result.shards = [self._outcomes[s.id] for s in self.shards]
         result.restarts = self.restarts
         result.workers = self.workers

@@ -1,9 +1,10 @@
 """Serializable campaign description + the lane-shard planner.
 
-A :class:`CampaignSpec` is the *whole* contract between the coordinator
-and its worker processes: plain picklable data (a bundled design name or
-raw Verilog text, batch geometry, executor kind, fault/checkpoint
-options) from which every worker rebuilds its own compiled design.
+A :class:`CampaignSpec` is the *whole* contract between a front end (the
+campaign coordinator or the campaign service) and the worker loop: plain
+picklable data (a bundled design name or raw Verilog text, batch
+geometry, executor kind, fault/checkpoint options) from which every
+worker rebuilds its own compiled design.
 Nothing compiled ever crosses a process boundary — kernels are plain
 Python functions created by ``exec`` and cannot be pickled, and spawn
 (the portable, fork-safety-free start method) would reject them anyway.
@@ -58,9 +59,9 @@ class CampaignSpec:
     Workers regenerate stimulus from ``seed`` (the bundle's stimulus
     recipe, or ``RTLFlow.random_stimulus`` for raw sources) and slice
     their own lane range, so a sharded campaign consumes lane-for-lane
-    the same stimulus as a single-process run.  Explicit stimulus objects
-    are instead sliced by the coordinator and shipped with each task (see
-    ``CampaignCoordinator``).
+    the same stimulus as a single-process run.  The signature is the
+    worker's cache key: shards of one campaign, from either front end, reuse
+    one compiled design.
     """
 
     n: int

@@ -1,23 +1,35 @@
-"""The shard worker process (spawn-safe entry point).
+"""The shard worker loop (spawn-safe entry point).
 
-Each worker rebuilds its compiled design **once** from the picklable
-:class:`~repro.cluster.spec.CampaignSpec` (parse → elaborate → transpile
-→ compile; no kernel objects cross the process boundary), then serves
-shards from its task queue until it receives the ``None`` sentinel.
+One loop serves both front ends: ``repro campaign`` (the
+:class:`~repro.cluster.coordinator.CampaignCoordinator`) and ``repro
+serve`` (the :class:`~repro.serve.server.CampaignService`) both send it
+job-tagged ``(job_id, spec, task)`` messages through a
+:class:`~repro.cluster.pool.ShardPool`.  A worker keeps a small LRU of
+compiled designs keyed by campaign signature: the first shard of a
+campaign pays parse → elaborate → transpile → compile (no kernel objects
+cross the process boundary), every later shard of it reuses the build
+and its stimulus.
 
 Per shard, the worker:
 
-* slices its lane range out of the campaign stimulus (regenerated from
-  the spec's seed, or shipped pre-sliced with the task for explicit
-  stimulus),
+* slices its lane range out of the campaign stimulus, regenerated once
+  per design from the spec's seed,
 * runs a shard-sized :class:`~repro.core.simulator.BatchSimulator` under
   its own :class:`~repro.resilience.CheckpointManager` (directory
   ``<checkpoint_dir>/shard-NNNN``) so a crashed shard resumes from its
   own durable snapshot,
-* emits heartbeats through the shared result queue from the simulator's
-  per-cycle ``progress`` hook (the coordinator's liveness signal), and
+* reports ``progress`` from the simulator's per-cycle ``progress`` hook
+  at the heartbeat interval (the pool's liveness signal and the
+  service's job-status feed), and
 * returns outputs, shard-local lane faults, toggle coverage, a metrics
   dump and trace spans as one plain-data payload.
+
+Messages up the result queue, one shape for all of them::
+
+    ("ready",    worker_id, None,   None,     pid)
+    ("progress", worker_id, job_id, shard_id, cycles_done)
+    ("result",   worker_id, job_id, shard_id, payload)
+    ("error",    worker_id, job_id, shard_id, "shard N failed: Type: text")
 
 Crash injection for tests/CI rides the same ``progress`` hook: a task
 carrying ``crash_cycle`` SIGKILLs its own process after that cycle —
@@ -29,7 +41,8 @@ from __future__ import annotations
 import os
 import signal
 import time
-from typing import Optional
+from collections import OrderedDict
+from typing import Callable, Optional
 
 from repro import obs
 from repro.cluster.spec import CampaignSpec, ShardSpec
@@ -39,18 +52,29 @@ from repro.resilience.checkpoint import CheckpointManager, CheckpointPolicy
 from repro.resilience.inject import FaultPlan, LaneFaultSpec
 from repro.utils.errors import CheckpointError
 
-__all__ = ["worker_main", "run_shard_inline"]
+__all__ = ["WorkerLoop", "run_shard_inline", "run_worker"]
 
 PAYLOAD_SCHEMA = 1
 
+#: Compiled designs one worker keeps warm; evicting one only costs a
+#: rebuild on that campaign's next shard.
+CONTEXT_CACHE = 4
+
+#: Longest gap between two ``progress`` messages of a busy worker.  The
+#: pool shortens it to a quarter of its silence timeout when that is
+#: tighter, so a worker that is simulating is never mistaken for a hung one.
+HEARTBEAT_SECONDS = 0.25
+
+#: Rate limit on the simulator's progress hook when nothing needs it
+#: every cycle (coverage sampling and crash injection do).
+PROGRESS_MIN_INTERVAL = 0.05
+
 
 class _Heartbeat:
-    """Rate-limited liveness pings through the shared result queue."""
+    """Rate-limited ``progress`` reports through ``beat(cycles_done)``."""
 
-    def __init__(self, result_q, worker_id: int, shard_id: int, every_s: float):
-        self.result_q = result_q
-        self.worker_id = worker_id
-        self.shard_id = shard_id
+    def __init__(self, beat: Callable[[int], None], every_s: float):
+        self.beat = beat
         self.every_s = every_s
         self._last = time.monotonic()
         self.sent = 0
@@ -60,18 +84,14 @@ class _Heartbeat:
         if now - self._last >= self.every_s:
             self._last = now
             self.sent += 1
-            self.result_q.put(
-                ("heartbeat", self.worker_id, self.shard_id, cycles_done, now)
-            )
+            self.beat(cycles_done)
 
 
 class _WorkerContext:
-    """One worker's long-lived state: compiled model + cached stimulus."""
+    """One compiled campaign design plus its cached stimulus."""
 
-    def __init__(self, worker_id: int, spec: CampaignSpec, result_q, cfg: dict):
-        self.worker_id = worker_id
+    def __init__(self, spec: CampaignSpec, cfg: dict):
         self.spec = spec
-        self.result_q = result_q
         self.cfg = cfg
         self.bundle = None
         # Lint already ran (or was waived) wherever the spec was built;
@@ -96,8 +116,7 @@ class _WorkerContext:
             report = verify_model(self.model, filename=f"<design:{name}>")
             if report.errors:
                 raise ClusterError(
-                    f"worker {worker_id}: verifier rejected the rebuilt "
-                    f"model for {name}: "
+                    f"verifier rejected the rebuilt model for {name}: "
                     + "; ".join(d.message for d in report.errors[:3])
                     + (f" (+{len(report.errors) - 3} more)"
                        if len(report.errors) > 3 else "")
@@ -107,7 +126,7 @@ class _WorkerContext:
     def full_stimulus(self):
         """The whole-campaign stimulus, regenerated from the spec's seed.
 
-        Generated once per worker and sliced per shard: generation is
+        Generated once per context and sliced per shard: generation is
         deterministic in the seed, so every worker (and a single-process
         run) sees lane-for-lane identical stimulus.
         """
@@ -138,7 +157,9 @@ class _WorkerContext:
             os.path.join(root, f"shard-{shard_id:04d}"), policy=policy
         )
 
-    def run_shard(self, task: dict) -> dict:
+    def run_shard(self, task: dict,
+                  beat: Optional[Callable[[int], None]] = None) -> dict:
+        """Run one shard; ``beat(cycles_done)`` receives the heartbeats."""
         spec = self.spec
         shard = ShardSpec(*task["shard"])
         t_start = time.monotonic()
@@ -150,10 +171,8 @@ class _WorkerContext:
             ])
             if shard_faults else None
         )
-        hb = _Heartbeat(
-            self.result_q, self.worker_id, shard.id,
-            self.cfg.get("heartbeat_seconds", 0.5),
-        )
+        every_s = self.cfg.get("heartbeat_seconds", HEARTBEAT_SECONDS)
+        hb = _Heartbeat(beat, every_s) if beat is not None else None
         crash_cycle = task.get("crash_cycle")
         with obs.capture() as (tracer, metrics):
             sim = BatchSimulator(
@@ -162,9 +181,7 @@ class _WorkerContext:
             )
             if self.bundle is not None:
                 self.bundle.preload(sim)
-            stim = task.get("stimulus")
-            if stim is None:
-                stim = self.full_stimulus().lanes(shard.lo, shard.hi)
+            stim = self.full_stimulus().lanes(shard.lo, shard.hi)
             mgr = self._checkpoint_manager(shard.id)
             start = 0
             if mgr is not None and task.get("resume"):
@@ -185,20 +202,17 @@ class _WorkerContext:
             def progress(cycle: int) -> None:
                 if cov is not None:
                     cov.sample()
-                hb.tick(sim.cycles_run)
+                if hb is not None:
+                    hb.tick(sim.cycles_run)
                 if crash_cycle is not None and sim.cycles_run >= crash_cycle:
                     # A genuine worker death (no cleanup, no exception):
                     # the durable checkpoint written above is all that
                     # survives, exactly like a real OOM-kill.
                     os.kill(os.getpid(), signal.SIGKILL)
 
-            # Coverage sampling and crash injection ride the progress
-            # hook and need every cycle; plain heartbeat/streaming
-            # consumers may rate-limit it (the campaign service does).
-            min_interval = self.cfg.get("progress_min_interval", 0.0)
-            if cov is not None or crash_cycle is not None:
-                min_interval = 0.0
-
+            # Coverage sampling and crash injection need every cycle;
+            # heartbeats only need a few samples per interval.
+            every_cycle = cov is not None or crash_cycle is not None
             outputs = sim.run(
                 stim,
                 watch=spec.watch,
@@ -209,8 +223,10 @@ class _WorkerContext:
                 checkpoint=mgr,
                 fault_plan=plan,
                 start_cycle=start,
-                progress=progress,
-                progress_min_interval=min_interval,
+                progress=progress if every_cycle or hb is not None else None,
+                progress_min_interval=(
+                    0.0 if every_cycle else min(PROGRESS_MIN_INTERVAL, every_s)
+                ),
             )
             if mgr is not None:
                 # Terminal snapshot: a coordinator killed between this
@@ -241,53 +257,76 @@ class _WorkerContext:
             "epoch": getattr(tracer, "_t0", 0.0),
             "cycles_run": sim.cycles_run,
             "resumed_from": start,
-            "heartbeats": hb.sent,
+            "heartbeats": hb.sent if hb is not None else 0,
             "wall_seconds": time.monotonic() - t_start,
             "pid": os.getpid(),
         }
 
 
 def run_shard_inline(spec: CampaignSpec, task: dict, cfg: dict) -> dict:
-    """Run one shard in the calling process (workers=0 debug path and
-    deterministic unit tests — identical code path minus the queues)."""
-
-    class _Sink:
-        def put(self, _msg):
-            pass
-
-    ctx = _WorkerContext(-1, spec, _Sink(), cfg)
-    return ctx.run_shard(task)
+    """Build ``spec``'s design and run one shard in the calling process,
+    outside any pool (unit tests and the benchmark's hand-driven campaign)."""
+    return _WorkerContext(spec, cfg).run_shard(task)
 
 
-def worker_main(worker_id: int, spec: CampaignSpec, task_q, result_q, cfg: dict):
-    """Worker process entry: build once, then serve shards until sentinel.
+class WorkerLoop:
+    """One worker: a signature-keyed LRU of compiled designs and ``emit``.
 
-    A deterministic failure while running a shard is reported as an
-    ``("error", ...)`` message — rerunning it would fail identically, so
-    the coordinator fails the campaign instead of burning restarts.
-    Construction failures (bad design text, import skew) are ``"fatal"``.
+    Construction builds ``warm`` (when given) and then emits ``ready``,
+    so a pool's silence clock never runs during a worker's boot.  A
+    failed warm build is not reported here: the first shard that needs
+    the design rebuilds it and reports the failure as that shard's
+    ``error``.
     """
-    try:
-        ctx = _WorkerContext(worker_id, spec, result_q, cfg)
-    except BaseException as exc:  # noqa: BLE001 - must cross the process gap
-        result_q.put(
-            ("fatal", worker_id, None, f"{type(exc).__name__}: {exc}")
-        )
-        return
-    result_q.put(("ready", worker_id, None, os.getpid()))
-    while True:
-        task = task_q.get()
-        if task is None:
-            break
-        shard_id = task["shard"][0]
-        result_q.put(
-            ("started", worker_id, shard_id, task.get("attempt", 0))
-        )
+
+    def __init__(self, worker_id: int, emit: Callable[[tuple], None],
+                 cfg: dict, warm: Optional[CampaignSpec] = None):
+        self.worker_id = worker_id
+        self.emit = emit
+        self.cfg = cfg
+        self._contexts: "OrderedDict[str, _WorkerContext]" = OrderedDict()
+        if warm is not None:
+            try:
+                self._context(warm)
+            except Exception:  # noqa: BLE001 - reported by the first shard
+                pass
+        emit(("ready", worker_id, None, None, os.getpid()))
+
+    def _context(self, spec: CampaignSpec) -> _WorkerContext:
+        sig = spec.signature()
+        ctx = self._contexts.pop(sig, None)
+        if ctx is None:
+            ctx = _WorkerContext(spec, self.cfg)
+        self._contexts[sig] = ctx
+        while len(self._contexts) > CONTEXT_CACHE:
+            self._contexts.popitem(last=False)
+        return ctx
+
+    def serve(self, msg: tuple) -> None:
+        """Run one ``(job_id, spec, task)`` message to a result or error.
+
+        A failure is that shard's ``error`` and the loop keeps serving:
+        rerunning a deterministic failure would fail identically, and one
+        tenant's broken design must not take the worker from everyone else.
+        """
+        job_id, spec, task = msg
+        sid = task["shard"][0]
+
+        def beat(cycles_done: int) -> None:
+            self.emit(("progress", self.worker_id, job_id, sid, cycles_done))
+
         try:
-            payload = ctx.run_shard(task)
-        except BaseException as exc:  # noqa: BLE001 - must cross the process gap
-            result_q.put(
-                ("error", worker_id, shard_id, f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        result_q.put(("result", worker_id, shard_id, payload))
+            payload = self._context(spec).run_shard(task, beat)
+        except Exception as exc:  # noqa: BLE001 - must cross the queue
+            self.emit(("error", self.worker_id, job_id, sid,
+                       f"shard {sid} failed: {type(exc).__name__}: {exc}"))
+            return
+        self.emit(("result", self.worker_id, job_id, sid, payload))
+
+
+def run_worker(worker_id: int, task_q, result_q, cfg: dict,
+               warm: Optional[CampaignSpec] = None) -> None:
+    """Worker process entry: serve ``task_q`` until the ``None`` sentinel."""
+    loop = WorkerLoop(worker_id, result_q.put, cfg, warm)
+    for msg in iter(task_q.get, None):
+        loop.serve(msg)

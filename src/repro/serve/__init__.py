@@ -4,9 +4,10 @@ Simulation-as-a-service over the cluster runner: a long-running asyncio
 server (:class:`CampaignService`, CLI ``repro serve``) that accepts
 :class:`~repro.cluster.spec.CampaignSpec` submissions over a local
 HTTP/JSON API, schedules them *fairly* across tenants at shard
-granularity (:class:`FairScheduler`), executes shards on a pool of
-cluster workers, and never simulates the same content twice thanks to a
-content-addressed per-shard result store (:class:`ResultStore`).
+granularity (:class:`FairScheduler`), executes shards on the same
+:class:`~repro.cluster.pool.ShardPool` and worker loop ``repro
+campaign`` uses, and never simulates the same content twice thanks to
+a content-addressed per-shard result store (:class:`ResultStore`).
 
 The cache key is :meth:`CampaignSpec.shard_signature` — design text,
 seed, cycles, batch geometry, executor and the shard's own lane

@@ -14,10 +14,12 @@ One process, one event loop, three moving parts:
   published back.  An identical resubmission is pure lookups (hit rate
   1.0, zero simulations, byte-identical merged outputs); an edited
   campaign re-simulates only its changed shards.
-* **Worker pool** — ``workers > 0`` spawn-started processes running
-  :func:`~repro.serve.worker.service_worker_main` (the cluster worker
-  loop with a per-campaign compiled-context LRU); ``workers == 0`` the
-  same loop on one in-process thread (deterministic tests/debug).
+* **Worker pool** — the cluster's :class:`~repro.cluster.pool.ShardPool`,
+  the same pool and worker loop ``repro campaign`` drives: ``workers >
+  0`` spawn-started processes, ``workers == 0`` the loop on the
+  service's pump thread (deterministic tests/debug).  A pump thread
+  feeds worker messages into the event loop; a watchdog coroutine reaps
+  dead workers and requeues their shards.
 
 Durability: job records persist as JSON under ``<data_dir>/jobs`` and
 shard results live in the store, so a SIGTERM'd server drains its
@@ -44,20 +46,17 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import queue as queue_mod
 import re
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from collections import deque
-
 from repro.cluster.merge import ShardOutcome, merge_payloads
+from repro.cluster.pool import ShardPool
 from repro.cluster.spec import CampaignSpec, ShardSpec, plan_shards
-from repro.cluster.worker import PAYLOAD_SCHEMA
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.resilience.checkpoint import atomic_write_bytes
@@ -69,147 +68,13 @@ from repro.serve.protocol import (
     spec_to_dict,
 )
 from repro.serve.scheduler import FairScheduler
-from repro.serve.store import ResultStore, adopt_payload
-from repro.serve.worker import service_worker_main
+from repro.serve.store import ResultStore
 from repro.utils.errors import QueueFullError, ServiceError
 
 __all__ = ["CampaignService", "BackgroundService", "run_service"]
 
 _EVENT_CAP = 4096  # per-job in-memory event window
 _JOB_ID_RE = re.compile(r"^j\d{6}$")
-
-
-# ---------------------------------------------------------------------------
-# Worker pool (process or inline-thread homes for the same worker loop)
-
-
-class _WorkerHandle:
-    __slots__ = ("id", "task_q", "process", "thread", "busy")
-
-    def __init__(self, id: int, task_q, process=None, thread=None):
-        self.id = id
-        self.task_q = task_q
-        self.process = process
-        self.thread = thread
-        self.busy: Optional[Tuple[str, ShardSpec]] = None  # (job_id, shard)
-
-
-class _LoopQueue:
-    """A ``put``-only queue that delivers into the event loop thread."""
-
-    def __init__(self, loop: asyncio.AbstractEventLoop, handler):
-        self.loop = loop
-        self.handler = handler
-
-    def put(self, msg) -> None:
-        try:
-            self.loop.call_soon_threadsafe(self.handler, msg)
-        except RuntimeError:
-            pass  # loop already closed during shutdown
-
-
-class _WorkerPool:
-    """Spawn-process pool (``workers > 0``) or one inline thread (0)."""
-
-    def __init__(self, workers: int, cfg: dict):
-        self.workers = workers
-        self.cfg = cfg
-        self.handles: Dict[int, _WorkerHandle] = {}
-        self._next_id = 0
-        self._ctx = None
-        self._result_q = None
-        self._pump: Optional[threading.Thread] = None
-        self._loop_q: Optional[_LoopQueue] = None
-
-    def start(self, loop: asyncio.AbstractEventLoop, handler) -> None:
-        self._loop_q = _LoopQueue(loop, handler)
-        if self.workers <= 0:
-            self._spawn_thread()
-            return
-        import multiprocessing as mp
-
-        self._ctx = mp.get_context("spawn")
-        self._result_q = self._ctx.Queue()
-        self._pump = threading.Thread(
-            target=self._pump_main, name="repro-serve-pump", daemon=True
-        )
-        self._pump.start()
-        for _ in range(self.workers):
-            self.spawn()
-
-    def _pump_main(self) -> None:
-        while True:
-            msg = self._result_q.get()
-            if msg is None:
-                return
-            self._loop_q.put(msg)
-
-    def _spawn_thread(self) -> _WorkerHandle:
-        task_q: "queue_mod.Queue" = queue_mod.Queue()
-        wid = self._next_id
-        self._next_id += 1
-        th = threading.Thread(
-            target=service_worker_main,
-            args=(wid, task_q, self._loop_q, self.cfg),
-            name=f"repro-serve-w{wid}",
-            daemon=True,
-        )
-        th.start()
-        h = _WorkerHandle(wid, task_q, thread=th)
-        self.handles[wid] = h
-        return h
-
-    def spawn(self) -> _WorkerHandle:
-        if self.workers <= 0:
-            return self._spawn_thread()
-        wid = self._next_id
-        self._next_id += 1
-        task_q = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=service_worker_main,
-            args=(wid, task_q, self._result_q, self.cfg),
-            daemon=True,
-            name=f"repro-serve-w{wid}",
-        )
-        proc.start()
-        h = _WorkerHandle(wid, task_q, process=proc)
-        self.handles[wid] = h
-        return h
-
-    def send(self, wid: int, msg) -> None:
-        self.handles[wid].task_q.put(msg)
-
-    def dead_workers(self) -> List[_WorkerHandle]:
-        """Process-mode handles whose worker died (never fires inline)."""
-        return [
-            h for h in self.handles.values()
-            if h.process is not None and h.process.exitcode is not None
-        ]
-
-    def remove(self, wid: int) -> None:
-        self.handles.pop(wid, None)
-
-    def stop(self, timeout: float = 5.0) -> None:
-        for h in self.handles.values():
-            try:
-                h.task_q.put(None)
-            except Exception:
-                pass
-        deadline = time.monotonic() + timeout
-        for h in self.handles.values():
-            left = max(0.1, deadline - time.monotonic())
-            if h.process is not None:
-                h.process.join(timeout=left)
-                if h.process.exitcode is None:
-                    h.process.terminate()
-                    h.process.join(timeout=1.0)
-                if h.process.exitcode is None:
-                    h.process.kill()
-            elif h.thread is not None:
-                h.thread.join(timeout=left)
-        if self._result_q is not None:
-            self._result_q.put(None)  # release the pump thread
-        self.handles.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +120,6 @@ class CampaignService:
         store_max_bytes: Optional[int] = None,
         store_max_entries: Optional[int] = None,
         max_restarts: int = 3,
-        heartbeat_seconds: float = 0.25,
-        progress_min_interval: float = 0.05,
     ):
         self.data_dir = os.path.abspath(data_dir)
         self.jobs_dir = os.path.join(self.data_dir, "jobs")
@@ -265,7 +128,6 @@ class CampaignService:
         self.port = port
         self.workers = workers
         self.shard_lanes = shard_lanes
-        self.max_restarts = max_restarts
         self.store = ResultStore(
             os.path.join(self.data_dir, "store"),
             max_bytes=store_max_bytes,
@@ -281,12 +143,9 @@ class CampaignService:
         #: record the fairness tests (and acceptance criteria) read to
         #: see tenants' shards interleaving.
         self.shard_log: List[Tuple[str, str, int]] = []
-        self._pool = _WorkerPool(workers, {
-            "checkpoint_dir": None,
-            "heartbeat_seconds": heartbeat_seconds,
-            "progress_min_interval": progress_min_interval,
-        })
-        self._idle: Deque[int] = deque()
+        self._pool = ShardPool(workers, max_restarts=max_restarts)
+        self._pump: Optional[threading.Thread] = None
+        self._pump_stop = threading.Event()
         self._seq = 0
         self._next_job_num = 1
         self._wake: Optional[asyncio.Event] = None
@@ -303,10 +162,13 @@ class CampaignService:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._load_jobs()
-        self._pool.start(self._loop, self._on_message)
+        self._pool.start()
+        self._pump = threading.Thread(
+            target=self._pump_main, name="repro-serve-pump", daemon=True
+        )
+        self._pump.start()
         self._dispatch_task = asyncio.ensure_future(self._dispatch_loop())
-        if self.workers > 0:
-            self._watchdog_task = asyncio.ensure_future(self._watchdog_loop())
+        self._watchdog_task = asyncio.ensure_future(self._watchdog_loop())
         self._http_server = await asyncio.start_server(
             self._handle_conn, host=self.host, port=self.port
         )
@@ -328,8 +190,7 @@ class CampaignService:
             self._wake.set()
         if drain:
             deadline = time.monotonic() + timeout
-            while (any(h.busy is not None for h in self._pool.handles.values())
-                   and time.monotonic() < deadline):
+            while self._pool.inflight() and time.monotonic() < deadline:
                 await asyncio.sleep(0.02)
         for task in (self._dispatch_task, self._watchdog_task):
             if task is not None:
@@ -342,7 +203,7 @@ class CampaignService:
             if not job.record.terminal:
                 job.record.state = "queued"
                 self._persist(job.record)
-        await self._loop.run_in_executor(None, self._pool.stop)
+        await self._loop.run_in_executor(None, self._stop_pool)
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
@@ -432,11 +293,9 @@ class CampaignService:
         pending: List[ShardSpec] = []
         hits = 0
         for shard in job.shards:
-            payload = self.store.get(job.spec.shard_signature(shard))
-            if payload is not None and payload.get("schema") == PAYLOAD_SCHEMA:
-                job.payloads[shard.id] = adopt_payload(
-                    payload, job.spec, shard
-                )
+            payload = self.store.lookup(job.spec, shard)
+            if payload is not None:
+                job.payloads[shard.id] = payload
                 job.hit_ids.add(shard.id)
                 hits += 1
                 self._event(job, "shard-cache-hit", shard=shard.id)
@@ -475,120 +334,88 @@ class CampaignService:
             self._wake.clear()
             if self._stopping:
                 return
-            while self._idle:
+            for wid in self._pool.idle():
                 pick = self.scheduler.next()
                 if pick is None:
                     break
                 job_id, shard = pick
                 job = self.jobs[job_id]
-                wid = self._idle.popleft()
                 attempt = job.attempts.get(shard.id, 0)
-                task = {
-                    "shard": (shard.id, shard.lo, shard.hi),
-                    "attempt": attempt,
-                    "resume": False,
-                    "crash_cycle": None,
-                    "stimulus": None,
-                }
-                handle = self._pool.handles.get(wid)
-                if handle is None:
-                    continue  # worker died between idle and dispatch
-                handle.busy = (job_id, shard)
                 if job.record.state == "queued":
                     job.record.state = "running"
                     self._persist(job.record)
                 self._event(job, "shard-started", shard=shard.id,
                             worker=wid, attempt=attempt)
-                self._pool.send(wid, (job_id, job.spec, task))
+                self._pool.send(wid, job_id, job.spec, {
+                    "shard": (shard.id, shard.lo, shard.hi),
+                    "attempt": attempt,
+                })
             self.metrics.set_gauge("serve.queue_depth", self.scheduler.queued)
             self.metrics.set_gauge("serve.inflight", self.scheduler.inflight)
 
+    def _pump_main(self) -> None:
+        """Pump thread: worker messages into the event loop.  With
+        ``workers == 0`` this is also where shards run."""
+        while not self._pump_stop.is_set():
+            msg = self._pool.receive(0.1)
+            if msg is None:
+                continue
+            try:
+                self._loop.call_soon_threadsafe(self._on_message, msg)
+            except RuntimeError:
+                return  # loop already closed during shutdown
+
+    def _stop_pool(self) -> None:
+        self._pump_stop.set()
+        if self._pump is not None:
+            self._pump.join(timeout=10)
+        self._pool.stop()
+
     async def _watchdog_loop(self) -> None:
-        """Process mode only: reap dead workers, requeue their shards."""
+        """Reap dead workers; the pool decides each shard's retry."""
         while True:
             await asyncio.sleep(0.25)
-            for h in self._pool.dead_workers():
-                self._pool.remove(h.id)
-                try:
-                    self._idle.remove(h.id)
-                except ValueError:
-                    pass
-                busy = h.busy
-                self._pool.spawn()
-                self.metrics.inc("serve.worker_restarts")
-                if busy is None:
-                    continue
-                job_id, shard = busy
-                job = self.jobs.get(job_id)
-                if job is None:
-                    continue
-                try:
-                    self.scheduler.task_done(job.record.tenant)
-                except ServiceError:
-                    pass
-                if job.record.terminal:
-                    continue
-                attempt = job.attempts.get(shard.id, 0) + 1
-                job.attempts[shard.id] = attempt
-                if attempt > self.max_restarts:
-                    self._fail(job, f"shard {shard.id} killed {attempt} "
-                                    f"worker(s); giving up")
-                    continue
-                self._event(job, "shard-requeued", shard=shard.id,
-                            attempt=attempt)
-                self.scheduler.requeue_front(
-                    job_id, job.record.tenant, job.record.weight, shard
-                )
-                self._wake.set()
+            for event in self._pool.reap():
+                self._on_event(event)
 
     # -- worker messages -------------------------------------------------------
 
     def _on_message(self, msg) -> None:
-        kind = msg[0]
-        if kind in ("ready", "fatal"):
-            wid = msg[1]
-            if kind == "ready" and wid in self._pool.handles:
-                self._idle.append(wid)
-                self._wake.set()
-            return
-        if kind == "progress":
-            _k, _wid, job_id, shard_id, cycles = msg
-            job = self.jobs.get(job_id)
-            if job is not None and not job.record.terminal:
-                self._event(job, "progress", shard=shard_id, cycles=cycles)
-            return
-        if kind == "result":
-            _k, wid, job_id, shard_id, payload = msg
-            self._finish_shard(wid, job_id, shard_id, payload)
-            return
-        if kind == "error":
-            _k, wid, job_id, shard_id, text = msg
-            self._release_worker(wid, job_id)
-            job = self.jobs.get(job_id)
-            self.metrics.inc("serve.shard_errors")
-            if job is not None and not job.record.terminal:
-                self._fail(job, f"shard {shard_id} failed: {text}")
-            self._wake.set()
+        event = self._pool.handle(msg)
+        if event is not None:
+            self._on_event(event)
 
-    def _release_worker(self, wid: int, job_id: str) -> None:
-        h = self._pool.handles.get(wid)
-        if h is not None:
-            h.busy = None
-            self._idle.append(wid)
-        job = self.jobs.get(job_id)
-        tenant = job.record.tenant if job is not None else "default"
-        try:
-            self.scheduler.task_done(tenant)
-        except ServiceError:
-            pass  # already released by the watchdog for a dead worker
-
-    def _finish_shard(self, wid: int, job_id: str, shard_id: int,
-                      payload: dict) -> None:
-        self._release_worker(wid, job_id)
+    def _on_event(self, event) -> None:
+        kind, wid, job_id, shard_id, data = event
+        self._wake.set()
         job = self.jobs.get(job_id)
         if job is None:
-            self._wake.set()
+            return  # "ready", or a worker that died before it was ready
+        if kind == "progress":
+            if not job.record.terminal:
+                self._event(job, "progress", shard=shard_id, cycles=data)
             return
+        # Every other event ends the shard's turn on a worker.
+        self.scheduler.task_done(job.record.tenant)
+        if kind == "result":
+            self._finish_shard(wid, job, shard_id, data)
+        elif kind == "retry":
+            self.metrics.inc("serve.worker_restarts")
+            if not job.record.terminal:
+                job.attempts[shard_id] = data
+                self._event(job, "shard-requeued", shard=shard_id,
+                            attempt=data)
+                self.scheduler.requeue_front(
+                    job_id, job.record.tenant, job.record.weight,
+                    job.shards[shard_id],
+                )
+        else:
+            self.metrics.inc("serve.shard_errors")
+            if not job.record.terminal:
+                self._fail(job, data)
+
+    def _finish_shard(self, wid: int, job: _Job, shard_id: int,
+                      payload: dict) -> None:
         shard = job.shards[shard_id]
         # Publish to the content-addressed store regardless of job state:
         # a cancelled job's finished shard is still a valid, reusable
@@ -596,18 +423,16 @@ class CampaignService:
         self.store.put(job.spec.shard_signature(shard), payload)
         if job.record.terminal:
             self._event(job, "shard-discarded", shard=shard_id)
-            self._wake.set()
             return
         job.payloads[shard_id] = payload
         job.record.shards_done = len(job.payloads)
         job.record.shards_simulated += 1
         self.metrics.inc("serve.shards_simulated")
-        self.shard_log.append((job.record.tenant, job_id, shard_id))
+        self.shard_log.append((job.record.tenant, job.record.id, shard_id))
         self._event(job, "shard-done", shard=shard_id, worker=wid,
                     cycles=payload.get("cycles_run", 0))
         if len(job.payloads) == len(job.shards):
             self._finalize(job)
-        self._wake.set()
 
     # -- completion ------------------------------------------------------------
 
@@ -721,15 +546,13 @@ class CampaignService:
         (the post-restart path: records persist, merged arrays do not)."""
         payloads = []
         for shard in job.shards:
-            payload = job.payloads.get(shard.id)
+            payload = (job.payloads.get(shard.id)
+                       or self.store.lookup(job.spec, shard))
             if payload is None:
-                payload = self.store.get(job.spec.shard_signature(shard))
-                if payload is None:
-                    raise ServiceError(
-                        f"job {job.record.id}: shard {shard.id} result was "
-                        "evicted from the store; resubmit the campaign"
-                    )
-                payload = adopt_payload(payload, job.spec, shard)
+                raise ServiceError(
+                    f"job {job.record.id}: shard {shard.id} result was "
+                    "evicted from the store; resubmit the campaign"
+                )
             payloads.append(payload)
         result = merge_payloads(job.spec, payloads)
         digest = outputs_digest(result.outputs)

@@ -35,6 +35,7 @@ import threading
 from typing import List, Optional, Tuple
 
 from repro.cluster.spec import CampaignSpec, ShardSpec
+from repro.cluster.worker import PAYLOAD_SCHEMA
 from repro.resilience.checkpoint import atomic_write_bytes
 from repro.utils.errors import ServiceError
 
@@ -132,6 +133,18 @@ class ResultStore:
         with self._lock:
             self.hits += 1
         return payload
+
+    def lookup(self, spec: CampaignSpec, shard: ShardSpec) -> Optional[dict]:
+        """``shard``'s stored payload adopted for ``spec``, or None.
+
+        The one store probe of both campaign front ends: a missing entry or
+        one written under another ``PAYLOAD_SCHEMA`` is a miss, and a hit
+        is re-stamped for ``spec`` by :func:`adopt_payload`.
+        """
+        payload = self.get(spec.shard_signature(shard))
+        if payload is None or payload.get("schema") != PAYLOAD_SCHEMA:
+            return None
+        return adopt_payload(payload, spec, shard)
 
     def put(self, key: str, payload: dict) -> str:
         """Store ``payload`` under ``key`` (idempotent) and maybe GC."""
