@@ -22,8 +22,10 @@ run        Run a bundled design under the resilience harness: per-lane
 campaign   Run a bundled design as a sharded multi-process campaign:
            lane shards on a pool of worker processes with heartbeats,
            crash recovery from per-shard checkpoints
-           (``--workers``/``--shard-lanes``/``--checkpoint-dir``/``--resume``)
-           and merged outputs/coverage/faults/telemetry.
+           (``--workers``/``--shard-lanes``/``--checkpoint-dir``) and
+           merged outputs/coverage/faults/telemetry.  Rerunning a
+           campaign on the same ``--checkpoint-dir`` or ``--store``
+           adopts every shard it already finished.
 coverage   Run random stimulus and report toggle coverage.
 profile    Run a bundled design under full telemetry and export a
            Chrome-trace JSON (loads in ui.perfetto.dev) plus a metrics
@@ -567,7 +569,7 @@ def _lane_faults(args) -> list:
 def cmd_campaign(args) -> int:
     """Run a bundled design as a sharded multi-process campaign."""
     from repro import resilience as rz
-    from repro.cluster import CampaignSpec, run_campaign
+    from repro.cluster import CampaignCoordinator, CampaignSpec
     from repro.designs import get_design
 
     bundle = get_design(args.design)
@@ -603,8 +605,6 @@ def cmd_campaign(args) -> int:
             ) from None
         crash[shard] = cycle
 
-    if args.resume and not args.checkpoint_dir:
-        raise ReproError("--resume requires --checkpoint-dir")
     if crash and not args.checkpoint_dir:
         print("note: --inject-worker-crash without --checkpoint-dir "
               "recomputes the killed shard from scratch", file=sys.stderr)
@@ -623,17 +623,17 @@ def cmd_campaign(args) -> int:
         checkpoint_every_seconds=args.checkpoint_every_seconds or None,
         verify=args.verify,
     )
-    result = run_campaign(
+    coord = CampaignCoordinator(
         spec,
         workers=args.workers,
         shard_lanes=args.shard_lanes,
         checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         inject_worker_crash=crash,
         heartbeat_timeout=args.heartbeat_timeout,
         max_restarts=args.max_restarts,
         store=args.store,
     )
+    result = coord.run()
 
     rows = []
     for name, values in result.outputs.items():
@@ -647,14 +647,10 @@ def cmd_campaign(args) -> int:
               f"executor={spec.executor})",
     ))
     print(result.summary())
-    hits = sum(1 for o in result.shards if o.cache_hit)
-    if args.store:
+    if coord.store is not None:
+        hits = sum(1 for o in result.shards if o.cache_hit)
         print(f"store: {hits}/{len(result.shards)} shard(s) served from "
-              f"{args.store} ({len(result.shards) - hits} simulated)")
-    cached = sum(1 for o in result.shards if o.cached and not o.cache_hit)
-    if cached:
-        print(f"resumed {cached}/{len(result.shards)} shards from "
-              f"persisted results")
+              f"{coord.store.root} ({len(result.shards) - hits} simulated)")
     for o in result.shards:
         if o.attempts > 1:
             print(f"shard {o.id} [lanes {o.lo}:{o.hi}] needed {o.attempts} "
@@ -1033,16 +1029,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quarantine poisoned lanes instead of aborting "
                         "(implied by --inject-lane-fault)")
     p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                   help="root for per-shard checkpoints and persisted "
-                        "shard results (enables crash recovery)")
+                   help="root for mid-shard snapshots and, without "
+                        "--store, the result store (enables crash "
+                        "recovery: rerun with the same DIR)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
                    help="snapshot each shard every K cycles")
     p.add_argument("--checkpoint-every-seconds", type=float, default=0.0,
                    metavar="T", help="snapshot each shard every T seconds")
-    p.add_argument("--resume", action="store_true",
-                   help="reload completed shard results from "
-                        "--checkpoint-dir and restart unfinished shards "
-                        "from their checkpoints")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="content-addressed result store: shards whose "
                         "content key is already stored are adopted "

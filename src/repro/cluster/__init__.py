@@ -10,11 +10,14 @@ faults, metrics and trace spans merge back into one campaign-level
 :meth:`BatchSimulator.run <repro.core.simulator.BatchSimulator.run>`
 (lanes share no state, so sharding is exact, not approximate).
 
-Crash recovery reuses PR 4's resilience layer per shard: every shard
-checkpoints into its own directory, a SIGKILLed worker's shard restarts
-from that checkpoint on a fresh worker, and completed shard results
-persist atomically so a killed *coordinator* resumes without redoing
-finished work.  See docs/cluster.md and the ``repro campaign`` CLI.
+Crash recovery reuses the resilience layer per shard, and every durable
+record is keyed by the shard's content
+(:meth:`CampaignSpec.shard_signature`): a shard's mid-run snapshots live
+in ``<checkpoint_dir>/shard-<key>``, so a SIGKILLed worker's shard
+restarts from them on a fresh worker, and its finished result goes to a
+content-addressed result store, so rerunning a killed campaign adopts
+every finished shard instead of redoing it.  See docs/cluster.md and the
+``repro campaign`` CLI.
 """
 
 from repro.cluster.coordinator import CampaignCoordinator, run_campaign

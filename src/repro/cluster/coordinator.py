@@ -6,48 +6,55 @@ workers — see :func:`~repro.cluster.spec.plan_shards`) and drives a
 whatever the worker count: shards go to whichever worker frees up first,
 so a slow shard never staggers the rest of the campaign behind it.
 
+Each shard has one durable record: its payload in a
+:class:`~repro.serve.store.ResultStore` under
+:meth:`~repro.cluster.spec.CampaignSpec.shard_signature` — ``store``
+when one is given, else ``<checkpoint_dir>/results``.  :meth:`run`
+probes the store once per shard and publishes each simulated shard
+once.  The key is the shard's content, so rerunning a campaign adopts
+every shard it already finished, and a different campaign pointed at the
+same directory simply misses.
+
 Failure handling, layered on the resilience layer (the pool makes the
 retry-or-give-up decision; this loop acts on it):
 
 * **Worker death** (SIGKILL, OOM, segfault): the shard is re-queued and
-  a fresh worker is spawned; the retry resumes from the shard's own
-  durable :class:`~repro.resilience.CheckpointManager` checkpoint when
-  one exists (from scratch otherwise — same merged result either way,
-  the checkpoint only saves recomputation).  A shard that keeps killing
-  its workers exhausts ``max_restarts`` and fails the campaign.
+  a fresh worker is spawned; the retry restores the shard's mid-shard
+  snapshot (``<checkpoint_dir>/shard-<shard_signature>``, keyed by
+  content too) when one exists, and starts from scratch otherwise —
+  same merged result either way, the snapshot only saves recomputation.
+  A shard that keeps killing its workers exhausts ``max_restarts`` and
+  fails the campaign.
 * **Worker silence**: with ``heartbeat_timeout`` set, a worker holding a
   shard that sends nothing for that long is terminated and handled as a
   death (off by default — process death detection is the primary signal).
-* **Coordinator death**: each completed shard's payload is persisted
-  atomically under ``checkpoint_dir`` (``result-shard-NNNN.pkl``);
-  ``resume=True`` reloads completed shards instantly and restarts only
-  unfinished ones from their shard checkpoints.  Persisted results are
-  tied to the campaign's :meth:`~repro.cluster.spec.CampaignSpec.signature`
-  so a changed spec can never silently mix stale lanes in.
+* **Coordinator death**: rerun the campaign with the same
+  ``checkpoint_dir``.  Finished shards are store hits, and unfinished
+  ones restore from their snapshots.  A shard's snapshot directory is
+  removed as soon as its result is in the store, so disk use stays
+  bounded by the shards in flight.
 * **Deterministic worker errors** (bad design, simulation error): fail
   the campaign immediately — rerunning a deterministic failure burns
   restarts without changing the outcome.
 
-Caveat (documented in docs/cluster.md): with ``spec.coverage`` enabled,
-retried/resumed shards rerun from cycle 0 instead of their checkpoint —
-toggle-coverage state is not checkpointed, and a partial rerun would
-undercount the merged report.
+Caveat (documented in docs/cluster.md): coverage and traced shards rerun
+from cycle 0 instead of restoring a snapshot — neither toggle-coverage
+state nor trace samples are checkpointed.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
+import shutil
 import time
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro import obs
 from repro.cluster.merge import CampaignResult, ShardOutcome, merge_payloads
 from repro.cluster.pool import ShardPool
 from repro.cluster.spec import CampaignSpec, ShardSpec, plan_shards
-from repro.cluster.worker import PAYLOAD_SCHEMA
-from repro.resilience.checkpoint import atomic_write_bytes
+from repro.cluster.worker import shard_checkpoint_dir
 from repro.utils.errors import ClusterError
 
 __all__ = ["CampaignCoordinator", "run_campaign"]
@@ -67,7 +74,6 @@ class CampaignCoordinator:
         workers: int = 2,
         shard_lanes: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
         inject_worker_crash: Optional[Dict[int, int]] = None,
         heartbeat_timeout: Optional[float] = None,
         max_restarts: int = 3,
@@ -76,99 +82,43 @@ class CampaignCoordinator:
         spec.validate()
         if workers < 0:
             raise ClusterError(f"worker count must be >= 0, got {workers}")
-        if resume and not checkpoint_dir:
-            raise ClusterError("resume=True requires a checkpoint_dir")
         self.spec = spec
         self.workers = workers
         self.shards = plan_shards(spec.n, max(1, workers), shard_lanes)
         self.checkpoint_dir = (
             os.path.abspath(checkpoint_dir) if checkpoint_dir else None
         )
-        self.resume = resume
         self.inject_worker_crash = dict(inject_worker_crash or {})
         self.heartbeat_timeout = heartbeat_timeout
         self.max_restarts = max_restarts
-        # Content-addressed result store (repro.serve.store.ResultStore
-        # or a directory path): shards whose content key is already in
-        # the store are adopted instead of simulated, and every freshly
-        # simulated shard is published back for future campaigns.
+        # The shards' durable records: a content-addressed result store
+        # (repro.serve.store.ResultStore or a directory path), by default
+        # the one inside checkpoint_dir.  Shards whose content key is
+        # already stored are adopted instead of simulated, and every
+        # freshly simulated shard is published back.
+        if store is None and self.checkpoint_dir is not None:
+            store = os.path.join(self.checkpoint_dir, "results")
         if isinstance(store, str):
             from repro.serve.store import ResultStore
 
             store = ResultStore(store)
         self.store = store
         self.restarts = 0
-        self._outcomes: Dict[int, ShardOutcome] = {
-            s.id: ShardOutcome(id=s.id, lo=s.lo, hi=s.hi, attempts=0)
-            for s in self.shards
-        }
         bad = [sid for sid in self.inject_worker_crash
-               if sid not in self._outcomes]
+               if sid not in range(len(self.shards))]
         if bad:
             raise ClusterError(
                 f"inject_worker_crash targets unknown shard(s) {bad}; "
                 f"campaign has shards 0..{len(self.shards) - 1}"
             )
 
-    # -- durable per-shard results ---------------------------------------------
-
-    def _result_path(self, shard_id: int) -> str:
-        assert self.checkpoint_dir is not None
-        return os.path.join(
-            self.checkpoint_dir, f"result-shard-{shard_id:04d}.pkl"
-        )
-
-    def _persist_payload(self, payload: dict) -> None:
-        if self.checkpoint_dir is None:
-            return
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        atomic_write_bytes(
-            self._result_path(payload["shard"][0]),
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    def _load_persisted(self, shard: ShardSpec) -> Optional[dict]:
-        """A prior run's payload for ``shard``, if one is valid here.
-
-        Signature mismatch is an error (the directory belongs to a
-        different campaign); a geometry mismatch (same campaign, new
-        ``shard_lanes``) just recomputes the shard.
-        """
-        path = self._result_path(shard.id)
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            return None  # truncated/corrupt: recompute the shard
-        if payload.get("schema") != PAYLOAD_SCHEMA:
-            return None
-        if payload.get("signature") != self.spec.signature():
-            raise ClusterError(
-                f"{path} was produced by a different campaign "
-                "(design/seed/geometry/fault script changed); refusing to "
-                "mix results — use a fresh --checkpoint-dir"
-            )
-        if tuple(payload.get("shard", ())) != (shard.id, shard.lo, shard.hi):
-            return None
-        return payload
-
-    # -- task construction -----------------------------------------------------
-
     def _make_task(self, shard: ShardSpec, attempt: int) -> dict:
-        resume = (
-            (self.resume or attempt > 0)
-            and self.checkpoint_dir is not None
-            and not self.spec.coverage  # coverage is not checkpointed
-        )
         crash = None
         if attempt == 0 and self.workers:  # never SIGKILL the caller
             crash = self.inject_worker_crash.get(shard.id)
         return {
             "shard": (shard.id, shard.lo, shard.hi),
             "attempt": attempt,
-            "resume": resume,
             "crash_cycle": crash,
         }
 
@@ -177,25 +127,21 @@ class CampaignCoordinator:
     def run(self) -> CampaignResult:
         t_start = time.monotonic()
         done: Dict[int, dict] = {}
+        hits: Set[int] = set()
         pending: deque = deque()
         for shard in self.shards:
             payload = (
-                self._load_persisted(shard)
-                if (self.resume and self.checkpoint_dir) else None
+                self.store.lookup(self.spec, shard)
+                if self.store is not None else None
             )
-            if payload is None and self.store is not None:
-                payload = self.store.lookup(self.spec, shard)
-                self._outcomes[shard.id].cache_hit = payload is not None
-            if payload is not None:
-                done[shard.id] = payload
-                out = self._outcomes[shard.id]
-                out.cached = True
-                out.cycles_run = payload.get("cycles_run", 0)
-            else:
+            if payload is None:
                 pending.append((shard, 0))
+            else:
+                done[shard.id] = payload
+                hits.add(shard.id)
         if pending:
             self._drive(pending, done)
-        result = self._merge(done)
+        result = self._merge(done, hits)
         result.wall_seconds = time.monotonic() - t_start
         return result
 
@@ -217,7 +163,7 @@ class CampaignCoordinator:
                               self._make_task(shard, attempt))
                 for kind, _wid, _job, sid, data in pool.poll():
                     if kind == "result" and sid not in done:
-                        self._complete(sid, data, done)
+                        self._complete(self.shards[sid], data, done)
                     elif kind == "retry":
                         pending.appendleft((self.shards[sid], data))
                         self.restarts += 1
@@ -226,30 +172,31 @@ class CampaignCoordinator:
         finally:
             pool.stop()
 
-    def _complete(self, shard_id: int, payload: dict, done: Dict[int, dict]):
+    def _complete(self, shard: ShardSpec, payload: dict,
+                  done: Dict[int, dict]) -> None:
         if payload.get("signature") != self.spec.signature():
             raise ClusterError(
-                f"shard {shard_id} returned a result for a different "
+                f"shard {shard.id} returned a result for a different "
                 "campaign signature"
             )
-        done[shard_id] = payload
-        self._persist_payload(payload)
-        if self.store is not None:
-            self.store.put(
-                self.spec.shard_signature(self.shards[shard_id]), payload
-            )
-        out = self._outcomes[shard_id]
-        out.attempts = payload.get("attempt", 0) + 1
-        out.cycles_run = payload.get("cycles_run", 0)
-        out.resumed_from = payload.get("resumed_from", 0)
-        out.wall_seconds = payload.get("wall_seconds", 0.0)
-        out.pid = payload.get("pid")
+        done[shard.id] = payload
+        if self.store is None:
+            return
+        key = self.spec.shard_signature(shard)
+        self.store.put(key, payload)
+        if self.checkpoint_dir is not None:
+            # The stored result supersedes the shard's snapshots.
+            shutil.rmtree(shard_checkpoint_dir(self.checkpoint_dir, key),
+                          ignore_errors=True)
 
     # -- merging ---------------------------------------------------------------
 
-    def _merge(self, done: Dict[int, dict]) -> CampaignResult:
+    def _merge(self, done: Dict[int, dict], hits: Set[int]) -> CampaignResult:
         result = merge_payloads(self.spec, list(done.values()))
-        result.shards = [self._outcomes[s.id] for s in self.shards]
+        result.shards = [
+            ShardOutcome.from_payload(s, done[s.id], cache_hit=s.id in hits)
+            for s in self.shards
+        ]
         result.restarts = self.restarts
         result.workers = self.workers
         m = result.metrics
@@ -258,15 +205,11 @@ class CampaignCoordinator:
         m.set_gauge("cluster.lanes", self.spec.n)
         if self.restarts:
             m.inc("cluster.worker_restarts", self.restarts)
-        cached = sum(1 for o in result.shards if o.cached and not o.cache_hit)
-        if cached:
-            m.inc("cluster.shards_resumed_from_results", cached)
         if self.store is not None:
-            hits = sum(1 for o in result.shards if o.cache_hit)
-            m.inc("cluster.store_hits", hits)
-            m.inc("cluster.store_misses", len(self.shards) - hits)
+            m.inc("cluster.store_hits", len(hits))
+            m.inc("cluster.store_misses", len(self.shards) - len(hits))
             m.set_gauge(
-                "cluster.store_hit_rate", hits / max(1, len(self.shards))
+                "cluster.store_hit_rate", len(hits) / max(1, len(self.shards))
             )
         for o in result.shards:
             if not o.cached:

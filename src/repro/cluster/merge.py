@@ -47,8 +47,30 @@ class ShardOutcome:
     resumed_from: int = 0
     wall_seconds: float = 0.0
     pid: Optional[int] = None
-    cached: bool = False  # loaded from a persisted result on --resume
     cache_hit: bool = False  # served from the content-addressed store
+
+    @property
+    def cached(self) -> bool:
+        """Alias of :attr:`cache_hit`: the shard was not simulated."""
+        return self.cache_hit
+
+    @classmethod
+    def from_payload(cls, shard, payload: dict,
+                     cache_hit: bool = False) -> "ShardOutcome":
+        """The outcome of ``shard`` (a :class:`~repro.cluster.spec.ShardSpec`)
+        whose result is ``payload``; a store hit ran nothing here, so it
+        reports no attempts, time or process."""
+        out = cls(id=shard.id, lo=shard.lo, hi=shard.hi,
+                  cycles_run=payload.get("cycles_run", 0),
+                  cache_hit=cache_hit)
+        if cache_hit:
+            out.attempts = 0
+        else:
+            out.attempts = payload.get("attempt", 0) + 1
+            out.resumed_from = payload.get("resumed_from", 0)
+            out.wall_seconds = payload.get("wall_seconds", 0.0)
+            out.pid = payload.get("pid")
+        return out
 
     def to_dict(self) -> dict:
         return {

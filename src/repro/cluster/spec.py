@@ -127,11 +127,13 @@ class CampaignSpec:
         return h.hexdigest()
 
     def signature(self) -> str:
-        """Fingerprint tying durable shard results to this exact campaign.
+        """Fingerprint of this exact campaign.
 
-        Covers every field that changes simulation results, so a
-        ``--resume`` can never silently mix persisted shard results from
-        a different design, seed, geometry or fault script.
+        Covers every field that changes simulation results.  It keys the
+        workers' compiled-design cache, and every shard payload carries
+        it, so the merge can never mix in a shard produced under a
+        different design, seed, geometry or fault script.  Durable
+        records are keyed by :meth:`shard_signature` instead.
         """
         payload = self._payload()
         payload["lane_faults"] = sorted(
@@ -152,7 +154,9 @@ class CampaignSpec:
         range.  Two campaigns that differ only in faults targeting
         *other* shards therefore share this shard's key — the property
         the content-addressed result store exploits to re-simulate only
-        the shards an edited campaign actually changed.
+        the shards an edited campaign actually changed.  It names both of
+        a shard's durable records: its result-store entry and its
+        mid-shard snapshot directory.
         """
         payload = self._payload()
         del payload["lane_faults"]

@@ -15,9 +15,12 @@ Per shard, the worker:
 * slices its lane range out of the campaign stimulus, regenerated once
   per design from the spec's seed,
 * runs a shard-sized :class:`~repro.core.simulator.BatchSimulator` under
-  its own :class:`~repro.resilience.CheckpointManager` (directory
-  ``<checkpoint_dir>/shard-NNNN``) so a crashed shard resumes from its
-  own durable snapshot,
+  its own :class:`~repro.resilience.CheckpointManager` when a checkpoint
+  directory is set, in ``<checkpoint_dir>/shard-<shard_signature>``:
+  the directory is named by the shard's content, so a snapshot found
+  there is always this shard's and the worker restores it without being
+  told to (coverage and traced shards take no snapshots and rerun from
+  cycle 0),
 * reports ``progress`` from the simulator's per-cycle ``progress`` hook
   at the heartbeat interval (the pool's liveness signal and the
   service's job-status feed), and
@@ -52,9 +55,13 @@ from repro.resilience.checkpoint import CheckpointManager, CheckpointPolicy
 from repro.resilience.inject import FaultPlan, LaneFaultSpec
 from repro.utils.errors import CheckpointError
 
-__all__ = ["WorkerLoop", "run_shard_inline", "run_worker"]
+__all__ = ["WorkerLoop", "run_shard_inline", "run_worker",
+           "shard_checkpoint_dir"]
 
 PAYLOAD_SCHEMA = 1
+
+#: Trace spans one shard payload carries; the rest are counted as dropped.
+MAX_SPANS = 20_000
 
 #: Compiled designs one worker keeps warm; evicting one only costs a
 #: rebuild on that campaign's next shard.
@@ -68,6 +75,11 @@ HEARTBEAT_SECONDS = 0.25
 #: Rate limit on the simulator's progress hook when nothing needs it
 #: every cycle (coverage sampling and crash injection do).
 PROGRESS_MIN_INTERVAL = 0.05
+
+
+def shard_checkpoint_dir(root: str, shard_key: str) -> str:
+    """A shard's snapshot directory, named by its ``shard_signature``."""
+    return os.path.join(root, f"shard-{shard_key}")
 
 
 class _Heartbeat:
@@ -142,19 +154,29 @@ class _WorkerContext:
                 )
         return self._full_stimulus
 
-    def _checkpoint_manager(self, shard_id: int) -> Optional[CheckpointManager]:
+    def _checkpoint_manager(self, shard: ShardSpec) -> Optional[CheckpointManager]:
+        """``shard``'s snapshot manager, or None when it does not resume.
+
+        The one resumability rule: a shard snapshots and restores
+        mid-shard unless it collects coverage or traces.  Neither toggle
+        state nor trace samples are checkpointed, so a restored partial
+        rerun would undercount toggles or lose the samples taken before
+        the restore point; such shards rerun from cycle 0 (same merged
+        result, more recomputation).
+        """
+        spec = self.spec
         root = self.cfg.get("checkpoint_dir")
-        if not root:
+        if not root or spec.coverage or spec.trace_every:
             return None
         policy = None
-        spec = self.spec
         if spec.checkpoint_every or spec.checkpoint_every_seconds:
             policy = CheckpointPolicy(
                 every_cycles=spec.checkpoint_every or None,
                 every_seconds=spec.checkpoint_every_seconds or None,
             )
         return CheckpointManager(
-            os.path.join(root, f"shard-{shard_id:04d}"), policy=policy
+            shard_checkpoint_dir(root, spec.shard_signature(shard)),
+            policy=policy,
         )
 
     def run_shard(self, task: dict,
@@ -182,9 +204,9 @@ class _WorkerContext:
             if self.bundle is not None:
                 self.bundle.preload(sim)
             stim = self.full_stimulus().lanes(shard.lo, shard.hi)
-            mgr = self._checkpoint_manager(shard.id)
+            mgr = self._checkpoint_manager(shard)
             start = 0
-            if mgr is not None and task.get("resume"):
+            if mgr is not None:
                 try:
                     ckpt = mgr.load_latest()
                 except CheckpointError:
@@ -230,10 +252,9 @@ class _WorkerContext:
             )
             if mgr is not None:
                 # Terminal snapshot: a coordinator killed between this
-                # shard's completion and its result persisting resumes
-                # here instead of recomputing the shard.
+                # shard's completion and its result reaching the store
+                # restores here instead of recomputing the shard.
                 mgr.save(sim, required=False)
-        max_spans = self.cfg.get("max_spans", 20_000)
         spans = tracer.spans
         return {
             "schema": PAYLOAD_SCHEMA,
@@ -251,9 +272,9 @@ class _WorkerContext:
             "metrics": metrics.dump(),
             "spans": [
                 (s.name, s.resource, s.start, s.end, s.depth)
-                for s in spans[:max_spans]
+                for s in spans[:MAX_SPANS]
             ],
-            "spans_dropped": max(0, len(spans) - max_spans),
+            "spans_dropped": max(0, len(spans) - MAX_SPANS),
             "epoch": getattr(tracer, "_t0", 0.0),
             "cycles_run": sim.cycles_run,
             "resumed_from": start,
@@ -265,7 +286,8 @@ class _WorkerContext:
 
 def run_shard_inline(spec: CampaignSpec, task: dict, cfg: dict) -> dict:
     """Build ``spec``'s design and run one shard in the calling process,
-    outside any pool (unit tests and the benchmark's hand-driven campaign)."""
+    outside any pool (unit tests and the benchmark's hand-driven campaign).
+    Task and ``cfg`` keys the worker does not read are ignored."""
     return _WorkerContext(spec, cfg).run_shard(task)
 
 

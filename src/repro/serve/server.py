@@ -446,13 +446,8 @@ class CampaignService:
                 self._fail(job, f"merge failed: {type(exc).__name__}: {exc}")
                 return
         result.shards = [
-            ShardOutcome(
-                id=s.id, lo=s.lo, hi=s.hi,
-                attempts=job.attempts.get(s.id, 0) + 1,
-                cycles_run=job.payloads[s.id].get("cycles_run", 0),
-                cached=s.id in job.hit_ids,
-                cache_hit=s.id in job.hit_ids,
-            )
+            ShardOutcome.from_payload(s, job.payloads[s.id],
+                                      cache_hit=s.id in job.hit_ids)
             for s in job.shards
         ]
         result.workers = self.workers

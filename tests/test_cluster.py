@@ -39,6 +39,7 @@ from repro.coverage.toggle import ToggleCoverage
 from repro.designs import get_design
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultPlan, LaneFaultSpec
+from repro.serve.protocol import outputs_digest
 from repro.stimulus.batch import TextStimulusBatch
 from repro.utils.errors import SimulationError
 
@@ -278,11 +279,11 @@ class TestCampaignSpec:
         assert a.signature() != c.signature()
 
     def test_signature_keys_are_pinned(self):
-        """Store keys and resume fingerprints are durable: the digests
-        below must survive any change to how the payload is gathered, and
-        change only when the set of spec fields does (each such change
-        makes every earlier store entry and ``--resume`` directory a
-        miss; see docs/cluster.md)."""
+        """Store keys and snapshot directory names are durable: the
+        digests below must survive any change to how the payload is
+        gathered, and change only when the set of spec fields does (each
+        such change makes every earlier store entry and mid-shard
+        snapshot a miss; see docs/cluster.md)."""
         kw = dict(n=96, cycles=40, design="riscv_mini", seed=7,
                   watch=["pc", "x10"], stop="halted", trace_every=8,
                   checkpoint_every=16)
@@ -555,6 +556,13 @@ def test_restart_budget_exhausted(tmp_path):
         coord.run()
 
 
+def _fresh_digest(spec: CampaignSpec, shard_lanes: int) -> str:
+    """The merged digest of ``spec`` run with no durable state at all."""
+    return outputs_digest(
+        run_campaign(spec, workers=0, shard_lanes=shard_lanes).outputs
+    )
+
+
 @pytest.mark.skipif(not IS_LINUX, reason="spawn/SIGKILL tests are Linux-only")
 def test_campaign_resume_skips_completed_shards(tmp_path):
     bundle = get_design("counter")
@@ -563,20 +571,74 @@ def test_campaign_resume_skips_completed_shards(tmp_path):
     )
     ck = str(tmp_path / "ckpt")
     first = run_campaign(spec, workers=2, shard_lanes=4, checkpoint_dir=ck)
-    second = run_campaign(
-        spec, workers=2, shard_lanes=4, checkpoint_dir=ck, resume=True
-    )
+    second = run_campaign(spec, workers=2, shard_lanes=4, checkpoint_dir=ck)
     assert all(o.cached for o in second.shards)
     for name in first.outputs:
         np.testing.assert_array_equal(first.outputs[name], second.outputs[name])
 
-    # A different spec must refuse the stale results, not merge them.
+    # A different campaign in the same directory misses every shard and
+    # produces exactly a fresh run's outputs.
     other = CampaignSpec(
         n=16, cycles=30, design="counter", seed=3, watch=bundle.watch,
     )
-    with pytest.raises(ClusterError, match="refusing"):
-        run_campaign(other, workers=0, shard_lanes=4, checkpoint_dir=ck,
-                     resume=True)
+    mixed = run_campaign(other, workers=0, shard_lanes=4, checkpoint_dir=ck)
+    assert not any(o.cached for o in mixed.shards)
+    assert outputs_digest(mixed.outputs) == _fresh_digest(other, 4)
+
+
+@pytest.mark.skipif(not IS_LINUX, reason="spawn/SIGKILL tests are Linux-only")
+def test_retry_never_restores_another_campaigns_snapshot(tmp_path):
+    """A retried shard must not pick up the snapshot a campaign with
+    another seed left in the same checkpoint directory."""
+    ck = str(tmp_path / "ckpt")
+    kw = dict(n=64, cycles=120, design="counter", checkpoint_every=16)
+    run_campaign(CampaignSpec(seed=0, **kw), workers=0, shard_lanes=16,
+                 checkpoint_dir=ck)
+    spec = CampaignSpec(seed=1, **kw)
+    res = run_campaign(spec, workers=1, shard_lanes=16, checkpoint_dir=ck,
+                       inject_worker_crash={1: 3})
+    assert res.restarts == 1
+    assert outputs_digest(res.outputs) == _fresh_digest(spec, 16)
+
+
+@pytest.mark.skipif(not IS_LINUX, reason="spawn/SIGKILL tests are Linux-only")
+def test_new_shard_geometry_in_the_same_checkpoint_dir(tmp_path):
+    """Changing the shard size between runs recomputes the new shards:
+    the retry finds no snapshot of another batch size to restore."""
+    ck = str(tmp_path / "ckpt")
+    spec = CampaignSpec(n=64, cycles=120, design="counter",
+                        checkpoint_every=16)
+    run_campaign(spec, workers=0, shard_lanes=16, checkpoint_dir=ck)
+    res = run_campaign(spec, workers=1, shard_lanes=32, checkpoint_dir=ck,
+                       inject_worker_crash={0: 3})
+    assert not any(o.cache_hit for o in res.shards)
+    assert outputs_digest(res.outputs) == _fresh_digest(spec, 32)
+
+
+@pytest.mark.skipif(not IS_LINUX, reason="spawn/SIGKILL tests are Linux-only")
+def test_traced_shard_retry_reruns_from_cycle_zero(tmp_path):
+    """Trace samples are not checkpointed, so a traced shard's retry
+    reruns from cycle 0 and merges like an uninterrupted run."""
+    spec = CampaignSpec(n=32, cycles=40, design="counter", trace_every=4,
+                        checkpoint_every=8)
+    res = run_campaign(spec, workers=1, shard_lanes=16,
+                       checkpoint_dir=str(tmp_path / "ckpt"),
+                       inject_worker_crash={1: 12})
+    assert res.restarts == 1
+    assert next(o for o in res.shards if o.id == 1).resumed_from == 0
+    fresh = run_campaign(spec, workers=0, shard_lanes=16)
+    for name in fresh.outputs:
+        np.testing.assert_array_equal(res.outputs[name], fresh.outputs[name])
+
+
+def test_shard_snapshots_removed_once_stored(tmp_path):
+    """The result store is a shard's one durable record: once a shard's
+    result is stored, its snapshot directory is gone."""
+    ck = tmp_path / "ckpt"
+    spec = CampaignSpec(n=16, cycles=30, design="counter",
+                        checkpoint_every=8)
+    run_campaign(spec, workers=0, shard_lanes=8, checkpoint_dir=str(ck))
+    assert sorted(os.listdir(ck)) == ["results"]
 
 
 def test_inline_shard_payload_shape(tmp_path):
@@ -621,8 +683,12 @@ def test_cli_campaign_smoke(tmp_path, capsys):
     assert r["faulted_lanes"] == [3]
 
 
-def test_cli_campaign_resume_requires_checkpoint_dir(capsys):
+def test_cli_campaign_rejects_resume(capsys):
+    """Every shard record is keyed by content, so rerunning a campaign is
+    always safe and ``repro campaign`` has no ``--resume`` to ask for it."""
     from repro.cli import main
 
-    rc = main(["campaign", "counter", "-n", "8", "--resume"])
-    assert rc != 0
+    with pytest.raises(SystemExit) as ei:
+        main(["campaign", "counter", "-n", "8", "--resume"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --resume" in capsys.readouterr().err

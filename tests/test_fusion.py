@@ -205,9 +205,9 @@ def test_fused_campaign_checkpoint_resume(tmp_path):
                          checkpoint_dir=ck)
     for name in ref.outputs:
         np.testing.assert_array_equal(ref.outputs[name], first.outputs[name])
-    # Resume consumes the durable shard results written by the first run.
+    # A rerun adopts the durable shard results written by the first run.
     second = run_campaign(fused_spec, workers=0, shard_lanes=4,
-                          checkpoint_dir=ck, resume=True)
+                          checkpoint_dir=ck)
     assert all(o.cached for o in second.shards)
     for name in first.outputs:
         np.testing.assert_array_equal(first.outputs[name],
