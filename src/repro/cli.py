@@ -9,8 +9,10 @@ lint       Run the static-analysis rule pack (comb loops, multiple
 verify     Translation-validation verifier: re-derive the IR invariants
            of every lowering boundary, re-prove the fused emitter's
            rewrites through the known-bits engine, and detect task-graph
-           scheduling hazards.  ``--selftest`` runs the mutation harness;
-           ``repro run/campaign --verify`` adds the runtime sanitizer.
+           scheduling hazards.  ``--selftest`` runs the mutation harness.
+           ``repro run --verify`` verifies statically, then runs under the
+           runtime sanitizer; ``repro campaign --verify`` verifies up front
+           and has every worker re-verify its rebuilt model.
 transpile  Emit the generated batch-kernel module (and optionally the
            Verilator-style scalar module) to files.
 simulate   Run a batch simulation from stimulus files (or random stimulus)
@@ -50,6 +52,7 @@ designs    List the bundled benchmark designs.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -72,34 +75,47 @@ def _load_flow(args) -> RTLFlow:
 EXECUTOR_CHOICES = tuple(k for k in EXECUTOR_KINDS if k != "sanitize")
 
 
-def cmd_stats(args) -> int:
-    if args.design:
-        from repro.designs import get_design
+def _source_jobs(designs, sources, top) -> list:
+    """The inputs of ``stats``/``lint``/``verify``: ``(filename, text,
+    top)`` for each bundled design named, then one job for the Verilog
+    ``sources`` (which need ``top``)."""
+    from repro.designs import get_design
 
-        bundle = get_design(args.design)
-        flow = RTLFlow.from_source(bundle.source, bundle.top)
-        args.top = bundle.top
-    elif args.sources and args.top:
-        flow = _load_flow(args)
-    else:
+    if not (designs or sources) or (sources and not top):
         raise ReproError("pass Verilog source files with --top, or --design")
+    jobs = []
+    for name in designs:
+        bundle = get_design(name)
+        jobs.append((f"<design:{name}>", bundle.source, bundle.top))
+    if sources:
+        texts = []
+        for path in sources:
+            with open(path, "r", encoding="utf-8") as fh:
+                texts.append(fh.read())
+        filename = sources[0] if len(sources) == 1 else "<input>"
+        jobs.append((filename, "\n".join(texts), top))
+    return jobs
+
+
+def cmd_stats(args) -> int:
+    designs, sources = ([args.design], []) if args.design else ([], args.sources)
+    filename, text, top = _source_jobs(designs, sources, args.top)[0]
+    flow = RTLFlow.from_source(text, top, filename=filename)
     stats = flow.graph.stats()
     tg = flow.taskgraph()
     if args.json:
-        import json
-
         # The size of the fused programs the product engine replays
         # (statements, temporaries, rolled-up runs, ...): CI asserts
         # these counts instead of regex-ing generated source.
         print(json.dumps(
-            {"top": args.top, "graph": stats, "taskgraph": tg.stats(),
+            {"top": top, "graph": stats, "taskgraph": tg.stats(),
              "fused": flow.compile().fused().stats},
             indent=2, sort_keys=True, default=float,
         ))
         return 0
     rows = [[k, v] for k, v in stats.items()]
     print(format_table(["metric", "value"], rows,
-                       title=f"RTL graph statistics: {args.top}"))
+                       title=f"RTL graph statistics: {top}"))
     print()
     print(format_table(
         ["metric", "value"],
@@ -110,57 +126,33 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.lint import Severity, lint_source
+def _check_sources(args, rules, check) -> int:
+    """The ``lint``/``verify`` driver: run ``check(text, top, filename=,
+    rules=)`` over each bundled ``--design`` and over the source files,
+    print the reports as text or ``--json``, and exit 1 when a
+    diagnostic at or above ``--fail-on`` fired."""
+    from repro.designs import list_designs
+    from repro.lint import RULES, Severity
 
-    rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        from repro.lint import RULES
-
         unknown = sorted(set(rules) - set(RULES))
         if unknown:
             raise ReproError(
-                f"unknown lint rule(s): {', '.join(unknown)} "
+                f"unknown rule(s): {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(RULES))})"
             )
 
-    jobs = []  # (filename, text, top)
-    if args.design:
-        from repro.designs import get_design, list_designs
-
-        names = list_designs() if "all" in args.design else args.design
-        for name in names:
-            bundle = get_design(name)
-            jobs.append((f"<design:{name}>", bundle.source, bundle.top))
-    if args.sources:
-        if not args.top:
-            raise ReproError("--top is required when linting source files")
-        texts = []
-        for path in args.sources:
-            with open(path, "r", encoding="utf-8") as fh:
-                texts.append(fh.read())
-        filename = args.sources[0] if len(args.sources) == 1 else "<input>"
-        jobs.append((filename, "\n".join(texts), args.top))
-    if not jobs:
-        raise ReproError("nothing to lint: pass source files or --design")
-
-    reports = [
-        lint_source(text, top, filename=fname, rules=rules)
-        for fname, text, top in jobs
-    ]
-
+    designs = list_designs() if "all" in args.design else args.design
+    reports = [check(text, top, filename=fname, rules=rules)
+               for fname, text, top in _source_jobs(designs, args.sources,
+                                                    args.top)]
     if args.json:
-        import json
-
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload,
                          indent=2, sort_keys=True))
     else:
-        for i, report in enumerate(reports):
-            if i:
-                print()
-            print(report.format_text())
+        print("\n\n".join(r.format_text() for r in reports))
 
     if args.fail_on == "never":
         return 0
@@ -168,18 +160,19 @@ def cmd_lint(args) -> int:
     return 1 if any(r.at_least(threshold) for r in reports) else 0
 
 
-def cmd_verify(args) -> int:
-    from repro.lint import Severity
-    from repro.verify import VERIFY_RULE_IDS, verify_source
+def cmd_lint(args) -> int:
+    from repro.lint import lint_source
 
+    return _check_sources(args, None, lint_source)
+
+
+def cmd_verify(args) -> int:
     if args.selftest:
         from repro.verify.mutate import MUTATIONS, verify_selftest
 
         rows = verify_selftest()
         missed = [r for r in rows if not r["flagged"]]
         if args.json:
-            import json
-
             print(json.dumps(rows, indent=2, sort_keys=True))
         else:
             table = [[r["mutation"], r["area"],
@@ -193,60 +186,13 @@ def cmd_verify(args) -> int:
             print(f"{len(rows) - len(missed)}/{len(rows)} mutations flagged")
         return 1 if missed else 0
 
-    rules = list(VERIFY_RULE_IDS)
-    if args.rules:
-        from repro.lint import RULES
+    from functools import partial
 
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        unknown = sorted(set(rules) - set(RULES))
-        if unknown:
-            raise ReproError(
-                f"unknown rule(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(RULES))})"
-            )
+    from repro.verify import VERIFY_RULE_IDS, verify_source
 
-    jobs = []  # (filename, text, top)
-    if args.design:
-        from repro.designs import get_design, list_designs
-
-        names = list_designs() if "all" in args.design else args.design
-        for name in names:
-            bundle = get_design(name)
-            jobs.append((f"<design:{name}>", bundle.source, bundle.top))
-    if args.sources:
-        if not args.top:
-            raise ReproError("--top is required when verifying source files")
-        texts = []
-        for path in args.sources:
-            with open(path, "r", encoding="utf-8") as fh:
-                texts.append(fh.read())
-        filename = args.sources[0] if len(args.sources) == 1 else "<input>"
-        jobs.append((filename, "\n".join(texts), args.top))
-    if not jobs:
-        raise ReproError("nothing to verify: pass source files or --design")
-
-    reports = [
-        verify_source(text, top, filename=fname, rules=rules,
-                      target_weight=args.target_weight)
-        for fname, text, top in jobs
-    ]
-
-    if args.json:
-        import json
-
-        payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2, sort_keys=True))
-    else:
-        for i, report in enumerate(reports):
-            if i:
-                print()
-            print(report.format_text())
-
-    if args.fail_on == "never":
-        return 0
-    threshold = Severity.parse(args.fail_on)
-    return 1 if any(r.at_least(threshold) for r in reports) else 0
+    return _check_sources(
+        args, list(VERIFY_RULE_IDS),
+        partial(verify_source, target_weight=args.target_weight))
 
 
 def cmd_transpile(args) -> int:
@@ -299,27 +245,38 @@ def _apply_loads(flow: RTLFlow, sim, loads) -> None:
         sim.load_memory(name, read_hex_image(path, depth=mem.depth))
 
 
+def _print_outputs(outputs, title: str) -> None:
+    """The final-values table of ``simulate``/``run``/``campaign``/
+    ``result``: each output's first eight lanes in hex."""
+    rows = []
+    for name, values in outputs.items():
+        preview = " ".join(format(int(v), "x") for v in values[:8])
+        more = " ..." if len(values) > 8 else ""
+        rows.append([name, f"{preview}{more}"])
+    print(format_table(["output", "final values (hex, first lanes)"], rows,
+                       title=title))
+
+
 def cmd_simulate(args) -> int:
     flow = _load_flow(args)
     stim = _make_stimulus(flow, args)
     sim = flow.simulator(n=stim.n, executor=args.executor)
     _apply_loads(flow, sim, args.load)
-    outs = sim.run(stim, cycles=args.cycles)
-    rows = []
-    for name, values in outs.items():
-        preview = " ".join(format(int(v), "x") for v in values[:8])
-        more = " ..." if stim.n > 8 else ""
-        rows.append([name, f"{preview}{more}"])
-    print(format_table(
-        ["output", "final values (hex, first lanes)"], rows,
-        title=f"{args.top}: {stim.n} stimulus x {args.cycles} cycles",
-    ))
-    if args.vcd is not None:
-        from repro.waveform.vcd import dump_vcd
+    if args.vcd is None:
+        outs = sim.run(stim, cycles=args.cycles)
+    else:
+        from repro.waveform.vcd import VcdWriter
 
-        sim2 = flow.simulator(n=stim.n, executor=args.executor)
-        _apply_loads(flow, sim2, args.load)
-        dump_vcd(args.vcd, sim2, stim, lane=args.vcd_lane, cycles=args.cycles)
+        # The VCD samples the lane after every cycle of the same run whose
+        # final values are printed.
+        widths = {s.name: s.width for s in sim.model.design.outputs}
+        with VcdWriter(args.vcd, widths) as vcd:
+            outs = sim.run(stim, cycles=args.cycles, progress=lambda c: (
+                vcd.sample(c, {n: int(sim.get(n)[args.vcd_lane])
+                               for n in widths})))
+    _print_outputs(outs,
+                   f"{args.top}: {stim.n} stimulus x {args.cycles} cycles")
+    if args.vcd is not None:
         print(f"wrote {args.vcd} (lane {args.vcd_lane})")
     return 0
 
@@ -382,13 +339,6 @@ def cmd_profile(args) -> int:
         sim.run(stim)
         device.publish_metrics(metrics)
 
-    trace_path = args.trace_json or f"{args.design}.trace.json"
-    metrics_path = args.metrics_json or f"{args.design}.metrics.json"
-    tracer.write_chrome_trace(trace_path)
-    metrics.write_json(
-        metrics_path, extra={"kernels": obs.kernel_time_summary(tracer)}
-    )
-
     agg = sorted(tracer.aggregate().items(),
                  key=lambda kv: kv[1].total, reverse=True)
     rows = [
@@ -413,32 +363,73 @@ def cmd_profile(args) -> int:
     if args.timeline:
         print()
         print(tracer.render_ascii(width=88))
-    print(f"wrote {trace_path} (Chrome trace; open in ui.perfetto.dev)")
-    print(f"wrote {metrics_path}")
+    _write_telemetry(tracer, metrics,
+                     args.trace_json or f"{args.design}.trace.json",
+                     args.metrics_json or f"{args.design}.metrics.json")
     return 0
 
 
-def _verified_executor(model, design: str) -> str:
-    """``--verify`` preflight: statically verify the compiled model (its
-    fused lowering included), then swap the executor for the runtime
-    sanitizer so the run also checks declared write footprints and epoch
-    monotonicity.  The sanitizer replays the reference task path — the
-    fused bundle was just verified statically, and the sanitizer's job is
-    the task-level invariants."""
+def _verify_preflight(design: str, report, outcome: str) -> None:
+    """``--verify``: raise :class:`VerificationError` when the static
+    ``report`` has an error, else note on stderr that ``design`` passed,
+    followed by ``outcome`` (what the run does next)."""
     from repro.utils.errors import VerificationError
-    from repro.verify import verify_model
 
-    report = verify_model(model, filename=f"<design:{design}>")
     if report.errors:
         raise VerificationError(
             f"{design}: verifier found {len(report.errors)} error(s):\n"
             + "\n".join(d.format() for d in report.sorted_diagnostics()),
             diagnostics=report.errors,
         )
-    print(f"verify: {design} passed "
-          f"({len(report.diagnostics)} findings); sanitizer enabled",
-          file=sys.stderr)
-    return "sanitize"
+    print(f"verify: {design} passed{outcome}", file=sys.stderr)
+
+
+def _lane_faults(args) -> list:
+    """``--inject-lane-fault CYCLE:LANE[:REASON]`` as campaign triples."""
+    from repro import resilience as rz
+
+    faults = []
+    for s in args.inject_lane_fault:
+        try:
+            f = rz.parse_lane_fault(s)
+        except ValueError as exc:
+            raise ReproError(str(exc)) from exc
+        faults.append((f.cycle, f.lane, f.reason))
+    return faults
+
+
+def _resilience_flags(args) -> list:
+    """Check the resilience flags ``run`` and ``campaign`` share and return
+    the lane faults to inject.  A checkpoint interval without a directory
+    would be ignored (and, on ``campaign --store``, would still change
+    every shard's content key), so it is an error."""
+    if not args.checkpoint_dir and (args.checkpoint_every
+                                    or args.checkpoint_every_seconds):
+        flag = ("--checkpoint-every" if args.checkpoint_every
+                else "--checkpoint-every-seconds")
+        raise ReproError(f"{flag} requires --checkpoint-dir")
+    return _lane_faults(args)
+
+
+def _fault_report(args, report: dict, isolation: bool, **extra) -> int:
+    """Print the quarantined lanes of ``report`` (a ``LaneQuarantine.
+    report()``-shaped dict), write it with ``design`` and ``extra`` to
+    ``--fault-report`` when asked (an empty ``faults`` list included), and
+    return the exit code: 1 when every lane died, so nothing survived."""
+    from repro import resilience as rz
+
+    faulted = report["faulted_lanes"]
+    if faulted:
+        print(f"quarantined {len(faulted)}/{report['n']} lanes:")
+        for f in report["faults"][:20]:
+            print(f"  lane {f['lane']} @ cycle {f['cycle']}: {f['reason']}")
+    elif isolation:
+        print(f"all {report['n']} lanes healthy")
+    if args.fault_report:
+        rz.atomic_write_json(args.fault_report,
+                             {**report, "design": args.design, **extra})
+        print(f"wrote {args.fault_report}")
+    return 1 if faulted and len(faulted) >= report["n"] else 0
 
 
 def cmd_run(args) -> int:
@@ -449,40 +440,44 @@ def cmd_run(args) -> int:
     from repro.designs import get_design
     from repro.pipeline.scheduler import PipelineSimulator
 
+    lane_faults = _resilience_flags(args)
+    if args.resume and not args.checkpoint_dir:
+        raise ReproError("--resume requires --checkpoint-dir")
     bundle = get_design(args.design)
-    flow = RTLFlow.from_source(bundle.source, bundle.top)
-    model = flow.compile()
+    model = RTLFlow.from_source(bundle.source, bundle.top).compile()
 
     executor = args.executor
     if args.verify:
-        executor = _verified_executor(model, args.design)
+        from repro.verify import verify_model
+
+        # Statically verify the compiled model (its fused lowering
+        # included), then run under the sanitizer, which checks declared
+        # write footprints and epoch monotonicity on the reference task
+        # path: the fused bundle was just verified statically.
+        report = verify_model(model, filename=f"<design:{args.design}>")
+        _verify_preflight(args.design, report,
+                          f" ({len(report.diagnostics)} findings); "
+                          "sanitizer enabled")
+        executor = "sanitize"
 
     plan = None
-    if args.inject_lane_fault or args.inject_checkpoint_failure:
-        try:
-            plan = rz.FaultPlan(
-                lane_faults=[rz.parse_lane_fault(s)
-                             for s in args.inject_lane_fault],
-                checkpoint_failures=set(args.inject_checkpoint_failure),
-            )
-        except ValueError as exc:
-            raise ReproError(str(exc)) from exc
-    isolation = args.fault_isolation or bool(args.inject_lane_fault)
+    if lane_faults or args.inject_checkpoint_failure:
+        plan = rz.FaultPlan(
+            lane_faults=[rz.LaneFaultSpec(*f) for f in lane_faults],
+            checkpoint_failures=set(args.inject_checkpoint_failure),
+        )
+    isolation = args.fault_isolation or bool(lane_faults)
 
     mgr = None
     if args.checkpoint_dir:
-        policy = None
-        if args.checkpoint_every or args.checkpoint_every_seconds:
-            policy = rz.CheckpointPolicy(
-                every_cycles=args.checkpoint_every or None,
-                every_seconds=args.checkpoint_every_seconds or None,
-            )
+        policy = rz.CheckpointPolicy(
+            every_cycles=args.checkpoint_every or None,
+            every_seconds=args.checkpoint_every_seconds or None,
+        )
         mgr = rz.CheckpointManager(
             args.checkpoint_dir, policy=policy, keep=args.keep_checkpoints,
             fault_plan=plan,
         )
-    elif args.resume:
-        raise ReproError("--resume requires --checkpoint-dir")
 
     if args.groups > 1:
         sim = PipelineSimulator(
@@ -495,7 +490,7 @@ def cmd_run(args) -> int:
     bundle.preload(sim)
 
     start = 0
-    if args.resume and mgr is not None:
+    if args.resume:
         ckpt = mgr.load_latest()
         if ckpt is None:
             print(f"no checkpoint in {args.checkpoint_dir}; "
@@ -513,93 +508,58 @@ def cmd_run(args) -> int:
         # (best-effort: a failed write degrades like any periodic one).
         mgr.save(sim, required=False)
 
-    rows = []
-    for name, values in outs.items():
-        preview = " ".join(format(int(v), "x") for v in values[:8])
-        more = " ..." if args.batch > 8 else ""
-        rows.append([name, f"{preview}{more}"])
-    print(format_table(
-        ["output", "final values (hex, first lanes)"], rows,
-        title=f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
+    _print_outputs(
+        outs, f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
               f"(executor={executor}"
-              + (f", groups={args.groups}" if args.groups > 1 else "") + ")",
-    ))
+              + (f", groups={args.groups}" if args.groups > 1 else "") + ")")
     if mgr is not None:
         print(f"checkpoints: {mgr.writes} written, "
               f"{mgr.write_failures} failed, latest {mgr.latest_path()}")
 
     if isinstance(sim, PipelineSimulator):
-        report = sim.fault_report() if isolation else None
+        report = sim.fault_report()
     else:
-        report = sim.quarantine.report() if sim.quarantine is not None else None
-    if report is not None:
-        faulted = len(report["faulted_lanes"])
-        if faulted:
-            print(f"quarantined {faulted}/{report['n']} lanes:")
-            for f in report["faults"][:20]:
-                print(f"  lane {f['lane']} @ cycle {f['cycle']}: "
-                      f"{f['reason']}")
-        else:
-            print(f"all {report['n']} lanes healthy")
-        if args.fault_report:
-            payload = dict(report)
-            payload["design"] = args.design
-            payload["fault_plan"] = plan.to_dict() if plan else None
-            rz.atomic_write_json(args.fault_report, payload)
-            print(f"wrote {args.fault_report}")
-        if faulted >= report["n"]:
-            return 1  # every lane died: nothing useful survived
-    return 0
+        report = (sim.quarantine or rz.LaneQuarantine(args.batch)).report()
+    return _fault_report(args, report, isolation,
+                         fault_plan=plan.to_dict() if plan else None)
 
 
-def _lane_faults(args) -> list:
-    """``--inject-lane-fault CYCLE:LANE[:REASON]`` as campaign triples."""
-    from repro import resilience as rz
+def _campaign_spec(args, bundle, lane_faults, isolation=False, **extra):
+    """The :class:`CampaignSpec` a ``repro campaign``/``submit`` describes."""
+    from repro.cluster import CampaignSpec
 
-    faults = []
-    for s in args.inject_lane_fault:
-        try:
-            f = rz.parse_lane_fault(s)
-        except ValueError as exc:
-            raise ReproError(str(exc)) from exc
-        faults.append((f.cycle, f.lane, f.reason))
-    return faults
+    return CampaignSpec(
+        n=args.batch,
+        cycles=args.cycles,
+        design=args.design,
+        seed=args.seed,
+        executor=args.executor,
+        watch=bundle.watch,
+        fault_isolation=isolation or bool(lane_faults),
+        lane_faults=lane_faults,
+        **extra,
+    )
 
 
 def cmd_campaign(args) -> int:
     """Run a bundled design as a sharded multi-process campaign."""
-    from repro import resilience as rz
-    from repro.cluster import CampaignCoordinator, CampaignSpec
+    from repro.cluster import CampaignCoordinator
     from repro.designs import get_design
 
+    lane_faults = _resilience_flags(args)
     bundle = get_design(args.design)
-
     if args.verify:
-        from repro.utils.errors import VerificationError
         from repro.verify import verify_source
 
         report = verify_source(bundle.source, bundle.top,
                                filename=f"<design:{args.design}>")
-        if report.errors:
-            raise VerificationError(
-                f"{args.design}: verifier found {len(report.errors)} "
-                "error(s):\n"
-                + "\n".join(d.format() for d in report.sorted_diagnostics()),
-                diagnostics=report.errors,
-            )
-        print(f"verify: {args.design} passed; workers will re-verify",
-              file=sys.stderr)
-
-    lane_faults = _lane_faults(args)
+        _verify_preflight(args.design, report, "; workers will re-verify")
 
     crash = {}
     for s in args.inject_worker_crash:
-        parts = s.split(":")
         try:
-            shard, cycle = int(parts[0]), int(parts[1])
-            if len(parts) != 2:
-                raise ValueError
-        except (ValueError, IndexError):
+            shard, cycle = map(int, s.split(":"))
+        except ValueError:
             raise ReproError(
                 f"worker crash spec must be SHARD:CYCLE, got {s!r}"
             ) from None
@@ -609,15 +569,8 @@ def cmd_campaign(args) -> int:
         print("note: --inject-worker-crash without --checkpoint-dir "
               "recomputes the killed shard from scratch", file=sys.stderr)
 
-    spec = CampaignSpec(
-        n=args.batch,
-        cycles=args.cycles,
-        design=args.design,
-        seed=args.seed,
-        executor=args.executor,
-        watch=bundle.watch,
-        fault_isolation=args.fault_isolation or bool(lane_faults),
-        lane_faults=lane_faults,
+    spec = _campaign_spec(
+        args, bundle, lane_faults, isolation=args.fault_isolation,
         coverage=args.coverage,
         checkpoint_every=args.checkpoint_every or None,
         checkpoint_every_seconds=args.checkpoint_every_seconds or None,
@@ -635,17 +588,11 @@ def cmd_campaign(args) -> int:
     )
     result = coord.run()
 
-    rows = []
-    for name, values in result.outputs.items():
-        preview = " ".join(format(int(v), "x") for v in values[:8])
-        more = " ..." if args.batch > 8 else ""
-        rows.append([name, f"{preview}{more}"])
-    print(format_table(
-        ["output", "final values (hex, first lanes)"], rows,
-        title=f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
-              f"({len(result.shards)} shards, {args.workers} workers, "
-              f"executor={spec.executor})",
-    ))
+    _print_outputs(
+        result.outputs,
+        f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
+        f"({len(result.shards)} shards, {args.workers} workers, "
+        f"executor={spec.executor})")
     print(result.summary())
     if coord.store is not None:
         hits = sum(1 for o in result.shards if o.cache_hit)
@@ -655,22 +602,9 @@ def cmd_campaign(args) -> int:
         if o.attempts > 1:
             print(f"shard {o.id} [lanes {o.lo}:{o.hi}] needed {o.attempts} "
                   f"attempts (restarted from cycle {o.resumed_from})")
-
-    report = result.fault_report()
-    if report["faulted_lanes"]:
-        print(f"quarantined {len(report['faulted_lanes'])}/{report['n']} lanes:")
-        for f in report["faults"][:20]:
-            print(f"  lane {f['lane']} @ cycle {f['cycle']}: {f['reason']}")
-    if args.fault_report:
-        payload = dict(report)
-        payload["design"] = args.design
-        payload["shards"] = [o.to_dict() for o in result.shards]
-        payload["restarts"] = result.restarts
-        rz.atomic_write_json(args.fault_report, payload)
-        print(f"wrote {args.fault_report}")
-    if len(report["faulted_lanes"]) >= report["n"]:
-        return 1  # every lane died: nothing useful survived
-    return 0
+    return _fault_report(args, result.fault_report(), spec.fault_isolation,
+                         shards=[o.to_dict() for o in result.shards],
+                         restarts=result.restarts)
 
 
 def cmd_serve(args) -> int:
@@ -692,27 +626,6 @@ def cmd_serve(args) -> int:
     return run_service(service)
 
 
-def _submit_spec(args):
-    """Build the CampaignSpec a ``repro submit`` invocation describes."""
-    from repro.cluster import CampaignSpec
-    from repro.designs import get_design
-
-    bundle = get_design(args.design)
-    lane_faults = _lane_faults(args)
-    spec = CampaignSpec(
-        n=args.batch,
-        cycles=args.cycles,
-        design=args.design,
-        seed=args.seed,
-        executor=args.executor,
-        watch=bundle.watch,
-        fault_isolation=bool(lane_faults),
-        lane_faults=lane_faults,
-    )
-    spec.validate()  # reject a bad spec before the POST
-    return spec
-
-
 def _print_job_line(job: dict) -> None:
     line = (f"{job['id']}  {job['state']:<9} tenant={job['tenant']} "
             f"shards={job['shards_done']}/{job['shards_total']} "
@@ -725,9 +638,11 @@ def _print_job_line(job: dict) -> None:
 
 
 def cmd_submit(args) -> int:
+    from repro.designs import get_design
     from repro.serve import ServiceClient, spec_to_dict
 
-    spec = _submit_spec(args)
+    spec = _campaign_spec(args, get_design(args.design), _lane_faults(args))
+    spec.validate()  # reject a bad spec before the POST
     client = ServiceClient(args.url)
     status = client.submit(spec_to_dict(spec), tenant=args.tenant,
                            weight=args.weight)
@@ -750,14 +665,11 @@ def cmd_submit(args) -> int:
 
 
 def cmd_jobs(args) -> int:
-    import json as json_mod
-
     from repro.serve import ServiceClient
 
-    client = ServiceClient(args.url)
-    jobs = client.jobs(tenant=args.tenant)
+    jobs = ServiceClient(args.url).jobs(tenant=args.tenant)
     if args.json:
-        print(json_mod.dumps({"jobs": jobs}, indent=1))
+        print(json.dumps({"jobs": jobs}, indent=1))
         return 0
     if not jobs:
         print("no jobs")
@@ -768,27 +680,17 @@ def cmd_jobs(args) -> int:
 
 
 def cmd_result(args) -> int:
-    import json as json_mod
+    from repro.serve import ServiceClient, decode_outputs
 
-    from repro.serve import ServiceClient
-
-    client = ServiceClient(args.url)
-    res = client.result(args.job)
+    res = ServiceClient(args.url).result(args.job)
     if args.json:
-        print(json_mod.dumps(res, indent=1))
+        print(json.dumps(res, indent=1))
         return 0
     job = res["job"]
     m = res["metrics"]
-    rows = []
-    for name, rec in res["outputs"].items():
-        preview = " ".join(rec["hex"][:8])
-        more = " ..." if len(rec["hex"]) > 8 else ""
-        rows.append([name, f"{preview}{more}"])
-    print(format_table(
-        ["output", "final values (hex, first lanes)"], rows,
-        title=f"{job['id']}: {job['spec']['n']} lanes x "
-              f"{job['spec']['cycles']} cycles",
-    ))
+    _print_outputs(decode_outputs(res["outputs"]),
+                   f"{job['id']}: {job['spec']['n']} lanes x "
+                   f"{job['spec']['cycles']} cycles")
     print(f"digest: {res['digest']}")
     print(f"cache: {m['store_hits']} hits, {m['shards_simulated']} "
           f"simulated (hit rate {m['hit_rate']:.2f})")
@@ -825,25 +727,59 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("sources", nargs="+", help="Verilog source files")
         p.add_argument("--top", required=True, help="top module name")
 
-    def add_telemetry_args(p):
-        p.add_argument("--trace-json", default=None, metavar="PATH",
-                       help="write a Chrome-trace/Perfetto JSON of the run")
-        p.add_argument("--metrics-json", default=None, metavar="PATH",
-                       help="write a metrics snapshot JSON of the run")
-        p.set_defaults(_auto_telemetry=True)
+    def add_source_args(p, design_help, many=True):
+        """Source files with ``--top``, or bundled designs (``--design``)."""
+        p.add_argument("sources", nargs="*", help="Verilog source files")
+        p.add_argument("--top", default=None,
+                       help="top module name (required with source files)")
+        p.add_argument("--design", metavar="NAME", help=design_help,
+                       **({"action": "append", "default": []} if many
+                          else {"default": None}))
+        p.add_argument("--json", action="store_true",
+                       help="emit JSON instead of text")
 
-    def add_executor_arg(p):
-        p.add_argument("--executor", choices=list(EXECUTOR_CHOICES),
-                       default=DEFAULT_EXECUTOR,
-                       help="replay engine (default: the fused flat "
-                            "programs; graph/stream are the paper's "
-                            "Table 4 contrast — see docs/fusion.md)")
+    def add_check_args(p, verb, default_rules):
+        """The ``lint``/``verify`` inputs, rule filter and exit gate."""
+        add_source_args(p, f"{verb} a bundled design ('all' for every one; "
+                           "repeatable; see `repro designs`)")
+        p.add_argument("--rules", default=None, metavar="ID[,ID...]",
+                       help=f"run only these rule ids (default: "
+                            f"{default_rules})")
+        p.add_argument("--fail-on", choices=["error", "warning", "info", "never"],
+                       default="error",
+                       help="exit 1 if any diagnostic at or above this "
+                            "severity fired (default: error)")
+
+    def add_telemetry_args(p, auto=True):
+        """``--trace-json``/``--metrics-json``; ``auto`` captures the run
+        in ``_run_command`` (``profile`` captures its own)."""
+        p.add_argument("--trace-json", default=None, metavar="PATH",
+                       help="write a Chrome-trace/Perfetto JSON of the run"
+                            + ("" if auto else " (default <design>.trace.json)"))
+        p.add_argument("--metrics-json", default=None, metavar="PATH",
+                       help="write a metrics snapshot JSON of the run"
+                            + ("" if auto else " (default <design>.metrics.json)"))
+        if auto:
+            p.set_defaults(_auto_telemetry=True)
+
+    def add_batch_args(p, batch, cycles, executor=True):
+        p.add_argument("--batch", "-n", type=int, default=batch,
+                       help=f"number of stimulus lanes (default {batch})")
+        p.add_argument("--cycles", "-c", type=int, default=cycles)
+        p.add_argument("--seed", type=int, default=0)
+        if executor:
+            p.add_argument("--executor", choices=list(EXECUTOR_CHOICES),
+                           default=DEFAULT_EXECUTOR,
+                           help="replay engine (default: the fused flat "
+                                "programs; graph/stream are the paper's "
+                                "Table 4 contrast — see docs/fusion.md)")
+
+    def add_bundle_args(p, batch, cycles=200):
+        """A bundled design and its batch: profile/run/campaign/submit."""
+        p.add_argument("design", help="bundled design name (see `repro designs`)")
+        add_batch_args(p, batch, cycles)
 
     def add_stim_args(p):
-        p.add_argument("--batch", "-n", type=int, default=256,
-                       help="number of stimulus (random mode)")
-        p.add_argument("--cycles", "-c", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--stimulus", nargs="*", default=None,
                        help="stimulus files (one per lane) instead of random")
         p.add_argument("--load", action="append", default=[],
@@ -851,15 +787,49 @@ def build_parser() -> argparse.ArgumentParser:
                        help="preload a memory from a $readmemh file "
                             "(repeatable)")
 
+    def add_lane_fault_arg(p):
+        p.add_argument("--inject-lane-fault", action="append", default=[],
+                       metavar="CYCLE:LANE[:REASON]",
+                       help="deterministically quarantine a global LANE at "
+                            "CYCLE (repeatable)")
+
+    def add_resilience_args(p, checkpoint_dir_help, verify_help):
+        """The resilience flags ``run`` and ``campaign`` share (checked
+        by ``_resilience_flags``)."""
+        p.add_argument("--fault-isolation", action="store_true",
+                       help="quarantine poisoned lanes instead of aborting "
+                            "(implied by --inject-lane-fault)")
+        add_lane_fault_arg(p)
+        p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                       help=checkpoint_dir_help)
+        p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
+                       help="snapshot every K cycles (needs --checkpoint-dir)")
+        p.add_argument("--checkpoint-every-seconds", type=float, default=0.0,
+                       metavar="T",
+                       help="snapshot every T seconds (needs --checkpoint-dir)")
+        p.add_argument("--fault-report", default=None, metavar="PATH",
+                       help="write the lane-fault report JSON here (an empty "
+                            "fault list when no lane was quarantined)")
+        p.add_argument("--verify", action="store_true", help=verify_help)
+
+    def add_pool_args(p):
+        """The shard runtime ``campaign`` and ``serve`` share."""
+        p.add_argument("--workers", "-w", type=int, default=2,
+                       help="worker processes (0 = run shards in-process, "
+                            "the deterministic debug mode)")
+        p.add_argument("--shard-lanes", type=int, default=None, metavar="L",
+                       help="lanes per shard (default: sized per campaign "
+                            "for ~4 shards per worker)")
+        p.add_argument("--max-restarts", type=int, default=3,
+                       help="restart budget per shard (default 3)")
+
+    def add_client_url(p):
+        p.add_argument("--url", default="http://127.0.0.1:8463",
+                       help="service base URL (default http://127.0.0.1:8463)")
+
     p = sub.add_parser("stats", help="print RTL graph statistics")
-    p.add_argument("sources", nargs="*", help="Verilog source files")
-    p.add_argument("--top", default=None,
-                   help="top module name (required with source files)")
-    p.add_argument("--design", default=None, metavar="NAME",
-                   help="a bundled design instead of source files "
-                        "(see `repro designs`)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the statistics as JSON instead of tables")
+    add_source_args(p, "a bundled design instead of source files "
+                       "(see `repro designs`)", many=False)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(
@@ -867,21 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="static-analysis rule pack: comb loops, multiple drivers, "
              "width truncation, batch hazards, ...",
     )
-    p.add_argument("sources", nargs="*", help="Verilog source files")
-    p.add_argument("--top", default=None,
-                   help="top module name (required with source files)")
-    p.add_argument("--design", action="append", default=[],
-                   metavar="NAME",
-                   help="lint a bundled design ('all' for every one; "
-                        "repeatable; see `repro designs`)")
-    p.add_argument("--rules", default=None, metavar="ID[,ID...]",
-                   help="run only these rule ids (default: all)")
-    p.add_argument("--json", action="store_true",
-                   help="emit structured diagnostics as JSON")
-    p.add_argument("--fail-on", choices=["error", "warning", "info", "never"],
-                   default="error",
-                   help="exit 1 if any diagnostic at or above this "
-                        "severity fired (default: error)")
+    add_check_args(p, "lint", "all")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser(
@@ -889,16 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="translation-validation verifier: staged IR checks, "
              "known-bits rewrite audit, task-graph hazard detection",
     )
-    p.add_argument("sources", nargs="*", help="Verilog source files")
-    p.add_argument("--top", default=None,
-                   help="top module name (required with source files)")
-    p.add_argument("--design", action="append", default=[],
-                   metavar="NAME",
-                   help="verify a bundled design ('all' for every one; "
-                        "repeatable; see `repro designs`)")
-    p.add_argument("--rules", default=None, metavar="ID[,ID...]",
-                   help="run only these rule ids (default: the verify-* "
-                        "rule pack)")
+    add_check_args(p, "verify", "the verify-* rule pack")
     p.add_argument("--target-weight", type=float, default=None,
                    help="partitioner target weight for the compile "
                         "under verification")
@@ -906,12 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the mutation self-test instead: inject "
                         "synthetic IR corruptions and require the "
                         "verifier to flag every one")
-    p.add_argument("--json", action="store_true",
-                   help="emit structured diagnostics as JSON")
-    p.add_argument("--fail-on", choices=["error", "warning", "info", "never"],
-                   default="error",
-                   help="exit 1 if any diagnostic at or above this "
-                        "severity fired (default: error)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("transpile", help="emit the batch kernel module")
@@ -924,8 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a batch simulation")
     add_design_args(p)
+    add_batch_args(p, 256, 1000)
     add_stim_args(p)
-    add_executor_arg(p)
     p.add_argument("--vcd", default=None, help="dump one lane's VCD here")
     p.add_argument("--vcd-lane", type=int, default=0)
     add_telemetry_args(p)
@@ -933,6 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="toggle-coverage a random campaign")
     add_design_args(p)
+    add_batch_args(p, 256, 1000, executor=False)
     add_stim_args(p)
     add_telemetry_args(p)
     p.add_argument("--ports-only", action="store_true")
@@ -945,11 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile a bundled design; emit Chrome-trace + metrics JSON",
     )
-    p.add_argument("design", help="bundled design name (see `repro designs`)")
-    p.add_argument("--batch", "-n", type=int, default=64)
-    p.add_argument("--cycles", "-c", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    add_executor_arg(p)
+    add_bundle_args(p, 64, cycles=100)
     p.add_argument("--mcmc-iters", type=int, default=0,
                    help="MCMC partition-tuning iterations for a task-replay "
                         "--executor (default 0: no tuning)")
@@ -957,10 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows in the printed span table")
     p.add_argument("--timeline", action="store_true",
                    help="also print the ASCII swimlane timeline")
-    p.add_argument("--trace-json", default=None, metavar="PATH",
-                   help="trace output path (default <design>.trace.json)")
-    p.add_argument("--metrics-json", default=None, metavar="PATH",
-                   help="metrics output path (default <design>.metrics.json)")
+    add_telemetry_args(p, auto=False)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
@@ -968,42 +903,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a bundled design with fault isolation, durable "
              "checkpoints/resume, and deterministic fault injection",
     )
-    p.add_argument("design", help="bundled design name (see `repro designs`)")
-    p.add_argument("--batch", "-n", type=int, default=64)
-    p.add_argument("--cycles", "-c", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_executor_arg(p)
+    add_bundle_args(p, 64)
     p.add_argument("--groups", type=int, default=1,
                    help="run through the pipeline scheduler with this many "
                         "stimulus groups (default: single simulator)")
-    p.add_argument("--fault-isolation", action="store_true",
-                   help="quarantine poisoned lanes instead of aborting "
-                        "(implied by --inject-lane-fault)")
-    p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                   help="directory for durable checkpoints (atomic "
-                        "temp+fsync+rename snapshots)")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
-                   help="snapshot every K cycles")
-    p.add_argument("--checkpoint-every-seconds", type=float, default=0.0,
-                   metavar="T", help="snapshot every T seconds")
+    add_resilience_args(
+        p, "directory for durable checkpoints (atomic temp+fsync+rename "
+           "snapshots)",
+        "statically verify the compiled IR first (fail on any finding), "
+        "then run under the runtime sanitizer executor")
     p.add_argument("--keep-checkpoints", type=int, default=2,
                    help="retain this many newest snapshots (default 2)")
     p.add_argument("--resume", action="store_true",
                    help="restore the newest checkpoint in --checkpoint-dir "
                         "and continue from it")
-    p.add_argument("--inject-lane-fault", action="append", default=[],
-                   metavar="CYCLE:LANE[:REASON]",
-                   help="deterministically quarantine LANE at CYCLE "
-                        "(repeatable)")
     p.add_argument("--inject-checkpoint-failure", action="append", type=int,
                    default=[], metavar="IDX",
                    help="make the IDX-th checkpoint write fail (repeatable)")
-    p.add_argument("--fault-report", default=None, metavar="PATH",
-                   help="write the structured lane-fault report JSON here")
-    p.add_argument("--verify", action="store_true",
-                   help="statically verify the compiled IR first (fail on "
-                        "any finding), then run under the runtime "
-                        "sanitizer executor")
     add_telemetry_args(p)
     p.set_defaults(fn=cmd_run)
 
@@ -1012,30 +928,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sharded multi-process campaign with crash recovery "
              "and merged outputs/coverage/faults/telemetry",
     )
-    p.add_argument("design", help="bundled design name (see `repro designs`)")
-    p.add_argument("--batch", "-n", type=int, default=256)
-    p.add_argument("--cycles", "-c", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_executor_arg(p)
-    p.add_argument("--workers", "-w", type=int, default=2,
-                   help="worker processes (0 = run shards inline, no "
-                        "multiprocessing)")
-    p.add_argument("--shard-lanes", type=int, default=None, metavar="L",
-                   help="lanes per shard (default: sized for ~4 shards "
-                        "per worker)")
+    add_bundle_args(p, 256)
+    add_pool_args(p)
     p.add_argument("--coverage", action="store_true",
                    help="collect merged toggle coverage across all shards")
-    p.add_argument("--fault-isolation", action="store_true",
-                   help="quarantine poisoned lanes instead of aborting "
-                        "(implied by --inject-lane-fault)")
-    p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                   help="root for mid-shard snapshots and, without "
-                        "--store, the result store (enables crash "
-                        "recovery: rerun with the same DIR)")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
-                   help="snapshot each shard every K cycles")
-    p.add_argument("--checkpoint-every-seconds", type=float, default=0.0,
-                   metavar="T", help="snapshot each shard every T seconds")
+    add_resilience_args(
+        p, "root for mid-shard snapshots and, without --store, the result "
+           "store (enables crash recovery: rerun with the same DIR)",
+        "statically verify the design up front and have every worker "
+        "re-verify its rebuilt model")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="content-addressed result store: shards whose "
                         "content key is already stored are adopted "
@@ -1047,22 +948,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "on a dispatched shard; workers heartbeat every "
                         "min(0.25, T/4) s (default: process-death "
                         "detection only)")
-    p.add_argument("--max-restarts", type=int, default=3,
-                   help="restart budget per shard before the campaign "
-                        "fails (default 3)")
-    p.add_argument("--inject-lane-fault", action="append", default=[],
-                   metavar="CYCLE:LANE[:REASON]",
-                   help="deterministically quarantine a global LANE at "
-                        "CYCLE (repeatable; routed to the owning shard)")
     p.add_argument("--inject-worker-crash", action="append", default=[],
                    metavar="SHARD:CYCLE",
                    help="SIGKILL the worker running SHARD after CYCLE "
                         "cycles, first attempt only (repeatable)")
-    p.add_argument("--fault-report", default=None, metavar="PATH",
-                   help="write the merged campaign fault-report JSON here")
-    p.add_argument("--verify", action="store_true",
-                   help="statically verify the design up front and have "
-                        "every worker re-verify its rebuilt model")
     add_telemetry_args(p)
     p.set_defaults(fn=cmd_campaign)
 
@@ -1076,12 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8463,
                    help="listen port (0 picks a free one; default 8463)")
-    p.add_argument("--workers", "-w", type=int, default=2,
-                   help="worker processes (0 = one in-process worker "
-                        "thread, the deterministic debug mode)")
-    p.add_argument("--shard-lanes", type=int, default=None, metavar="L",
-                   help="lanes per shard (default: sized per campaign for "
-                        "~4 shards per worker)")
+    add_pool_args(p)
     p.add_argument("--max-queued-shards", type=int, default=1024,
                    help="bounded-queue backpressure limit; submissions "
                         "past it get HTTP 429 (default 1024)")
@@ -1095,26 +979,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store-max-entries", type=int, default=None,
                    help="evict least-recently-used store entries past "
                         "this count (default: unbounded)")
-    p.add_argument("--max-restarts", type=int, default=3,
-                   help="per-shard worker-death retry budget (default 3)")
     p.set_defaults(fn=cmd_serve)
-
-    def add_client_url(p):
-        p.add_argument("--url", default="http://127.0.0.1:8463",
-                       help="service base URL (default http://127.0.0.1:8463)")
 
     p = sub.add_parser(
         "submit", help="submit a campaign to a running `repro serve`"
     )
-    p.add_argument("design", help="bundled design name (see `repro designs`)")
-    p.add_argument("--batch", "-n", type=int, default=256)
-    p.add_argument("--cycles", "-c", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_executor_arg(p)
-    p.add_argument("--inject-lane-fault", action="append", default=[],
-                   metavar="CYCLE:LANE[:REASON]",
-                   help="deterministically quarantine a global LANE at "
-                        "CYCLE (repeatable)")
+    add_bundle_args(p, 256)
+    add_lane_fault_arg(p)
     p.add_argument("--tenant", default="default",
                    help="tenant the job is accounted to (fair scheduling)")
     p.add_argument("--weight", type=float, default=1.0,
@@ -1155,6 +1026,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write_telemetry(tracer, metrics, trace_path, metrics_path) -> None:
+    """Write the Chrome trace and the metrics snapshot (with per-task
+    kernel times) of a captured run; a ``None`` path skips that file."""
+    if trace_path:
+        tracer.write_chrome_trace(trace_path)
+        print(f"wrote {trace_path} (Chrome trace; open in ui.perfetto.dev)")
+    if metrics_path:
+        metrics.write_json(
+            metrics_path, extra={"kernels": obs.kernel_time_summary(tracer)})
+        print(f"wrote {metrics_path}")
+
+
 def _run_command(args) -> int:
     """Dispatch one parsed command, honouring the telemetry flags of
     commands that opted in via ``add_telemetry_args``."""
@@ -1164,15 +1047,7 @@ def _run_command(args) -> int:
         return args.fn(args)
     with obs.capture() as (tracer, metrics):
         rc = args.fn(args)
-    if args.trace_json:
-        tracer.write_chrome_trace(args.trace_json)
-        print(f"wrote {args.trace_json} (Chrome trace; open in ui.perfetto.dev)")
-    if args.metrics_json:
-        metrics.write_json(
-            args.metrics_json,
-            extra={"kernels": obs.kernel_time_summary(tracer)},
-        )
-        print(f"wrote {args.metrics_json}")
+    _write_telemetry(tracer, metrics, args.trace_json, args.metrics_json)
     return rc
 
 
