@@ -2,26 +2,29 @@
 
 Transpiles the RTL graph into vectorized Python source (the CUDA
 analog) and compiles it with :func:`compile`.  A :class:`CompiledModel`
-holds the graph and builds, on first use, the two lowerings the
-executors run: the fused flat programs (:meth:`CompiledModel.fused`, the
-product engine) and the per-task kernel module over a macro-task
-partition (:meth:`CompiledModel.tasks`, the Table 4 contrast engines,
-the sanitizer and the MCMC estimator).
+holds the graph and its one memory layout, and builds, on first use,
+the two program sets the executors run — both emitted by
+:class:`FusedProgramCodegen` on that layout: the fused flat programs
+(:meth:`CompiledModel.fused`, the product engine) and the per-task
+module over a macro-task partition (:meth:`CompiledModel.tasks`, the
+Table 4 contrast engines, the sanitizer and the MCMC estimator).
 
 In the per-task module each macro task becomes one generated function
 
 .. code-block:: python
 
-    # __global__ task_3  (2 nodes, weight 17)
-    def task_3(P8, P16, P32, P64, N, LANE):
-        # c1.in = 10'h1 + c1.sum;    offset of c1.in is 1 (P8)
-        P8[1*N:2*N] = ((u64(1) + P16[17*N:18*N].astype(u64, copy=False))
-                       & u64(0xff))
+    # __global__ task_0 (comb, 2 nodes, weight 6)
+    def task_0(P8, P16, P32, P64, P1, N, W, LANE):
+        # count = ...;  offset of count is 2 (P8)
+        P8[2*N:3*N] = P8[0*N:1*N]
+        # wrap = ...;  offset of wrap is 3 (P1, word-packed)
+        P1[3*W:4*W] = ((P1[2*W:3*W])
+                       & (pk.pack_bool((P8[0*N:1*N]) == (u8(255)), N)))
 
 mirroring Listing 3: every access is a contiguous batch slice at
-``offset*N``, all arithmetic is uint64 with context-width masking, and the
-semantics match :func:`repro.baselines.reference.eval_expr` op for op
-(the differential test suite enforces this).
+``offset*N`` (``offset*W`` words for a lane-packed 1-bit signal), and
+the semantics match :func:`repro.baselines.reference.eval_expr` op for
+op (the differential test suite enforces this).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.annotate import render_header
-from repro.core.indexmap import IndexMapper, PackedIndexMapper
+from repro.core.indexmap import IndexMapper
 from repro.core.memory import PACKED_POOL, MemoryLayout
 from repro.partition.merge import partition
 from repro.partition.taskgraph import TaskGraph
@@ -704,7 +707,7 @@ class FusedExprCodegen(ExprCodegen):
     the context, otherwise emission bails).  Tier 3 — fallback to the
     inherited uint64 emission (wide values, division, dynamic shifts,
     concats), with packed operands unpacked at the boundary by the
-    :class:`~repro.core.indexmap.PackedIndexMapper`.
+    :class:`~repro.core.indexmap.IndexMapper`.
 
     State-independent subtrees fold through the inherited
     :meth:`~ExprCodegen._fold` on every tier (parameterized reset values
@@ -1479,7 +1482,8 @@ class TaskAccess:
     """Offset-level read/write footprint of one macro task.
 
     ``read_offsets``/``write_offsets`` are per-pool sorted offset arrays
-    (scattered signal slots); ``read_ranges`` are contiguous ``[lo, hi)``
+    (scattered signal slots; in ``P1`` an offset is one signal's word
+    block); ``read_ranges`` are contiguous ``[lo, hi)``
     pool ranges (whole memories — a dynamic ``mem[idx]`` read may touch
     any word).  The conditional replay executor intersects these with
     :class:`~repro.core.memory.DeviceArrays` write epochs to decide which
@@ -1557,27 +1561,47 @@ def compute_task_accesses(
 
 @dataclass
 class TaskModule:
-    """The compiled per-task kernel module: one function per macro task
-    over the unpacked layout, plus that layout's commit bindings."""
+    """The compiled per-task module: one program per macro task, emitted
+    by :class:`FusedProgramCodegen` over the model's layout."""
 
     layout: MemoryLayout
     source: str
     namespace: Dict[str, object]
     task_fns: Dict[int, Callable]
-    mem_writes: List[MemWriteBinding]
     transpile_seconds: float = 0.0
 
 
-class CompiledModel:
-    """An RTL graph plus its lazily built executable lowerings.
+def _mem_write_bindings(graph: RtlGraph,
+                        layout: MemoryLayout) -> List[MemWriteBinding]:
+    """Commit-time bindings of every guarded memory write over ``layout``
+    (program order)."""
+    out: List[MemWriteBinding] = []
+    for node in graph.memw_nodes:  # original program order
+        sc = layout.scratch[node.nid]
+        ms = layout.mem(node.target)
+        out.append(MemWriteBinding(
+            node_id=node.nid, clock=node.clock or "", edge=node.edge,
+            mem_pool=ms.pool, mem_base=ms.base, mem_depth=ms.depth,
+            cond_pool=sc.cond.pool, cond_off=sc.cond.offset,
+            addr_pool=sc.addr.pool, addr_off=sc.addr.offset,
+            data_pool=sc.data.pool, data_off=sc.data.offset,
+        ))
+    return out
 
-    The product engine only ever needs :meth:`fused`, built from the
-    graph.  The partition (``taskgraph``) and the per-task module over it
-    (:meth:`tasks`, and its views ``layout``/``source``/``task_fns``/
-    ``mem_writes``/``transpile_seconds``) are made by their first
-    reader: the ``graph``/``stream``/``graph-conditional``/``sanitize``
-    executors, the MCMC estimator, ``repro verify`` and ``repro
-    transpile``.  ``tasks_built`` tells whether the module was built.
+
+class CompiledModel:
+    """An RTL graph, its memory layout and its lazily built lowerings.
+
+    One :class:`~repro.core.memory.MemoryLayout` (``layout``) and one
+    list of commit bindings over it (``mem_writes``) serve every
+    lowering and every executor.  The product engine only ever needs
+    :meth:`fused`, built from the graph.  The partition (``taskgraph``)
+    and the per-task module over it (:meth:`tasks`, and its views
+    ``source``/``task_fns``/``transpile_seconds``) are made by their
+    first reader: the ``graph``/``stream``/``graph-conditional``/
+    ``sanitize`` executors, the MCMC estimator, ``repro verify`` and
+    ``repro transpile``.  ``tasks_built`` tells whether the module was
+    built.
     """
 
     def __init__(self, graph: RtlGraph,
@@ -1586,6 +1610,8 @@ class CompiledModel:
         self.graph = graph
         self._taskgraph = taskgraph
         self._tasks = tasks
+        self._layout = None if tasks is None else tasks.layout
+        self._mem_writes: Optional[List[MemWriteBinding]] = None
         self._task_accesses: Optional[Dict[int, TaskAccess]] = None
         self._fused: Optional["FusedPrograms"] = None
 
@@ -1601,21 +1627,31 @@ class CompiledModel:
             self._taskgraph = partition(self.graph)
         return self._taskgraph
 
+    @property
+    def layout(self) -> MemoryLayout:
+        """The design's memory layout (made on first read, cached)."""
+        if self._layout is None:
+            self._layout = MemoryLayout.from_graph(self.graph)
+        return self._layout
+
+    @property
+    def mem_writes(self) -> List[MemWriteBinding]:
+        """Commit bindings of the guarded memory writes over ``layout``."""
+        if self._mem_writes is None:
+            self._mem_writes = _mem_write_bindings(self.graph, self.layout)
+        return self._mem_writes
+
     # -- the per-task module (lazy) ---------------------------------------------
 
     def tasks(self) -> TaskModule:
-        """The per-task kernel module (built on first use, cached)."""
+        """The per-task module (built on first use, cached)."""
         if self._tasks is None:
-            self._tasks = KernelCodegen(self.taskgraph).compile_tasks()
+            self._tasks = KernelCodegen(self.taskgraph, self.layout).compile_tasks()
         return self._tasks
 
     @property
     def tasks_built(self) -> bool:
         return self._tasks is not None
-
-    @property
-    def layout(self) -> MemoryLayout:
-        return self.tasks().layout
 
     @property
     def source(self) -> str:
@@ -1624,10 +1660,6 @@ class CompiledModel:
     @property
     def task_fns(self) -> Dict[int, Callable]:
         return self.tasks().task_fns
-
-    @property
-    def mem_writes(self) -> List[MemWriteBinding]:
-        return self.tasks().mem_writes
 
     @property
     def transpile_seconds(self) -> float:
@@ -1642,13 +1674,9 @@ class CompiledModel:
     # -- the fused flat programs (lazy) -----------------------------------------
 
     def fused(self) -> "FusedPrograms":
-        """The flat-program lowering of this model (built lazily, cached).
-
-        Fused programs run against their *own* bit-packed memory layout;
-        the simulator picks it up from the executor's ``layout``.
-        """
+        """The flat-program lowering of this model (built lazily, cached)."""
         if self._fused is None:
-            self._fused = FusedProgramCodegen(self.graph).compile()
+            self._fused = FusedProgramCodegen(self.graph, self.layout).compile()
         return self._fused
 
     # -- schedules ----------------------------------------------------------------
@@ -1668,154 +1696,17 @@ class CompiledModel:
 
 
 class KernelCodegen:
-    """Generates and compiles the batch kernel module for a task graph."""
+    """The per-task transpile entry point: a macro-task partition in,
+    one program per task out (emitted by :class:`FusedProgramCodegen`)."""
 
     def __init__(self, taskgraph: TaskGraph, layout: Optional[MemoryLayout] = None):
         self.tg = taskgraph
         self.graph = taskgraph.graph
         self.layout = layout or MemoryLayout.from_graph(self.graph)
-        self.mapper = IndexMapper(self.layout)
-        self.expr = ExprCodegen(self.mapper, self.graph)
-
-    # -- statement generation ---------------------------------------------------
-
-    def _store(self, target: str, expr: A.Expr, shadow: bool) -> str:
-        """Assignment statement for a full-signal store (COMB/SEQ)."""
-        slot = self.layout.slot(target)
-        if slot.limbs == 1:
-            m = bv.mask(slot.width)
-            return (
-                f"{self.mapper.store_target(target, shadow=shadow)} = "
-                f"({self.expr.emit_narrow(expr)}) & u64({m})"
-            )
-        off = slot.next_offset if shadow else slot.offset
-        lo, hi = off, off + slot.limbs
-        code = self.expr.emit(expr)
-        # Emitted values are canonical at their context width: only a
-        # wider context (or a different limb count) needs the mask.
-        if expr.ctx_width > slot.width or _limbs(expr.ctx_width) != slot.limbs:
-            code = f"wv.mask_width({code}, {slot.width})"
-        # Assigning through the (L, N) view broadcasts a constant column.
-        return f"P64[{lo}*N:{hi}*N].reshape({slot.limbs}, N)[:] = {code}"
-
-    def _node_stmts(self, node: RtlNode) -> List[str]:
-        out: List[str] = []
-        if node.kind is NodeKind.COMB:
-            out.append(f"# {node.target} = ...;  {self.mapper.comment_for(node.target)}")
-            out.append(self._store(node.target, node.expr, shadow=False))
-        elif node.kind is NodeKind.SEQ:
-            out.append(f"# {node.target} <= ...;  (shadow slot)")
-            out.append(self._store(node.target, node.expr, shadow=True))
-        elif node.kind is NodeKind.MEMW:
-            sc = self.layout.scratch[node.nid]
-            mem = self.graph.design.memories[node.target]
-            m = bv.mask(mem.width)
-            out.append(f"# if (cond) {node.target}[addr] <= data;  (scratch)")
-            out.append(
-                f"{self.mapper.slice_of(sc.cond)} = "
-                f"(({self.expr.emit_bool(node.cond)}) != 0).astype(np.uint8)"
-            )
-            out.append(
-                f"{self.mapper.slice_of(sc.addr)} = "
-                f"{self.expr.emit_amount(node.addr)}"
-            )
-            out.append(
-                f"{self.mapper.slice_of(sc.data)} = "
-                f"({self.expr.emit_narrow(node.expr)}) & u64({m})"
-            )
-        else:  # pragma: no cover
-            raise SimulationError(f"unknown node kind {node.kind}")
-        return out
-
-    def _task_fn(self, tid: int) -> List[str]:
-        task = self.tg.tasks[tid]
-        lines = [
-            f"# __global__ task_{tid} ({task.kind.value}, {len(task.nodes)} "
-            f"nodes, weight {task.weight:.0f})",
-            f"def task_{tid}(P8, P16, P32, P64, N, LANE):",
-        ]
-        for nid in task.nodes:
-            for stmt in self._node_stmts(self.graph.nodes[nid]):
-                lines.append(f"    {stmt}")
-        if not task.nodes:
-            lines.append("    pass")
-        return lines
-
-    # -- module generation --------------------------------------------------------
-
-    def generate_source(self) -> str:
-        header = [
-            '"""Batch RTL simulation kernels transpiled by repro.core.',
-            "",
-            "Auto-generated; do not edit.  One GPU thread <-> one stimulus:",
-            "the batch axis of every slice is the stimulus axis.",
-            '"""',
-            "import numpy as np",
-            "from repro.core import kernels as rt",
-            "from repro.utils import bitvec as bvb",
-            "from repro.utils import widevec as wv",
-            "",
-            "u64 = np.uint64",
-            "",
-        ]
-        header.extend(render_header(self.tg))
-        body: List[str] = []
-        for task in self.tg.tasks:
-            body.extend(self._task_fn(task.tid))
-            body.append("")
-
-        tasklist = ", ".join(f"task_{t.tid}" for t in self.tg.tasks)
-        body.append(f"TASKS = [{tasklist}]")
-        return self._module(header, body)
-
-    def _module(self, header: List[str], body: List[str]) -> str:
-        """Header, the wide constants the body bound, then the body."""
-        consts = self.expr.const_lines()
-        if consts:
-            header = header + [""] + consts
-        return "\n".join(header + [""] + body) + "\n"
-
-    def _mem_write_bindings(self) -> List[MemWriteBinding]:
-        """Commit-time bindings for this codegen's layout (program order)."""
-        layout = self.layout
-        mem_writes: List[MemWriteBinding] = []
-        for node in self.graph.memw_nodes:  # original program order
-            sc = layout.scratch[node.nid]
-            ms = layout.mem(node.target)
-            mem_writes.append(
-                MemWriteBinding(
-                    node_id=node.nid,
-                    clock=node.clock or "",
-                    edge=node.edge,
-                    mem_pool=ms.pool,
-                    mem_base=ms.base,
-                    mem_depth=ms.depth,
-                    cond_pool=sc.cond.pool,
-                    cond_off=sc.cond.offset,
-                    addr_pool=sc.addr.pool,
-                    addr_off=sc.addr.offset,
-                    data_pool=sc.data.pool,
-                    data_off=sc.data.offset,
-                )
-            )
-        return mem_writes
 
     def compile_tasks(self) -> TaskModule:
-        """Generate, ``compile()`` and bind the per-task kernel module."""
-        t0 = time.perf_counter()
-        source = self.generate_source()
-        code = compile_source(source, self.graph.design.top)
-        ns: Dict[str, object] = {}
-        exec(code, ns)
-        elapsed = time.perf_counter() - t0
-        return TaskModule(
-            layout=self.layout,
-            source=source,
-            namespace=ns,
-            task_fns={t.tid: ns[f"task_{t.tid}"] for t in self.tg.tasks},
-            mem_writes=self._mem_write_bindings(),
-            transpile_seconds=elapsed,
-        )
+        """Generate, ``compile()`` and bind the per-task module."""
+        return FusedProgramCodegen(self.graph, self.layout).compile_tasks(self.tg)
 
     def compile(self) -> CompiledModel:
         """A model with the per-task module already built (the explicit
@@ -1840,17 +1731,13 @@ class FusedPrograms:
     """The fused flat-program lowering of an RTL graph.
 
     One program for the whole combinational phase, one per sequential
-    clock domain — no per-task dispatch loop remains.  Runs against a
-    ``pack_bits=True`` layout, so it carries its own
-    :class:`~repro.core.memory.MemoryLayout` and the matching
-    :class:`MemWriteBinding` offsets (they differ from the unpacked
-    model's).
+    clock domain — no per-task dispatch loop remains.  ``layout`` is the
+    model's layout the programs were emitted against.
     """
 
     layout: MemoryLayout
     comb: FusedProgram
     seq: Dict[Tuple[str, str], FusedProgram]
-    mem_writes: List[MemWriteBinding]
     source: str
     namespace: Dict[str, object]
     transpile_seconds: float = 0.0
@@ -1912,17 +1799,18 @@ def _path_to(root: A.Expr, target: A.Expr) -> Optional[Tuple[int, ...]]:
     return None
 
 
-class FusedProgramCodegen(KernelCodegen):
-    """Flat-program code generator over the bit-packed layout.
+class FusedProgramCodegen:
+    """The program emitter: straight-line programs over node sets.
 
-    Where :class:`KernelCodegen` emits one function per macro task, this
-    emits exactly one ``compile()``-d straight-line function per
-    execution unit — the whole comb phase, and each sequential clock
-    domain — with no per-task function calls left on the replay path,
-    mirroring the paper's define-once/replay-per-cycle CUDA Graph.  The
-    comb program is the RTL graph's levels flattened, a seq program its
-    domain's nodes; no partition is involved.  Expressions lower through
-    :class:`FusedExprCodegen` (packed/native/uint64 tiers).
+    :meth:`compile` (the product) emits exactly one ``compile()``-d
+    straight-line function per execution unit — the whole comb phase,
+    and each sequential clock domain — with no per-task function calls
+    left on the replay path, mirroring the paper's define-once/replay-
+    per-cycle CUDA Graph.  The comb program is the RTL graph's levels
+    flattened, a seq program its domain's nodes; no partition is
+    involved.  :meth:`compile_tasks` emits one program per macro task of
+    a partition instead, for the task-replaying engines.  Expressions
+    lower through :class:`FusedExprCodegen` (packed/native/uint64 tiers).
 
     Within a program a sub-expression is computed once (value
     numbering, see :meth:`FusedExprCodegen.begin_program`), and a run of
@@ -1933,8 +1821,8 @@ class FusedProgramCodegen(KernelCodegen):
 
     def __init__(self, graph: RtlGraph, layout: Optional[MemoryLayout] = None):
         self.graph = graph
-        self.layout = layout or MemoryLayout.from_graph(graph, pack_bits=True)
-        self.mapper = PackedIndexMapper(self.layout)
+        self.layout = layout or MemoryLayout.from_graph(graph)
+        self.mapper = IndexMapper(self.layout)
         self.expr = FusedExprCodegen(self.mapper, self.graph)
         self.order: Dict[str, List[List[int]]] = {}
         self.stats = {"statements": 0, "rolled_runs": 0, "rolled_members": 0}
@@ -1942,6 +1830,7 @@ class FusedProgramCodegen(KernelCodegen):
     # -- statement generation (packed/native-aware stores) ---------------------
 
     def _store(self, target: str, expr: A.Expr, shadow: bool) -> str:
+        """Assignment statement for a full-signal store (COMB/SEQ)."""
         slot = self.layout.slot(target)
         if slot.pool == PACKED_POOL:
             tgt = self.mapper.slice_of(slot, shadow=shadow)
@@ -1978,7 +1867,48 @@ class FusedProgramCodegen(KernelCodegen):
                 return (
                     f"{self.mapper.store_target(target, shadow=shadow)} = {code}"
                 )
-        return super()._store(target, expr, shadow)
+            return (
+                f"{self.mapper.store_target(target, shadow=shadow)} = "
+                f"({self.expr.emit_narrow(expr)}) & u64({bv.mask(slot.width)})"
+            )
+        off = slot.next_offset if shadow else slot.offset
+        lo, hi = off, off + slot.limbs
+        code = self.expr.emit(expr)
+        # Emitted values are canonical at their context width: only a
+        # wider context (or a different limb count) needs the mask.
+        if expr.ctx_width > slot.width or _limbs(expr.ctx_width) != slot.limbs:
+            code = f"wv.mask_width({code}, {slot.width})"
+        # Assigning through the (L, N) view broadcasts a constant column.
+        return f"P64[{lo}*N:{hi}*N].reshape({slot.limbs}, N)[:] = {code}"
+
+    def _node_stmts(self, node: RtlNode) -> List[str]:
+        out: List[str] = []
+        if node.kind is NodeKind.COMB:
+            out.append(f"# {node.target} = ...;  {self.mapper.comment_for(node.target)}")
+            out.append(self._store(node.target, node.expr, shadow=False))
+        elif node.kind is NodeKind.SEQ:
+            out.append(f"# {node.target} <= ...;  (shadow slot)")
+            out.append(self._store(node.target, node.expr, shadow=True))
+        elif node.kind is NodeKind.MEMW:
+            sc = self.layout.scratch[node.nid]
+            mem = self.graph.design.memories[node.target]
+            m = bv.mask(mem.width)
+            out.append(f"# if (cond) {node.target}[addr] <= data;  (scratch)")
+            out.append(
+                f"{self.mapper.slice_of(sc.cond)} = "
+                f"(({self.expr.emit_bool(node.cond)}) != 0).astype(np.uint8)"
+            )
+            out.append(
+                f"{self.mapper.slice_of(sc.addr)} = "
+                f"{self.expr.emit_amount(node.addr)}"
+            )
+            out.append(
+                f"{self.mapper.slice_of(sc.data)} = "
+                f"({self.expr.emit_narrow(node.expr)}) & u64({m})"
+            )
+        else:  # pragma: no cover
+            raise SimulationError(f"unknown node kind {node.kind}")
+        return out
 
     # -- roll-up planning -------------------------------------------------------
 
@@ -2216,11 +2146,14 @@ class FusedProgramCodegen(KernelCodegen):
             + [f"    {line}" for line in expr.drain_prelude() + [store]]
         )
 
-    def _program_fn(self, name: str, nids: List[int], title: str) -> List[str]:
+    def _program_fn(self, name: str, nids: List[int], heading: str) -> List[str]:
+        """One generated function ``name`` running nodes ``nids`` (in
+        dependency order) as straight-line code under a ``heading``
+        comment."""
         nodes = [self.graph.nodes[nid] for nid in nids]
         units = self._plan(nodes)
         lines = [
-            f"# fused program: {title} ({len(nodes)} nodes, straight-line)",
+            f"# {heading}",
             f"def {name}(P8, P16, P32, P64, P1, N, W, LANE):",
         ]
         body: List[str] = []
@@ -2251,13 +2184,12 @@ class FusedProgramCodegen(KernelCodegen):
         lines.extend(f"    {line}" for line in body)
         return lines
 
-    def generate_source(self) -> str:
-        header = [
-            '"""Fused batch RTL programs transpiled by repro.core.',
+    @staticmethod
+    def _header(doc: List[str]) -> List[str]:
+        return [
+            f'"""{doc[0]}',
             "",
-            "Auto-generated; do not edit.  One straight-line program for the",
-            "comb phase and one per clock domain; 1-bit signals are lane-packed",
-            "into uint64 words (pool P1, W = ceil(N/64) words per signal).",
+            *doc[1:],
             '"""',
             "import numpy as np",
             "from repro.core import kernels as rt",
@@ -2271,6 +2203,21 @@ class FusedProgramCodegen(KernelCodegen):
             "u64 = np.uint64",
             "",
         ]
+
+    def _module(self, header: List[str], body: List[str]) -> str:
+        """Header, the wide constants the body bound, then the body."""
+        consts = self.expr.const_lines()
+        if consts:
+            header = header + [""] + consts
+        return "\n".join(header + [""] + body) + "\n"
+
+    def generate_source(self) -> str:
+        header = self._header([
+            "Fused batch RTL programs transpiled by repro.core.",
+            "Auto-generated; do not edit.  One straight-line program for the",
+            "comb phase and one per clock domain; 1-bit signals are lane-packed",
+            "into uint64 words (pool P1, W = ceil(N/64) words per signal).",
+        ])
         g = self.graph
         self._comb = [nid for level in g.levels for nid in level]
         self._domains = g.clock_domains()
@@ -2280,18 +2227,19 @@ class FusedProgramCodegen(KernelCodegen):
             f"# nodes: {len(g.nodes)}  levels: {len(g.levels)}  "
             f"domains: {len(self._domains)}",
         ]
-        body = self._program_fn("fused_comb", self._comb, "comb phase")
+        body = self._program_fn(
+            "fused_comb", self._comb,
+            f"fused program: comb phase ({len(self._comb)} nodes, straight-line)")
         body.append("")
         for i, ((clock, edge), nids) in enumerate(self._domains.items()):
-            body.extend(
-                self._program_fn(
-                    f"fused_seq_{i}", nids, f"{edge} {clock} domain"
-                )
-            )
+            body.extend(self._program_fn(
+                f"fused_seq_{i}", nids,
+                f"fused program: {edge} {clock} domain ({len(nids)} nodes, "
+                "straight-line)"))
             body.append("")
         return self._module(header, body)
 
-    def compile(self) -> FusedPrograms:  # type: ignore[override]
+    def compile(self) -> FusedPrograms:
         t0 = time.perf_counter()
         source = self.generate_source()
         code = compile_source(source, self.graph.design.top, tag="fused")
@@ -2320,7 +2268,6 @@ class FusedProgramCodegen(KernelCodegen):
             layout=self.layout,
             comb=comb,
             seq=seq,
-            mem_writes=self._mem_write_bindings(),
             source=source,
             namespace=ns,
             transpile_seconds=elapsed,
@@ -2334,6 +2281,36 @@ class FusedProgramCodegen(KernelCodegen):
                 "mem_read_sites": sites["rt.mem_read"],
                 "lines": source.count("\n"),
             },
+        )
+
+    def compile_tasks(self, tg: TaskGraph) -> TaskModule:
+        """The per-task module: one program ``task_<tid>`` per macro task
+        of ``tg``, over the task's nodes in their partition order."""
+        t0 = time.perf_counter()
+        header = self._header([
+            "Batch RTL simulation kernels transpiled by repro.core.",
+            "Auto-generated; do not edit.  One GPU thread <-> one stimulus:",
+            "the batch axis of every slice is the stimulus axis.  One program",
+            "per macro task; 1-bit signals are lane-packed into uint64 words",
+            "(pool P1, W = ceil(N/64) words per signal).",
+        ]) + render_header(tg)
+        body: List[str] = []
+        for task in tg.tasks:
+            body.extend(self._program_fn(
+                f"task_{task.tid}", task.nodes,
+                f"__global__ task_{task.tid} ({task.kind.value}, "
+                f"{len(task.nodes)} nodes, weight {task.weight:.0f})"))
+            body.append("")
+        body.append(f"TASKS = [{', '.join(f'task_{t.tid}' for t in tg.tasks)}]")
+        source = self._module(header, body)
+        ns: Dict[str, object] = {}
+        exec(compile_source(source, self.graph.design.top), ns)
+        return TaskModule(
+            layout=self.layout,
+            source=source,
+            namespace=ns,
+            task_fns={t.tid: ns[f"task_{t.tid}"] for t in tg.tasks},
+            transpile_seconds=time.perf_counter() - t0,
         )
 
 

@@ -6,11 +6,11 @@ Maps every variable reference to its pool access string.  With offset
 ``pool[o*N : (o+1)*N]`` — the coalesced-access property of Listing 3
 carried over to the vectorized axis.
 
-:class:`PackedIndexMapper` extends the mapping to the lane-packed 1-bit
-pool ``P1`` of fused layouts: a packed variable's batch is the word
-slice ``P1[o*W : (o+1)*W]`` with ``W = ceil(N/64)`` (the generated
-programs bind ``W`` alongside ``N``), and a *unpacked* load of a packed
-variable goes through :func:`repro.utils.packbits.unpack_u64`.
+1-bit signals live in the lane-packed pool ``P1``: a packed variable's
+batch is the word slice ``P1[o*W : (o+1)*W]`` with ``W = ceil(N/64)``
+(the generated programs bind ``W`` alongside ``N``), and an *unpacked*
+load of a packed variable goes through
+:func:`repro.utils.packbits.unpack_u64`.
 """
 
 from __future__ import annotations
@@ -24,10 +24,18 @@ POOL_VARS = ("P8", "P16", "P32", "P64", "P1")
 
 
 class IndexMapper:
-    """Renders pool accesses for the code generator."""
+    """Renders pool accesses for the code generator.
+
+    While the emitter renders a rolled-up run of same-shape nodes it
+    fills ``rows``: ``(pool, offset)`` of each of the representative's
+    slots that advances across the run -> the 2-D row-block view
+    standing for all members' slots.  Every other access renders as the
+    usual 1-D slice (which broadcasts against the row blocks).
+    """
 
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
+        self.rows: Dict[Tuple[int, int], str] = {}
 
     def pool_var(self, pool: int) -> str:
         return POOL_VARS[pool]
@@ -35,13 +43,21 @@ class IndexMapper:
     def slice_of(self, slot: VarSlot, shadow: bool = False) -> str:
         """The writable slice for a variable (optionally its shadow slot)."""
         off = slot.next_offset if shadow else slot.offset
+        if self.rows:
+            view = self.rows.get((slot.pool, off))
+            if view is not None:
+                return view
         if shadow and slot.next_offset is None:
             raise SimulationError(f"{slot.name!r} has no shadow slot")
+        if slot.pool == PACKED_POOL:
+            return f"P1[{off}*W:{off + 1}*W]"
         return f"{self.pool_var(slot.pool)}[{off}*N:{off + 1}*N]"
 
     def load(self, name: str) -> str:
-        """A uint64 read of a variable's batch slice."""
+        """A uint64 read of a variable's batch."""
         slot = self.layout.slot(name)
+        if slot.pool == PACKED_POOL:
+            return f"pk.unpack_u64({self.slice_of(slot)}, N)"
         return f"{self.slice_of(slot)}.astype(u64, copy=False)"
 
     def store_target(self, name: str, shadow: bool = False) -> str:
@@ -57,48 +73,6 @@ class IndexMapper:
             f"N, LANE, {idx_code}, copy=False)"
         )
 
-    def comment_for(self, name: str) -> str:
-        """Listing 3 style offset comment for one variable."""
-        slot = self.layout.slot(name)
-        return f"offset of {name} is {slot.offset} ({POOL_VARS[slot.pool]})"
-
-
-class PackedIndexMapper(IndexMapper):
-    """Index mapper for pack-bits layouts (fused-program codegen).
-
-    Packed slots index by word blocks (stride ``W``), everything else
-    falls through to the byte-per-lane mapping above.
-
-    While the fused emitter renders a rolled-up run of same-shape nodes
-    it fills ``rows``: ``(pool, offset)`` of each of the representative's
-    slots that advances across the run -> the 2-D row-block view
-    standing for all members' slots.  Every other access renders as the
-    usual 1-D slice (which broadcasts against the row blocks).
-    """
-
-    def __init__(self, layout: MemoryLayout):
-        super().__init__(layout)
-        self.rows: Dict[Tuple[int, int], str] = {}
-
-    def slice_of(self, slot: VarSlot, shadow: bool = False) -> str:
-        if self.rows:
-            off = slot.next_offset if shadow else slot.offset
-            view = self.rows.get((slot.pool, off))
-            if view is not None:
-                return view
-        if slot.pool != PACKED_POOL:
-            return super().slice_of(slot, shadow=shadow)
-        off = slot.next_offset if shadow else slot.offset
-        if shadow and slot.next_offset is None:
-            raise SimulationError(f"{slot.name!r} has no shadow slot")
-        return f"P1[{off}*W:{off + 1}*W]"
-
-    def load(self, name: str) -> str:
-        slot = self.layout.slot(name)
-        if slot.pool != PACKED_POOL:
-            return super().load(name)
-        return f"pk.unpack_u64({self.slice_of(slot)}, N)"
-
     def mem_row(self, mem: MemSlot, addr: int) -> str:
         """The batch slice of one memory word (a constant, in-range
         address is an ordinary slot load)."""
@@ -109,7 +83,8 @@ class PackedIndexMapper(IndexMapper):
         return f"{self.pool_var(mem.pool)}[{off}*N:{off + 1}*N]"
 
     def comment_for(self, name: str) -> str:
+        """Listing 3 style offset comment for one variable."""
         slot = self.layout.slot(name)
-        if slot.pool != PACKED_POOL:
-            return super().comment_for(name)
-        return f"offset of {name} is {slot.offset} (P1, word-packed)"
+        if slot.pool == PACKED_POOL:
+            return f"offset of {name} is {slot.offset} (P1, word-packed)"
+        return f"offset of {name} is {slot.offset} ({POOL_VARS[slot.pool]})"

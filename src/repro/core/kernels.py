@@ -80,6 +80,3 @@ def mem_commit(
     return int(np.count_nonzero(sel))
 
 
-def select_lanes(cond, t, f):
-    """Vector mux used by generated code (np.where with u64 coercion)."""
-    return np.where(cond != 0, t, f)

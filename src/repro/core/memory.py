@@ -19,13 +19,13 @@ Allocation order inside each pool:
 4. memory-write scratch (cond/addr/data per write port),
 5. memories (``depth`` consecutive offsets each).
 
-A layout built with ``pack_bits=True`` (the fused executor's layout)
-additionally owns a fifth, *packed* pool ``P1``: every 1-bit design
-signal moves out of ``var8`` into lane-packed uint64 words, one bit per
-stimulus (see :mod:`repro.utils.packbits`).  A packed variable's offset
-counts word *blocks*: with ``W = ceil(N / 64)`` words per batch, offset
-``o`` occupies ``P1[o*W : (o+1)*W]``.  Memories and memory-write scratch
-slots are never packed.
+Every layout also owns a fifth, *packed* pool ``P1``: each 1-bit design
+signal lives there instead of in ``var8``, lane-packed into uint64
+words, one bit per stimulus (see :mod:`repro.utils.packbits`).  A packed
+variable's offset counts word *blocks*: with ``W = ceil(N / 64)`` words
+per batch, offset ``o`` occupies ``P1[o*W : (o+1)*W]``.  Memories and
+memory-write scratch slots are never packed.  (The paper's §3.1.2 keeps
+1-bit signals in ``var8``; ``P1`` is this reproduction's extension.)
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class VarSlot:
 
     name: str
     width: int
-    pool: int  # 0..3 -> var8..var64
+    pool: int  # 0..3 -> var8..var64, 4 -> P1 (PACKED_POOL)
     offset: int
     is_state: bool = False
     next_offset: Optional[int] = None  # shadow slot for registers
@@ -92,10 +92,8 @@ class MemoryLayout:
     mems: Dict[str, MemSlot] = field(default_factory=dict)
     scratch: Dict[int, ScratchSlot] = field(default_factory=dict)
     pool_sizes: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    # Lane-packed 1-bit pool (pool index PACKED_POOL): True when 1-bit
-    # signals live bit-packed in uint64 words, packed_size counting word
-    # *blocks* (one per 1-bit signal slot, W = ceil(N/64) words each).
-    packed: bool = False
+    # Lane-packed 1-bit pool (pool index PACKED_POOL): packed_size counts
+    # word *blocks* (one per 1-bit signal slot, W = ceil(N/64) words each).
     packed_size: int = 0
     # Per pool: number of leading offsets that hold register current values
     # (the same count again holds their shadows immediately after).
@@ -118,10 +116,6 @@ class MemoryLayout:
         except KeyError:
             raise SimulationError(f"no slot allocated for memory {name!r}")
 
-    @property
-    def total_elements(self) -> int:
-        return sum(self.pool_sizes)
-
     def footprint_bytes(self, n: int) -> int:
         """Device bytes needed for ``n`` stimulus."""
         itemsizes = (1, 2, 4, 8)
@@ -131,20 +125,19 @@ class MemoryLayout:
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, graph: RtlGraph, pack_bits: bool = False) -> "MemoryLayout":
+    def from_graph(cls, graph: RtlGraph) -> "MemoryLayout":
         """Assign every variable an offset.
 
-        With ``pack_bits=True`` every 1-bit design signal (registers
-        included) is placed in the lane-packed ``P1`` pool instead of
-        ``var8``; memories and memory-write scratch stay unpacked.  This
-        is the layout the fused-program executor runs against.
+        Every 1-bit design signal (registers included) is placed in the
+        lane-packed ``P1`` pool; memories and memory-write scratch stay
+        in ``var8``..``var64``.
         """
         design = graph.design
-        layout = cls(packed=pack_bits)
+        layout = cls()
         cursors = [0, 0, 0, 0, 0]
 
         def pool_of(width: int) -> int:
-            if pack_bits and width == 1:
+            if width == 1:
                 return PACKED_POOL
             return bv.pool_for_width(width)
 
@@ -241,7 +234,7 @@ class MemoryLayout:
 
 
 class DeviceArrays:
-    """The four preallocated pools for one batch of N stimulus.
+    """The five preallocated pools for one batch of N stimulus.
 
     This object stands in for the GPU global memory of the paper; the
     generated kernels index it exactly as Listing 3 does
@@ -268,10 +261,8 @@ class DeviceArrays:
             np.zeros(max(1, size) * n, dtype=dt)
             for size, dt in zip(layout.pool_sizes, bv.POOL_DTYPES)
         ]
-        # Pool 4: lane-packed 1-bit signals.  Always present so
-        # pools[PACKED_POOL] indexing is uniform, but exactly zero-length
-        # when nothing is packed — tooling that reshapes pools per-lane
-        # (e.g. survivor-identity checks) then skips it naturally.
+        # Pool 4: lane-packed 1-bit signals, W words per offset (empty
+        # when the design has no 1-bit signal).
         self.pools.append(
             np.zeros(layout.packed_size * self.words, dtype=np.uint64)
         )
@@ -388,13 +379,6 @@ class DeviceArrays:
         ].reshape(s.limbs, self.n)
         return np.array(wv.to_ints(block), dtype=object)
 
-    def read_limbs(self, name: str) -> np.ndarray:
-        """Wide signal as its raw (limbs, N) uint64 view."""
-        s = self.layout.slot(name)
-        return self.pools[s.pool][
-            s.offset * self.n : (s.offset + s.limbs) * self.n
-        ].reshape(s.limbs, self.n)
-
     def write(self, name: str, values) -> None:
         hook = self.write_hook
         if hook is not None:
@@ -402,10 +386,6 @@ class DeviceArrays:
             # invalidation); called with the variable name only.
             hook(name)
         s = self.layout.slot(name)
-        if isinstance(values, pk.PackedWords) and s.pool != PACKED_POOL:
-            # Pre-packed stimulus row aimed at an unpacked slot (e.g. a
-            # layout change between pack and apply): fall back to lanes.
-            values = pk.unpack_u64(values.words, self.n)
         if s.limbs > 1:
             m = bv.mask(s.width)
             if np.isscalar(values) or getattr(values, "ndim", 1) == 0:

@@ -78,11 +78,11 @@ def make_executor(
 
     'graph-fused' (the default) is the flat-program engine: the whole
     comb phase (and each clock domain) runs as one straight-line
-    compiled program over a bit-packed layout — no per-task dispatch
-    remains (see :class:`~repro.gpu.graphexec.FusedProgramExecutor` and
-    docs/fusion.md).  Every other kind
-    replays the per-task kernel module, which the model builds on their
-    first use: 'graph' and 'stream' are the paper's Table 4 pair, and
+    compiled program — no per-task dispatch remains (see
+    :class:`~repro.gpu.graphexec.FusedProgramExecutor` and
+    docs/fusion.md).  Every other kind replays the per-task module (one
+    program per macro task, from the same emitter, on the same layout),
+    which the model builds on their first use: 'graph' and 'stream' are the paper's Table 4 pair, and
     'graph-conditional' replays only the macro tasks whose inputs
     changed since their last execution (see
     :class:`~repro.gpu.graphexec.ConditionalGraphExecutor` and
@@ -142,9 +142,8 @@ class BatchSimulator:
             if isinstance(executor, str)
             else executor
         )
-        # The executor owns the lowering it replays: the layout it runs
-        # against (bit-packed for the fused engine, the per-task
-        # module's otherwise) and that layout's commit bindings.
+        # The model's one layout and its commit bindings, as bound by
+        # the executor.
         self.layout = self.executor.layout
         self.mem_writes = self.executor.mem_writes
         # Conditional executors need per-offset write epochs to compute
@@ -213,11 +212,10 @@ class BatchSimulator:
                 self.metrics.set_gauge(
                     f"mem.pool{bits}.bytes", size * n * itemsize
                 )
-            if self.layout.packed:
-                self.metrics.set_gauge(
-                    "mem.pool1.bytes",
-                    self.layout.packed_size * self.arrays.words * 8,
-                )
+            self.metrics.set_gauge(
+                "mem.pool1.bytes",
+                self.layout.packed_size * self.arrays.words * 8,
+            )
             self.metrics.set_gauge(
                 "mem.footprint_bytes", self.layout.footprint_bytes(n)
             )
@@ -304,8 +302,8 @@ class BatchSimulator:
         Edge detection reads one value per clock, so a per-lane clock
         vector would silently ignore every lane but 0 — fail loudly
         instead (clocks are batch-uniform by contract; see class docs).
-        On the packed layout the uniformity check is a handful of word
-        compares instead of an (N,) materialization.
+        A 1-bit clock's uniformity check is a handful of word compares
+        instead of an (N,) materialization.
         """
         cached = self._clock_scalar.get(clock)
         if cached is not None:
@@ -419,10 +417,7 @@ class BatchSimulator:
         layout = self.layout
         h = hashlib.sha256()
         h.update(repr(layout.pool_sizes).encode())
-        if layout.packed:
-            # Packed layouts are a different on-disk shape entirely (the
-            # P1 pool); never cross-restore with an unpacked run.
-            h.update(f"packed:{layout.packed_size};".encode())
+        h.update(f"packed:{layout.packed_size};".encode())
         for name in sorted(layout.slots):
             s = layout.slots[name]
             h.update(f"{name}:{s.pool}:{s.offset}:{s.limbs};".encode())
@@ -595,19 +590,17 @@ class BatchSimulator:
     def _prepack_stimulus(self, stimulus) -> Optional[Dict[str, np.ndarray]]:
         """Pre-pack the 1-bit input columns of a dense stimulus batch.
 
-        On the packed layout every 1-bit input write costs an (N,) lane
-        pack per cycle; packing the whole (cycles, N) column once up
+        Every 1-bit input write costs an (N,) lane pack per cycle; packing the whole (cycles, N) column once up
         front (one vectorized :func:`repro.utils.packbits.pack_rows`
         call) turns the per-cycle apply into a W-word row copy.  The
         packed rows are bit-identical to what the per-cycle pack would
         have stored, so results are unchanged — quarantined-lane freezes
         fall back to the lane representation inside ``set_input``.
 
-        Returns None when the layout is unpacked, the stimulus has no
-        dense columns (e.g. :class:`TextStimulusBatch`), or no packable
-        1-bit input exists.
+        Returns None when the stimulus has no dense columns (e.g.
+        :class:`TextStimulusBatch`) or no packable 1-bit input exists.
         """
-        if stimulus is None or not self.layout.packed:
+        if stimulus is None:
             return None
         data = getattr(stimulus, "data", None)
         if not isinstance(data, dict):

@@ -91,18 +91,6 @@ class LoweredDesign:
     def outputs(self) -> List[Signal]:
         return [s for s in self.signals.values() if s.kind == "output"]
 
-    @property
-    def state_signals(self) -> List[str]:
-        """Names of registers (targets of sequential updates)."""
-        seen = []
-        found = set()
-        for blk in self.seq:
-            for upd in blk.updates:
-                if upd.target not in found:
-                    found.add(upd.target)
-                    seen.append(upd.target)
-        return seen
-
     def clocks(self) -> List[str]:
         out = []
         for blk in self.seq:

@@ -51,11 +51,6 @@ class DeviceStats:
         self.busy_seconds = 0.0
         self.overhead_seconds = 0.0
 
-    @property
-    def total_device_seconds(self) -> float:
-        """Busy plus modeled overhead: the simulated-device elapsed time."""
-        return self.busy_seconds + self.overhead_seconds
-
     def clone(self) -> "DeviceStats":
         """An independent copy (for rollback of partial accounting)."""
         return DeviceStats(

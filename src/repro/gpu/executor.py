@@ -9,7 +9,7 @@ the per-domain register/memory commits; the comb settle.  That order is
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.gpu.device import SimulatedDevice
 
@@ -29,10 +29,9 @@ class Executor:
     epochs), calls :meth:`reset_activity` after a checkpoint restore,
     and otherwise only :meth:`run_eval`.
 
-    This base binds the per-task module's unpacked layout — reading
-    ``model.layout`` is what makes a lazily lowered model build it — so
-    the task-replaying engines inherit it as is; the fused engine
-    overrides all of it with its packed bundle.
+    ``layout`` and ``mem_writes`` are the model's own: every engine runs
+    on the one layout, so a checkpoint taken on one engine restores on
+    any other.
     """
 
     name = ""
@@ -43,6 +42,7 @@ class Executor:
         self.device = device
         self.layout = model.layout
         self.mem_writes = model.mem_writes
+        self._args_cache: Optional[Tuple[object, tuple]] = None
 
     def reset_activity(self) -> None:
         """Forget state tied to the write-epoch timeline (none here)."""
@@ -71,5 +71,16 @@ class Executor:
         self.run_comb(arrays)
 
     def _args(self, arrays: "DeviceArrays") -> tuple:
+        """The arguments of every generated program:
+        ``(P8, P16, P32, P64, P1, N, W, LANE)``."""
+        # One simulator binds one DeviceArrays; restore() copies into the
+        # pools in place, so the cached tuple stays valid across
+        # checkpoint restores.
+        cached = self._args_cache
+        if cached is not None and cached[0] is arrays:
+            return cached[1]
         p = arrays.pools
-        return (p[0], p[1], p[2], p[3], arrays.n, arrays.lane)
+        args = (p[0], p[1], p[2], p[3], p[4], arrays.n, arrays.words,
+                arrays.lane)
+        self._args_cache = (arrays, args)
+        return args

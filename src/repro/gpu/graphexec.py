@@ -52,28 +52,20 @@ class CudaGraphExecutor(Executor):
 
 
 class FusedProgramExecutor(Executor):
-    """Flat-program replay over the bit-packed layout (§3.2.2, strongest).
+    """Flat-program replay (§3.2.2, strongest).
 
     Executes the :class:`~repro.core.codegen.FusedPrograms` lowering of
     the model: one straight-line compiled program for the whole comb
     phase and one per sequential clock domain — no per-task Python
-    dispatch survives on the replay path, and 1-bit signals live
-    lane-packed in the ``P1`` uint64 pool (64 lanes per machine op).
-
-    ``layout`` and ``mem_writes`` are the bundle's (packed offsets
-    differ from the per-task module's, which this engine never builds).
+    dispatch survives on the replay path (and the per-task module is
+    never built).
     """
 
     name = "graph-fused"
 
     def __init__(self, model: CompiledModel, device: SimulatedDevice):
-        # Not super().__init__: that binds model.layout, which would
-        # build the per-task module this engine exists to avoid.
-        self.model = model
-        self.device = device
+        super().__init__(model, device)
         self.programs = programs = model.fused()
-        self.layout = programs.layout
-        self.mem_writes = programs.mem_writes
         # cudaGraphInstantiate analog: plans are fixed at construction.
         self._comb_plan: List[Callable] = [programs.comb.fn]
         self._seq_plans: Dict[Tuple[str, str], List[Callable]] = {
@@ -81,7 +73,6 @@ class FusedProgramExecutor(Executor):
         }
         self._eval_plans: Dict[tuple, List[Callable]] = {}
         self._eval_commit: Optional[Callable] = None
-        self._args_cache: Optional[Tuple[object, tuple]] = None
 
     def run_comb(self, arrays: DeviceArrays) -> None:
         self.device.launch_graph(self._comb_plan, self._args(arrays))
@@ -128,19 +119,6 @@ class FusedProgramExecutor(Executor):
             plan.extend(self._comb_plan)
             self._eval_plans[key] = plan
         self.device.launch_graph(plan, self._args(arrays))
-
-    def _args(self, arrays: DeviceArrays) -> tuple:
-        # One simulator binds one DeviceArrays; restore() copies into the
-        # pools in place, so the cached tuple stays valid across
-        # checkpoint restores.
-        cached = self._args_cache
-        if cached is not None and cached[0] is arrays:
-            return cached[1]
-        p = arrays.pools
-        args = (p[0], p[1], p[2], p[3], p[4], arrays.n, arrays.words,
-                arrays.lane)
-        self._args_cache = (arrays, args)
-        return args
 
 
 class ConditionalGraphExecutor(Executor):

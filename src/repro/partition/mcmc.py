@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.gpu.device import SimulatedDevice
+from repro.gpu.executor import Executor
 from repro.obs import get_metrics, get_tracer
 from repro.partition.merge import DEFAULT_TARGET_WEIGHT, partition
 from repro.partition.taskgraph import TaskGraph
@@ -85,8 +86,7 @@ class Estimator:
         arrays = DeviceArrays(model.layout, self.n)
         for name, vals in self._input_data.items():
             arrays.write(name, vals)
-        args = (arrays.pools[0], arrays.pools[1], arrays.pools[2],
-                arrays.pools[3], arrays.n, arrays.lane)
+        args = Executor(model, self.device)._args(arrays)
 
         # Warm up (first call pays numpy allocation effects).
         for t in taskgraph.tasks:

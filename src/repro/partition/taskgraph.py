@@ -117,10 +117,6 @@ class TaskGraph:
     def n_comb_tasks(self) -> int:
         return len(self.comb_topo)
 
-    @property
-    def n_seq_tasks(self) -> int:
-        return len(self.seq_tasks)
-
     def validate_cover(self) -> None:
         """Check every RTL node belongs to exactly one task."""
         seen: Set[int] = set()

@@ -180,16 +180,6 @@ class LaneQuarantine:
         q._all_active = bool(active.all())
         return q
 
-    def load_state(self, state: dict) -> None:
-        restored = LaneQuarantine.from_state(state)
-        if restored.n != self.n:
-            raise SimulationError(
-                f"quarantine state is for batch size {restored.n}, not {self.n}"
-            )
-        self.active[:] = restored.active
-        self.faults = restored.faults
-        self._all_active = restored._all_active
-
     # -- reporting ------------------------------------------------------------
 
     def report(self) -> dict:

@@ -148,9 +148,6 @@ class FaultPlan:
     def lane_faults_at(self, cycle: int) -> List[LaneFaultSpec]:
         return [s for s in self.lane_faults if s.cycle == cycle]
 
-    def max_lane(self) -> int:
-        return max((s.lane for s in self.lane_faults), default=-1)
-
     def maybe_fail_trial(self, iteration: int) -> None:
         """Raise/hang if this MCMC trial is scripted to fail (and unspent)."""
         for spec in self.trial_faults:

@@ -149,11 +149,6 @@ def s_red_xor(a: int, width: int) -> int:
     return bin(a).count("1") & 1
 
 
-def s_popcount(a: int) -> int:
-    """Number of set bits."""
-    return bin(a).count("1")
-
-
 # ---------------------------------------------------------------------------
 # Batch (vectorized, N-stimulus) operation semantics.
 #
@@ -161,11 +156,6 @@ def s_popcount(a: int) -> int:
 # cast pool slices up to uint64, combine, and mask back on store — this
 # keeps overflow semantics identical to the scalar path.
 # ---------------------------------------------------------------------------
-
-
-def b_u64(a: np.ndarray) -> np.ndarray:
-    """Promote a pool slice to the uint64 compute type."""
-    return a.astype(_U64, copy=False)
 
 
 # Optional divide-by-zero observer.  The two-state sentinel (result 0) is
@@ -179,11 +169,6 @@ def b_u64(a: np.ndarray) -> np.ndarray:
 # pairs on different threads would race).  ``None`` (the default) keeps
 # the hot path a single getattr + test.
 _div_fault_tls = threading.local()
-
-
-def _get_div_fault_sink():
-    """The calling thread's divide-by-zero observer (or None)."""
-    return getattr(_div_fault_tls, "sink", None)
 
 
 def set_div_fault_sink(sink):
@@ -287,8 +272,3 @@ def b_red_or(a: np.ndarray, width: int) -> np.ndarray:
 def b_red_xor(a: np.ndarray, width: int) -> np.ndarray:
     """Batch reduction XOR / parity (0/1 per lane)."""
     return b_popcount(a) & _U64(1)
-
-
-def b_mask(a: np.ndarray, width: int) -> np.ndarray:
-    """Mask batch lanes to ``width`` bits."""
-    return a & _U64(mask(width))

@@ -64,9 +64,13 @@ def pack(values: np.ndarray, n: int) -> np.ndarray:
     """Pack (N,) lane values into (W,) uint64 words.
 
     Only the low bit of each value is stored (Verilog assignment masking
-    to a 1-bit target), so 2 packs as 0 — callers need not pre-mask.
+    to a 1-bit target), so 2 packs as 0 — callers need not pre-mask.  A
+    scalar (a store the emitter proved constant under its demanded
+    width) sets every lane.
     """
     v = np.asarray(values)
+    if v.ndim == 0:
+        return fill(int(v), n)
     if v.dtype != np.bool_:
         v = (v.astype(_U8, copy=False) & _U8(1)).view(np.bool_)
     return pack_bool(v, n)

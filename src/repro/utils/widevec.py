@@ -136,21 +136,6 @@ def neg(a: np.ndarray) -> np.ndarray:
 # -- bitwise --------------------------------------------------------------------
 
 
-def bit_and(a, b):
-    """Elementwise AND of limb matrices."""
-    return a & b
-
-
-def bit_or(a, b):
-    """Elementwise OR of limb matrices."""
-    return a | b
-
-
-def bit_xor(a, b):
-    """Elementwise XOR of limb matrices."""
-    return a ^ b
-
-
 def bit_not(a):
     """Elementwise NOT (caller masks the top limb)."""
     return ~a  # caller masks the top limb

@@ -12,7 +12,9 @@ Two halves of one guarantee — that the task schedule can never race:
 
 * :class:`RuntimeSanitizer` checks it dynamically.  An opt-in executor
   (``repro run --verify``, or ``executor='sanitize'``) that replays the
-  per-task plan while diffing device pools around every task launch:
+  per-task programs — emitted by the product's emitter, on the layout
+  the product runs — while diffing all five device pools around every
+  task launch:
   each task may only change offsets inside its declared
   :class:`~repro.core.codegen.TaskAccess` write footprint, no two tasks
   in one phase may write the same offset, and the device write-epoch
@@ -27,6 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.memory import PACKED_POOL
 from repro.gpu.executor import Executor
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.partition.taskgraph import TaskGraph
@@ -106,9 +109,9 @@ def check_hazards(tg: TaskGraph) -> List[Diagnostic]:
 class RuntimeSanitizer(Executor):
     """Per-task replay executor that asserts the declared footprints.
 
-    Drop-in for the ``graph`` executor (same unpacked layout and task
-    functions), at a large constant cost per task — this is a debugging
-    mode, not a performance path.  ``wants_epochs`` opts the simulator
+    Drop-in for the ``graph`` executor (same layout and task programs),
+    at a large constant cost per task — this is a debugging mode, not a
+    performance path.  ``wants_epochs`` opts the simulator
     into write-epoch tracking so epoch monotonicity is checkable too.
     """
 
@@ -160,21 +163,22 @@ class RuntimeSanitizer(Executor):
 
     def _run_phase(self, arrays, plan: List[int], phase: str) -> None:
         self._check_epochs(arrays, phase)
-        base = [pool.copy() for pool in arrays.pools[:4]]
-        owners: List[Dict[int, int]] = [dict() for _ in range(4)]
+        base = [pool.copy() for pool in arrays.pools]
+        owners: List[Dict[int, int]] = [dict() for _ in base]
         args = self._args(arrays)
-        n = arrays.n
+        # Elements per offset: N lanes, or W words in the packed pool.
+        block = [arrays.n] * PACKED_POOL + [arrays.words]
         for tid in plan:
             self.device.launch_graph([self.model.task_fns[tid]], args)
             self.tasks_checked += 1
             acc = self._accesses[tid]
             allowed = {pool: set(offs.tolist())
                        for pool, offs in acc.write_offsets}
-            for pool in range(4):
+            for pool in range(len(base)):
                 diff = np.nonzero(arrays.pools[pool] != base[pool])[0]
                 if diff.size == 0:
                     continue
-                changed = np.unique(diff // n)
+                changed = np.unique(diff // block[pool])
                 for off in changed.tolist():
                     if off not in allowed.get(pool, ()):
                         raise SanitizerError(
@@ -211,7 +215,7 @@ class RuntimeSanitizer(Executor):
             if col.size and int(col.max()) > arrays.epoch:
                 off = int(col.argmax())
                 raise SanitizerError(
-                    f"pool {pool} offset {off} ({self._name(pool, off) if pool < 4 else '?'}) "
+                    f"pool {pool} offset {off} ({self._name(pool, off)}) "
                     f"carries write epoch {int(col.max())} beyond the "
                     f"global epoch {arrays.epoch}"
                 )

@@ -316,9 +316,6 @@ def check_layout(layout: MemoryLayout) -> List[Diagnostic]:
 
     for name, slot in layout.slots.items():
         if slot.pool == PACKED_POOL:
-            if not layout.packed:
-                out.append(_err(rid, f"slot {name!r} in packed pool of an "
-                                "unpacked layout", subject=name))
             if slot.width != 1:
                 out.append(_err(
                     rid, f"packed slot {name!r} has width {slot.width} "
@@ -498,8 +495,6 @@ def check_fused(model) -> List[Diagnostic]:
                         subject=graph.nodes[nid].target))
 
     out.extend(_check_mem_bindings(rid, model.mem_writes, model.layout,
-                                   graph))
-    out.extend(_check_mem_bindings(rid, fused.mem_writes, fused.layout,
                                    graph))
     return out
 

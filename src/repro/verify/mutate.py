@@ -277,7 +277,7 @@ def _mut_shadow_collision(model) -> None:
 def _mut_packed_collision(model) -> None:
     from repro.core.memory import PACKED_POOL
 
-    layout = model.fused().layout
+    layout = model.layout
     packed = sorted(
         (s for s in layout.slots.values() if s.pool == PACKED_POOL),
         key=lambda s: s.offset,
@@ -309,9 +309,8 @@ def _mut_drop_seq_program(model) -> None:
 
 
 def _mut_mem_binding_corrupt(model) -> None:
-    fused = model.fused()
-    _need(bool(fused.mem_writes), "a memory-write binding")
-    fused.mem_writes[0].data_off += 1
+    _need(bool(model.mem_writes), "a memory-write binding")
+    model.mem_writes[0].data_off += 1
 
 
 def _mut_audit_bogus_const0(model) -> None:

@@ -80,15 +80,11 @@ def verify_hazard(ctx: LintContext) -> Iterable[Diagnostic]:
     "verify-layout",
     Severity.ERROR,
     "fused",
-    "memory layout: offset disjointness, pool bounds, width/pool fit "
-    "(checked for both the unpacked and the bit-packed layout)",
+    "memory layout: offset disjointness, pool bounds, width/pool fit",
 )
 def verify_layout(ctx: LintContext) -> Iterable[Diagnostic]:
-    model = ctx.model
-    assert model is not None
-    diags = ir_checks.check_layout(model.layout)
-    diags.extend(ir_checks.check_layout(model.fused().layout))
-    return _locate(ctx, diags)
+    assert ctx.model is not None
+    return _locate(ctx, ir_checks.check_layout(ctx.model.layout))
 
 
 @rule(

@@ -230,7 +230,7 @@ class TestQuarantineStaysOnRunEval:
         for kind in EXECUTOR_KINDS:
             ex = make_executor(model, SimulatedDevice(), kind)
             assert isinstance(ex, Executor) and ex.name == kind
-            assert ex.layout.packed == (kind == DEFAULT_EXECUTOR)
+            assert ex.layout is model.layout
 
 
 class TestDeletedSpellingsAreRejected:

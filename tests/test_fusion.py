@@ -312,7 +312,7 @@ def test_packed_words_write_path_round_trips():
     np.testing.assert_array_equal(fused.get("en"), lanes)
 
     plain = BatchSimulator(model, n, executor="graph")
-    plain.arrays.write("en", packed)  # unpacked slot: falls back to lanes
+    plain.arrays.write("en", packed)  # same packed slot on every engine
     np.testing.assert_array_equal(plain.get("en"), lanes)
 
 

@@ -111,7 +111,7 @@ class TestExecutorFactory:
         assert isinstance(make_executor(adder_model, device, "stream"), StreamExecutor)
         fused = make_executor(adder_model, device, "graph-fused")
         assert isinstance(fused, FusedProgramExecutor)
-        assert fused.layout.packed
+        assert fused.layout is adder_model.layout
 
     def test_unknown_kind(self, adder_model):
         with pytest.raises(SimulationError):

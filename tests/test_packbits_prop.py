@@ -154,8 +154,6 @@ def test_packed_pool_boundary_shims(n):
     fused = model.fused()
     from repro.core.memory import DeviceArrays, PACKED_POOL
 
-    if not fused.layout.packed:
-        pytest.skip("1-bit signals were not packed in this build")
     arrays = DeviceArrays(fused.layout, n)
     rng = np.random.default_rng(n)
     lanes = rng.integers(0, 2, size=n, dtype=np.uint64)
@@ -168,3 +166,30 @@ def test_packed_pool_boundary_shims(n):
     arrays.write("b", pb.PackedWords(pb.pack(lanes, n)))
     assert np.array_equal(np.asarray(arrays.read("b")).astype(np.uint64),
                           lanes)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 67])
+def test_pack_broadcasts_a_scalar(n):
+    # The emitter can prove a 1-bit store constant under its demanded
+    # width and hand pack() a numpy scalar: every lane takes its low bit.
+    for value in (np.uint8(255), np.uint64(2), 1):
+        words = pb.pack(value, n)
+        assert words.shape == (pb.words_for(n),)
+        assert _tail_ok(words, n)
+        want = np.full(n, int(value) & 1, dtype=np.uint8)
+        assert np.array_equal(pb.unpack_u8(words, n), want)
+
+
+@pytest.mark.parametrize("executor", ["graph-fused", "graph"])
+def test_demand_constant_packed_store_sets_every_lane(executor):
+    # ~((a + a) << 1) is all ones in its low bit, but is only proven
+    # constant under the 1-bit target's demand.
+    from tests.helpers import assert_batch_matches_reference
+
+    src = """
+    module fuzz(input [7:0] a, output y0);
+      assign y0 = ~(((a + a) << 1) << 0);
+    endmodule
+    """
+    assert_batch_matches_reference(src, "fuzz", n=16, cycles=4, seed=0,
+                                   executor=executor)

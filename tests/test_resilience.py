@@ -27,6 +27,7 @@ import pytest
 
 from repro import RTLFlow
 from repro.core.codegen import KernelCodegen
+from repro.core.memory import PACKED_POOL
 from repro.core.simulator import BatchSimulator
 from repro.coverage.checks import BatchChecker
 from repro.designs import get_design
@@ -59,6 +60,7 @@ from repro.resilience import (
 )
 from repro.stimulus.batch import StimulusBatch
 from repro.utils import bitvec as bv
+from repro.utils import packbits as pk
 from repro.utils.errors import (
     CheckpointError,
     RetryExhausted,
@@ -93,14 +95,25 @@ def survivor_pools(sim):
     return [p.reshape(-1, sim.n)[:, act] for p in sim.arrays.pools]
 
 
+def _lane_columns(sim, pool):
+    """One pool as an (offsets, N) matrix; the packed pool ``P1`` is
+    unpacked block by block (W words per offset)."""
+    p = sim.arrays.pools[pool]
+    if pool != PACKED_POOL:
+        return p.reshape(-1, sim.n)
+    blocks = p.reshape(-1, sim.arrays.words)
+    return np.array([pk.unpack_u8(b, sim.n) for b in blocks],
+                    dtype=np.uint8).reshape(-1, sim.n)
+
+
 def assert_survivors_identical(base, faulted):
     """Pool state of ``faulted``'s active lanes == same lanes of ``base``."""
     act = faulted.quarantine.active
-    for p, q in zip(base.arrays.pools, faulted.arrays.pools):
+    for pool in range(len(base.arrays.pools)):
         assert np.array_equal(
-            p.reshape(-1, base.n)[:, act],
-            q.reshape(-1, faulted.n)[:, act],
-        )
+            _lane_columns(base, pool)[:, act],
+            _lane_columns(faulted, pool)[:, act],
+        ), f"pool {pool}"
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +181,26 @@ class TestSurvivorBitIdentity:
         n, cycles = 8, 30
         stim = bundle.make_stimulus(n, cycles, 11)
 
-        # Pinned to the per-task engine: the assertion below compares
-        # whole unpacked pools lane by lane.
-        base = BatchSimulator(model, n, executor="graph")
-        bundle.preload(base)
-        base.run(stim)
+        # The per-task engine and the product engine run on one layout;
+        # the assertion compares every pool (P1 unpacked) lane by lane.
+        for executor in ("graph", "graph-fused"):
+            base = BatchSimulator(model, n, executor=executor)
+            bundle.preload(base)
+            base.run(stim)
 
-        plan = FaultPlan(lane_faults=[LaneFaultSpec(cycle=5, lane=2),
-                                      LaneFaultSpec(cycle=14, lane=6)])
-        faulted = BatchSimulator(model, n, executor="graph",
-                                 fault_isolation=True)
-        bundle.preload(faulted)
-        faulted.run(stim, fault_plan=plan)
+            plan = FaultPlan(lane_faults=[LaneFaultSpec(cycle=5, lane=2),
+                                          LaneFaultSpec(cycle=14, lane=6)])
+            faulted = BatchSimulator(model, n, executor=executor,
+                                     fault_isolation=True)
+            bundle.preload(faulted)
+            faulted.run(stim, fault_plan=plan)
 
-        assert faulted.quarantine.faulted_lanes() == [2, 6]
-        assert_survivors_identical(base, faulted)
+            assert faulted.quarantine.faulted_lanes() == [2, 6]
+            assert_survivors_identical(base, faulted)
 
     @pytest.mark.parametrize("executor",
-                             ["graph", "stream", "graph-conditional"])
+                             ["graph", "stream", "graph-conditional",
+                              "graph-fused"])
     def test_every_executor(self, executor):
         n, cycles = 16, 40
         stim = counter_stim(n, cycles, seed=3)

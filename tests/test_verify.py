@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.flow import RTLFlow
+from repro.core.memory import PACKED_POOL
 from repro.core.simulator import BatchSimulator
 from repro.designs.library import get_design, list_designs
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity, SourceLoc
@@ -213,6 +214,24 @@ def test_sanitizer_catches_undeclared_write():
     sim = BatchSimulator(model, 9, executor="sanitize")
     with pytest.raises(SanitizerError, match="outside its declared"):
         sim.run(_demo_stim(9, 20), 20, watch=["dout"])
+
+
+def test_sanitizer_catches_undeclared_p1_write():
+    # The per-task programs run on the product layout: a task that stores
+    # a lane-packed 1-bit signal it did not declare is flagged, and the
+    # message names the signal owning that P1 word block.
+    model = _demo_model()
+    victim = next(t for _, t in sorted(model.task_accesses().items())
+                  if len(dict(t.write_offsets).get(PACKED_POOL, ())))
+    victim.write_offsets[:] = [
+        (p, o[:0] if p == PACKED_POOL else o) for p, o in victim.write_offsets
+    ]
+    sim = BatchSimulator(model, 9, executor="sanitize")
+    with pytest.raises(SanitizerError, match="outside its declared") as ei:
+        sim.run(_demo_stim(9, 20), 20, watch=["dout"])
+    msg = str(ei.value)
+    assert f"task {victim.tid} wrote pool {PACKED_POOL} offset" in msg
+    assert "(?)" not in msg
 
 
 def test_sanitizer_survives_checkpoint_restore():
