@@ -19,20 +19,20 @@ def nvdla():
 
 def test_breakdown_capture(benchmark, nvdla):
     benchmark.pedantic(
-        lambda: time_rtlflow_pipeline(nvdla, 128, CYCLES, pipeline=False),
+        lambda: time_rtlflow_pipeline(nvdla, 128, CYCLES),
         rounds=3, iterations=1,
     )
 
 
 def test_set_inputs_grows_with_stimulus(nvdla):
-    r_small, _ = time_rtlflow_pipeline(nvdla, 64, CYCLES, pipeline=False)
-    r_large, _ = time_rtlflow_pipeline(nvdla, 1024, CYCLES, pipeline=False)
+    r_small, _ = time_rtlflow_pipeline(nvdla, 64, CYCLES)
+    r_large, _ = time_rtlflow_pipeline(nvdla, 1024, CYCLES)
     assert r_large.set_inputs_seconds > r_small.set_inputs_seconds * 4
 
 
 def test_utilization_declines_with_stimulus(nvdla):
-    r_small, _ = time_rtlflow_pipeline(nvdla, 64, CYCLES, pipeline=False)
-    r_large, _ = time_rtlflow_pipeline(nvdla, 2048, CYCLES, pipeline=False)
+    r_small, _ = time_rtlflow_pipeline(nvdla, 64, CYCLES)
+    r_large, _ = time_rtlflow_pipeline(nvdla, 2048, CYCLES)
     assert (
         r_large.sequential_utilization <= r_small.sequential_utilization + 0.01
     )

@@ -7,9 +7,10 @@ Paper claims checked here:
 * GPU idle time (waiting for set_inputs) shrinks under pipelining.
 """
 
+import numpy as np
 import pytest
 
-from benchmarks.common import load_design, time_rtlflow_pipeline
+from benchmarks.common import load_design, time_rtlflow, time_rtlflow_pipeline
 from benchmarks.harness import run_table5, run_timelines
 
 CYCLES = 40
@@ -44,13 +45,12 @@ def test_gap_grows_with_stimulus(spinal):
     assert gain(large) >= gain(small) - 0.02, (gain(small), gain(large))
 
 
-def test_results_identical_with_and_without_pipeline(spinal):
-    r1, out1 = time_rtlflow_pipeline(spinal, 64, CYCLES, pipeline=True)
-    r2, out2 = time_rtlflow_pipeline(spinal, 64, CYCLES, pipeline=False)
-    import numpy as np
-
-    for k in out1:
-        assert np.array_equal(out1[k], out2[k]), k
+def test_results_identical_to_one_batch_simulator(spinal):
+    _, grouped = time_rtlflow_pipeline(spinal, 64, CYCLES, groups=4)
+    _, whole = time_rtlflow(spinal, 64, CYCLES)
+    assert grouped.keys() == whole.keys()
+    for k in whole:
+        assert np.array_equal(grouped[k], whole[k]), k
 
 
 def test_table5_harness():

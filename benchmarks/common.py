@@ -163,15 +163,13 @@ def time_rtlflow_pipeline(
     cycles: int,
     groups: int = 4,
     cpu_workers: int = 4,
-    pipeline: bool = True,
     seed: int = 1,
     text_inputs: bool = True,
 ):
-    """Virtual-time pipeline run; returns the PipelineSimulator report."""
+    """Virtual-time pipeline run; returns the PipelineSimulator report
+    (both schedules' makespans) and the outputs."""
     model = prep.flow.compile()
-    pipe = PipelineSimulator(
-        model, n, groups=groups, cpu_workers=cpu_workers, pipeline=pipeline
-    )
+    pipe = PipelineSimulator(model, n, groups=groups, cpu_workers=cpu_workers)
     for mem, vals in prep.memories.items():
         pipe.load_memory(mem, vals)
     stim = prep.bundle.make_stimulus(n, cycles, seed)

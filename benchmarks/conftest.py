@@ -10,7 +10,20 @@ claims.  The full paper-style sweeps are produced by
 import os
 import sys
 
+import pytest
+
 # Make `import benchmarks.common` work when pytest is run from the repo root.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 collect_ignore_glob = ["results/*"]
+
+
+@pytest.fixture(autouse=True)
+def _results_to_tmp(tmp_path, monkeypatch):
+    """Exhibit tests write their tables under ``tmp_path``: only
+    ``python -m benchmarks.harness`` updates the committed
+    ``benchmarks/results/``.  Exhibit modules import ``benchmarks.common``
+    at collection; suites that never load it are left alone."""
+    common = sys.modules.get("benchmarks.common")
+    if common is not None:
+        monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path / "results"))

@@ -360,9 +360,7 @@ def run_fig2(scale: str = "default") -> str:
     # The paper's axis is 1024..16384 stimulus — the regime where CPU-side
     # decode overtakes device evaluation; scale the preset counts up.
     for n in [s * 8 for s in cfg["stim"]]:
-        report, _ = time_rtlflow_pipeline(
-            prep, n, cycles, pipeline=False, text_inputs=True
-        )
+        report, _ = time_rtlflow_pipeline(prep, n, cycles, text_inputs=True)
         rows.append(
             [n, f"{report.set_inputs_seconds:.3f}s",
              f"{report.evaluate_seconds:.3f}s",

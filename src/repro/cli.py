@@ -438,7 +438,6 @@ def cmd_run(args) -> int:
     from repro import resilience as rz
     from repro.core.simulator import BatchSimulator
     from repro.designs import get_design
-    from repro.pipeline.scheduler import PipelineSimulator
 
     lane_faults = _resilience_flags(args)
     if args.resume and not args.checkpoint_dir:
@@ -479,14 +478,8 @@ def cmd_run(args) -> int:
             fault_plan=plan,
         )
 
-    if args.groups > 1:
-        sim = PipelineSimulator(
-            model, args.batch, groups=args.groups, executor=executor,
-            fault_isolation=isolation,
-        )
-    else:
-        sim = BatchSimulator(model, args.batch, executor=executor,
-                             fault_isolation=isolation)
+    sim = BatchSimulator(model, args.batch, executor=executor,
+                         fault_isolation=isolation)
     bundle.preload(sim)
 
     start = 0
@@ -510,16 +503,12 @@ def cmd_run(args) -> int:
 
     _print_outputs(
         outs, f"{args.design}: {args.batch} stimulus x {args.cycles} cycles "
-              f"(executor={executor}"
-              + (f", groups={args.groups}" if args.groups > 1 else "") + ")")
+              f"(executor={executor})")
     if mgr is not None:
         print(f"checkpoints: {mgr.writes} written, "
               f"{mgr.write_failures} failed, latest {mgr.latest_path()}")
 
-    if isinstance(sim, PipelineSimulator):
-        report = sim.fault_report()
-    else:
-        report = (sim.quarantine or rz.LaneQuarantine(args.batch)).report()
+    report = (sim.quarantine or rz.LaneQuarantine(args.batch)).report()
     return _fault_report(args, report, isolation,
                          fault_plan=plan.to_dict() if plan else None)
 
@@ -904,9 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoints/resume, and deterministic fault injection",
     )
     add_bundle_args(p, 64)
-    p.add_argument("--groups", type=int, default=1,
-                   help="run through the pipeline scheduler with this many "
-                        "stimulus groups (default: single simulator)")
     add_resilience_args(
         p, "directory for durable checkpoints (atomic temp+fsync+rename "
            "snapshots)",

@@ -6,8 +6,7 @@ Lanes share no state, so the merge is exact, not approximate:
   their own lane slice of a campaign-shaped array; the assembled arrays
   are bit-identical per lane to a single-process run.
 * **Faults** — shard-local lane indices re-base to global lanes and sort
-  into (cycle, lane) order, the same canonical order
-  :func:`repro.resilience.faults.merge_fault_lists` uses.
+  into canonical (cycle, lane) order.
 * **Coverage** — shard reports fold with
   :meth:`~repro.coverage.toggle.CoverageReport.merge_lanes` (cycles max,
   lanes add) so merged shard coverage equals whole-batch coverage.

@@ -460,11 +460,6 @@ class BatchSimulator:
         design: same-``n`` checkpoints of another design would otherwise
         restore silently and corrupt the pools.
         """
-        if "group_checkpoints" in ckpt:
-            raise SimulationError(
-                "this is a pipeline checkpoint; restore it via "
-                "PipelineSimulator.restore_checkpoint"
-            )
         if ckpt.get("n") != self.n:
             raise SimulationError(
                 f"checkpoint is for batch size {ckpt.get('n')}, not {self.n}"

@@ -100,8 +100,8 @@ class SimulatedDevice:
 
         A kernel that raises rolls the stats back to their pre-launch
         values: a failed launch never happened as far as accounting is
-        concerned, so a caller that retries (pipeline fallback, fault
-        isolation) does not double-count launches or device seconds.
+        concerned, so a caller that retries (fault isolation) does not
+        double-count launches or device seconds.
         """
         with self._lock:
             snap = self.stats.clone()

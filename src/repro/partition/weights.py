@@ -78,6 +78,3 @@ class WeightVector:
     def weight_sum(self, nodes: List[RtlNode]) -> float:
         """Eq. 1 over a merged task."""
         return sum(self.node_weight(n) for n in nodes)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.values[t] for t in self.types], dtype=float)

@@ -10,7 +10,7 @@ Four pillars (see docs/resilience.md):
   SIGKILL-safe resume.
 - **Watchdog + retry** (:mod:`repro.resilience.retry`): bounded retries
   with backoff and thread watchdog timeouts around crash-prone work
-  (MCMC compile-and-run trials, pipeline groups).
+  (MCMC compile-and-run trials).
 - **Deterministic fault injection** (:mod:`repro.resilience.inject`): a
   seedable :class:`FaultPlan` that replays scripted failures so every
   recovery path is testable in CI.
@@ -35,12 +35,10 @@ from repro.resilience.faults import (
     LaneFault,
     LaneQuarantine,
     LaneStimulusError,
-    merge_fault_lists,
 )
 from repro.resilience.inject import (
     FaultPlan,
     FaultyStimulus,
-    GroupFaultSpec,
     InjectedCheckpointFailure,
     InjectedCrash,
     LaneFaultSpec,
@@ -60,7 +58,6 @@ __all__ = [
     "LaneFault",
     "LaneQuarantine",
     "LaneStimulusError",
-    "merge_fault_lists",
     "REASON_MEM_OOB",
     "REASON_DIV_ZERO",
     "REASON_STIMULUS",
@@ -81,7 +78,6 @@ __all__ = [
     "FaultyStimulus",
     "LaneFaultSpec",
     "TrialFaultSpec",
-    "GroupFaultSpec",
     "InjectedCrash",
     "InjectedCheckpointFailure",
     "parse_lane_fault",

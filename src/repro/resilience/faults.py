@@ -17,7 +17,7 @@ post-mortem instead of a dead process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -203,12 +203,3 @@ class LaneQuarantine:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"LaneQuarantine(n={self.n}, "
                 f"faulted={len(self.faults)})")
-
-
-def merge_fault_lists(parts: Iterable[Iterable[LaneFault]]) -> List[LaneFault]:
-    """Flatten per-group fault lists (pipeline groups) into cycle order."""
-    out: List[LaneFault] = []
-    for p in parts:
-        out.extend(p)
-    out.sort(key=lambda f: (f.cycle, f.lane))
-    return out

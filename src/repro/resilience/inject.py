@@ -1,7 +1,7 @@
 """Deterministic fault injection: every recovery path, on demand.
 
 A :class:`FaultPlan` is a seedable script of failures — lane faults at
-chosen cycles, MCMC trial crashes/hangs, pipeline group crashes, and
+chosen cycles, MCMC trial crashes/hangs, stimulus decode errors and
 checkpoint-write failures — that the runtime components consult at their
 fault points.  Because the plan is pure data derived from a seed (or
 written explicitly), the same plan replays the same faults every run:
@@ -31,7 +31,6 @@ from repro.resilience.faults import (
 __all__ = [
     "LaneFaultSpec",
     "TrialFaultSpec",
-    "GroupFaultSpec",
     "FaultPlan",
     "InjectedCrash",
     "InjectedCheckpointFailure",
@@ -78,29 +77,18 @@ class TrialFaultSpec:
             raise ValueError(f"trial fault mode must be crash|hang, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class GroupFaultSpec:
-    """Crash pipeline group ``group`` at ``cycle`` (``attempts`` times)."""
-
-    group: int
-    cycle: int
-    attempts: int = 1
-
-
 @dataclass
 class FaultPlan:
     """A deterministic script of injected failures.
 
     Build one explicitly (tests, CLI flags) or with :meth:`random` from a
     seed.  Fire-tracking is stateful: each spec fires at most ``attempts``
-    times, so a sequential-fallback rerun or a retry sails past a
-    transient injection — deterministic recovery, not deterministic
-    doom.
+    times, so a retry sails past a transient injection — deterministic
+    recovery, not deterministic doom.
     """
 
     lane_faults: List[LaneFaultSpec] = field(default_factory=list)
     trial_faults: List[TrialFaultSpec] = field(default_factory=list)
-    group_faults: List[GroupFaultSpec] = field(default_factory=list)
     # Checkpoint-write indices (0-based) that fail.
     checkpoint_failures: Set[int] = field(default_factory=set)
     # Stimulus decode errors: (cycle, lane) pairs, fire once each.
@@ -109,7 +97,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         self._trial_fired: Dict[int, int] = {}
-        self._group_fired: Dict[Tuple[int, int], int] = {}
         self._stimulus_fired: Set[Tuple[int, int]] = set()
 
     # -- construction ---------------------------------------------------------
@@ -164,20 +151,6 @@ class FaultPlan:
                 return
             raise InjectedCrash(f"injected crash in MCMC trial {iteration}")
 
-    def maybe_fail_group(self, group: int, cycle: int) -> None:
-        """Raise if this pipeline (group, cycle) is scripted to crash."""
-        for spec in self.group_faults:
-            if spec.group != group or spec.cycle != cycle:
-                continue
-            key = (group, cycle)
-            fired = self._group_fired.get(key, 0)
-            if fired >= spec.attempts:
-                continue
-            self._group_fired[key] = fired + 1
-            raise InjectedCrash(
-                f"injected crash in pipeline group {group} at cycle {cycle}"
-            )
-
     def maybe_fail_checkpoint(self, write_index: int) -> None:
         """Raise if checkpoint write ``write_index`` is scripted to fail."""
         if write_index in self.checkpoint_failures:
@@ -200,10 +173,6 @@ class FaultPlan:
             "trial_faults": [
                 {"iteration": s.iteration, "mode": s.mode, "attempts": s.attempts}
                 for s in self.trial_faults
-            ],
-            "group_faults": [
-                {"group": s.group, "cycle": s.cycle, "attempts": s.attempts}
-                for s in self.group_faults
             ],
             "checkpoint_failures": sorted(self.checkpoint_failures),
             "stimulus_faults": sorted(self.stimulus_faults),

@@ -1,13 +1,13 @@
 """Watchdog timeouts and bounded retry with backoff.
 
-The MCMC partitioner's compile-and-run trials and the pipeline group
-chains are the two places a single wedged or crashed unit of work used to
-take the whole run down.  :func:`run_with_timeout` bounds one attempt
-with a daemon-thread watchdog; :func:`call_with_retry` layers bounded
-retries with (deterministically testable) backoff on top and raises
+The MCMC partitioner's compile-and-run trials are where a single wedged
+or crashed unit of work used to take the whole run down.
+:func:`run_with_timeout` bounds one attempt with a daemon-thread
+watchdog; :func:`call_with_retry` layers bounded retries with
+(deterministically testable) backoff on top and raises
 :class:`~repro.utils.errors.RetryExhausted` only after every attempt
-failed — callers then degrade (score the trial as rejected, fall back to
-sequential execution) instead of aborting.
+failed — the caller then degrades (scores the trial as rejected) instead
+of aborting.
 """
 
 from __future__ import annotations

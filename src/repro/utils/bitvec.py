@@ -162,12 +162,13 @@ def s_red_xor(a: int, width: int) -> int:
 # always produced regardless; when a sink is installed (the batch
 # simulator does, per evaluation, when lane fault isolation is on) it
 # receives the boolean zero-divisor mask so the offending lanes can be
-# quarantined.  The sink is **thread-local**: the pipelined scheduler
-# evaluates independent stimulus groups on concurrent threads, each with
-# its own simulator, and a process-global sink would deliver one group's
-# zero-divisor mask to another group's quarantine (and install/restore
-# pairs on different threads would race).  ``None`` (the default) keeps
-# the hot path a single getattr + test.
+# quarantined.  The sink is **thread-local**: one process may evaluate
+# several simulators on concurrent threads (``repro serve --workers 0``
+# runs shards on its pump thread; a library caller may run batches on a
+# thread pool), and a process-global sink would deliver one simulator's
+# zero-divisor mask to another's quarantine (and install/restore pairs on
+# different threads would race).  ``None`` (the default) keeps the hot
+# path a single getattr + test.
 _div_fault_tls = threading.local()
 
 
@@ -178,7 +179,7 @@ def set_div_fault_sink(sink):
     ``sink(zero_mask)`` is called with the boolean ``divisor == 0`` mask
     whenever a batch division or modulo on this thread sees a zero
     divisor.  Pass ``None`` to uninstall.  Each thread has its own slot,
-    so concurrent simulators (pipeline groups) never observe each
+    so simulators evaluating on concurrent threads never observe each
     other's faults.
     """
     prev = getattr(_div_fault_tls, "sink", None)

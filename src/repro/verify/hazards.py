@@ -25,7 +25,7 @@ Two halves of one guarantee — that the task schedule can never race:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -219,20 +219,3 @@ class RuntimeSanitizer(Executor):
                     f"carries write epoch {int(col.max())} beyond the "
                     f"global epoch {arrays.epoch}"
                 )
-
-
-def _unordered_pairs(tg: TaskGraph) -> Set[Tuple[int, int]]:
-    """Exposed for tests: order-free comb task pairs."""
-    comb = [t for t in tg.comb_topo]
-    anc: Dict[int, int] = {}
-    for tid in comb:
-        a = 0
-        for p in tg.preds.get(tid, ()):
-            a |= anc.get(p, 0) | (1 << p)
-        anc[tid] = a
-    out: Set[Tuple[int, int]] = set()
-    for i, a in enumerate(comb):
-        for b in comb[i + 1:]:
-            if not ((anc[b] >> a) & 1 or (anc[a] >> b) & 1):
-                out.add((min(a, b), max(a, b)))
-    return out

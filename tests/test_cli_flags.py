@@ -101,7 +101,6 @@ INVENTORY = {
         'cycles': (('--cycles', '-c'), 200, 'int', None, None, 'Store'),
         'seed': (('--seed',), 0, 'int', None, None, 'Store'),
         'executor': (('--executor',), 'graph-fused', None, EXECUTORS, None, 'Store'),
-        'groups': (('--groups',), 1, 'int', None, None, 'Store'),
         'fault_isolation': (('--fault-isolation',), False, None, None, 0, 'StoreTrue'),
         'checkpoint_dir': (('--checkpoint-dir',), None, None, None, None, 'Store'),
         'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, None, 'Store'),

@@ -4,8 +4,6 @@ shared checkpoint-flag check of ``run``/``campaign``."""
 
 import json
 
-import pytest
-
 from repro import RTLFlow
 from repro.analysis.report import format_table
 from repro.cli import main
@@ -14,12 +12,11 @@ from repro.waveform.vcd import dump_vcd
 from tests.conftest import COUNTER_V
 
 
-@pytest.mark.parametrize("groups", ["1", "2"])
-def test_run_fault_report_without_isolation(tmp_path, capsys, groups):
+def test_run_fault_report_without_isolation(tmp_path, capsys):
     """``run --fault-report`` writes the report even when no lane could be
     quarantined, as ``campaign --fault-report`` does."""
     path = tmp_path / "fr.json"
-    assert main(["run", "counter", "-n", "4", "-c", "5", "--groups", groups,
+    assert main(["run", "counter", "-n", "4", "-c", "5",
                  "--fault-report", str(path)]) == 0
     assert f"wrote {path}" in capsys.readouterr().out
     report = json.loads(path.read_text())

@@ -138,10 +138,10 @@ class TestDifferentialAgainstGraphExecutor:
         n, cycles = 16, 30
         stim = _counter_stim(n, cycles, activity=0.2, seed=9)
         pipe = PipelineSimulator(
-            model, n, groups=4, pipeline=False, executor="graph-conditional"
+            model, n, groups=4, executor="graph-conditional"
         )
         mono = BatchSimulator(model, n, executor="graph")
-        outs = pipe.run(stim)
+        outs = pipe.run_virtual(stim)
         mono.run(stim)
         assert np.array_equal(outs["count"], mono.get("count"))
 

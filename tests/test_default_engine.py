@@ -257,6 +257,12 @@ class TestDeletedSpellingsAreRejected:
         assert ei.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    def test_cli_rejects_removed_run_groups(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "counter", "--groups", "2"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --groups" in capsys.readouterr().err
+
     def test_cli_rejects_backend_on_a_contrast_engine(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["run", "counter", "-n", "4", "-c", "4",

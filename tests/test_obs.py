@@ -283,7 +283,7 @@ class TestPipelineInstrumentation:
         with capture() as (_tracer, metrics):
             pipe = PipelineSimulator(counter_model, 8, groups=2)
             stim = random_batch(counter_model.design, 8, 6, seed=0)
-            pipe.run(stim)
+            pipe.run_virtual(stim)
         snap = metrics.snapshot()
         assert snap["gauges"]["pipeline.groups"]["value"] == 2
         assert snap["gauges"]["pipeline.cycles"]["value"] == 6

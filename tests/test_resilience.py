@@ -33,7 +33,6 @@ from repro.coverage.checks import BatchChecker
 from repro.designs import get_design
 from repro.partition.mcmc import Estimator, MCMCPartitioner
 from repro.partition.merge import partition
-from repro.pipeline.scheduler import PipelineSimulator
 from repro.resilience import (
     REASON_COVERAGE,
     REASON_DIV_ZERO,
@@ -44,12 +43,9 @@ from repro.resilience import (
     CheckpointPolicy,
     FaultPlan,
     FaultyStimulus,
-    InjectedCrash,
-    LaneFault,
     LaneFaultSpec,
     LaneQuarantine,
     LaneStimulusError,
-    GroupFaultSpec,
     RetryPolicy,
     TrialFaultSpec,
     atomic_write_json,
@@ -346,7 +342,7 @@ class TestFaultDetectors:
 
 
 # ---------------------------------------------------------------------------
-# Div-fault sink thread isolation (pipelined groups evaluate concurrently)
+# Div-fault sink thread isolation (simulators evaluate on concurrent threads)
 # ---------------------------------------------------------------------------
 
 
@@ -354,10 +350,10 @@ class TestDivFaultSinkThreadIsolation:
     def test_sink_is_thread_local(self):
         """Each thread's installed sink sees only its own divisions.
 
-        The pipelined scheduler evaluates independent groups on
-        concurrent threads; a process-global sink would let one thread's
-        install/uninstall clear another's (missed faults) or deliver a
-        zero-divisor mask to the wrong group's quarantine.
+        Simulators may evaluate on concurrent threads of one process; a
+        process-global sink would let one thread's install/uninstall
+        clear another's (missed faults) or deliver a zero-divisor mask to
+        the wrong simulator's quarantine.
         """
         rounds = 100
         received = {"a": [], "b": []}
@@ -393,31 +389,46 @@ class TestDivFaultSinkThreadIsolation:
         assert set(received["a"]) == {ta.ident}
         assert set(received["b"]) == {tb.ident}
 
-    def test_pipelined_div_fault_stays_in_owning_group(self):
-        """Zero divisors in one group quarantine only that group's lanes
-        even when groups evaluate on concurrent worker threads."""
-        graph = compile_graph(DIVIDER_V, "divider")
-        model = KernelCodegen(partition(graph, target_weight=64.0)).compile()
-        n, cycles, groups = 16, 40, 4  # group size 4: lanes 8-11 = group 2
-        a = np.full((cycles, n), 100, dtype=np.uint64)
-        b = np.full((cycles, n), 7, dtype=np.uint64)
-        b[5, 9] = 0
-        b[11, 8] = 0
-        stim = StimulusBatch({"a": a, "b": b})
+    def test_concurrent_simulators_quarantine_only_their_own_lanes(self):
+        """Two fault-isolating simulators evaluating on concurrent threads
+        each quarantine exactly their own zero-divisor lanes."""
+        n, cycles = 8, 400
+        own_lane = {"a": 1, "b": 6}
+        sims, stims = {}, {}
+        for tag, lane in own_lane.items():
+            sims[tag] = make_sim(DIVIDER_V, "divider", n, fault_isolation=True)
+            a = np.full((cycles, n), 100, dtype=np.uint64)
+            b = np.full((cycles, n), 7, dtype=np.uint64)
+            b[2:, lane] = 0  # divides by zero on every cycle from 2 on
+            stims[tag] = StimulusBatch({"a": a, "b": b})
+        barrier = threading.Barrier(2)
+        errors = []
 
-        clean = PipelineSimulator(model, n, groups=groups)
-        clean_out = clean.run(stim)
+        def worker(tag):
+            try:
+                barrier.wait()
+                sims[tag].run(stims[tag])
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
 
-        pipe = PipelineSimulator(model, n, groups=groups,
-                                 fault_isolation=True)
-        out = pipe.run(stim)
-        rep = pipe.fault_report()
-        assert sorted(rep["faulted_lanes"]) == [8, 9]  # fault order: (cycle, lane)
-        assert all(f.reason == REASON_DIV_ZERO for f in pipe.faults())
-        surv = np.ones(n, dtype=bool)
-        surv[[8, 9]] = False
-        assert np.array_equal(out["q"][surv], clean_out["q"][surv])
-
+        # Switch threads as often as possible so the two evaluations
+        # interleave inside each other's sink install/uninstall window.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(tag,))
+                       for tag in own_lane]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        for tag, lane in own_lane.items():
+            faults = sims[tag].quarantine.faults
+            assert [(f.lane, f.cycle, f.reason) for f in faults] == [
+                (lane, 2, REASON_DIV_ZERO)]
 
 DONECTR_V = """
 module donectr (
@@ -751,139 +762,6 @@ class TestCheckpointResume:
         assert fresh.cycles_run == 30  # last complete snapshot before death
         out = fresh.run(stim, start_cycle=fresh.cycles_run)
         assert np.array_equal(out["count"], ref_out["count"])
-
-
-# ---------------------------------------------------------------------------
-# Pipeline checkpoints + fallback
-# ---------------------------------------------------------------------------
-
-
-class TestPipelineCheckpoints:
-    def _model(self):
-        graph = compile_graph(COUNTER_V, "counter")
-        return KernelCodegen(partition(graph, target_weight=64.0)).compile()
-
-    def test_roundtrip_resume_bit_identical(self, tmp_path):
-        model = self._model()
-        n, cycles = 16, 48
-        stim = counter_stim(n, cycles, seed=4)
-        ref = PipelineSimulator(model, n, groups=4)
-        ref_out = ref.run(stim)
-
-        pipe = PipelineSimulator(model, n, groups=4)
-        mgr = CheckpointManager(str(tmp_path),
-                               policy=CheckpointPolicy(every_cycles=12))
-        pipe.run(stim, cycles=24, checkpoint=mgr)
-
-        fresh = PipelineSimulator(model, n, groups=4)
-        fresh.restore_checkpoint(mgr.load_latest())
-        assert fresh.cycles_run == 24
-        out = fresh.run(stim, checkpoint=mgr, start_cycle=fresh.cycles_run)
-        assert np.array_equal(out["count"], ref_out["count"])
-
-    def test_group_shape_mismatch_rejected(self):
-        model = self._model()
-        ckpt = PipelineSimulator(model, 16, groups=4).save_checkpoint()
-        with pytest.raises(CheckpointError):
-            PipelineSimulator(model, 16, groups=2).restore_checkpoint(ckpt)
-
-    def test_batch_checkpoint_rejected_by_pipeline(self):
-        model = self._model()
-        ckpt = BatchSimulator(model, 16).save_checkpoint()
-        with pytest.raises(CheckpointError):
-            PipelineSimulator(model, 16, groups=4).restore_checkpoint(ckpt)
-
-    def test_pipeline_checkpoint_rejected_by_batch_sim(self):
-        model = self._model()
-        ckpt = PipelineSimulator(model, 16, groups=4).save_checkpoint()
-        with pytest.raises(SimulationError, match="pipeline checkpoint"):
-            BatchSimulator(model, 16).restore_checkpoint(ckpt)
-
-    def test_torn_snapshot_rejected(self):
-        model = self._model()
-        pipe = PipelineSimulator(model, 16, groups=4)
-        ckpt = pipe.save_checkpoint()
-        ckpt["group_checkpoints"][1]["cycles_run"] = 99  # tamper
-        with pytest.raises(CheckpointError, match="inconsistent"):
-            PipelineSimulator(model, 16, groups=4).restore_checkpoint(ckpt)
-
-    def test_desynchronized_groups_cannot_snapshot(self):
-        model = self._model()
-        pipe = PipelineSimulator(model, 16, groups=4)
-        pipe.sims[0].cycles_run = 7  # simulate a mid-chunk request
-        with pytest.raises(CheckpointError, match="desynchronized"):
-            pipe.save_checkpoint()
-
-
-class TestPipelineFallback:
-    def _model(self):
-        graph = compile_graph(COUNTER_V, "counter")
-        return KernelCodegen(partition(graph, target_weight=64.0)).compile()
-
-    def test_transient_group_crash_falls_back(self):
-        model = self._model()
-        n, cycles = 16, 32
-        stim = counter_stim(n, cycles, seed=6)
-        ref_out = PipelineSimulator(model, n, groups=4).run(stim)
-
-        plan = FaultPlan(group_faults=[GroupFaultSpec(group=1, cycle=10)])
-        pipe = PipelineSimulator(model, n, groups=4)
-        out = pipe.run(stim, fault_plan=plan)
-        assert pipe.report.fallback_used
-        assert np.array_equal(out["count"], ref_out["count"])
-
-    def test_fallback_rolls_back_partial_accounting(self):
-        """The crashed chunk's partial device/set_inputs accounting is
-        rolled back with the state, so a fallback run books exactly one
-        pass over every (group, cycle) — same launch counts as a clean
-        run, no double-counting from the replayed cycles."""
-        model = self._model()
-        n, cycles = 16, 32
-        stim = counter_stim(n, cycles, seed=6)
-        ref = PipelineSimulator(model, n, groups=4)
-        ref.run(stim)
-
-        plan = FaultPlan(group_faults=[GroupFaultSpec(group=1, cycle=10)])
-        pipe = PipelineSimulator(model, n, groups=4)
-        pipe.run(stim, fault_plan=plan)
-        assert pipe.report.fallback_used
-        assert pipe.device.stats.graph_launches == ref.device.stats.graph_launches
-        assert pipe.device.stats.kernel_launches == ref.device.stats.kernel_launches
-
-    def test_persistent_group_crash_propagates(self):
-        model = self._model()
-        stim = counter_stim(16, 32, seed=6)
-        plan = FaultPlan(
-            group_faults=[GroupFaultSpec(group=1, cycle=10, attempts=99)]
-        )
-        pipe = PipelineSimulator(model, 16, groups=4)
-        with pytest.raises(InjectedCrash):
-            pipe.run(stim, fault_plan=plan)
-
-    def test_fallback_disabled_propagates_immediately(self):
-        model = self._model()
-        stim = counter_stim(16, 32, seed=6)
-        plan = FaultPlan(group_faults=[GroupFaultSpec(group=0, cycle=4)])
-        pipe = PipelineSimulator(model, 16, groups=4,
-                                 fallback_sequential=False)
-        with pytest.raises(InjectedCrash):
-            pipe.run(stim, fault_plan=plan)
-        assert not pipe.report.fallback_used
-
-    def test_global_lane_fault_report(self):
-        model = self._model()
-        n = 16
-        stim = counter_stim(n, 24, seed=8)
-        # Global lane 9 lives in group 2 (group_size 4) at offset 1.
-        plan = FaultPlan(lane_faults=[LaneFaultSpec(cycle=6, lane=9)])
-        pipe = PipelineSimulator(model, n, groups=4, fault_isolation=True)
-        pipe.run(stim, fault_plan=plan)
-        rep = pipe.fault_report()
-        assert rep["faulted_lanes"] == [9]
-        assert rep["active_lanes"] == n - 1
-        assert pipe.report.faulted_lanes == 1
-        (f,) = pipe.faults()
-        assert isinstance(f, LaneFault) and f.lane == 9
 
 
 # ---------------------------------------------------------------------------
