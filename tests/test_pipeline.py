@@ -44,24 +44,35 @@ def _design_case(request, design, n, cycles):
     return model, random_batch(model.design, n, cycles, seed=5), None
 
 
+def _check_matches_monolithic(request, design, text, groups):
+    """``run_virtual`` on ``groups`` groups equals one BatchSimulator."""
+    n, cycles = 16, 40
+    model, stim, preload = _design_case(request, design, n, cycles)
+    mono = BatchSimulator(model, n)
+    pipe = PipelineSimulator(model, n, groups=groups, cpu_workers=2)
+    if preload is not None:
+        preload(mono)
+        preload(pipe)
+    expect = mono.run(stim)
+    got = pipe.run_virtual(
+        TextStimulusBatch(stim.to_texts()) if text else stim)
+    assert got.keys() == expect.keys()
+    for name in expect:
+        assert np.array_equal(expect[name], got[name]), name
+
+
 class TestCorrectness:
-    @pytest.mark.parametrize("design", ["counter", "memdut", "riscv_mini"])
+    @pytest.mark.parametrize("text", [False, True])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_matches_monolithic_batch(self, request, text, groups):
+        _check_matches_monolithic(request, "counter", text, groups)
+
+    @pytest.mark.parametrize("design", ["memdut", "riscv_mini"])
     @pytest.mark.parametrize("text", [False, True], ids=["dense", "text"])
     @pytest.mark.parametrize("groups", [1, 2, 4])
-    def test_matches_monolithic_batch(self, request, design, text, groups):
-        n, cycles = 16, 40
-        model, stim, preload = _design_case(request, design, n, cycles)
-        mono = BatchSimulator(model, n)
-        pipe = PipelineSimulator(model, n, groups=groups, cpu_workers=2)
-        if preload is not None:
-            preload(mono)
-            preload(pipe)
-        expect = mono.run(stim)
-        got = pipe.run_virtual(
-            TextStimulusBatch(stim.to_texts()) if text else stim)
-        assert got.keys() == expect.keys()
-        for name in expect:
-            assert np.array_equal(expect[name], got[name]), name
+    def test_design_matches_monolithic_batch(self, request, design, text,
+                                             groups):
+        _check_matches_monolithic(request, design, text, groups)
 
     def test_text_stimulus_source(self, counter_model):
         n, cycles = 8, 15
