@@ -794,6 +794,128 @@ def _check_lowering(rec, graph, kb) -> Optional[str]:
     return None
 
 
+def _key_compares(cond, graph, kb) -> Optional[List[Tuple[A.Expr, int]]]:
+    """``[(selector, constant), ...]`` when ``cond`` is a compare of an
+    expression with a proven constant, or an ``||`` of such, else None."""
+    if not isinstance(cond, A.Binary):
+        return None
+    if cond.op == "||":
+        l = _key_compares(cond.left, graph, kb)
+        r = _key_compares(cond.right, graph, kb)
+        return None if l is None or r is None else l + r
+    if cond.op not in ("==", "==="):
+        return None
+    for k, c in ((cond.left, cond.right), (cond.right, cond.left)):
+        value = _const_amount(c, graph, kb)
+        if value is not None:
+            return [(k, value)]
+    return None
+
+
+def _check_keyed(rec, fused, graph, kb) -> Optional[str]:
+    """Why a keyed-select claim cannot be re-proved (or None): the first
+    ``links`` conditions of the chain compare one selector, bounded by
+    the claimed width, with constants; keeping each constant with its
+    first arm and dropping those of ``width`` or more bits leaves the
+    claimed distinct constants; and the claimed row map — the index
+    table the program reads, or the identity — follows from them."""
+    import numpy as np
+
+    d, node = rec.detail, rec.expr
+    w, links = d.get("width"), d.get("links")
+    if not (isinstance(w, int) and 0 < w <= 8
+            and isinstance(links, int) and links > 0):
+        return f"claims selector width {w!r} over {links!r} links"
+    sel, per_link = None, []
+    for _ in range(links):
+        pairs = (_key_compares(node.cond, graph, kb)
+                 if isinstance(node, A.Ternary) else None)
+        if pairs is None:
+            return (f"claims {links} compare links, but link "
+                    f"{len(per_link)} is not a compare with a constant")
+        for k, _ in pairs:
+            sel = k if sel is None else sel
+            if not (k is sel or kb.same_expr(k, sel)):
+                return "compares two different selectors"
+        per_link.append([c for _, c in pairs])
+        node = node.other
+    if kb.expr_bits(sel, {}, graph).max_value >> w:
+        return f"gathers on a selector that may not fit {w} bits"
+    owner: Dict[int, int] = {}
+    kept: List[List[int]] = []
+    for consts in per_link:
+        mine = [c for c in dict.fromkeys(consts)
+                if c < (1 << w) and c not in owner]
+        if mine:
+            owner.update((c, len(kept)) for c in mine)
+            kept.append(mine)
+    claimed = d.get("constants") or []
+    flat = [c for cs in claimed for c in cs]
+    if claimed != kept or len(set(flat)) != len(flat):
+        return (f"claims arm constants {claimed}, but the chain's first "
+                f"reachable constants are {kept}")
+    rows = [owner.get(v, len(kept)) for v in range(1 << w)]
+    if d.get("rows") != rows:
+        return f"claims row map {d.get('rows')}, the constants give {rows}"
+    ix = d.get("index")
+    if ix is None:
+        if rows != list(range(1 << w)):
+            return "gathers on the selector directly, but the rows are not dense"
+        return None
+    table = fused.namespace.get(ix)
+    if (not isinstance(table, np.ndarray) or table.dtype != np.uint8
+            or table.tolist() != rows):
+        got = table.tolist() if isinstance(table, np.ndarray) else table
+        return f"reads index table {ix} = {got}, not the row map {rows}"
+    return None
+
+
+def _check_table(rec, fused, graph) -> Optional[str]:
+    """Why a table claim cannot be re-proved (or None): its inputs are
+    exactly the signals the expression reads (no memory), at most 8 bits
+    in all, and the table the program reads equals, byte for byte, the
+    reference interpreter's value of the expression over every input
+    combination (first input in the high index bits), truncated to the
+    stored width."""
+    import numpy as np
+
+    from repro.baselines.reference import eval_expr
+
+    d, e = rec.detail, rec.expr
+    slot = fused.layout.slots.get(rec.target or "")
+    inputs = d.get("inputs") or []
+    if e is None or slot is None:
+        return "names no expression or no target slot"
+    if any(isinstance(n, A.Index) and n.is_memory for n in A.walk_expr(e)):
+        return "tabulates an expression that reads a memory"
+    widths = {s.name: s.width for s in graph.design.signals.values()}
+    names = sorted(set(A.expr_reads(e)))
+    if [n for n, _ in inputs] != names or any(
+            widths.get(n) != w for n, w in inputs):
+        return (f"indexes by {inputs}, but the expression reads "
+                f"{[(n, widths.get(n)) for n in names]}")
+    total = sum(w for _, w in inputs)
+    bits = 8 if slot.pool == PACKED_POOL else _POOL_BITS[slot.pool]
+    if total > 8 or d.get("width") != slot.width or d.get("bits") != bits:
+        return (f"claims a {d.get('width')!r}-bit table of "
+                f"{d.get('bits')!r}-bit entries over {total} input bits "
+                f"for a {slot.width}-bit slot")
+    values = []
+    for v in range(1 << total):
+        state, shift = {}, total
+        for n, w in inputs:
+            shift -= w
+            state[n] = (v >> shift) & ((1 << w) - 1)
+        values.append(eval_expr(e, state, {}, widths) & ((1 << slot.width) - 1))
+    want = np.array(values, dtype=f"uint{bits}")
+    got = fused.namespace.get(d.get("table"))
+    if (not isinstance(got, np.ndarray) or got.dtype != want.dtype
+            or got.tobytes() != want.tobytes()):
+        return (f"reads table {d.get('table')!r}, which differs from the "
+                "reference interpreter's values")
+    return None
+
+
 def check_audit(model) -> List[Diagnostic]:
     """Re-prove every rewrite the fused emitter recorded.
 
@@ -801,7 +923,8 @@ def check_audit(model) -> List[Diagnostic]:
     *what* it rewrote (dropped constant-zero mux branch, increment-mux
     peephole, demand-width truncated store, packed 1-bit store, folded
     packed constant, constant shift / bit-select, word replication, limb
-    rotate, reused temporary, rolled-up run of same-shape statements);
+    rotate, reused temporary, rolled-up run of same-shape statements,
+    keyed select gathered from a stack, lookup table);
     this pass re-establishes each claim through the independent
     known-bits engine and structural checks.  A claim that cannot be
     re-proved is an ERROR: either the emitter is wrong or the record was
@@ -919,6 +1042,13 @@ def check_audit(model) -> List[Diagnostic]:
                     rid, f"packed fold at {where} dropped an operand "
                     f"claimed to be constant {want}, not re-provable",
                     subject=rec.target))
+        elif rec.kind in ("keyed-select", "table"):
+            why = (_check_keyed(rec, fused, graph, kb)
+                   if rec.kind == "keyed-select"
+                   else _check_table(rec, fused, graph))
+            if why is not None:
+                out.append(_err(rid, f"{rec.kind} lowering at {where} {why}",
+                                subject=rec.target))
         elif rec.kind in ("const-shift", "const-index", "replicate",
                           "rotate"):
             why = ("has no expression" if rec.expr is None

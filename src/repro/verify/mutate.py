@@ -11,7 +11,8 @@ unmutated bundled designs.
 
 All mutations are applied to in-memory IR *after* the build (the fused
 bundle is pre-built so mutations land on the cached artifact the
-verifier inspects); the generated source text never changes.
+verifier inspects — for the lookup lowerings, the tables in its
+namespace); the generated source text never changes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ __all__ = ["MUTATIONS", "Mutation", "fresh_model", "verify_selftest",
 #: the comb program stores), a three-register shift chain (a ``rollup``
 #: record with unit strides) and a 128-bit rotate beside a constant
 #: shift and bit-select (``rotate`` / ``const-shift`` / ``const-index``
-#: records).
+#: records), a sparse ``case`` (a ``keyed-select`` record with an index
+#: table) and a small decoder (a ``table`` record).
 DEMO_SOURCE = """
 module mut_demo(
   input clk, input rst, input en,
@@ -42,7 +44,9 @@ module mut_demo(
   output [7:0] pick,
   output [7:0] tail,
   output flag,
-  output [7:0] spun
+  output [7:0] spun,
+  output [7:0] picked,
+  output dec
 );
   reg [7:0] acc;
   reg [3:0] cnt;
@@ -58,12 +62,25 @@ module mut_demo(
   wire [7:0] hi_b = high ? din : sum;
   wire [127:0] wide = {16{din}};
   wire [127:0] spin = (wide << 12) | (wide >> 116);
+  wire [2:0] op = din[7:5];
+  reg [7:0] sel;
+
+  always @* begin
+    case (op)
+      3'd0: sel = acc;
+      3'd2: sel = din;
+      3'd5: sel = sum;
+      default: sel = masked;
+    endcase
+  end
 
   assign dout = masked;
   assign pick = hi_a ^ hi_b;
   assign tail = lane3;
   assign flag = high ^ bit0;
   assign spun = spin[75:68] ^ {din[3:0] << 1, din[7]};
+  assign picked = sel;
+  assign dec = (op == 3'd3) | (op == 3'd6) | (op[0] & en);
 
   always @(posedge clk) begin
     acc <= rst ? 8'd0 : sum;
@@ -373,6 +390,26 @@ def _mut_rotate_bad_complement(model) -> None:
     recs[0].detail["complement"] -= 1
 
 
+def _mut_keyed_select_swap(model) -> None:
+    """Swap two entries of a keyed select's index table: two selector
+    values now read each other's arms."""
+    fused = model.fused()
+    recs = [r for r in fused.audit
+            if r.kind == "keyed-select" and r.detail.get("index")]
+    _need(bool(recs), "a keyed select with an index table")
+    table = fused.namespace[recs[0].detail["index"]]
+    i = next(i for i in range(1, len(table)) if table[i] != table[0])
+    table[0], table[i] = table[i], table[0]
+
+
+def _mut_table_flip(model) -> None:
+    """Flip the low bit of one lookup-table entry."""
+    fused = model.fused()
+    recs = [r for r in fused.audit if r.kind == "table"]
+    _need(bool(recs), "a lookup table")
+    fused.namespace[recs[0].detail["table"]][0] ^= 1
+
+
 MUTATIONS: List[Mutation] = [
     Mutation("drop-node-edge", "graph",
              "remove a comb dependency edge", _mut_drop_node_edge),
@@ -439,6 +476,11 @@ MUTATIONS: List[Mutation] = [
     Mutation("rotate-bad-complement", "fused",
              "claim a rotate whose shift amounts miss the width by one",
              _mut_rotate_bad_complement),
+    Mutation("keyed-select-swap", "fused",
+             "swap two entries of a keyed select's index table",
+             _mut_keyed_select_swap),
+    Mutation("table-flip", "fused",
+             "flip one entry of a lookup table", _mut_table_flip),
 ]
 
 

@@ -38,7 +38,8 @@ class TestStats:
         fused = payload["fused"]
         assert set(fused) == {
             "statements", "temporaries", "helper_sites", "unpack_sites",
-            "mem_read_sites", "rolled_runs", "rolled_members", "lines"}
+            "mem_read_sites", "rolled_runs", "rolled_members", "lines",
+            "keyed_selects", "tables", "table_entries", "table_build_s"}
         assert fused["temporaries"] <= 80 and fused["unpack_sites"] <= 10
         assert fused["statements"] <= 150 and fused["mem_read_sites"] == 0
         assert fused["rolled_runs"] >= 1

@@ -228,8 +228,8 @@ FUSED_SHA256 = {
     "counter": "404c1e0c0469bc9bce6559be348dfbfd76db7a57fbd434e4af884784fec68e49",
     "crypto": "2034b2a7c9d3c20927cc2a4cd0fbed7d9add867f318a96c0c9c821a916cdd09a",
     "nvdla": "05dd9285b34f2c1f8244bb5d6950479d0d77f9e16dbd03b5d4a47548b1692243",
-    "spinal": "1f590e0efde2cb25b75963a18fe6656dbcc3dacf95554902768cb184326aa652",
-    "riscv_mini": "a560b6fac6ba4ce7ec68b27a1c9a8a42256a4191e546e9b1846814ecc33216f9",
+    "spinal": "09a2fcf8f11804e2f7881cc9597200a7c990a085743d771948bddb601d55aa83",
+    "riscv_mini": "2bbf253bafe17aad70539e811abdc9cfa0ae229228f472afa5a5d64cc1570b77",
 }
 
 

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.stimulus.generator import random_batch
 from repro.utils import bitvec as bv
-from tests.helpers import assert_batch_matches_reference
+from tests.conftest import compile_graph
+from tests.helpers import (assert_batch_matches_reference, batch_traces,
+                           reference_traces)
 
 # --- random expression generator -------------------------------------------
 
@@ -394,6 +397,127 @@ class TestSharedConditionMasks:
     def test_batch_matches_reference(self, src, seed):
         assert_batch_matches_reference(src, "condfuzz", n=9, cycles=6,
                                        seed=seed)
+
+
+# --- case statements (keyed selects and lookup tables) -----------------------
+
+
+# Arm values over the data inputs, one per tier the arms of a stack can
+# come from: plain loads, native wrap ops, a packed compare, a dynamic
+# shift (uint64 tier), constants and the selector itself.
+_CASE_ARMS = ["a", "b", "c + d", "a ^ 8'd{k}", "c >> 3", "e ? a : b",
+              "(a < b)", "d << a[2:0]", "{k}", "s", "{{a, b}}", "e"]
+# Inputs of the small comb cones: 1 + 2 + 3 + 4 bits.
+_CONE_INPUTS = [("e", 1), ("t", 2), ("u", 3), ("v", 4)]
+
+
+def _label(draw, sw: int, casez: bool) -> str:
+    """A ``case`` label for an ``sw``-bit selector: in range, sometimes
+    one bit wider (it never matches), or with ``?`` wildcards."""
+    if casez and draw(st.booleans()):
+        bits = [draw(st.sampled_from("01?")) for _ in range(sw)]
+        return f"{sw}'b{''.join(bits)}"
+    if draw(st.integers(0, 7)) == 0:
+        return f"{sw + 1}'d{draw(st.integers(0, (1 << (sw + 1)) - 1))}"
+    return f"{sw}'d{draw(st.integers(0, (1 << sw) - 1))}"
+
+
+@st.composite
+def _cone(draw, names, depth=0):
+    """A random expression (an operator at the root) over the cone
+    inputs ``names``."""
+    if depth >= 3 or (depth and draw(st.integers(0, 3)) == 0):
+        name, w = draw(st.sampled_from(names))
+        if w > 1 and draw(st.booleans()):
+            return f"{name}[{draw(st.integers(0, w - 1))}]"
+        return name
+    kind = draw(st.integers(0, 3))
+    l, r = draw(_cone(names, depth + 1)), draw(_cone(names, depth + 1))
+    if kind == 0:
+        return f"({l} {draw(st.sampled_from(['+', '^', '&', '|', '-']))} {r})"
+    if kind == 1:
+        return f"({l} {draw(st.sampled_from(['==', '<', '!=']))} {r})"
+    if kind == 2:
+        return f"({draw(_cone(names, depth + 1))} ? {l} : {r})"
+    return f"(~{l})"
+
+
+@st.composite
+def case_modules(draw):
+    """``case``/``casez`` blocks on a 1..4-bit selector and small comb
+    cones — the shapes the comb program lowers to keyed selects and
+    lookup tables.
+
+    Each block drives one output of width 1, 5, 8, 32 or 64 from arms
+    labelled ``0, 1, ...`` in order (a dense gather) and/or up to 9 arms
+    of 1..3 labels each (multi-label arms, duplicate labels within and
+    across arms, labels too wide to ever match, ``casez`` wildcards),
+    with a ``default`` arm or an assignment ahead of the ``case`` (no
+    ``default``).  Each cone is a random expression over
+    1..10 bits of 1..4-bit inputs.
+    """
+    sw = draw(st.integers(1, 4))
+    body, outs = [], []
+    for i in range(draw(st.integers(1, 3))):
+        w = draw(st.sampled_from([1, 5, 8, 32, 64]))
+        casez = draw(st.booleans())
+        arm = lambda: draw(st.sampled_from(_CASE_ARMS)).format(  # noqa: E731
+            k=draw(st.integers(0, 255)))
+        items = []
+        if draw(st.booleans()):  # labels 0, 1, ... in order: a dense gather
+            for v in range(draw(st.integers(1, 1 << sw))):
+                items.append(f"      {sw}'d{v}: y{i} = {arm()};")
+        for _ in range(draw(st.integers(0, 9))):
+            labels = [_label(draw, sw, casez)
+                      for _ in range(draw(st.integers(1, 3)))]
+            items.append(f"      {', '.join(labels)}: y{i} = {arm()};")
+        if not items:
+            items.append(f"      {_label(draw, sw, casez)}: y{i} = {arm()};")
+        head = ""
+        if draw(st.booleans()):
+            items.append(f"      default: y{i} = {arm()};")
+        else:
+            head = f"    y{i} = {arm()};\n"
+        kw = "casez" if casez else "case"
+        rng = f"[{w - 1}:0] " if w > 1 else ""
+        body.append(f"  reg {rng}y{i};\n  always @* begin\n{head}"
+                    f"    {kw} (s)\n" + "\n".join(items)
+                    + "\n    endcase\n  end")
+        outs.append((f"o{i}", w, f"y{i}"))
+    for j in range(draw(st.integers(1, 2))):
+        names = draw(st.lists(st.sampled_from(_CONE_INPUTS), min_size=1,
+                              max_size=4, unique=True))
+        w = draw(st.sampled_from([1, 3, 8]))
+        outs.append((f"z{j}", w, draw(_cone(names))))
+    ports = [("input", "s", sw), ("input", "a", 8), ("input", "b", 16),
+             ("input", "c", 32), ("input", "d", 64)]
+    ports += [("input", n, w) for n, w in _CONE_INPUTS]
+    ports += [("output", n, w) for n, w, _ in outs]
+    body += [f"  assign {n} = {e};" for n, _, e in outs]
+    return (f"module casefuzz ({_ports(ports)});\n" + "\n".join(body)
+            + "\nendmodule\n")
+
+
+class TestCaseStatements:
+    """Keyed selects and lookup tables against the reference, and the
+    same design on the per-task engines (which keep the mux chains)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case_modules(), st.integers(0, 2**31),
+           st.sampled_from([1, 63, 64, 65, 130]))
+    def test_batch_matches_reference(self, src, seed, n):
+        graph = compile_graph(src, "casefuzz")
+        watch = [s.name for s in graph.design.outputs]
+        stim = random_batch(graph.design, n, 3, seed=seed)
+        ref = reference_traces(graph, stim, watch)
+        for executor in ("graph-fused", "graph", "sanitize"):
+            got = batch_traces(graph, stim, watch, executor=executor)
+            for w in watch:
+                bad = np.nonzero(ref[w] != got[w])
+                assert not bad[0].size, (
+                    f"{executor}: {w} at cycle {bad[0][0]} lane {bad[1][0]}: "
+                    f"reference={ref[w][bad[0][0], bad[1][0]]:#x} "
+                    f"batch={got[w][bad[0][0], bad[1][0]]:#x}")
 
 
 # --- bitvec invariants -------------------------------------------------------
