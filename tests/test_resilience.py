@@ -254,6 +254,19 @@ module divider (
 endmodule
 """
 
+# A comb divider over 8 input bits, registered so the run has state.
+COMB_DIVIDER_V = """
+module comb_divider (
+    input wire clk,
+    input wire [3:0] a,
+    input wire [3:0] b,
+    output reg [3:0] q
+);
+    wire [3:0] d = (a / b) + (a % b) + 4'd1;
+    always @(posedge clk) q <= d;
+endmodule
+"""
+
 # 4-bit address space over a 10-deep memory: addresses 10..15 are OOB.
 MEMOOB_V = """
 module memoob (
@@ -298,6 +311,27 @@ class TestFaultDetectors:
         sim = make_sim(DIVIDER_V, "divider", n)
         out = sim.run(stim)
         assert (out["q"] == 0).all()  # two-state x -> 0 sentinel, no crash
+
+    @pytest.mark.parametrize("executor", ["graph-fused", "graph"])
+    def test_comb_div_by_zero_quarantines_lane(self, executor):
+        """A small comb divider (8 input bits, many operators) would be a
+        lookup table in the fused comb program; the divide must stay a
+        divide, so the zero-divisor lane is quarantined on every engine."""
+        n, cycles = 8, 10
+        a = np.full((cycles, n), 13, dtype=np.uint64)
+        b = np.full((cycles, n), 3, dtype=np.uint64)
+        b[4, 5] = 0  # lane 5 divides by zero at cycle 4
+        stim = StimulusBatch({"a": a, "b": b})
+
+        sim = make_sim(COMB_DIVIDER_V, "comb_divider", n, executor=executor,
+                       fault_isolation=True)
+        sim.run(stim)
+        (f,) = sim.quarantine.faults
+        assert (f.lane, f.cycle, f.reason) == (5, 4, REASON_DIV_ZERO)
+
+        base = make_sim(COMB_DIVIDER_V, "comb_divider", n, executor=executor)
+        base.run(stim)
+        assert_survivors_identical(base, sim)
 
     def test_oob_mem_write_quarantines_lane(self):
         n, cycles = 8, 12
