@@ -277,8 +277,9 @@ class DeviceArrays:
         # name and without the hook must be provably cache-neutral: the
         # register/memory commit (writes only non-input state) and the
         # quarantine's lane masking of those commits, plus the simulator's
-        # pre-packed stimulus fast path (statically clock-free columns;
-        # see _prepack_stimulus).
+        # stimulus row copies in run() (statically clock-free columns; see
+        # BatchSimulator._stimulus_rows), whose chunked path sets the
+        # clock cache itself at every chunk end.
         self.write_hook = None
         # Monotone write-epoch counter; offset epochs start at 0 and
         # executors start "never run" (-1), so everything is dirty once.

@@ -106,6 +106,10 @@ def make_executor(
 
 _POOL_BITS = (8, 16, 32, 64)
 
+# The chunked run's stand-in for an edge without a clock domain:
+# (domain, seq program, register-commit copies, memory commits).
+_NO_STEP = (None, None, (), ())
+
 
 class BatchSimulator:
     """Simulates N stimulus of one design simultaneously.
@@ -367,17 +371,7 @@ class BatchSimulator:
         arrays.commit_registers(domain, active)
         n = arrays.n
         if self.metrics.enabled:
-            for pool_idx, _start, count in arrays.layout.reg_ranges.get(domain, ()):
-                if pool_idx == PACKED_POOL:
-                    self.metrics.inc(
-                        "mem.pool1.commit_bytes",
-                        count * arrays.words * 8,
-                    )
-                else:
-                    self.metrics.inc(
-                        f"mem.pool{_POOL_BITS[pool_idx]}.commit_bytes",
-                        count * n * (1, 2, 4, 8)[pool_idx],
-                    )
+            self._count_commit_bytes(domain)
         for b in self.mem_writes:
             if (b.clock, b.edge) != domain:
                 continue
@@ -407,6 +401,20 @@ class BatchSimulator:
                 # dynamic mem[idx] may touch any word), so mark the range.
                 arrays.mark_written(
                     b.mem_pool, b.mem_base, b.mem_base + b.mem_depth
+                )
+
+    def _count_commit_bytes(self, domain: Tuple[str, str], times: int = 1) -> None:
+        """Count ``times`` register commits of ``domain`` in the metrics."""
+        arrays = self.arrays
+        for pool_idx, _start, count in arrays.layout.reg_ranges.get(domain, ()):
+            if pool_idx == PACKED_POOL:
+                self.metrics.inc(
+                    "mem.pool1.commit_bytes", times * count * arrays.words * 8,
+                )
+            else:
+                self.metrics.inc(
+                    f"mem.pool{_POOL_BITS[pool_idx]}.commit_bytes",
+                    times * count * arrays.n * (1, 2, 4, 8)[pool_idx],
                 )
 
     # -- checkpointing ------------------------------------------------------------
@@ -582,10 +590,13 @@ class BatchSimulator:
         elif name in self._prev_clock:
             self._clock_scalar.pop(name, None)
 
-    def _prepack_stimulus(self, stimulus) -> Optional[Dict[str, np.ndarray]]:
-        """Pre-pack the 1-bit input columns of a dense stimulus batch.
+    def _prepack_stimulus(
+        self, stimulus, lo: int, hi: int,
+    ) -> Optional[Dict[str, np.ndarray]]:
+        """Pre-pack rows ``[lo, hi)`` of the 1-bit input columns of a
+        dense stimulus batch (row ``c`` lands at index ``c - lo``).
 
-        Every 1-bit input write costs an (N,) lane pack per cycle; packing the whole (cycles, N) column once up
+        Every 1-bit input write costs an (N,) lane pack per cycle; packing the column once up
         front (one vectorized :func:`repro.utils.packbits.pack_rows`
         call) turns the per-cycle apply into a W-word row copy.  The
         packed rows are bit-identical to what the per-cycle pack would
@@ -613,16 +624,69 @@ class BatchSimulator:
                 continue
             if slot.pool != PACKED_POOL:
                 continue
-            cols[name] = pk.pack_rows(mat, self.n)
+            cols[name] = pk.pack_rows(mat[lo:hi], self.n)
         return cols or None
 
     @staticmethod
-    def _packed_row(stimulus, packed_cols, c: int) -> Dict[str, object]:
+    def _packed_row(stimulus, packed_cols, c: int, lo: int) -> Dict[str, object]:
         """One stimulus row with 1-bit inputs swapped for pre-packed words."""
         row = stimulus.inputs_at(c)
         for k, words in packed_cols.items():
-            row[k] = pk.PackedWords(words[c])
+            row[k] = pk.PackedWords(words[c - lo])
         return row
+
+    def _stimulus_rows(
+        self, stimulus, packed_cols, lo: int, hi: int,
+    ) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+        """Every stimulus column as a pool view and its rows ``[lo, hi)``
+        (row ``c`` at index ``c - lo``), ready to be copied in per cycle
+        without ``set_input``'s per-name dispatch; None when a column
+        needs that dispatch (a clock, a non-input, wide or text data).
+
+        1-bit columns are the pre-packed rows; a native column is cast
+        once with the width mask :meth:`DeviceArrays.write` applies
+        (the pool dtype holds the mask, so casting first and masking
+        after stores the same), skipping the copy when neither changes
+        anything.  No column is a clock, so skipping the write hook
+        keeps the clock cache valid.
+        """
+        if stimulus is None:
+            return []
+        data = getattr(stimulus, "data", None)
+        if not isinstance(data, dict):
+            return None
+        arrays, n, layout = self.arrays, self.n, self.layout
+        pools = arrays.pools
+        rows = []
+        for name, mat in data.items():
+            if name not in self._input_names or name in self._prev_clock:
+                return None
+            try:
+                s = layout.slot(name)
+            except SimulationError:
+                return None
+            if packed_cols and name in packed_cols:
+                w = arrays.words
+                view = pools[PACKED_POOL][s.offset * w : (s.offset + 1) * w]
+                rows.append((view, packed_cols[name]))
+                continue
+            if (s.pool == PACKED_POOL or s.limbs != 1
+                    or getattr(mat, "dtype", None) == object
+                    or getattr(mat, "ndim", 0) != 2
+                    or mat.shape[1] != n):
+                return None
+            view = pools[s.pool][s.offset * n : (s.offset + 1) * n]
+            cast = np.asarray(mat[lo:hi], dtype=np.uint64).astype(
+                view.dtype, copy=False
+            )
+            if s.width < 8 * view.itemsize:
+                mask = view.dtype.type(bv.mask(s.width))
+                if np.may_share_memory(cast, mat):
+                    cast = cast & mask
+                else:
+                    cast &= mask
+            rows.append((view, cast))
+        return rows
 
     def _fetch_inputs(self, inputs) -> Mapping[str, ArrayLike]:
         """Resolve the cycle's input mapping, quarantining decode faults."""
@@ -644,6 +708,185 @@ class BatchSimulator:
                         f"stimulus decode failed repeatedly for quarantined "
                         f"lane {exc.lane} at cycle {exc.cycle}"
                     ) from exc
+
+    # -- chunked run ----------------------------------------------------------------
+
+    def _chunk_plan(self, rows, base: int) -> Optional[tuple]:
+        """What :meth:`run`'s chunked path replays, or None for per-cycle.
+
+        Chunking needs the whole cycle known ahead: the graph-fused
+        executor, no tracing, no lane quarantine, every clock domain on
+        the simulator's own input clock (the fast clock view), and
+        stimulus ``rows`` from :meth:`_stimulus_rows` (their first row
+        is cycle ``base``).  The plan holds the clock view and its two
+        levels, the rows, the comb program and its arguments, and one
+        step per edge.
+        """
+        ex = self.executor
+        if (rows is None or type(ex) is not FusedProgramExecutor
+                or self.tracer.enabled or self.device.tracer.enabled
+                or self.quarantine is not None or self._clk_fast is None
+                or list(self._prev_clock) != [self.clock]
+                or any(clk != self.clock for clk, _ in self._domains)):
+            return None
+        arrays, n, layout = self.arrays, self.n, self.layout
+        pools = arrays.pools
+
+        def step(edge: str):
+            # One edge's evaluation minus the comb settle: its seq
+            # program, register commits as slice copies, memory commits.
+            dom = (self.clock, edge)
+            if dom not in self._domains:
+                return None
+            prog = ex.programs.seq.get(dom)
+            copies = []
+            for pool_idx, start, count in layout.reg_ranges.get(dom, ()):
+                unit = arrays.words if pool_idx == PACKED_POOL else n
+                r = layout.reg_counts[pool_idx]
+                pool = pools[pool_idx]
+                copies.append((
+                    pool[start * unit : (start + count) * unit],
+                    pool[(r + start) * unit : (r + start + count) * unit],
+                ))
+            mems = [
+                (pools[b.mem_pool], b.mem_base, b.mem_depth, n, arrays.lane,
+                 pools[b.cond_pool][b.cond_off * n : (b.cond_off + 1) * n],
+                 pools[b.addr_pool][b.addr_off * n : (b.addr_off + 1) * n],
+                 pools[b.data_pool][b.data_off * n : (b.data_off + 1) * n])
+                for b in self.mem_writes if (b.clock, b.edge) == dom
+            ]
+            return dom, (prog.fn if prog is not None else None), copies, mems
+
+        view, (lo, hi) = self._clk_fast
+        return (view, lo, hi, base, rows, ex.programs.comb.fn,
+                ex._args(arrays), step("negedge"), step("posedge"))
+
+    def _chunk_end(
+        self, c: int, total: int, hi: int, trace_every: int,
+        stop: Optional[str], stop_check_every: int, checkpoint, progress,
+    ) -> int:
+        """One past the last cycle of the chunk that starts at ``c``: the
+        next cycle after which :meth:`run` must call back into Python (a
+        stop poll, a trace sample, a due checkpoint, a progress call, or
+        ``hi``, the end of the stimulus rows)."""
+        if progress is not None:
+            return c + 1
+        end = hi if c < hi else total
+        if trace_every > 0:
+            end = min(end, c - c % trace_every + trace_every)
+        if stop is not None:
+            end = min(end, c - c % stop_check_every + stop_check_every)
+        if checkpoint is not None:
+            k = checkpoint.cycles_until_due(self.cycles_run)
+            if k is not None:
+                end = min(end, c + k)
+        return end
+
+    def _run_chunk(self, plan: tuple, c0: int, c1: int, apply_rows: bool) -> None:
+        """Cycles ``[c0, c1)`` of the chunked path.
+
+        Every cycle takes the steps of :meth:`cycle` in the same order:
+        stimulus rows into the pool views, clock 0 and the comb settle
+        (after the negedge step once the clock has been high), clock 1,
+        the posedge step and the comb settle.  Edge detection, stopwatch,
+        device accounting and ``cycles_run`` move to the chunk end, where
+        each cycle still counts two graph launches.
+
+        A program that raises leaves the accounting where the per-cycle
+        path leaves it: the failing cycle's stimulus write, its completed
+        first launch and its register commits count; its evaluation time
+        does not, nor does the busy time of that first launch.
+        """
+        clk, lo, hi, base, rows, comb, args, neg, pos = plan
+        if not apply_rows:
+            rows = ()
+        _, neg_seq, neg_copies, neg_mems = neg or _NO_STEP
+        _, pos_seq, pos_copies, pos_mems = pos or _NO_STEP
+        clock = self.clock
+        # A falling edge is a negedge only once the clock has been high.
+        armed0 = armed = neg is not None and self._prev_clock.get(clock, 0) == 1
+        mem_commit = rt.mem_commit
+        perf = time.perf_counter
+        set_s = 0.0
+        # How far the current cycle got: 1 its rows are in, 2 its
+        # negedge registers are committed, 3 its first launch is done,
+        # 4 its posedge registers are committed.
+        stage = 0
+        c = c0
+        completed = False
+        start = t = t_in = perf()  # t: the end of the last completed cycle
+        try:
+            for c in range(c0, c1):
+                stage = 0
+                if rows:
+                    i = c - base
+                    for view, mat in rows:
+                        view[:] = mat[i]
+                    t_in = perf()
+                    set_s += t_in - t
+                    stage = 1
+                clk[:] = lo
+                if armed:
+                    if neg_seq is not None:
+                        neg_seq(*args)
+                    for dst, src in neg_copies:
+                        dst[:] = src
+                    stage = 2
+                    for m in neg_mems:
+                        mem_commit(*m)
+                comb(*args)
+                stage = 3
+                armed = neg is not None
+                clk[:] = hi
+                if pos_seq is not None:
+                    pos_seq(*args)
+                for dst, src in pos_copies:
+                    dst[:] = src
+                stage = 4
+                for m in pos_mems:
+                    mem_commit(*m)
+                comb(*args)
+                t = perf()
+            c, stage, completed = c1, 0, True
+        finally:
+            done = c - c0
+            # The failing cycle's stimulus write is set_inputs time
+            # (cycle() adds it before evaluating); its evaluation is not.
+            rows_in = bool(rows) and stage >= 1
+            set_done = set_s - (t_in - t) if rows_in else set_s
+            eval_s = t - start - set_done
+            launches = 2 * done + (stage >= 3)
+            if launches:
+                self.device.record_graph_launches(launches, eval_s)
+            if rows and (done or rows_in):
+                self.stopwatch.add("set_inputs", set_s, done + rows_in)
+            if done:
+                self.stopwatch.add("evaluate", eval_s, done)
+                self.cycles_run += done
+            if self.metrics.enabled:
+                if done:
+                    self.metrics.inc("sim.cycles", done)
+                if pos is not None and done + (stage >= 4):
+                    self._count_commit_bytes(pos[0], done + (stage >= 4))
+                if neg is not None:
+                    # Cycle c0 commits a negedge only if armed0; every
+                    # later cycle does, the failing one once past stage 2.
+                    negedges = max(0, done - (not armed0)) + (
+                        stage >= 2 and (armed0 or c > c0)
+                    )
+                    if negedges:
+                        self._count_commit_bytes(neg[0], negedges)
+            if completed:
+                self._prev_clock[clock] = 1
+                self._clock_scalar[clock] = 1
+            else:
+                # A program raised: as in cycle(), the clock phase is
+                # that of the last completed evaluation.
+                self._clock_scalar.pop(clock, None)
+                if stage >= 3:
+                    self._prev_clock[clock] = 0
+                elif done:
+                    self._prev_clock[clock] = 1
 
     def run(
         self,
@@ -701,12 +944,25 @@ class BatchSimulator:
         feed) only needs a few samples per second.  The default of 0
         preserves the every-cycle contract above — callers that sample
         coverage or inject faults from the hook must keep it at 0.
+
+        With the graph-fused executor, tracing off, no lane quarantine,
+        every clock domain on the simulator's own input clock and a
+        dense stimulus, the cycles between two of these callbacks run
+        as one chunk: a plain loop over the compiled programs taking the
+        same steps as :meth:`cycle`, with edge detection and accounting
+        at the chunk end (docs/INTERNALS.md §7).  A time-based
+        checkpoint policy or any ``progress`` hook makes every cycle a
+        chunk end.  Everything else runs cycle by cycle.
         """
         names = list(watch) if watch is not None else [
             s.name for s in self.model.design.outputs
         ]
         if stop is not None and stop_mode not in ("all", "any"):
             raise SimulationError(f"stop_mode must be 'all' or 'any', not {stop_mode!r}")
+        if stop is not None and stop_check_every <= 0:
+            raise SimulationError(
+                f"stop_check_every must be positive, not {stop_check_every}"
+            )
         total = cycles if cycles is not None else (
             len(stimulus) if stimulus is not None else 0
         )
@@ -719,54 +975,60 @@ class BatchSimulator:
         # Rate-limited progress: fire immediately on the first completed
         # cycle, then at most once per interval.
         last_progress = time.monotonic() - progress_min_interval
-        packed_cols = self._prepack_stimulus(stimulus)
-        # Direct apply: when EVERY stimulus input is a packed 1-bit slot
-        # (and none is a clock), each cycle's input application is just a
-        # W-word view copy per input — no per-name dispatch at all.
-        # Quarantine falls back per cycle (frozen lanes need merging).
-        direct = None
-        if (packed_cols is not None
-                and not self.arrays.track_epochs
-                and not self.tracer.enabled
-                and set(stimulus.data) <= packed_cols.keys()
-                and not any(k in self._prev_clock for k in stimulus.data)):
-            w = self.arrays.words
-            direct = []
-            for nm, rows in packed_cols.items():
-                s = self.layout.slot(nm)
-                view = self.arrays.pools[PACKED_POOL][
-                    s.offset * w : (s.offset + 1) * w
-                ]
-                direct.append((view, rows))
-        for c in range(start_cycle, total):
-            if fault_plan is not None and self.quarantine is not None:
-                for spec in fault_plan.lane_faults_at(c):
-                    self._quarantine_lanes(
-                        [spec.lane], reason=spec.reason,
-                        detail="injected by fault plan",
-                    )
-            # One shared loop body with cycle() so the two paths can't
-            # drift; the lambda defers stimulus decode into the
-            # set_inputs span.
-            if stimulus is not None and c < len(stimulus):
-                if direct is not None and (
+        # Only the stimulus rows this run applies, [start_cycle, hi), are
+        # packed and cast.
+        lo = start_cycle
+        hi = max(lo, min(total, len(stimulus) if stimulus is not None else 0))
+        packed_cols = self._prepack_stimulus(stimulus, lo, hi)
+        stim_rows = self._stimulus_rows(stimulus, packed_cols, lo, hi)
+        plan = self._chunk_plan(stim_rows, lo)
+        # Per cycle, the rows are copied straight into their views unless
+        # set_input has work to do: write epochs (conditional executors),
+        # the set_inputs span (tracing) or frozen quarantined lanes.
+        direct = stim_rows if (
+            stim_rows and not self.arrays.track_epochs
+            and not self.tracer.enabled
+        ) else None
+        c = start_cycle
+        while c < total:
+            if plan is not None:
+                # Run up to the next cycle where Python is due, then
+                # fall through to that cycle's callbacks below.
+                end = self._chunk_end(
+                    c, total, hi, trace_every, stop, stop_check_every,
+                    checkpoint, progress,
+                )
+                self._run_chunk(plan, c, end, c < hi)
+                c = end - 1
+            else:
+                if fault_plan is not None and self.quarantine is not None:
+                    for spec in fault_plan.lane_faults_at(c):
+                        self._quarantine_lanes(
+                            [spec.lane], reason=spec.reason,
+                            detail="injected by fault plan",
+                        )
+                # One shared loop body with cycle() so the two paths
+                # can't drift; the lambda defers stimulus decode into the
+                # set_inputs span.
+                if c >= hi:
+                    self.cycle()
+                elif direct is not None and (
                         self.quarantine is None
                         or self.quarantine.all_active):
                     t0 = time.perf_counter()
-                    for view, rows in direct:
-                        view[:] = rows[c]
+                    i = c - lo
+                    for view, mat in direct:
+                        view[:] = mat[i]
                     self.stopwatch.add(
                         "set_inputs", time.perf_counter() - t0
                     )
                     self.cycle()
                 elif packed_cols:
-                    self.cycle(
-                        lambda c=c: self._packed_row(stimulus, packed_cols, c)
-                    )
+                    self.cycle(lambda c=c: self._packed_row(
+                        stimulus, packed_cols, c, lo
+                    ))
                 else:
                     self.cycle(lambda c=c: stimulus.inputs_at(c))
-            else:
-                self.cycle()
             if trace_every and (c % trace_every == trace_every - 1):
                 for n in names:
                     traces[n].append(self.get(n).copy())
@@ -796,6 +1058,7 @@ class BatchSimulator:
                 done = flags.all() if stop_mode == "all" else flags.any()
                 if done:
                     break
+            c += 1
         if trace_every:
             # Empty traces keep the signal's sampled dtype so downstream
             # comparisons don't silently promote to float64.

@@ -52,7 +52,7 @@ class DeviceStats:
         self.overhead_seconds = 0.0
 
     def clone(self) -> "DeviceStats":
-        """An independent copy (for rollback of partial accounting)."""
+        """An independent copy (a snapshot to compare against later)."""
         return DeviceStats(
             kernel_launches=self.kernel_launches,
             graph_launches=self.graph_launches,
@@ -61,17 +61,6 @@ class DeviceStats:
             busy_seconds=self.busy_seconds,
             overhead_seconds=self.overhead_seconds,
         )
-
-    def load(self, other: "DeviceStats") -> None:
-        """Overwrite this instance's counters with ``other``'s, in place
-        (callers hold references to ``device.stats``, so rollback must
-        not swap the object)."""
-        self.kernel_launches = other.kernel_launches
-        self.graph_launches = other.graph_launches
-        self.event_ops = other.event_ops
-        self.sync_calls = other.sync_calls
-        self.busy_seconds = other.busy_seconds
-        self.overhead_seconds = other.overhead_seconds
 
 
 class SimulatedDevice:
@@ -98,57 +87,68 @@ class SimulatedDevice:
     def launch(self, kernel: Callable, args: tuple, stream: str = "s0") -> None:
         """Launch one kernel through a stream (one CUDA call).
 
-        A kernel that raises rolls the stats back to their pre-launch
-        values: a failed launch never happened as far as accounting is
-        concerned, so a caller that retries (fault isolation) does not
-        double-count launches or device seconds.
+        The stats are written only after the kernel returns: a kernel
+        that raises leaves them untouched, so a failed launch never
+        happened as far as accounting is concerned, and a caller that
+        retries (fault isolation) does not double-count launches or
+        device seconds.
         """
         with self._lock:
-            snap = self.stats.clone()
-            try:
-                self.stats.kernel_launches += 1
-                self.stats.overhead_seconds += self.kernel_launch_s
-                t0 = time.perf_counter()
-                with self.tracer.span(getattr(kernel, "__name__", "k"),
-                                      resource=f"GPU:{stream}"):
-                    kernel(*args)
-                self.stats.busy_seconds += time.perf_counter() - t0
-            except BaseException:
-                self.stats.load(snap)
-                raise
+            t0 = time.perf_counter()
+            with self.tracer.span(getattr(kernel, "__name__", "k"),
+                                  resource=f"GPU:{stream}"):
+                kernel(*args)
+            busy = time.perf_counter() - t0
+            s = self.stats
+            s.kernel_launches += 1
+            s.overhead_seconds += self.kernel_launch_s
+            s.busy_seconds += busy
 
     def launch_graph(self, kernels: Sequence[Callable], args: tuple) -> None:
         """Replay an instantiated graph: one CUDA call for all kernels.
 
-        If any kernel in the sequence raises, the partial accounting
-        (the launch count, the modeled overhead, and the busy time of
-        the kernels that did run) is rolled back, mirroring ``launch``:
-        metrics and utilization only ever see completed launches.
+        As in ``launch``, nothing is accounted until every kernel has
+        returned: if one raises, neither the launch count, the modeled
+        overhead nor the busy time of the kernels that did run reaches
+        the stats — metrics and utilization only ever see completed
+        launches.
         """
         with self._lock:
-            snap = self.stats.clone()
-            try:
-                self.stats.graph_launches += 1
-                self.stats.overhead_seconds += self.graph_launch_s
-                t0 = time.perf_counter()
-                tracer = self.tracer
-                if tracer.enabled:
-                    # Per-task kernel spans nest under the graph-launch
-                    # span, giving the per-kernel timing the MCMC
-                    # estimator and the profile report read back from
-                    # the aggregates.
-                    with tracer.span("cudaGraphLaunch", resource="GPU"):
-                        for k in kernels:
-                            with tracer.span(getattr(k, "__name__", "k"),
-                                             resource="GPU"):
-                                k(*args)
-                else:
+            t0 = time.perf_counter()
+            tracer = self.tracer
+            if tracer.enabled:
+                # Per-task kernel spans nest under the graph-launch
+                # span, giving the per-kernel timing the MCMC
+                # estimator and the profile report read back from
+                # the aggregates.
+                with tracer.span("cudaGraphLaunch", resource="GPU"):
                     for k in kernels:
-                        k(*args)
-                self.stats.busy_seconds += time.perf_counter() - t0
-            except BaseException:
-                self.stats.load(snap)
-                raise
+                        with tracer.span(getattr(k, "__name__", "k"),
+                                         resource="GPU"):
+                            k(*args)
+            else:
+                for k in kernels:
+                    k(*args)
+            busy = time.perf_counter() - t0
+            s = self.stats
+            s.graph_launches += 1
+            s.overhead_seconds += self.graph_launch_s
+            s.busy_seconds += busy
+
+    def record_graph_launches(self, count: int, busy_seconds: float) -> None:
+        """Account ``count`` completed graph launches in one update.
+
+        For a caller that replays the instantiated programs itself over
+        a run of cycles (``BatchSimulator.run``'s chunked path): the
+        launch count and modeled overhead are what ``count`` calls of
+        :meth:`launch_graph` would have added, and ``busy_seconds`` is
+        the time measured around the whole replay.
+        """
+        with self._lock:
+            s = self.stats
+            s.graph_launches += count
+            s.overhead_seconds += count * self.graph_launch_s
+            s.busy_seconds += busy_seconds
 
     def record_event(self) -> "DeviceEvent":
         with self._lock:

@@ -96,9 +96,10 @@ class FusedProgramExecutor(Executor):
         nodes — then the comb settle.  Identical ordering to the generic
         ``run_seq``/commit/``run_comb`` sequence in the simulator, minus
         two launch calls and the Python in between.  ``commit`` must be
-        the owning simulator's domain-commit callable; the simulator only
-        takes this path when no lane is quarantined (masked commits need
-        the generic path).
+        the owning simulator's domain-commit callable.  Every per-cycle
+        evaluation of the simulator comes here, quarantined lanes or
+        not: the commit node is the simulator's ``_commit``, which masks
+        dead lanes out of the register and memory commits.
         """
         if commit is not self._eval_commit:
             # A different simulator took over this executor: cached plans

@@ -61,13 +61,17 @@ class SpanStats:
     min: float = float("inf")
     max: float = 0.0
 
-    def observe(self, seconds: float) -> None:
+    def observe(self, seconds: float, count: int = 1) -> None:
+        """Add ``count`` observations totalling ``seconds``; when
+        ``count > 1`` their individual times are not known, so min/max
+        see the mean."""
         self.total += seconds
-        self.count += 1
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
+        self.count += count
+        each = seconds / count
+        if each < self.min:
+            self.min = each
+        if each > self.max:
+            self.max = each
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -196,15 +200,16 @@ class Tracer:
         self._record_span(name, resource or self.DEFAULT_RESOURCE,
                           start, end, depth)
 
-    def add(self, name: str, seconds: float) -> None:
-        """Accumulate into the aggregates without a timeline span."""
+    def add(self, name: str, seconds: float, count: int = 1) -> None:
+        """Accumulate into the aggregates without a timeline span
+        (``count`` spans totalling ``seconds``; see SpanStats.observe)."""
         if not self.enabled:
             return
         with self._lock:
             stats = self._agg.get(name)
             if stats is None:
                 stats = self._agg[name] = SpanStats()
-            stats.observe(seconds)
+            stats.observe(seconds, count)
 
     def reset(self) -> None:
         with self._lock:

@@ -161,6 +161,22 @@ class CheckpointManager:
         self._anchor_cycles = cycles
         self._last_save_time = time.monotonic()
 
+    def cycles_until_due(self, cycles: int) -> Optional[int]:
+        """How many more cycles can run from ``cycles`` before
+        :meth:`maybe_save` may write; ``None`` when it never will.
+
+        Only a cycle-count policy can be looked ahead: a time trigger (or
+        a run that was never anchored by :meth:`begin`) may be due after
+        any cycle, so the answer is then 1.
+        """
+        policy = self.policy
+        if policy is None or (policy.every_cycles is None
+                              and policy.every_seconds is None):
+            return None
+        if policy.every_seconds is not None or self._anchor_cycles is None:
+            return 1
+        return max(1, self._anchor_cycles + policy.every_cycles - cycles)
+
     def maybe_save(self, sim) -> Optional[str]:
         """Snapshot ``sim`` if the policy says a checkpoint is due."""
         if self.policy is None:
