@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
-from repro.core.simulator import DEFAULT_EXECUTOR, check_executor
+from repro.core.simulator import (
+    DEFAULT_EXECUTOR, check_executor, check_run_options,
+)
 from repro.utils.errors import ClusterError, SimulationError
 
 __all__ = ["CampaignSpec", "ShardSpec", "plan_shards", "DEFAULT_OVERSUBSCRIPTION"]
@@ -109,6 +111,8 @@ class CampaignSpec:
                 raise ClusterError(f"lane fault cycle must be >= 0, got {cycle}")
         try:
             check_executor(self.executor)
+            check_run_options(self.trace_every, self.stop, self.stop_mode,
+                              self.stop_check_every)
         except SimulationError as exc:
             raise ClusterError(str(exc)) from exc
 

@@ -77,7 +77,7 @@ _ROW_BLOCK_ELEMS = 32768
 _ROW = "_row"
 _MIN_RUN = 3
 
-# Lookup lowerings of the comb program (FusedExprCodegen.lookups): a
+# Lookup lowerings (FusedExprCodegen._keyed_select / emit_table): a
 # keyed select takes a selector of at most _KEY_BITS bits compared with
 # at least _KEY_MIN distinct constants; a table reads at most
 # _TABLE_BITS input bits.
@@ -97,14 +97,13 @@ class AuditRecord:
     The fused tier drops mux branches it folded to constant zero,
     collapses ``c ? x + 1 : x`` into a single add, truncates stores to
     the slot's demanded width, lane-packs 1-bit stores and folds packed
-    constants, and in the comb program gathers keyed mux chains from a
-    stack and looks small-input nodes up in tables; every tier lowers
-    constant shifts, bit-selects, small
-    replications and rotates as word ops.  Each such rewrite appends a
-    record naming the claim; the translation validator
-    (:func:`repro.verify.ir_checks.check_audit`) re-establishes every
-    claim through an independent known-bits analysis, so an emitter bug
-    surfaces as a verification error instead of silent corruption.
+    constants, gathers keyed mux chains from a stack and looks
+    small-input comb nodes up in tables; every tier lowers constant
+    shifts, bit-selects, small replications and rotates as word ops.
+    Each such rewrite appends a record naming the claim; the translation
+    validator (:func:`repro.verify.ir_checks.check_audit`) re-establishes
+    every claim through an independent known-bits analysis, so an emitter
+    bug surfaces as a verification error instead of silent corruption.
     """
 
     # const0-branch | inc-mux | demand-store | packed-store | packed-const
@@ -208,30 +207,53 @@ class _KeyedChain:
     rows: Tuple[int, ...]
 
 
-class ExprCodegen:
-    """Expression-to-source translation (uint64 compute, ctx masking).
+class FusedExprCodegen:
+    """Expression-to-source translation for the generated programs.
 
-    Representation rule: an emitted expression is a (N,) uint64 array when
-    its context width fits one limb, and a (L, N) little-endian limb
-    matrix otherwise (L = ceil(ctx/64)); the wide ops live in
-    :mod:`repro.utils.widevec` (Verilator's VL_WIDE analog).  Every
-    emitted value is canonical — below ``2**ctx`` — and, unless the
-    expression folds to a constant, a batch array.
+    Every expression lowers on the first of three tiers that takes it.
+    Tier 1 — *packed*: 1-bit expressions over lane-packed operands emit
+    word-level boolean ops on (W,) uint64 vectors (64 lanes per machine
+    op; see :mod:`repro.utils.packbits`).  Tier 2 — *native dtype*:
+    narrow expressions emit at their pool dtype (uint8/16/32/64) instead
+    of round-tripping every operand through ``astype(uint64)``; sound
+    because every emitted value is kept *exactly* equal to the reference
+    scalar value of :func:`repro.baselines.reference.eval_expr` at that
+    node (wrap-around ops require a compute dtype at least as wide as
+    the context, otherwise emission bails).  Tier 3 — *uint64*: a (N,)
+    uint64 array when the context width fits one limb, and a (L, N)
+    little-endian limb matrix otherwise (L = ceil(ctx/64); the wide ops
+    live in :mod:`repro.utils.widevec`, Verilator's VL_WIDE analog),
+    with packed operands unpacked at the boundary by the
+    :class:`~repro.core.indexmap.IndexMapper`.  Every emitted value is
+    canonical — below ``2**ctx`` — and, unless the expression folds to a
+    constant, a batch array.  An attempt on the packed or native tier
+    that bails rolls back the temporaries and audit records it made
+    (:meth:`_rollback`).
 
-    Operators lower by operand kind (GSIM's word-level lowering,
-    Verilator's constant-amount ``VL_SHIFTL``): a subtree whose value
-    does not depend on design state is folded through the reference
-    semantics once (:meth:`_fold`); a wide constant is bound once at
-    module level as a ``(L, 1)`` column (:meth:`const_lines`); constant
-    shift amounts, bit-select indices and small replications become
-    plain word ops; ``(x << k) | (x >> (W-k))`` becomes one limb rotate;
-    limb-aligned selects and concats become row slices.  The shift,
-    bit-select, replication and rotate rewrites each leave an
-    :class:`AuditRecord` for the verifier.
+    Operators lower by operand kind on every tier (GSIM's word-level
+    lowering, Verilator's constant-amount ``VL_SHIFTL``): a subtree whose
+    value does not depend on design state is folded through the
+    reference semantics once (:meth:`_fold`; parameterized reset values
+    like ``{W{1'b1}}`` otherwise replay a chain of scalar ops every
+    cycle); a wide constant is bound once at module level as a ``(L, 1)``
+    column (:meth:`const_lines`); constant shift amounts, bit-select
+    indices and small replications become plain word ops;
+    ``(x << k) | (x >> (W-k))`` becomes one limb rotate; limb-aligned
+    selects and concats become row slices.
+
+    Two lookup lowerings apply in every program.  A *keyed select* — a
+    mux chain whose conditions all compare one narrow selector with
+    constants (a Verilog ``case``) — fills a per-evaluation stack with
+    its arms and gathers one row per lane (:meth:`_keyed_select`).  A
+    *table* replaces a comb node reading only a few input bits by a
+    module-level lookup table built through the reference interpreter
+    (:meth:`emit_table`).  Each rewrite leaves an :class:`AuditRecord`
+    for the verifier.
     """
 
     def __init__(self, mapper: IndexMapper, graph: RtlGraph):
         self.mapper = mapper
+        self.layout = mapper.layout
         self.graph = graph
         self.design = graph.design
         self._widths = {s.name: s.width for s in self.design.signals.values()}
@@ -246,6 +268,37 @@ class ExprCodegen:
         self.audit_pos = -1
         self.audit_node = -1
         self.audit_target = ""
+        # Hoisted-subexpression statements (mask temporaries for the
+        # branchless muxes below).  The program generator drains these
+        # ahead of each node's store statement.
+        self._prelude: List[str] = []
+        self._tmp_n = 0
+        # Value numbering, reset per program (begin_program): emitted
+        # code -> temp name, and 0/1 condition code -> {mask bits: temp}.
+        self._memo: Dict[str, str] = {}
+        self._masks: Dict[str, Dict[int, str]] = {}
+        # While a rolled-up run is being emitted (begin_run/end_run):
+        # values that mention the row-block variable are per-block — their
+        # memo dies with the run and they stay inside its loop — while
+        # run-invariant ones are hoisted ahead of the loop (``_hoisted``)
+        # and join the program-wide memo.
+        self.rolled = False
+        self._run_memo: Dict[str, str] = {}
+        self._run_masks: Dict[str, Dict[int, str]] = {}
+        self._hoisted: List[str] = []
+        # temp name -> (defining node, its unit position in the program).
+        self._defs: Dict[str, Tuple[int, int]] = {}
+        # How to take back each binding made since the last drain.
+        self._undo: List[Callable[[], object]] = []
+        # Lookup lowerings: the analysed mux chains by expression id, the
+        # module-level selector index tables ``_IXn`` and lookup tables
+        # ``_LUTn`` by content, the stack counter and the time spent
+        # building tables.
+        self._chains: Dict[int, Optional[_KeyedChain]] = {}
+        self._ix: Dict[Tuple[int, ...], str] = {}
+        self._luts: Dict[Tuple[int, Tuple[int, ...]], str] = {}
+        self._stack_n = 0
+        self.table_build_s = 0.0
 
     def _record(self, kind: str, expr: Optional[A.Expr] = None,
                 **detail) -> None:
@@ -351,8 +404,8 @@ class ExprCodegen:
             return f"u64({value & _M64})"
         return self.consts.setdefault((value, limbs), f"_k{len(self.consts)}")
 
-    @staticmethod
-    def _same(a: A.Expr, b: A.Expr) -> bool:
+    @classmethod
+    def _same(cls, a: A.Expr, b: A.Expr) -> bool:
         """Structural equality of two (small) expressions."""
         if type(a) is not type(b):
             return False
@@ -361,11 +414,10 @@ class ExprCodegen:
         if isinstance(a, A.Number):
             return a.value == b.value
         if isinstance(a, A.Unary):
-            return a.op == b.op and ExprCodegen._same(a.operand, b.operand)
+            return a.op == b.op and cls._same(a.operand, b.operand)
         if isinstance(a, A.Binary):
-            return (a.op == b.op
-                    and ExprCodegen._same(a.left, b.left)
-                    and ExprCodegen._same(a.right, b.right))
+            return (a.op == b.op and cls._same(a.left, b.left)
+                    and cls._same(a.right, b.right))
         return False
 
     @staticmethod
@@ -377,7 +429,7 @@ class ExprCodegen:
             return code
         return f"wv.mask_width({code}, {width})"
 
-    # -- dispatch (returns (code, repr_limbs)) ----------------------------------
+    # -- tier 3: uint64 emission (returns (code, repr_limbs)) -------------------
 
     def _value(self, e: A.Expr):
         if not isinstance(e, A.Ident):
@@ -395,19 +447,38 @@ class ExprCodegen:
         if isinstance(e, A.Binary):
             return self._binary(e)
         if isinstance(e, A.Ternary):
-            c = self.emit_bool(e.cond)
+            L = _limbs(e.ctx_width)
+            if L > 1:
+                c = self.emit_bool(e.cond)
+                return f"wv.mux({c}, {self.emit(e.then)}, {self.emit(e.other)})", L
+            cf = self._fold(e.cond)
+            if cf is not None:
+                code, _ = self._value(e.then if cf else e.other)
+                return code, 1
+            m = self._cond_mask(e.cond, 64)
+            if m is None:  # wide condition: a mask from its truthiness
+                m = self._temp(f"(u64(0) - (({self.emit_bool(e.cond)}) != 0)"
+                               f".view(u8))")
+            # A constant-zero branch drops out of the blend entirely
+            # (x & 0 == 0): common for reset muxes.
+            if self._fold(e.then) == 0:
+                self._record("const0-branch", e.then)
+                return f"(({self.emit(e.other)}) & ~{m})", 1
+            if self._fold(e.other) == 0:
+                self._record("const0-branch", e.other)
+                return f"(({self.emit(e.then)}) & {m})", 1
             t = self.emit(e.then)
             f = self.emit(e.other)
-            L = _limbs(e.ctx_width)
-            if L == 1:
-                return f"np.where(({c}) != 0, {t}, {f})", 1
-            return f"wv.mux({c}, {t}, {f})", L
+            return f"((({t}) & {m}) | (({f}) & ~{m}))", 1
         if isinstance(e, A.Concat):
             return self._concat(list(e.parts), e.width)
         if isinstance(e, A.Repeat):
             return self._repeat(e)
         if isinstance(e, A.Index):
             if e.is_memory:
+                row = self._mem_row(e)
+                if row is not None:
+                    return f"{row[0]}.astype(u64, copy=False)", 1
                 idx = self.emit_amount(e.index)
                 return self.mapper.mem_read_call(e.base, idx), 1
             k = self._fold(e.index)
@@ -726,74 +797,6 @@ class ExprCodegen:
         raise SimulationError(f"unknown binary op {op!r}")
 
 
-class FusedExprCodegen(ExprCodegen):
-    """Expression emission for fused flat programs (three tiers).
-
-    Tier 1 — *packed*: 1-bit expressions over lane-packed operands emit
-    word-level boolean ops on (W,) uint64 vectors (64 lanes per machine
-    op; see :mod:`repro.utils.packbits`).  Tier 2 — *native dtype*:
-    narrow expressions emit at their pool dtype (uint8/16/32/64) instead
-    of round-tripping every operand through ``astype(uint64)``; sound
-    because every emitted value is kept *exactly* equal to the reference
-    scalar value of :func:`repro.baselines.reference.eval_expr` at that
-    node (wrap-around ops require a compute dtype at least as wide as
-    the context, otherwise emission bails).  Tier 3 — fallback to the
-    inherited uint64 emission (wide values, division, dynamic shifts,
-    concats), with packed operands unpacked at the boundary by the
-    :class:`~repro.core.indexmap.IndexMapper`.
-
-    State-independent subtrees fold through the inherited
-    :meth:`~ExprCodegen._fold` on every tier (parameterized reset values
-    like ``{W{1'b1}}`` otherwise replay a chain of scalar ops every
-    cycle).  An attempt on the packed or native tier that bails rolls
-    back the temporaries and audit records it made (:meth:`_rollback`).
-
-    While :attr:`lookups` is set (the comb program) two more lowerings
-    apply.  A *keyed select* — a mux chain whose conditions all compare
-    one narrow selector with constants (a Verilog ``case``) — fills a
-    per-evaluation stack with its arms and gathers one row per lane
-    (:meth:`_keyed_select`).  A *table* replaces a node reading only a
-    few input bits by a module-level lookup table built through the
-    reference interpreter (:meth:`emit_table`).
-    """
-
-    def __init__(self, mapper: IndexMapper, graph: RtlGraph):
-        super().__init__(mapper, graph)
-        self.layout = mapper.layout
-        # Hoisted-subexpression statements (mask temporaries for the
-        # branchless muxes below).  The program generator drains these
-        # ahead of each node's store statement.
-        self._prelude: List[str] = []
-        self._tmp_n = 0
-        # Value numbering, reset per program (begin_program): emitted
-        # code -> temp name, and 0/1 condition code -> {mask bits: temp}.
-        self._memo: Dict[str, str] = {}
-        self._masks: Dict[str, Dict[int, str]] = {}
-        # While a rolled-up run is being emitted (begin_run/end_run):
-        # values that mention the row-block variable are per-block — their
-        # memo dies with the run and they stay inside its loop — while
-        # run-invariant ones are hoisted ahead of the loop (``_hoisted``)
-        # and join the program-wide memo.
-        self.rolled = False
-        self._run_memo: Dict[str, str] = {}
-        self._run_masks: Dict[str, Dict[int, str]] = {}
-        self._hoisted: List[str] = []
-        # temp name -> (defining node, its unit position in the program).
-        self._defs: Dict[str, Tuple[int, int]] = {}
-        # How to take back each binding made since the last drain.
-        self._undo: List[Callable[[], object]] = []
-        # Lookup lowerings (set by the program generator for the comb
-        # program): the analysed mux chains by expression id, the
-        # module-level selector index tables ``_IXn`` and lookup tables
-        # ``_LUTn`` by content, the stack counter and the time spent
-        # building tables.
-        self.lookups = False
-        self._chains: Dict[int, Optional[_KeyedChain]] = {}
-        self._ix: Dict[Tuple[int, ...], str] = {}
-        self._luts: Dict[Tuple[int, Tuple[int, ...]], str] = {}
-        self._stack_n = 0
-        self.table_build_s = 0.0
-
     def begin_program(self, name: str) -> None:
         """Open a value-numbering scope.  A memoised value never outlives
         its program: a seq program reads only current slots and writes
@@ -911,7 +914,7 @@ class FusedExprCodegen(ExprCodegen):
             return self._has_ident(e.value)
         return False
 
-    # -- lookup lowerings (comb program) ---------------------------------------
+    # -- lookup lowerings --------------------------------------------------------
 
     def lookup_lines(self) -> List[str]:
         """Module-level bindings of the selector index tables and lookup
@@ -1020,7 +1023,7 @@ class FusedExprCodegen(ExprCodegen):
         one model shares one namespace, so a module-level buffer would
         race between them.
         """
-        if not self.lookups or self.rolled:
+        if self.rolled:
             return None
         chain = self._keyed_chain(e)
         if chain is None:
@@ -1092,7 +1095,7 @@ class FusedExprCodegen(ExprCodegen):
         Entry ``v`` is ``eval_expr(e) & mask(width)`` with the inputs,
         sorted by name, packed into ``v`` from the high bits down.
         """
-        if not self.lookups or self.rolled:
+        if self.rolled:
             return None
         names: Dict[str, None] = {}
         ops = self._table_support(e, names)
@@ -1137,35 +1140,6 @@ class FusedExprCodegen(ExprCodegen):
         self._record("table", e, table=name, width=width, bits=bits,
                      inputs=[[n, w] for n, w in zip(inputs, widths)])
         return f"{name}[{index}]"
-
-    # -- tier 3: uint64 fallback ----------------------------------------------
-
-    def _lower(self, e: A.Expr):
-        if isinstance(e, A.Ternary) and _limbs(e.ctx_width) == 1:
-            cf = self._fold(e.cond)
-            if cf is not None:
-                code, _ = self._value(e.then if cf else e.other)
-                return code, 1
-            m = self._cond_mask(e.cond, 64)
-            if m is None:  # wide condition: emit_bool it the base way
-                m = self._temp(f"(u64(0) - (({self.emit_bool(e.cond)}) != 0)"
-                               f".view(u8))")
-            # A constant-zero branch drops out of the blend entirely
-            # (x & 0 == 0): common for reset muxes.
-            if self._fold(e.then) == 0:
-                self._record("const0-branch", e.then)
-                return f"(({self.emit(e.other)}) & ~{m})", 1
-            if self._fold(e.other) == 0:
-                self._record("const0-branch", e.other)
-                return f"(({self.emit(e.then)}) & {m})", 1
-            t = self.emit(e.then)
-            f = self.emit(e.other)
-            return f"((({t}) & {m}) | (({f}) & ~{m}))", 1
-        if isinstance(e, A.Index) and e.is_memory:
-            row = self._mem_row(e)
-            if row is not None:
-                return f"{row[0]}.astype(u64, copy=False)", 1
-        return super()._lower(e)
 
     # -- tier 1: lane-packed 1-bit emission -----------------------------------
 
@@ -1266,7 +1240,7 @@ class FusedExprCodegen(ExprCodegen):
             cf = self._fold(e.cond)
             if cf is not None:
                 return self.emit_packed(e.then if cf else e.other)
-            if self.lookups and self._keyed_chain(e) is not None:
+            if self._keyed_chain(e) is not None:
                 return None  # gathered on the native tier, then packed
             cc = self.emit_packed(e.cond)
             tc = self.emit_packed(e.then)
@@ -2036,7 +2010,7 @@ class FusedPrograms:
     # ``wv.``/``bvb.``/``pk.``/``rt.`` helper), of which ``unpack_sites`` /
     # ``mem_read_sites`` (``pk.unpack_u8`` / ``rt.mem_read``),
     # ``rolled_runs`` / ``rolled_members``, ``lines`` (whole source), and
-    # the comb program's lookup lowerings: ``keyed_selects``, ``tables``,
+    # the lookup lowerings: ``keyed_selects``, ``tables``,
     # ``table_entries`` (entries of the distinct tables) and
     # ``table_build_s`` (time spent evaluating them).
     stats: Dict[str, object] = field(default_factory=dict)
@@ -2169,9 +2143,9 @@ class FusedProgramCodegen:
         return f"P64[{lo}*N:{hi}*N].reshape({slot.limbs}, N)[:] = {code}"
 
     def _table_store(self, node: RtlNode) -> Optional[str]:
-        """A comb node's store as a table lookup (lookup lowerings on,
-        a packed or one-limb target, see
-        :meth:`FusedExprCodegen.emit_table`), else None."""
+        """A comb node's store as a table lookup (a packed or one-limb
+        target, see :meth:`FusedExprCodegen.emit_table`), else None.
+        Only comb nodes are tabulated, in whichever program they sit."""
         slot = self.layout.slot(node.target)
         packed = slot.pool == PACKED_POOL
         if not (packed or slot.limbs == 1):
@@ -2450,12 +2424,10 @@ class FusedProgramCodegen:
             + [f"    {line}" for line in expr.drain_prelude() + [store]]
         )
 
-    def _program_fn(self, name: str, nids: List[int], heading: str,
-                    lookups: bool = False) -> List[str]:
+    def _program_fn(self, name: str, nids: List[int], heading: str) -> List[str]:
         """One generated function ``name`` running nodes ``nids`` (in
         dependency order) as straight-line code under a ``heading``
-        comment; ``lookups`` turns on the keyed-select and table
-        lowerings (see :class:`FusedExprCodegen`)."""
+        comment."""
         nodes = [self.graph.nodes[nid] for nid in nids]
         units = self._plan(nodes)
         lines = [
@@ -2466,7 +2438,6 @@ class FusedProgramCodegen:
         if any(isinstance(u, _Run) for u in units):
             body.append(f"_RB = max(1, {_ROW_BLOCK_ELEMS} // N)")
         self.expr.begin_program(name)
-        self.expr.lookups = lookups
         for pos, unit in enumerate(units):
             self.expr.audit_pos = pos
             if isinstance(unit, _Run):
@@ -2480,7 +2451,6 @@ class FusedProgramCodegen:
             # every store of the same node.
             body.extend(self.expr.drain_prelude())
             body.extend(stmts)
-        self.expr.lookups = False
         self.order[name] = [
             [n.nid for n in u.nodes] if isinstance(u, _Run) else [u.nid]
             for u in units
@@ -2538,8 +2508,7 @@ class FusedProgramCodegen:
         ]
         body = self._program_fn(
             "fused_comb", self._comb,
-            f"fused program: comb phase ({len(self._comb)} nodes, straight-line)",
-            lookups=True)
+            f"fused program: comb phase ({len(self._comb)} nodes, straight-line)")
         body.append("")
         for i, ((clock, edge), nids) in enumerate(self._domains.items()):
             body.extend(self._program_fn(

@@ -68,6 +68,21 @@ def check_executor(kind: str) -> None:
         )
 
 
+def check_run_options(trace_every: int, stop: Optional[str], stop_mode: str,
+                      stop_check_every: int) -> None:
+    """Reject :meth:`BatchSimulator.run` options no run could honour:
+    a negative ``trace_every``, a ``stop_mode`` other than 'all'/'any',
+    or a ``stop`` signal polled every ``stop_check_every <= 0`` cycles."""
+    if trace_every < 0:
+        raise SimulationError(f"trace_every must be >= 0, not {trace_every}")
+    if stop_mode not in ("all", "any"):
+        raise SimulationError(f"stop_mode must be 'all' or 'any', not {stop_mode!r}")
+    if stop is not None and stop_check_every <= 0:
+        raise SimulationError(
+            f"stop_check_every must be positive, not {stop_check_every}"
+        )
+
+
 def make_executor(
     model: CompiledModel,
     device: SimulatedDevice,
@@ -957,12 +972,7 @@ class BatchSimulator:
         names = list(watch) if watch is not None else [
             s.name for s in self.model.design.outputs
         ]
-        if stop is not None and stop_mode not in ("all", "any"):
-            raise SimulationError(f"stop_mode must be 'all' or 'any', not {stop_mode!r}")
-        if stop is not None and stop_check_every <= 0:
-            raise SimulationError(
-                f"stop_check_every must be positive, not {stop_check_every}"
-            )
+        check_run_options(trace_every, stop, stop_mode, stop_check_every)
         total = cycles if cycles is not None else (
             len(stimulus) if stimulus is not None else 0
         )

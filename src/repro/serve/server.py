@@ -11,7 +11,7 @@ One process, one event loop, three moving parts:
 * **Content-addressed result store** — every shard's content key
   (:meth:`CampaignSpec.shard_signature`) is probed at submission:
   hits are adopted without touching a worker, misses are simulated and
-  published back.  An identical resubmission is pure lookups (hit rate
+  published back.  An identical resubmission is pure store reads (hit rate
   1.0, zero simulations, byte-identical merged outputs); an edited
   campaign re-simulates only its changed shards.
 * **Worker pool** — the cluster's :class:`~repro.cluster.pool.ShardPool`,

@@ -21,6 +21,7 @@ The contract under test (docs/fusion.md):
   simulators sharing one model's namespace keep their stacks apart.
 """
 
+import re
 import sys
 import threading
 
@@ -472,11 +473,12 @@ def test_case_lowerings_match_reference_and_graph():
 
 
 def test_bundled_designs_reach_the_lookup_lowerings():
-    def stats(name):
+    models = {}
+    for name in ("riscv_mini", "spinal", "nvdla"):
         b = get_design(name)
-        return RTLFlow.from_source(b.source, b.top).compile().fused().stats
-
-    riscv, spinal, nvdla = stats("riscv_mini"), stats("spinal"), stats("nvdla")
+        models[name] = RTLFlow.from_source(b.source, b.top).compile()
+    riscv, spinal, nvdla = (models[n].fused().stats
+                            for n in ("riscv_mini", "spinal", "nvdla"))
     # alu_i, alu_r, branch_taken, next_pc, wb_val; wb_en, dmem_we, illegal.
     assert riscv["keyed_selects"] >= 5 and riscv["tables"] >= 3
     assert riscv["temporaries"] < 45
@@ -484,22 +486,32 @@ def test_bundled_designs_reach_the_lookup_lowerings():
     assert spinal["tables"] >= 1  # the round-robin arbiter `arb0.g`
     # nvdla's only `case` is a 2-arm FSM in its seq program.
     assert nvdla["keyed_selects"] == nvdla["tables"] == 0
+    # The per-task module comes from the same emitter, so its task
+    # programs carry the same lowerings.
+    def tables(source):
+        return set(re.findall(r"\b_LUT\d+\[", source))
+
+    tasks = models["riscv_mini"].tasks().source
+    assert len(set(re.findall(r"\b_S\d+ = np\.empty\(", tasks))) >= 5
+    assert len(tables(tasks)) >= 3
+    assert len(tables(models["spinal"].tasks().source)) >= 1
 
 
 def test_concurrent_simulators_share_one_model():
     """Two simulators built from one compiled model evaluate on
     concurrent threads, on different stimulus, and each one's outputs
-    equal its own sequential run.  Their fused programs share one
-    namespace, so a keyed select's stack must stay local to the call:
-    hoisted to module scope, one thread's arms would fill the other's
-    gather."""
+    equal its own sequential run, on the product engine and on the
+    per-task `graph` engine.  Their programs (the fused ones, or the
+    per-task module's) share one namespace, so a keyed select's stack
+    must stay local to the call: hoisted to module scope, one thread's
+    arms would fill the other's gather."""
     b = get_design("riscv_mini")
     model = RTLFlow.from_source(b.source, b.top).compile()
     n, cycles = 64, 60
     stims = [b.make_stimulus(n, cycles, seed) for seed in (1, 2)]
 
-    def simulator():
-        sim = BatchSimulator(model, n)
+    def simulator(executor):
+        sim = BatchSimulator(model, n, executor=executor)
         b.preload(sim)
         return sim
 
@@ -507,33 +519,36 @@ def test_concurrent_simulators_share_one_model():
         outs = sim.run(stim, watch=b.watch, trace_every=1)
         return {k: np.asarray(v).copy() for k, v in outs.items()}
 
-    alone = [run(simulator(), stim) for stim in stims]
-    assert any((alone[0][w] != alone[1][w]).any() for w in b.watch)
-    sims = [simulator() for _ in stims]
-    got, errors = [None, None], []
-    barrier = threading.Barrier(2)
+    for executor in ("graph-fused", "graph"):
+        alone = [run(simulator(executor), stim) for stim in stims]
+        assert any((alone[0][w] != alone[1][w]).any() for w in b.watch)
+        sims = [simulator(executor) for _ in stims]
+        got, errors = [None, None], []
+        barrier = threading.Barrier(2)
 
-    def worker(i):
+        def worker(i):
+            try:
+                barrier.wait()
+                got[i] = run(sims[i], stims[i])
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        # Switch threads as often as possible so the two comb evaluations
+        # interleave between filling a stack and gathering from it.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            barrier.wait()
-            got[i] = run(sims[i], stims[i])
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    # Switch threads as often as possible so the two comb evaluations
-    # interleave between filling a stack and gathering from it.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors
-    assert sims[0].model.fused() is sims[1].model.fused()
-    for want, have in zip(alone, got):
-        for w in b.watch:
-            np.testing.assert_array_equal(want[w], have[w], err_msg=w)
+            threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert sims[0].model.fused() is sims[1].model.fused()
+        assert model.tasks_built == (executor == "graph")
+        for want, have in zip(alone, got):
+            for w in b.watch:
+                np.testing.assert_array_equal(want[w], have[w],
+                                              err_msg=f"{executor}: {w}")

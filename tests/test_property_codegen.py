@@ -445,42 +445,49 @@ def _cone(draw, names, depth=0):
 @st.composite
 def case_modules(draw):
     """``case``/``casez`` blocks on a 1..4-bit selector and small comb
-    cones — the shapes the comb program lowers to keyed selects and
-    lookup tables.
+    cones — the shapes the emitter lowers to keyed selects and lookup
+    tables.
 
     Each block drives one output of width 1, 5, 8, 32 or 64 from arms
     labelled ``0, 1, ...`` in order (a dense gather) and/or up to 9 arms
     of 1..3 labels each (multi-label arms, duplicate labels within and
     across arms, labels too wide to ever match, ``casez`` wildcards),
     with a ``default`` arm or an assignment ahead of the ``case`` (no
-    ``default``).  Each cone is a random expression over
-    1..10 bits of 1..4-bit inputs.
+    ``default``).  A block is combinational (``always @*``, ``=``: a comb
+    program select) or clocked (``always @(posedge clk)``, ``<=``: a seq
+    program select).  Each cone is a random expression over 1..10 bits
+    of 1..4-bit inputs.
     """
     sw = draw(st.integers(1, 4))
     body, outs = [], []
+    clocked_any = False
     for i in range(draw(st.integers(1, 3))):
         w = draw(st.sampled_from([1, 5, 8, 32, 64]))
         casez = draw(st.booleans())
+        clocked = draw(st.booleans())
+        clocked_any |= clocked
+        op = "<=" if clocked else "="
         arm = lambda: draw(st.sampled_from(_CASE_ARMS)).format(  # noqa: E731
             k=draw(st.integers(0, 255)))
         items = []
         if draw(st.booleans()):  # labels 0, 1, ... in order: a dense gather
             for v in range(draw(st.integers(1, 1 << sw))):
-                items.append(f"      {sw}'d{v}: y{i} = {arm()};")
+                items.append(f"      {sw}'d{v}: y{i} {op} {arm()};")
         for _ in range(draw(st.integers(0, 9))):
             labels = [_label(draw, sw, casez)
                       for _ in range(draw(st.integers(1, 3)))]
-            items.append(f"      {', '.join(labels)}: y{i} = {arm()};")
+            items.append(f"      {', '.join(labels)}: y{i} {op} {arm()};")
         if not items:
-            items.append(f"      {_label(draw, sw, casez)}: y{i} = {arm()};")
+            items.append(f"      {_label(draw, sw, casez)}: y{i} {op} {arm()};")
         head = ""
         if draw(st.booleans()):
-            items.append(f"      default: y{i} = {arm()};")
+            items.append(f"      default: y{i} {op} {arm()};")
         else:
-            head = f"    y{i} = {arm()};\n"
+            head = f"    y{i} {op} {arm()};\n"
         kw = "casez" if casez else "case"
         rng = f"[{w - 1}:0] " if w > 1 else ""
-        body.append(f"  reg {rng}y{i};\n  always @* begin\n{head}"
+        event = "posedge clk" if clocked else "*"
+        body.append(f"  reg {rng}y{i};\n  always @({event}) begin\n{head}"
                     f"    {kw} (s)\n" + "\n".join(items)
                     + "\n    endcase\n  end")
         outs.append((f"o{i}", w, f"y{i}"))
@@ -489,8 +496,9 @@ def case_modules(draw):
                               max_size=4, unique=True))
         w = draw(st.sampled_from([1, 3, 8]))
         outs.append((f"z{j}", w, draw(_cone(names))))
-    ports = [("input", "s", sw), ("input", "a", 8), ("input", "b", 16),
-             ("input", "c", 32), ("input", "d", 64)]
+    ports = [("input", "clk", 1)] if clocked_any else []
+    ports += [("input", "s", sw), ("input", "a", 8), ("input", "b", 16),
+              ("input", "c", 32), ("input", "d", 64)]
     ports += [("input", n, w) for n, w in _CONE_INPUTS]
     ports += [("output", n, w) for n, w, _ in outs]
     body += [f"  assign {n} = {e};" for n, _, e in outs]
@@ -499,8 +507,9 @@ def case_modules(draw):
 
 
 class TestCaseStatements:
-    """Keyed selects and lookup tables against the reference, and the
-    same design on the per-task engines (which keep the mux chains)."""
+    """Keyed selects (comb and seq programs) and lookup tables against
+    the reference, on the product engine and on the per-task engines,
+    whose programs carry the same lowerings."""
 
     @settings(max_examples=60, deadline=None)
     @given(case_modules(), st.integers(0, 2**31),

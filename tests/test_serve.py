@@ -238,8 +238,17 @@ class TestProtocol:
             spec_from_dict(d)
 
     def test_spec_invalid_rejected(self):
-        with pytest.raises(ServiceError, match="bad spec"):
-            spec_from_dict({"n": 4, "cycles": 5})  # no design/source
+        # Run options are checked on submission, not after a shard of the
+        # job has been dispatched.
+        for spec in (
+            {"n": 4, "cycles": 5},  # no design/source
+            {"n": 4, "cycles": 5, "design": "counter", "stop": "wrap",
+             "stop_check_every": 0},
+            {"n": 4, "cycles": 5, "design": "counter", "stop_mode": "most"},
+            {"n": 4, "cycles": 5, "design": "counter", "trace_every": -3},
+        ):
+            with pytest.raises(ServiceError, match="bad spec"):
+                spec_from_dict(spec)
 
     def test_outputs_roundtrip_and_digest(self):
         outputs = {

@@ -249,3 +249,15 @@ class TestStopCondition:
         sim = BatchSimulator(model, 2)
         with pytest.raises(SimulationError):
             sim.run(cycles=10, stop="halted", stop_mode="most")
+
+    @pytest.mark.parametrize("options", [
+        {"trace_every": -1},
+        {"stop": "halted", "stop_check_every": 0},
+        {"stop_mode": "most"},
+    ])
+    def test_bad_run_options_rejected_before_any_cycle(self, rv, options):
+        model, _ = rv
+        sim = BatchSimulator(model, 2)
+        with pytest.raises(SimulationError):
+            sim.run(cycles=10, **options)
+        assert sim.cycles_run == 0
