@@ -77,10 +77,10 @@ def run_verify_guard(model, n, stim, repeats, sanitized_lanes=256):
     "On" means what ``repro run --verify`` does once, off-cycle: a full
     static ``verify_model`` pass before the timed run.  Off/on repeats
     are interleaved (same fairness rationale as ``_batch_times``) and
-    the best of ``max(3, repeats)`` is kept.  The runtime sanitizer is
-    also timed — at a reduced lane count, since it intentionally trades
-    throughput for per-task footprint checking — and reported without
-    gating.
+    the best of ``max(3, repeats)`` is kept.  The checked run
+    (``sanitize``) is also timed — at a reduced lane count, since it
+    intentionally trades throughput for per-step write-set checking —
+    and reported without gating.
 
     Returns ``(t_off, t_on, verify_seconds, t_sanitized, n_sanitized)``
     and asserts the guard: ``t_on <= t_off * 1.02 + 2ms``.

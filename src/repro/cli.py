@@ -10,9 +10,10 @@ verify     Translation-validation verifier: re-derive the IR invariants
            of every lowering boundary, re-prove the fused emitter's
            rewrites through the known-bits engine, and detect task-graph
            scheduling hazards.  ``--selftest`` runs the mutation harness.
-           ``repro run --verify`` verifies statically, then runs under the
-           runtime sanitizer; ``repro campaign --verify`` verifies up front
-           and has every worker re-verify its rebuilt model.
+           ``repro run --verify`` verifies statically, then runs the
+           product's fused programs under runtime write-set checks;
+           ``repro campaign --verify`` verifies up front and has every
+           worker re-verify its rebuilt model.
 transpile  Emit the generated batch-kernel module (and optionally the
            Verilator-style scalar module) to files.
 simulate   Run a batch simulation from stimulus files (or random stimulus)
@@ -450,9 +451,8 @@ def cmd_run(args) -> int:
         from repro.verify import verify_model
 
         # Statically verify the compiled model (its fused lowering
-        # included), then run under the sanitizer, which checks declared
-        # write footprints and epoch monotonicity on the reference task
-        # path: the fused bundle was just verified statically.
+        # included), then run those same fused programs with every step
+        # checked against its static write set.
         report = verify_model(model, filename=f"<design:{args.design}>")
         _verify_preflight(args.design, report,
                           f" ({len(report.diagnostics)} findings); "
@@ -897,7 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
         p, "directory for durable checkpoints (atomic temp+fsync+rename "
            "snapshots)",
         "statically verify the compiled IR first (fail on any finding), "
-        "then run under the runtime sanitizer executor")
+        "then run the fused programs with each step's pool writes checked "
+        "against its static write set")
     p.add_argument("--keep-checkpoints", type=int, default=2,
                    help="retain this many newest snapshots (default 2)")
     p.add_argument("--resume", action="store_true",

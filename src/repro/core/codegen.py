@@ -7,7 +7,7 @@ the two program sets the executors run — both emitted by
 :class:`FusedProgramCodegen` on that layout: the fused flat programs
 (:meth:`CompiledModel.fused`, the product engine) and the per-task
 module over a macro-task partition (:meth:`CompiledModel.tasks`, the
-Table 4 contrast engines, the sanitizer and the MCMC estimator).
+Table 4 contrast engines, graph-conditional and the MCMC estimator).
 
 In the per-task module each macro task becomes one generated function
 
@@ -1820,13 +1820,16 @@ def compute_task_accesses(
 @dataclass
 class TaskModule:
     """The compiled per-task module: one program per macro task, emitted
-    by :class:`FusedProgramCodegen` over the model's layout."""
+    by :class:`FusedProgramCodegen` over the model's layout (``audit``
+    and ``order`` as in :class:`FusedPrograms`)."""
 
     layout: MemoryLayout
     source: str
     namespace: Dict[str, object]
     task_fns: Dict[int, Callable]
     transpile_seconds: float = 0.0
+    audit: List[AuditRecord] = field(default_factory=list)
+    order: Dict[str, List[List[int]]] = field(default_factory=dict)
 
 
 def _mem_write_bindings(graph: RtlGraph,
@@ -1856,8 +1859,8 @@ class CompiledModel:
     :meth:`fused`, built from the graph.  The partition (``taskgraph``)
     and the per-task module over it (:meth:`tasks`, and its views
     ``source``/``task_fns``/``transpile_seconds``) are made by their
-    first reader: the ``graph``/``stream``/``graph-conditional``/
-    ``sanitize`` executors, the MCMC estimator, ``repro verify`` and
+    first reader: the ``graph``/``stream``/``graph-conditional``
+    executors, the MCMC estimator, ``repro verify`` and
     ``repro transpile``.  ``tasks_built`` tells whether the module was
     built.
     """
@@ -2596,6 +2599,8 @@ class FusedProgramCodegen:
             namespace=ns,
             task_fns={t.tid: ns[f"task_{t.tid}"] for t in tg.tasks},
             transpile_seconds=time.perf_counter() - t0,
+            audit=list(self.expr.audit),
+            order=self.order,
         )
 
 

@@ -52,8 +52,8 @@ DEFAULT_EXECUTOR = "graph-fused"
 
 #: Everything :func:`make_executor` accepts.  ``graph`` and ``stream``
 #: are the paper's Table 4 contrast, ``graph-conditional`` the
-#: activity-aware replay (docs/activity.md), ``sanitize`` the runtime
-#: hazard checker (``repro run --verify``).
+#: activity-aware replay (docs/activity.md), ``sanitize`` the product's
+#: fused programs under runtime write-set checks (``repro run --verify``).
 EXECUTOR_KINDS = (
     DEFAULT_EXECUTOR, "graph", "graph-conditional", "stream", "sanitize",
 )
@@ -95,12 +95,13 @@ def make_executor(
     comb phase (and each clock domain) runs as one straight-line
     compiled program — no per-task dispatch remains (see
     :class:`~repro.gpu.graphexec.FusedProgramExecutor` and
-    docs/fusion.md).  Every other kind replays the per-task module (one
-    program per macro task, from the same emitter, on the same layout),
-    which the model builds on their first use: 'graph' and 'stream' are the paper's Table 4 pair, and
-    'graph-conditional' replays only the macro tasks whose inputs
-    changed since their last execution (see
-    :class:`~repro.gpu.graphexec.ConditionalGraphExecutor` and
+    docs/fusion.md); 'sanitize' steps those programs under write-set
+    checks (:class:`~repro.verify.hazards.CheckedFusedExecutor`).  The
+    rest replay the per-task module (one program per macro task, from
+    the same emitter, on the same layout), built on first use: 'graph'
+    and 'stream' are the paper's Table 4 pair, and 'graph-conditional'
+    replays only the macro tasks whose inputs changed since their last
+    execution (:class:`~repro.gpu.graphexec.ConditionalGraphExecutor`,
     docs/activity.md).
     """
     check_executor(kind)
@@ -114,9 +115,9 @@ def make_executor(
         return StreamExecutor(model, device, **kwargs)
     # Lazy import: repro.verify pulls in the lint registry, which
     # plain simulation never needs.
-    from repro.verify.hazards import RuntimeSanitizer
+    from repro.verify.hazards import CheckedFusedExecutor
 
-    return RuntimeSanitizer(model, device, **kwargs)
+    return CheckedFusedExecutor(model, device, **kwargs)
 
 
 _POOL_BITS = (8, 16, 32, 64)

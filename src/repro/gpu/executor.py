@@ -26,8 +26,8 @@ class Executor:
     The simulator reads ``layout`` (the memory layout to allocate
     :class:`DeviceArrays` for), ``mem_writes`` (commit bindings for that
     layout) and ``wants_epochs`` (build the arrays with per-offset write
-    epochs), calls :meth:`reset_activity` after a checkpoint restore,
-    and otherwise only :meth:`run_eval`.
+    epochs; only ``graph-conditional`` asks), calls :meth:`reset_activity`
+    after a checkpoint restore, and otherwise only :meth:`run_eval`.
 
     ``layout`` and ``mem_writes`` are the model's own: every engine runs
     on the one layout, so a checkpoint taken on one engine restores on

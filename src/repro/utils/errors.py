@@ -96,10 +96,9 @@ class SimulationError(ReproError):
 
 
 class SanitizerError(SimulationError):
-    """The runtime sanitizer caught a scheduling-contract violation: a
-    task wrote outside its declared footprint, two tasks in one phase
-    wrote the same offset, or write epochs went non-monotone (see
-    :class:`repro.verify.hazards.RuntimeSanitizer`)."""
+    """A step of a checked evaluation (a fused program or a domain's
+    commit) changed a pool offset outside its static write set (see
+    :class:`repro.verify.hazards.CheckedFusedExecutor`)."""
 
 
 class VerificationError(ReproError):

@@ -13,8 +13,8 @@ pipeline (see ``docs/verify.md``):
    ``const-cond`` / ``const-compare`` / ``redundant-mask`` lint rules.
 3. **Scheduling-hazard detection** (:mod:`repro.verify.hazards`) —
    static conflict analysis over the task graph plus the opt-in
-   :class:`RuntimeSanitizer` executor that asserts declared write
-   footprints and epoch monotonicity while simulating.
+   :class:`CheckedFusedExecutor`, which holds each step of the product's
+   evaluation to its static write set while simulating.
 
 Verification reports through the lint machinery: findings are
 :class:`~repro.lint.Diagnostic` records in a
@@ -34,15 +34,15 @@ from repro.lint.rules import LintContext
 
 # Importing the rules module registers the verify-* rules.
 from repro.verify import rules as _rules  # noqa: F401
-from repro.verify.hazards import RuntimeSanitizer, check_hazards
+from repro.verify.hazards import CheckedFusedExecutor, check_hazards
 from repro.verify.knownbits import KnownBits, analyze_graph, expr_bits
 from repro.verify.rules import VERIFY_RULE_IDS
 
 __all__ = [
     "VERIFY_RULE_IDS",
     "VERIFY_STAGES",
+    "CheckedFusedExecutor",
     "KnownBits",
-    "RuntimeSanitizer",
     "analyze_graph",
     "check_hazards",
     "expr_bits",
@@ -66,7 +66,8 @@ def verify_model(
     Returns a :class:`LintReport` of ``verify-*`` findings (restrict or
     widen with ``rules``).  ``text`` enables source waivers.  Building
     the report forces the fused lowering (``model.fused()``) — the
-    verifier's whole point is checking that artifact.
+    verifier's whole point is checking that artifact — and re-proves
+    the per-task module's rewrites too when the model has built it.
     """
     design = model.graph.design
     ctx = LintContext(
@@ -90,7 +91,7 @@ def verify_source(
     rules: Optional[Iterable[str]] = None,
     target_weight: Optional[float] = None,
 ) -> LintReport:
-    """Build ``text`` through the full flow and verify the result.
+    """Build ``text`` through the full flow (both lowerings) and verify.
 
     Front-end failures (parse/elaborate/lower) come back as a located
     ``elab`` ERROR diagnostic instead of raising, mirroring
@@ -107,6 +108,7 @@ def verify_source(
         )
         kw = {} if target_weight is None else {"target_weight": target_weight}
         model = flow.compile(**kw)
+        model.tasks()
     except ReproError as e:
         loc = None
         if getattr(e, "has_location", False):

@@ -1,26 +1,20 @@
-"""Scheduling-hazard detection: static analysis + runtime sanitizer.
+"""Scheduling-hazard detection: static analysis + runtime write-set checks.
 
-Two halves of one guarantee — that the task schedule can never race:
+Two halves of one guarantee — that no step of an evaluation stores
+where the schedule does not expect it:
 
-* :func:`check_hazards` proves it statically.  Any two tasks the
-  schedule treats as order-free (unordered combinational tasks, or
-  sequential tasks sharing a clock domain) must have disjoint write
-  footprints, and an unordered task must not read what its peer writes.
-  The builders *should* make this impossible (edges are derived from
-  reads x producer), so any finding means a builder bug or a corrupted
-  graph (see :mod:`repro.verify.mutate`).
+* :func:`check_hazards` proves it statically over the task graph.  Any
+  two tasks the schedule treats as order-free (unordered combinational
+  tasks, or sequential tasks sharing a clock domain) must have disjoint
+  write footprints, and an unordered task must not read what its peer
+  writes.  The builders *should* make this impossible (edges are
+  derived from reads x producer), so any finding means a builder bug or
+  a corrupted graph (see :mod:`repro.verify.mutate`).
 
-* :class:`RuntimeSanitizer` checks it dynamically.  An opt-in executor
-  (``repro run --verify``, or ``executor='sanitize'``) that replays the
-  per-task programs — emitted by the product's emitter, on the layout
-  the product runs — while diffing all five device pools around every
-  task launch:
-  each task may only change offsets inside its declared
-  :class:`~repro.core.codegen.TaskAccess` write footprint, no two tasks
-  in one phase may write the same offset, and the device write-epoch
-  counters must stay monotone and bounded by the global epoch.  A
-  violation raises :class:`~repro.utils.errors.SanitizerError` naming
-  the task, pool, offset and signal.
+* :class:`CheckedFusedExecutor` checks it at run time, on the programs
+  the product ships (the opt-in ``sanitize`` executor behind ``repro
+  run --verify``): every pool offset a step changes must lie in the
+  step's static write set.
 """
 
 from __future__ import annotations
@@ -30,13 +24,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.memory import PACKED_POOL
-from repro.gpu.executor import Executor
+from repro.gpu.graphexec import FusedProgramExecutor
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.partition.taskgraph import TaskGraph
 from repro.rtlir.graph import NodeKind
 from repro.utils.errors import SanitizerError
+from repro.verify.ir_checks import _write_ranges
 
-__all__ = ["check_hazards", "RuntimeSanitizer"]
+__all__ = ["check_hazards", "CheckedFusedExecutor"]
 
 
 def _err(msg: str, subject: Optional[str] = None) -> Diagnostic:
@@ -106,116 +101,98 @@ def check_hazards(tg: TaskGraph) -> List[Diagnostic]:
     return out
 
 
-class RuntimeSanitizer(Executor):
-    """Per-task replay executor that asserts the declared footprints.
+def _owner(layout, pool: int, off: int) -> str:
+    """The signal (or shadow, scratch slot, memory word) at ``off``."""
+    for name, s in layout.slots.items():
+        for lo, label in ((s.offset, name), (s.next_offset, f"{name}.next")):
+            if s.pool == pool and lo is not None and lo <= off < lo + s.limbs:
+                return label
+    for nid, sc in layout.scratch.items():
+        for label, s in (("cond", sc.cond), ("addr", sc.addr),
+                         ("data", sc.data)):
+            if (s.pool, s.offset) == (pool, off):
+                return f"memw{nid}.{label}"
+    for name, m in layout.mems.items():
+        if m.pool == pool and m.base <= off < m.base + m.depth:
+            return f"{name}[{off - m.base}]"
+    return "?"
 
-    Drop-in for the ``graph`` executor (same layout and task programs),
-    at a large constant cost per task — this is a debugging mode, not a
-    performance path.  ``wants_epochs`` opts the simulator
-    into write-epoch tracking so epoch monotonicity is checkable too.
+
+def _commit_range(node, layout) -> Tuple[int, int, int]:
+    """What a domain's commit stores for ``node``: a register's live
+    slot, or a memory write's whole memory."""
+    if node.kind is NodeKind.MEMW:
+        m = layout.mems[node.target]
+        return (m.pool, m.base, m.base + m.depth)
+    slot = layout.slots[node.target]
+    return (slot.pool, slot.offset, slot.offset + slot.limbs)
+
+
+class CheckedFusedExecutor(FusedProgramExecutor):
+    """The product's evaluation, one step at a time, each step held to
+    its static write set.
+
+    The steps are the product's (CCSS's sequential compute, synchronise,
+    comb settle): every triggered ``fused_seq_*`` program, every
+    triggered domain's commit (the simulator's own, so quarantine masks
+    apply), then ``fused_comb``.  Around each step the five pools are
+    diffed; a changed offset (in ``P1``, one signal's word block) outside
+    the step's set in ``write_sets`` raises
+    :class:`~repro.utils.errors.SanitizerError`.  The sets follow the
+    verifier's node rule (:func:`repro.verify.ir_checks._write_ranges`):
+    the comb slots; a domain's shadows and ``MEMW`` scratch; its live
+    registers and memories.
     """
 
     name = "sanitize"
-    wants_epochs = True
 
     def __init__(self, model, device):
         super().__init__(model, device)
-        self._accesses = model.task_accesses()
-        self._comb_plan = list(model.comb_schedule())
-        self._seq_plans = {
-            dom: model.seq_schedule(*dom) for dom in model.clock_domains()
-        }
-        self._names = self._offset_names(model.layout)
-        self._last_epoch = -1
-        self.tasks_checked = 0
+        layout, graph = model.layout, model.graph
+        sizes = [max(1, s) for s in layout.pool_sizes] + [layout.packed_size]
+        #: Step name -> per pool, a bool mask of the offsets it may change.
+        self.write_sets: Dict[str, List[np.ndarray]] = {}
 
-    @staticmethod
-    def _offset_names(layout) -> List[Dict[int, str]]:
-        """Per pool: offset -> human-readable owner, for error messages."""
-        names: List[Dict[int, str]] = [dict() for _ in range(5)]
-        for name, s in layout.slots.items():
-            for i in range(s.limbs):
-                names[s.pool][s.offset + i] = name
-                if s.next_offset is not None:
-                    names[s.pool][s.next_offset + i] = f"{name}.next"
-        for nid, sc in layout.scratch.items():
-            for label, s in (("cond", sc.cond), ("addr", sc.addr),
-                             ("data", sc.data)):
-                names[s.pool][s.offset] = f"memw{nid}.{label}"
-        for name, m in layout.mems.items():
-            for i in range(m.depth):
-                names[m.pool][m.base + i] = f"{name}[{i}]"
-        return names
+        def allow(step: str, ranges) -> None:
+            masks = self.write_sets[step] = [np.zeros(s, bool) for s in sizes]
+            for pool, lo, hi in ranges:
+                masks[pool][lo:hi] = True
 
-    def reset_activity(self) -> None:
-        """Forget epoch history (checkpoint restore rewinds epochs)."""
-        self._last_epoch = -1
+        allow(self.programs.comb.name, [
+            r for n in graph.nodes if n.kind is NodeKind.COMB
+            for r in _write_ranges(n, layout)])
+        for dom, nids in graph.clock_domains().items():
+            nodes = [graph.nodes[nid] for nid in nids]
+            if dom in self.programs.seq:
+                allow(self.programs.seq[dom].name,
+                      [r for n in nodes for r in _write_ranges(n, layout)])
+            allow(f"commit_{dom[0]}_{dom[1]}",
+                  [_commit_range(n, layout) for n in nodes])
 
-    # -- executor interface ----------------------------------------------------
-
-    def run_comb(self, arrays) -> None:
-        self._run_phase(arrays, self._comb_plan, "comb")
-
-    def run_seq(self, arrays, clock: str, edge: str) -> None:
-        plan = self._seq_plans.get((clock, edge))
-        if plan:
-            self._run_phase(arrays, plan, f"seq {edge} {clock}")
-
-    def _run_phase(self, arrays, plan: List[int], phase: str) -> None:
-        self._check_epochs(arrays, phase)
-        base = [pool.copy() for pool in arrays.pools]
-        owners: List[Dict[int, int]] = [dict() for _ in base]
+    def run_eval(self, arrays, triggered, commit) -> None:
         args = self._args(arrays)
+        for prog in [self.programs.seq.get(dom) for dom in triggered]:
+            if prog is not None:
+                self._step(arrays, prog.name, self.device.launch_graph,
+                           [prog.fn], args)
+        for dom in triggered:
+            self._step(arrays, f"commit_{dom[0]}_{dom[1]}", commit, dom)
+        comb = self.programs.comb
+        self._step(arrays, comb.name, self.device.launch_graph,
+                   [comb.fn], args)
+
+    def _step(self, arrays, step: str, fn, *args) -> None:
+        before = [pool.copy() for pool in arrays.pools]
+        fn(*args)
         # Elements per offset: N lanes, or W words in the packed pool.
         block = [arrays.n] * PACKED_POOL + [arrays.words]
-        for tid in plan:
-            self.device.launch_graph([self.model.task_fns[tid]], args)
-            self.tasks_checked += 1
-            acc = self._accesses[tid]
-            allowed = {pool: set(offs.tolist())
-                       for pool, offs in acc.write_offsets}
-            for pool in range(len(base)):
-                diff = np.nonzero(arrays.pools[pool] != base[pool])[0]
-                if diff.size == 0:
-                    continue
-                changed = np.unique(diff // block[pool])
-                for off in changed.tolist():
-                    if off not in allowed.get(pool, ()):
-                        raise SanitizerError(
-                            f"task {tid} wrote pool {pool} offset {off} "
-                            f"({self._name(pool, off)}) outside its "
-                            f"declared write footprint during the {phase} "
-                            "phase"
-                        )
-                    prev = owners[pool].get(off)
-                    if prev is not None and prev != tid:
-                        raise SanitizerError(
-                            f"tasks {prev} and {tid} both wrote pool "
-                            f"{pool} offset {off} ({self._name(pool, off)}) "
-                            f"in one {phase} phase"
-                        )
-                    owners[pool][off] = tid
-                base[pool][diff] = arrays.pools[pool][diff]
-        self._check_epochs(arrays, phase)
-
-    def _name(self, pool: int, off: int) -> str:
-        return self._names[pool].get(off, "?")
-
-    def _check_epochs(self, arrays, phase: str) -> None:
-        """Write epochs must stay monotone and below the global epoch."""
-        if arrays.epoch < self._last_epoch:
-            raise SanitizerError(
-                f"global write epoch moved backwards ({self._last_epoch} "
-                f"-> {arrays.epoch}) entering the {phase} phase"
-            )
-        self._last_epoch = arrays.epoch
-        if not arrays.track_epochs or arrays.write_epochs is None:
-            return
-        for pool, col in enumerate(arrays.write_epochs):
-            if col.size and int(col.max()) > arrays.epoch:
-                off = int(col.argmax())
+        for pool, allowed in enumerate(self.write_sets[step]):
+            diff = np.flatnonzero(before[pool] != arrays.pools[pool])
+            offs = np.unique(diff // block[pool])
+            bad = offs[~allowed[offs]]
+            if bad.size:
+                off = int(bad[0])
                 raise SanitizerError(
-                    f"pool {pool} offset {off} ({self._name(pool, off)}) "
-                    f"carries write epoch {int(col.max())} beyond the "
-                    f"global epoch {arrays.epoch}"
-                )
+                    f"{step} wrote pool {pool} offset {off} "
+                    f"({_owner(self.layout, pool, off)}) outside its "
+                    "write set")

@@ -917,7 +917,9 @@ def _check_table(rec, fused, graph) -> Optional[str]:
 
 
 def check_audit(model) -> List[Diagnostic]:
-    """Re-prove every rewrite the fused emitter recorded.
+    """Re-prove every rewrite the emitter recorded, in each lowering the
+    model has built: the fused programs, and the per-task module when
+    ``model.tasks_built``.
 
     The emitter's :class:`~repro.core.codegen.AuditRecord` stream says
     *what* it rewrote (dropped constant-zero mux branch, increment-mux
@@ -927,23 +929,31 @@ def check_audit(model) -> List[Diagnostic]:
     keyed select gathered from a stack, lookup table);
     this pass re-establishes each claim through the independent
     known-bits engine and structural checks.  A claim that cannot be
-    re-proved is an ERROR: either the emitter is wrong or the record was
-    corrupted.
+    re-proved is an ERROR naming its module: either the emitter is wrong
+    or the record was corrupted.
     """
+    modules = [("fused programs", model.fused())]
+    if model.tasks_built:
+        modules.append(("per-task module", model.tasks()))
+    return [d for label, module in modules
+            for d in _check_records(module, model.graph, label)]
+
+
+def _check_records(fused, graph: RtlGraph, label: str) -> List[Diagnostic]:
+    """The :func:`check_audit` findings of one emitted module."""
     from repro.verify import knownbits as kb
 
     rid = "verify-audit"
     out: List[Diagnostic] = []
-    fused = model.fused()
-    graph = model.graph
     layout = fused.layout
     env: Dict[str, kb.KnownBits] = {}  # empty: only constant facts count
 
     reads: Optional[Dict[str, List[_Range]]] = None
     clean: Dict[tuple, int] = {}
 
-    for rec in getattr(fused, "audit", []):
-        where = f"node {rec.node}" if rec.node >= 0 else "unknown node"
+    for rec in fused.audit:
+        where = (f"node {rec.node}" if rec.node >= 0 else "unknown node"
+                 ) + f" of the {label}"
         if rec.kind == "cse":
             if reads is None:
                 reads = _temp_reads(fused.source)

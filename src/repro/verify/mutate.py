@@ -402,12 +402,11 @@ def _mut_keyed_select_swap(model) -> None:
     table[0], table[i] = table[i], table[0]
 
 
-def _mut_table_flip(model) -> None:
-    """Flip the low bit of one lookup-table entry."""
-    fused = model.fused()
-    recs = [r for r in fused.audit if r.kind == "table"]
+def _flip_table(module) -> None:
+    """Flip the low bit of one lookup-table entry of ``module``."""
+    recs = [r for r in module.audit if r.kind == "table"]
     _need(bool(recs), "a lookup table")
-    fused.namespace[recs[0].detail["table"]][0] ^= 1
+    module.namespace[recs[0].detail["table"]][0] ^= 1
 
 
 MUTATIONS: List[Mutation] = [
@@ -480,7 +479,11 @@ MUTATIONS: List[Mutation] = [
              "swap two entries of a keyed select's index table",
              _mut_keyed_select_swap),
     Mutation("table-flip", "fused",
-             "flip one entry of a lookup table", _mut_table_flip),
+             "flip one entry of a lookup table",
+             lambda model: _flip_table(model.fused())),
+    Mutation("task-table-flip", "fused",
+             "flip one entry of a per-task lookup table",
+             lambda model: _flip_table(model.tasks())),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for repro.verify: IR checks, known-bits soundness, hazards,
-the mutation self-test, the runtime sanitizer and CLI/report plumbing."""
+the mutation self-test, the runtime write-set checks and CLI/report
+plumbing."""
 
 import json
 
@@ -180,7 +181,7 @@ def test_fused_audit_records_exist_and_validate():
     assert ir_checks.check_audit(model) == []
 
 
-# -- hazards + runtime sanitizer ----------------------------------------------
+# -- hazards + runtime write-set checks ---------------------------------------
 
 
 def test_check_hazards_clean_on_demo():
@@ -189,54 +190,125 @@ def test_check_hazards_clean_on_demo():
     assert check_hazards(_demo_model().taskgraph) == []
 
 
+def _bundled_model(name):
+    bundle = get_design(name)
+    return bundle, RTLFlow.from_source(bundle.source, bundle.top).compile()
+
+
+def _bundled_run(bundle, model, kind, n, cycles, plan=None):
+    sim = BatchSimulator(model, n, executor=kind,
+                         fault_isolation=plan is not None)
+    bundle.preload(sim)
+    outs = sim.run(bundle.make_stimulus(n, cycles, 7), watch=bundle.watch,
+                   trace_every=1, fault_plan=plan)
+    return sim, outs
+
+
 def test_sanitizer_matches_fused_bit_for_bit():
+    from repro import resilience as rz
+
+    cycles = 16
+    # Fault isolation: quarantine-masked commits run under the check too.
+    plan = rz.FaultPlan(lane_faults=[rz.LaneFaultSpec(4, 3),
+                                     rz.LaneFaultSpec(9, 64)])
+    for name in list_designs():
+        bundle, model = _bundled_model(name)
+        for n, faults in ((1, None), (63, None), (65, None), (130, None),
+                          (70, plan)):
+            fused, want = _bundled_run(bundle, model, "graph-fused", n,
+                                       cycles, faults)
+            checked, got = _bundled_run(bundle, model, "sanitize", n,
+                                        cycles, faults)
+            for w in bundle.watch:
+                np.testing.assert_array_equal(got[w], want[w],
+                                              err_msg=f"{name} {n}: {w}")
+        assert checked.quarantine.report() == fused.quarantine.report()
+        assert {3, 64} <= set(checked.quarantine.report()["faulted_lanes"])
+        assert not model.tasks_built
+
+
+@pytest.mark.parametrize("name", list_designs())
+def test_write_sets_match_task_footprints(name):
+    # The runtime check and the per-task footprints graph-conditional
+    # trusts for skipping are one rule: per program, the checker's write
+    # set is the union of its tasks' declared write offsets.
+    from repro.core.simulator import make_executor
+    from repro.gpu.device import SimulatedDevice
+
+    _, model = _bundled_model(name)
+    ex = make_executor(model, SimulatedDevice(), "sanitize")
+    acc = model.task_accesses()
+
+    def declared(tids):
+        sets = [set() for _ in range(5)]
+        for tid in tids:
+            for pool, offs in acc[tid].write_offsets:
+                sets[pool].update(offs.tolist())
+        return sets
+
+    def checked(step):
+        return [set(np.flatnonzero(m).tolist()) for m in ex.write_sets[step]]
+
+    fused = model.fused()
+    assert checked(fused.comb.name) == declared(model.comb_schedule())
+    for dom, prog in fused.seq.items():
+        assert checked(prog.name) == declared(model.seq_schedule(*dom)), dom
+
+
+def _checked_demo(n=9):
     model = _demo_model()
-    n, cycles = 17, 30
-    outs = {}
-    for kind in ("graph-fused", "sanitize"):
-        sim = BatchSimulator(model, n, executor=kind)
-        outs[kind] = sim.run(_demo_stim(n, cycles, seed=3), cycles,
-                             watch=["dout", "flag"])
-    for name in outs["graph-fused"]:
-        assert np.array_equal(outs["graph-fused"][name],
-                              outs["sanitize"][name]), name
+    return model, BatchSimulator(model, n, executor="sanitize")
 
 
 def test_sanitizer_catches_undeclared_write():
-    model = _demo_model()
-    acc = model.task_accesses()
-    victim = next(t for _, t in sorted(acc.items())
-                  if any(len(o) for _, o in t.write_offsets))
-    pool = next(p for p, o in victim.write_offsets if len(o))
-    victim.write_offsets[:] = [
-        (p, o[:0] if p == pool else o) for p, o in victim.write_offsets
-    ]
-    sim = BatchSimulator(model, 9, executor="sanitize")
-    with pytest.raises(SanitizerError, match="outside its declared"):
+    # A comb slot dropped from the comb program's write set: its first
+    # store is flagged, naming the step, pool, offset and signal.
+    model, sim = _checked_demo()
+    slot = model.layout.slot("dout")
+    sim.executor.write_sets["fused_comb"][slot.pool][slot.offset] = False
+    with pytest.raises(SanitizerError, match="outside its write set") as ei:
         sim.run(_demo_stim(9, 20), 20, watch=["dout"])
+    assert (f"fused_comb wrote pool {slot.pool} offset {slot.offset} (dout)"
+            in str(ei.value))
 
 
 def test_sanitizer_catches_undeclared_p1_write():
-    # The per-task programs run on the product layout: a task that stores
-    # a lane-packed 1-bit signal it did not declare is flagged, and the
-    # message names the signal owning that P1 word block.
-    model = _demo_model()
-    victim = next(t for _, t in sorted(model.task_accesses().items())
-                  if len(dict(t.write_offsets).get(PACKED_POOL, ())))
-    victim.write_offsets[:] = [
-        (p, o[:0] if p == PACKED_POOL else o) for p, o in victim.write_offsets
-    ]
-    sim = BatchSimulator(model, 9, executor="sanitize")
-    with pytest.raises(SanitizerError, match="outside its declared") as ei:
+    # The same for a lane-packed 1-bit signal: the message names the
+    # signal owning that P1 word block.
+    model, sim = _checked_demo()
+    slot = model.layout.slot("high")
+    assert slot.pool == PACKED_POOL
+    sim.executor.write_sets["fused_comb"][PACKED_POOL][slot.offset] = False
+    with pytest.raises(SanitizerError, match="outside its write set") as ei:
         sim.run(_demo_stim(9, 20), 20, watch=["dout"])
     msg = str(ei.value)
-    assert f"task {victim.tid} wrote pool {PACKED_POOL} offset" in msg
+    assert (f"fused_comb wrote pool {PACKED_POOL} offset {slot.offset} "
+            "(high)") in msg
     assert "(?)" not in msg
 
 
+def test_sanitizer_catches_a_program_writing_outside_its_set(monkeypatch):
+    # A comb program that also stores to a register's live slot (only
+    # the commit may) is caught at run time.
+    model, sim = _checked_demo()
+    comb = model.fused().comb
+    real, slot = comb.fn, model.layout.slot("acc")
+
+    def stray(P8, P16, P32, P64, P1, N, W, LANE):
+        real(P8, P16, P32, P64, P1, N, W, LANE)
+        P8[slot.offset * N:(slot.offset + 1) * N] += 1
+
+    assert slot.pool == 0
+    monkeypatch.setattr(comb, "fn", stray)
+    with pytest.raises(SanitizerError) as ei:
+        sim.run(_demo_stim(9, 20), 20, watch=["dout"])
+    assert (f"fused_comb wrote pool 0 offset {slot.offset} (acc) outside "
+            "its write set") in str(ei.value)
+
+
 def test_sanitizer_survives_checkpoint_restore():
-    # Restoring a checkpoint rewinds device epochs; the sanitizer's
-    # monotonicity assertion must reset with it instead of firing.
+    # A checkpoint restore between two checked runs resumes exactly
+    # like the uninterrupted product run.
     model = _demo_model()
     n, cycles = 9, 24
     sim = BatchSimulator(model, n, executor="sanitize")
@@ -245,7 +317,8 @@ def test_sanitizer_survives_checkpoint_restore():
     snap = sim.save_checkpoint()
     sim.restore_checkpoint(snap)
     out = sim.run(stim, cycles, watch=["dout"], start_cycle=cycles // 2)
-    assert "dout" in out
+    want = BatchSimulator(model, n).run(stim, cycles, watch=["dout"])
+    np.testing.assert_array_equal(out["dout"], want["dout"])
 
 
 # -- diagnostics determinism --------------------------------------------------
@@ -367,6 +440,38 @@ def test_cli_run_verify_smoke(capsys):
     assert main(["run", "counter", "-n", "8", "-c", "20", "--verify"]) == 0
     err = capsys.readouterr().err
     assert "sanitizer enabled" in err
+
+
+@pytest.mark.parametrize("name", list_designs())
+def test_cli_run_verify_runs_the_fused_programs(name, monkeypatch, capsys):
+    # `repro run --verify` checks the programs that ship: only the
+    # product's fused_* programs launch, and the per-task module is
+    # never built.
+    from repro.cli import main
+    from repro.core import simulator as simmod
+    from repro.gpu.device import SimulatedDevice
+    from repro.verify.hazards import CheckedFusedExecutor
+
+    sims, launched = [], set()
+    launch = SimulatedDevice.launch_graph
+
+    class Spy(simmod.BatchSimulator):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            sims.append(self)
+
+    def spy_launch(self, kernels, args):
+        launched.update(k.__name__ for k in kernels)
+        return launch(self, kernels, args)
+
+    monkeypatch.setattr(simmod, "BatchSimulator", Spy)
+    monkeypatch.setattr(SimulatedDevice, "launch_graph", spy_launch)
+    assert main(["run", name, "-n", "8", "-c", "12", "--verify"]) == 0
+    (sim,) = sims
+    assert type(sim.executor) is CheckedFusedExecutor
+    assert not sim.model.tasks_built
+    fused = sim.model.fused()
+    assert launched == {fused.comb.name} | {p.name for p in fused.seq.values()}
 
 
 def test_campaign_spec_verify_roundtrip():
