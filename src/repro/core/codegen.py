@@ -1083,9 +1083,10 @@ class FusedExprCodegen:
             ops += n
         return ops
 
-    def emit_table(self, e: A.Expr, width: int, bits: int) -> Optional[str]:
-        """``_LUTn[index]``, ``e`` stored at ``width`` bits looked up in a
-        module-level table of ``bits``-bit entries, or None.
+    def emit_table(self, nid: int, e: A.Expr, width: int, bits: int
+                   ) -> Optional[str]:
+        """``_LUTn[index]``, node ``nid``'s ``e`` stored at ``width`` bits
+        looked up in a module-level table of ``bits``-bit entries, or None.
 
         Applies when ``e`` reads no memory and does not divide, its input
         signals total at most ``_TABLE_BITS`` bits, and it has more
@@ -1093,7 +1094,8 @@ class FusedExprCodegen:
         plus a shift and an OR per input after the first and an unpack
         per lane-packed input.
         Entry ``v`` is ``eval_expr(e) & mask(width)`` with the inputs,
-        sorted by name, packed into ``v`` from the high bits down.
+        sorted by name, packed into ``v`` from the high bits down; the
+        entries are evaluated once per graph (``RtlGraph.tables``).
         """
         if self.rolled:
             return None
@@ -1112,23 +1114,15 @@ class FusedExprCodegen:
         packed = sum(self.layout.slots[n].pool == PACKED_POOL for n in inputs)
         if ops <= 1 + 2 * (len(inputs) - 1) + packed:
             return None
-        from repro.baselines.reference import eval_expr
-
-        t0 = time.perf_counter()
-        m = bv.mask(width)
-        values = []
-        try:
-            for v in range(1 << total):
-                state, shift = {}, total
-                for n, w in zip(inputs, widths):
-                    shift -= w
-                    state[n] = (v >> shift) & bv.mask(w)
-                values.append(eval_expr(e, state, _NO_MEMS, self._widths) & m)
-        except Exception:
-            return None
-        finally:
+        tables = self.graph.tables
+        if nid not in tables:
+            t0 = time.perf_counter()
+            tables[nid] = self._tabulate(e, inputs, widths, width)
             self.table_build_s += time.perf_counter() - t0
-        key = (bits, tuple(values))
+        values = tables[nid]
+        if values is None:
+            return None
+        key = (bits, values)
         name = self._luts.get(key)
         if name is None:
             name = self._luts[key] = f"_LUT{len(self._luts)}"
@@ -1140,6 +1134,26 @@ class FusedExprCodegen:
         self._record("table", e, table=name, width=width, bits=bits,
                      inputs=[[n, w] for n, w in zip(inputs, widths)])
         return f"{name}[{index}]"
+
+    def _tabulate(self, e: A.Expr, inputs: List[str], widths: List[int],
+                  width: int) -> Optional[Tuple[int, ...]]:
+        """:meth:`emit_table`'s entries through the reference interpreter,
+        or None when it fails on some input."""
+        from repro.baselines.reference import eval_expr
+
+        total = sum(widths)
+        m = bv.mask(width)
+        values = []
+        try:
+            for v in range(1 << total):
+                state, shift = {}, total
+                for n, w in zip(inputs, widths):
+                    shift -= w
+                    state[n] = (v >> shift) & bv.mask(w)
+                values.append(eval_expr(e, state, _NO_MEMS, self._widths) & m)
+        except Exception:
+            return None
+        return tuple(values)
 
     # -- tier 1: lane-packed 1-bit emission -----------------------------------
 
@@ -2154,7 +2168,8 @@ class FusedProgramCodegen:
         if not (packed or slot.limbs == 1):
             return None
         code = self.expr.emit_table(
-            node.expr, slot.width, 8 if packed else _NATIVE_BITS[slot.pool])
+            node.nid, node.expr, slot.width,
+            8 if packed else _NATIVE_BITS[slot.pool])
         if code is None:
             return None
         if packed:

@@ -277,9 +277,10 @@ class DeviceArrays:
         # name and without the hook must be provably cache-neutral: the
         # register/memory commit (writes only non-input state) and the
         # quarantine's lane masking of those commits, plus the simulator's
-        # stimulus row copies in run() (statically clock-free columns; see
-        # BatchSimulator._stimulus_rows), whose chunked path sets the
-        # clock cache itself at every chunk end.
+        # stimulus row copies, the one way run() applies a dense stimulus
+        # (statically clock-free columns; see BatchSimulator._stimulus_rows
+        # and _copy_rows, which marks write epochs itself); the chunked
+        # path sets the clock cache itself at every chunk end.
         self.write_hook = None
         # Monotone write-epoch counter; offset epochs start at 0 and
         # executors start "never run" (-1), so everything is dirty once.
@@ -410,18 +411,6 @@ class DeviceArrays:
         if s.pool == PACKED_POOL:
             w = self.words
             view = self.pools[PACKED_POOL][s.offset * w : (s.offset + 1) * w]
-            if isinstance(values, pk.PackedWords):
-                new = values.words
-                if new.shape[0] != w:
-                    raise SimulationError(
-                        f"expected {w} packed words for {name!r}, "
-                        f"got {new.shape[0]}"
-                    )
-                if self.track_epochs and np.array_equal(view, new):
-                    return
-                view[:] = new
-                self.mark_written(PACKED_POOL, s.offset)
-                return
             arr = np.asarray(values)
             if arr.ndim == 0:
                 new = pk.fill(int(arr), self.n)

@@ -69,10 +69,13 @@ def check_executor(kind: str) -> None:
 
 
 def check_run_options(trace_every: int, stop: Optional[str], stop_mode: str,
-                      stop_check_every: int) -> None:
+                      stop_check_every: int, start_cycle: int = 0) -> None:
     """Reject :meth:`BatchSimulator.run` options no run could honour:
-    a negative ``trace_every``, a ``stop_mode`` other than 'all'/'any',
-    or a ``stop`` signal polled every ``stop_check_every <= 0`` cycles."""
+    a negative ``trace_every`` or ``start_cycle``, a ``stop_mode`` other
+    than 'all'/'any', or a ``stop`` signal polled every
+    ``stop_check_every <= 0`` cycles."""
+    if start_cycle < 0:
+        raise SimulationError(f"start_cycle must be >= 0, not {start_cycle}")
     if trace_every < 0:
         raise SimulationError(f"trace_every must be >= 0, not {trace_every}")
     if stop_mode not in ("all", "any"):
@@ -249,8 +252,6 @@ class BatchSimulator:
         if q is not None and not q.all_active and name not in self._prev_clock:
             # Quarantined lanes keep their frozen inputs (clocks stay
             # batch-uniform by contract, so they are never frozen).
-            if isinstance(values, pk.PackedWords):
-                values = pk.unpack_u64(values.words, self.n)
             values = self._freeze_masked(name, values)
         self.arrays.write(name, values)
 
@@ -606,65 +607,23 @@ class BatchSimulator:
         elif name in self._prev_clock:
             self._clock_scalar.pop(name, None)
 
-    def _prepack_stimulus(
-        self, stimulus, lo: int, hi: int,
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Pre-pack rows ``[lo, hi)`` of the 1-bit input columns of a
-        dense stimulus batch (row ``c`` lands at index ``c - lo``).
-
-        Every 1-bit input write costs an (N,) lane pack per cycle; packing the column once up
-        front (one vectorized :func:`repro.utils.packbits.pack_rows`
-        call) turns the per-cycle apply into a W-word row copy.  The
-        packed rows are bit-identical to what the per-cycle pack would
-        have stored, so results are unchanged — quarantined-lane freezes
-        fall back to the lane representation inside ``set_input``.
-
-        Returns None when the stimulus has no dense columns (e.g.
-        :class:`TextStimulusBatch`) or no packable 1-bit input exists.
-        """
-        if stimulus is None:
-            return None
-        data = getattr(stimulus, "data", None)
-        if not isinstance(data, dict):
-            return None
-        cols: Dict[str, np.ndarray] = {}
-        for name, mat in data.items():
-            if (name not in self._input_names
-                    or getattr(mat, "dtype", None) == object
-                    or getattr(mat, "ndim", 0) != 2
-                    or mat.shape[1] != self.n):
-                continue
-            try:
-                slot = self.layout.slot(name)
-            except SimulationError:
-                continue
-            if slot.pool != PACKED_POOL:
-                continue
-            cols[name] = pk.pack_rows(mat[lo:hi], self.n)
-        return cols or None
-
-    @staticmethod
-    def _packed_row(stimulus, packed_cols, c: int, lo: int) -> Dict[str, object]:
-        """One stimulus row with 1-bit inputs swapped for pre-packed words."""
-        row = stimulus.inputs_at(c)
-        for k, words in packed_cols.items():
-            row[k] = pk.PackedWords(words[c - lo])
-        return row
-
     def _stimulus_rows(
-        self, stimulus, packed_cols, lo: int, hi: int,
-    ) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
-        """Every stimulus column as a pool view and its rows ``[lo, hi)``
-        (row ``c`` at index ``c - lo``), ready to be copied in per cycle
-        without ``set_input``'s per-name dispatch; None when a column
-        needs that dispatch (a clock, a non-input, wide or text data).
+        self, stimulus, lo: int, hi: int,
+    ) -> Optional[List[Tuple[np.ndarray, np.ndarray, int, int]]]:
+        """Every column of a dense stimulus as its pool view, its rows
+        ``[lo, hi)`` as the pool stores them (row ``c`` at index
+        ``c - lo``) and its ``(pool, offset)``; None when a column needs
+        ``set_input``'s per-name dispatch (a clock, a non-input, a column
+        wider than 64 bits, or text data).
 
-        1-bit columns are the pre-packed rows; a native column is cast
-        once with the width mask :meth:`DeviceArrays.write` applies
-        (the pool dtype holds the mask, so casting first and masking
-        after stores the same), skipping the copy when neither changes
-        anything.  No column is a clock, so skipping the write hook
-        keeps the clock cache valid.
+        A 1-bit column is packed into W-word rows with one
+        :func:`~repro.utils.packbits.pack_rows`; a native column is cast
+        once with the width mask :meth:`DeviceArrays.write` applies (the
+        pool dtype holds the mask, so casting first and masking after
+        stores the same), skipping the copy when neither changes
+        anything.  Both paths of :meth:`run` copy these rows in, so the
+        rows are built once per run.  No column is a clock, so skipping
+        the write hook keeps the clock cache valid.
         """
         if stimulus is None:
             return []
@@ -681,28 +640,51 @@ class BatchSimulator:
                 s = layout.slot(name)
             except SimulationError:
                 return None
-            if packed_cols and name in packed_cols:
+            if (s.limbs != 1 or getattr(mat, "dtype", None) == object
+                    or getattr(mat, "ndim", 0) != 2 or mat.shape[1] != n):
+                return None
+            if s.pool == PACKED_POOL:
                 w = arrays.words
                 view = pools[PACKED_POOL][s.offset * w : (s.offset + 1) * w]
-                rows.append((view, packed_cols[name]))
-                continue
-            if (s.pool == PACKED_POOL or s.limbs != 1
-                    or getattr(mat, "dtype", None) == object
-                    or getattr(mat, "ndim", 0) != 2
-                    or mat.shape[1] != n):
-                return None
-            view = pools[s.pool][s.offset * n : (s.offset + 1) * n]
-            cast = np.asarray(mat[lo:hi], dtype=np.uint64).astype(
-                view.dtype, copy=False
-            )
-            if s.width < 8 * view.itemsize:
-                mask = view.dtype.type(bv.mask(s.width))
-                if np.may_share_memory(cast, mat):
-                    cast = cast & mask
-                else:
-                    cast &= mask
-            rows.append((view, cast))
+                cast = pk.pack_rows(mat[lo:hi], n)
+            else:
+                view = pools[s.pool][s.offset * n : (s.offset + 1) * n]
+                cast = np.asarray(mat[lo:hi], dtype=np.uint64).astype(
+                    view.dtype, copy=False
+                )
+                if s.width < 8 * view.itemsize:
+                    mask = view.dtype.type(bv.mask(s.width))
+                    if np.may_share_memory(cast, mat):
+                        cast = cast & mask
+                    else:
+                        cast &= mask
+            rows.append((view, cast, s.pool, s.offset))
         return rows
+
+    def _copy_rows(self, rows, i: int) -> Mapping[str, ArrayLike]:
+        """Row ``i`` of every :meth:`_stimulus_rows` column into its pool
+        view, stored as ``set_input`` would store it: a quarantined lane
+        keeps its frozen input, and under write epochs a column is stored
+        and marked written only when its values change.  Returns the
+        empty mapping, so :meth:`cycle` runs it inside its
+        ``set_inputs`` span."""
+        arrays = self.arrays
+        q = self.quarantine
+        active = active_words = None
+        if q is not None and not q.all_active:
+            active = q.active
+            active_words = pk.pack_bool(active, self.n)
+        for view, mat, pool, offset in rows:
+            new = mat[i]
+            if active is not None:
+                new = (pk.blend(view, new, active_words) if pool == PACKED_POOL
+                       else np.where(active, new, view))
+            if arrays.track_epochs:
+                if np.array_equal(view, new):
+                    continue
+                arrays.mark_written(pool, offset)
+            view[:] = new
+        return {}
 
     def _fetch_inputs(self, inputs) -> Mapping[str, ArrayLike]:
         """Resolve the cycle's input mapping, quarantining decode faults."""
@@ -774,8 +756,9 @@ class BatchSimulator:
             return dom, (prog.fn if prog is not None else None), copies, mems
 
         view, (lo, hi) = self._clk_fast
-        return (view, lo, hi, base, rows, ex.programs.comb.fn,
-                ex._args(arrays), step("negedge"), step("posedge"))
+        return (view, lo, hi, base, [r[:2] for r in rows],
+                ex.programs.comb.fn, ex._args(arrays), step("negedge"),
+                step("posedge"))
 
     def _chunk_end(
         self, c: int, total: int, hi: int, trace_every: int,
@@ -961,19 +944,24 @@ class BatchSimulator:
         preserves the every-cycle contract above — callers that sample
         coverage or inject faults from the hook must keep it at 0.
 
-        With the graph-fused executor, tracing off, no lane quarantine,
-        every clock domain on the simulator's own input clock and a
-        dense stimulus, the cycles between two of these callbacks run
-        as one chunk: a plain loop over the compiled programs taking the
-        same steps as :meth:`cycle`, with edge detection and accounting
-        at the chunk end (docs/INTERNALS.md §7).  A time-based
-        checkpoint policy or any ``progress`` hook makes every cycle a
-        chunk end.  Everything else runs cycle by cycle.
+        A dense stimulus (see :meth:`_stimulus_rows`) is packed and cast
+        into rows once per run, and every cycle copies its row into the
+        pool views.  With the graph-fused executor, tracing off, no lane
+        quarantine and every clock domain on the simulator's own input
+        clock, the cycles between two of these callbacks run as one
+        chunk: a plain loop over the compiled programs taking the same
+        steps as :meth:`cycle`, with edge detection and accounting at
+        the chunk end (docs/INTERNALS.md §7).  A time-based checkpoint
+        policy or any ``progress`` hook makes every cycle a chunk end.
+        Everything else runs cycle by cycle, copying the rows inside
+        :meth:`cycle`'s ``set_inputs`` span, or fetching
+        ``stimulus.inputs_at(c)`` when there are no rows.
         """
         names = list(watch) if watch is not None else [
             s.name for s in self.model.design.outputs
         ]
-        check_run_options(trace_every, stop, stop_mode, stop_check_every)
+        check_run_options(trace_every, stop, stop_mode, stop_check_every,
+                          start_cycle)
         total = cycles if cycles is not None else (
             len(stimulus) if stimulus is not None else 0
         )
@@ -990,16 +978,8 @@ class BatchSimulator:
         # packed and cast.
         lo = start_cycle
         hi = max(lo, min(total, len(stimulus) if stimulus is not None else 0))
-        packed_cols = self._prepack_stimulus(stimulus, lo, hi)
-        stim_rows = self._stimulus_rows(stimulus, packed_cols, lo, hi)
-        plan = self._chunk_plan(stim_rows, lo)
-        # Per cycle, the rows are copied straight into their views unless
-        # set_input has work to do: write epochs (conditional executors),
-        # the set_inputs span (tracing) or frozen quarantined lanes.
-        direct = stim_rows if (
-            stim_rows and not self.arrays.track_epochs
-            and not self.tracer.enabled
-        ) else None
+        rows = self._stimulus_rows(stimulus, lo, hi)
+        plan = self._chunk_plan(rows, lo)
         c = start_cycle
         while c < total:
             if plan is not None:
@@ -1019,25 +999,11 @@ class BatchSimulator:
                             detail="injected by fault plan",
                         )
                 # One shared loop body with cycle() so the two paths
-                # can't drift; the lambda defers stimulus decode into the
-                # set_inputs span.
+                # can't drift; the lambdas run inside its set_inputs span.
                 if c >= hi:
                     self.cycle()
-                elif direct is not None and (
-                        self.quarantine is None
-                        or self.quarantine.all_active):
-                    t0 = time.perf_counter()
-                    i = c - lo
-                    for view, mat in direct:
-                        view[:] = mat[i]
-                    self.stopwatch.add(
-                        "set_inputs", time.perf_counter() - t0
-                    )
-                    self.cycle()
-                elif packed_cols:
-                    self.cycle(lambda c=c: self._packed_row(
-                        stimulus, packed_cols, c, lo
-                    ))
+                elif rows is not None:
+                    self.cycle(lambda i=c - lo: self._copy_rows(rows, i))
                 else:
                     self.cycle(lambda c=c: stimulus.inputs_at(c))
             if trace_every and (c % trace_every == trace_every - 1):

@@ -62,6 +62,11 @@ class RtlGraph:
     comb_order: List[int] = field(default_factory=list)
     levels: List[List[int]] = field(default_factory=list)
     producer: Dict[str, int] = field(default_factory=dict)  # signal -> comb nid
+    # Lookup-table entries by tabulated comb nid (None: the node does not
+    # tabulate), filled by the emitter on first use so that the fused and
+    # per-task lowerings of one graph evaluate each table once.
+    tables: Dict[int, Optional[Tuple[int, ...]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def comb_nodes(self) -> List[RtlNode]:

@@ -89,22 +89,6 @@ def pack_bool(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class PackedWords:
-    """A pre-packed (W,) word row for a 1-bit input batch.
-
-    Stimulus pre-packing (see :func:`pack_rows`) wraps each row in this
-    marker so ``DeviceArrays.write`` can store the words directly instead
-    of re-packing an (N,) lane array on the hot path.  The wrapper is
-    needed because a bare (W,) array would be ambiguous with an (N,) lane
-    array when ``W == N``.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-
 def pack_rows(mat: np.ndarray, n: int) -> np.ndarray:
     """Pack a (cycles, N) matrix into (cycles, W) words, one shot.
 

@@ -291,7 +291,7 @@ def test_compile_source_digest_disambiguates_same_top():
 
 
 # ---------------------------------------------------------------------------
-# Word-packing primitives + the PackedWords stimulus fast path
+# Word-packing primitives + the stimulus row copy
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 67, 130])
@@ -309,24 +309,10 @@ def test_pack_rows_bit_identical_to_per_row_pack(n):
             pk.unpack_u8(rows[c], n), (mat[c] & 1).astype(np.uint8))
 
 
-def test_packed_words_write_path_round_trips():
-    model = _model(COUNTER_V, "counter")
-    n = 67
-    lanes = (np.arange(n) % 2).astype(np.uint64)
-    packed = pk.PackedWords(pk.pack(lanes, n))
-
-    fused = BatchSimulator(model, n, executor="graph-fused")
-    fused.arrays.write("en", packed)  # stores words directly (packed slot)
-    np.testing.assert_array_equal(fused.get("en"), lanes)
-
-    plain = BatchSimulator(model, n, executor="graph")
-    plain.arrays.write("en", packed)  # same packed slot on every engine
-    np.testing.assert_array_equal(plain.get("en"), lanes)
-
-
 def test_direct_stimulus_apply_matches_traced_path():
-    # The tracer forces the per-cycle set_inputs path; default runs take
-    # the pre-packed direct-apply path.  Both must agree bit for bit.
+    # The tracer keeps the run per cycle, copying the stimulus rows inside
+    # cycle()'s set_inputs span; the default run copies the same rows in
+    # its chunked loop.  Both must agree bit for bit.
     model = _model(COUNTER_V, "counter")
     n = 67
     stim = random_batch(model.design, n, 30, seed=11)

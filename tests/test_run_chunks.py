@@ -22,7 +22,11 @@ from repro.core.flow import RTLFlow
 from repro.core.simulator import BatchSimulator
 from repro.designs import get_design
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import CheckpointManager, CheckpointPolicy
+from repro.obs.trace import Tracer
+from repro.resilience import (
+    CheckpointManager, CheckpointPolicy, FaultPlan, LaneFaultSpec,
+)
+from repro.resilience.faults import REASON_INJECTED
 from repro.stimulus.generator import random_batch
 from repro.utils.errors import SimulationError
 
@@ -426,8 +430,10 @@ def test_per_cycle_cases_do_not_chunk(chunks):
     assert chunks == []
 
 
-@pytest.mark.parametrize("isolation", [False, True], ids=["plain", "isolated"])
-@pytest.mark.parametrize("executor", ["graph", "stream"])
+@pytest.mark.parametrize("isolation", ["plain", "isolated", "quarantined"])
+@pytest.mark.parametrize("executor", [
+    "graph", "stream", "graph-conditional", "graph-fused-traced",
+])
 @pytest.mark.parametrize("src,top", [
     pytest.param(COUNTER_V, "counter", id="counter"),
     pytest.param(MEMDUT_V, "memdut", id="memdut"),
@@ -435,15 +441,37 @@ def test_per_cycle_cases_do_not_chunk(chunks):
 ])
 def test_per_cycle_engines_copy_rows_without_set_input(src, top, executor,
                                                        isolation, monkeypatch):
-    # Without epoch tracking, tracing or a quarantined lane, the
-    # per-cycle path copies the stimulus rows into their views too, and
-    # a resumed run indexes its rows from start_cycle.
+    # The per-cycle path copies the stimulus rows into their views too,
+    # storing what set_input would: under tracing, under write epochs
+    # (graph-conditional, which must then skip the same tasks) and with
+    # a lane quarantined at cycle 3, whose inputs stay frozen.  A
+    # resumed run indexes its rows from start_cycle.
     model = _source_model(src, top)
-    n, cycles = 65, 9
+    n, cycles, lane = 65, 9, 5
+    kind = executor.removesuffix("-traced")
+
+    def make(isolated):
+        tracer = Tracer(enabled=True) if kind != executor else None
+        return BatchSimulator(model, n, executor=kind, tracer=tracer,
+                              fault_isolation=isolated)
+
     stim = random_batch(model.design, n, cycles, seed=7)
+    for v in stim.data.values():
+        # Cycles 6-8 repeat cycle 5's inputs, which write epochs must see
+        # as unchanged; the lane quarantined at cycle 3 is then driven to
+        # the complement of its frozen inputs, which must not get in.
+        v[6:] = v[5]
+        if isolation == "quarantined":
+            v[3:, lane] = v[2, lane] ^ 1
     given = {k: v.copy() for k, v in stim.data.items()}
-    ref = BatchSimulator(model, n, executor=executor)
-    _reference(ref, stim, cycles)
+    ref = make(isolation != "plain")
+    for c in range(cycles):
+        if isolation == "quarantined" and c == 3:
+            ref._quarantine_lanes([lane], reason=REASON_INJECTED,
+                                  detail="injected by fault plan")
+        ref.cycle(stim.inputs_at(c))
+    plan = FaultPlan(lane_faults=[LaneFaultSpec(cycle=3, lane=lane)]) \
+        if isolation == "quarantined" else None
     writes = []
     inner = BatchSimulator.set_input
     monkeypatch.setattr(
@@ -451,11 +479,16 @@ def test_per_cycle_engines_copy_rows_without_set_input(src, top, executor,
         lambda self, name, values: (writes.append(name),
                                     inner(self, name, values)),
     )
-    sim = BatchSimulator(model, n, executor=executor, fault_isolation=isolation)
-    sim.run(stim, cycles=4)
-    sim.run(stim, start_cycle=4)
+    sim = make(isolation == "isolated")
+    sim.run(stim, cycles=4, fault_plan=plan)
+    sim.run(stim, start_cycle=4, fault_plan=plan)
     assert writes == []
     assert_same_state(sim, ref)
+    if kind == "graph-conditional":
+        assert (sim.executor.tasks_run, sim.executor.tasks_skipped) \
+            == (ref.executor.tasks_run, ref.executor.tasks_skipped)
+    if plan is not None:
+        assert sim.quarantine.faulted_lanes() == [lane]
     for k, v in given.items():
         np.testing.assert_array_equal(stim.data[k], v, err_msg=k)
 

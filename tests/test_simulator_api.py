@@ -254,6 +254,7 @@ class TestStopCondition:
         {"trace_every": -1},
         {"stop": "halted", "stop_check_every": 0},
         {"stop_mode": "most"},
+        {"start_cycle": -3},
     ])
     def test_bad_run_options_rejected_before_any_cycle(self, rv, options):
         model, _ = rv
