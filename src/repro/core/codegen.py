@@ -1757,9 +1757,10 @@ class TaskAccess:
     (scattered signal slots; in ``P1`` an offset is one signal's word
     block); ``read_ranges`` are contiguous ``[lo, hi)``
     pool ranges (whole memories — a dynamic ``mem[idx]`` read may touch
-    any word).  The conditional replay executor intersects these with
-    :class:`~repro.core.memory.DeviceArrays` write epochs to decide which
-    tasks a replay can skip.
+    any word).  The conditional replay executor intersects these with the
+    per-offset write epochs it keeps
+    (:class:`~repro.gpu.graphexec.ConditionalGraphExecutor`) to decide
+    which tasks a replay can skip.
     """
 
     tid: int
@@ -1775,8 +1776,8 @@ def compute_task_accesses(
 
     Reads map a node's ``reads`` names to current-value slots (plus whole
     memory ranges); writes map COMB targets to their live slots, SEQ
-    targets to their *shadow* slots (commit marks the current slot after
-    comparing), and MEMW nodes to their cond/addr/data scratch.  A
+    targets to their *shadow* slots (the conditional executor compares the
+    current slot after the commit), and MEMW nodes to their cond/addr/data scratch.  A
     sequential node's clock is excluded from its reads — edge detection
     belongs to the simulator, and counting the toggle would dirty every
     sequential task twice per cycle.

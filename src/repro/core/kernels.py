@@ -57,19 +57,17 @@ def mem_commit(
     cond: np.ndarray,
     addr: np.ndarray,
     data: np.ndarray,
-) -> int:
+) -> None:
     """Apply one guarded memory write port across the batch.
 
     Out-of-range writes are dropped (two-state discard of X addresses).
-    Lanes never collide: the flat index embeds the lane id.  Returns the
-    number of lanes whose write was applied (0 means the memory is
-    untouched — conditional replay uses this to keep epochs quiet).
+    Lanes never collide: the flat index embeds the lane id.
     """
     addr64 = np.asarray(addr).astype(_U64, copy=False)
     cond = np.asarray(cond)
     sel = (cond != 0) & (addr64 < _U64(depth))
     if not sel.any():
-        return 0
+        return
     # Constant write values arrive as 0-d arrays; masking needs the
     # batch shape.
     data = np.asarray(data)
@@ -77,6 +75,5 @@ def mem_commit(
         data = np.broadcast_to(data, addr64.shape)
     flat = (_U64(base) + addr64[sel]) * _U64(n) + lane[sel]
     pool[flat] = data[sel]
-    return int(np.count_nonzero(sel))
 
 

@@ -239,18 +239,9 @@ class DeviceArrays:
     This object stands in for the GPU global memory of the paper; the
     generated kernels index it exactly as Listing 3 does
     (``var8[N*offset + tid]``).
-
-    With ``track_epochs=True`` every pool additionally carries one int64
-    *write epoch* per offset (not per element — the batch axis shares a
-    single epoch).  Host-side writes bump an offset's epoch only when the
-    stored values actually change, and :meth:`commit_registers` compares
-    shadow against current per offset before marking, so a quiescent
-    design leaves the epochs untouched.  The conditional replay executor
-    (:class:`repro.gpu.graphexec.ConditionalGraphExecutor`) reads the
-    epochs to decide which macro tasks can be skipped.
     """
 
-    def __init__(self, layout: MemoryLayout, n: int, track_epochs: bool = False):
+    def __init__(self, layout: MemoryLayout, n: int):
         if n <= 0:
             raise SimulationError(f"batch size must be positive, got {n}")
         self.layout = layout
@@ -268,95 +259,20 @@ class DeviceArrays:
         )
         # LANE plays the role of the CUDA thread id within the batch.
         self.lane = np.arange(n, dtype=np.uint64)
-        self.track_epochs = track_epochs
-        # Optional host-write observer.  Contract: called with the
-        # variable/memory name on every named mutation (write,
-        # load_memory), and with None for bulk pool overwrites
-        # (restore/rewind) meaning "assume everything changed".  Always
-        # fires BEFORE the mutation.  Paths that mutate pools without a
-        # name and without the hook must be provably cache-neutral: the
-        # register/memory commit (writes only non-input state) and the
-        # quarantine's lane masking of those commits, plus the simulator's
-        # stimulus row copies, the one way run() applies a dense stimulus
-        # (statically clock-free columns; see BatchSimulator._stimulus_rows
-        # and _copy_rows, which marks write epochs itself); the chunked
-        # path sets the clock cache itself at every chunk end.
+        # Optional host-write observer (the simulator's clock cache and,
+        # through it, the conditional executor's activity reset).
+        # Contract: called with the variable/memory name on every named
+        # mutation (write, load_memory), and with None for bulk pool
+        # overwrites (restore) meaning "assume everything changed".
+        # Always fires BEFORE the mutation.  Paths that mutate pools
+        # without a name and without the hook must be provably neutral
+        # to both observers: the simulator's register/memory commits
+        # (non-input state the conditional executor observes itself) and
+        # its stimulus row copies (statically clock-free input columns,
+        # which that executor compares by value; see
+        # BatchSimulator._stimulus_rows); the chunked path sets the clock
+        # cache itself at every chunk end.
         self.write_hook = None
-        # Monotone write-epoch counter; offset epochs start at 0 and
-        # executors start "never run" (-1), so everything is dirty once.
-        self.epoch = 0
-        self.write_epochs: Optional[List[np.ndarray]] = (
-            [
-                np.zeros(max(1, size), dtype=np.int64)
-                for size in layout.pool_sizes + [layout.packed_size]
-            ]
-            if track_epochs
-            else None
-        )
-
-    # -- write-epoch bookkeeping ---------------------------------------------
-
-    def bump_epoch(self) -> int:
-        """Advance and return the global write epoch."""
-        self.epoch += 1
-        return self.epoch
-
-    def mark_written(
-        self, pool: int, lo: int, hi: Optional[int] = None,
-        epoch: Optional[int] = None,
-    ) -> None:
-        """Record that offsets ``[lo, hi)`` of ``pool`` were (re)written."""
-        if not self.track_epochs:
-            return
-        e = self.bump_epoch() if epoch is None else epoch
-        assert self.write_epochs is not None
-        self.write_epochs[pool][lo : (lo + 1 if hi is None else hi)] = e
-
-    def mark_all_written(self) -> None:
-        """Dirty every offset (checkpoint restore, bulk loads)."""
-        if not self.track_epochs:
-            return
-        e = self.bump_epoch()
-        assert self.write_epochs is not None
-        for ep in self.write_epochs:
-            ep[:] = e
-
-    def epoch_state(self) -> Optional[dict]:
-        """Snapshot of the write-epoch bookkeeping (None when untracked).
-
-        Rides inside simulator checkpoints so a resumed run restores the
-        exact activity state instead of a conservatively-all-dirty one.
-        """
-        if not self.track_epochs:
-            return None
-        assert self.write_epochs is not None
-        return {
-            "epoch": self.epoch,
-            "write_epochs": [ep.copy() for ep in self.write_epochs],
-        }
-
-    def restore_epochs(self, state: dict) -> None:
-        """Restore epoch bookkeeping saved by :meth:`epoch_state`.
-
-        Only valid right after :meth:`restore` of the matching pools, and
-        the caller must also invalidate executor last-run epochs (see
-        ``ConditionalGraphExecutor.reset_activity``): the restored epochs
-        rewind time, so any cached "ran at epoch E" from beyond the
-        checkpoint would wrongly mark tasks clean.
-        """
-        if not self.track_epochs:
-            return
-        assert self.write_epochs is not None
-        saved = state["write_epochs"]
-        if len(saved) != len(self.write_epochs) or any(
-            s.shape != d.shape for s, d in zip(saved, self.write_epochs)
-        ):
-            raise SimulationError(
-                "epoch state does not match this layout's pool shapes"
-            )
-        self.epoch = int(state["epoch"])
-        for dst, src in zip(self.write_epochs, saved):
-            np.copyto(dst, src)
 
     # -- scalar-signal access (host side; used by tests and set_inputs) -------
 
@@ -384,8 +300,6 @@ class DeviceArrays:
     def write(self, name: str, values) -> None:
         hook = self.write_hook
         if hook is not None:
-            # Host-write observer (the simulator's clock-cache
-            # invalidation); called with the variable name only.
             hook(name)
         s = self.layout.slot(name)
         if s.limbs > 1:
@@ -402,50 +316,35 @@ class DeviceArrays:
             block = self.pools[3][
                 s.offset * self.n : (s.offset + s.limbs) * self.n
             ].reshape(s.limbs, self.n)
-            new = wv.from_ints(ints, s.limbs)
-            if self.track_epochs and np.array_equal(block, new):
-                return  # unchanged write: keep the epochs quiet
-            block[:] = new
-            self.mark_written(3, s.offset, s.offset + s.limbs)
+            block[:] = wv.from_ints(ints, s.limbs)
             return
         if s.pool == PACKED_POOL:
             w = self.words
             view = self.pools[PACKED_POOL][s.offset * w : (s.offset + 1) * w]
             arr = np.asarray(values)
             if arr.ndim == 0:
-                new = pk.fill(int(arr), self.n)
+                view[:] = pk.fill(int(arr), self.n)
             else:
                 if arr.shape[0] != self.n:
                     raise SimulationError(
                         f"expected {self.n} lane values for {name!r}, "
                         f"got {arr.shape[0]}"
                     )
-                new = pk.pack(arr, self.n)
-            if self.track_epochs and np.array_equal(view, new):
-                return
-            view[:] = new
-            self.mark_written(PACKED_POOL, s.offset)
+                view[:] = pk.pack(arr, self.n)
             return
         m = bv.mask(s.width)
         arr = np.asarray(values)
         view = self.pools[s.pool][s.offset * self.n : (s.offset + 1) * self.n]
         if arr.ndim == 0:
-            val = int(arr) & m
-            if self.track_epochs and bool((view == view.dtype.type(val)).all()):
-                return
-            view[:] = val
+            view[:] = int(arr) & m
         else:
             if arr.shape[0] != self.n:
                 raise SimulationError(
                     f"expected {self.n} lane values for {name!r}, got {arr.shape[0]}"
                 )
-            new = (np.asarray(arr, dtype=np.uint64) & np.uint64(m)).astype(
+            view[:] = (np.asarray(arr, dtype=np.uint64) & np.uint64(m)).astype(
                 view.dtype, copy=False
             )
-            if self.track_epochs and np.array_equal(view, new):
-                return
-            view[:] = new
-        self.mark_written(s.pool, s.offset)
 
     # -- memory access ----------------------------------------------------------
 
@@ -487,104 +386,6 @@ class DeviceArrays:
                     f"bad memory image shape {arr.shape} for {name!r}"
                 )
             block[: arr.shape[0], :] = arr
-        self.mark_written(m.pool, m.base, m.base + m.depth)
-
-    # -- register commit -----------------------------------------------------
-
-    def commit_registers(
-        self,
-        domain: Optional[Tuple[str, str]] = None,
-        active: Optional[np.ndarray] = None,
-    ) -> None:
-        """Copy register shadow (next) values over current values.
-
-        With ``domain`` given, only that clock domain's registers commit —
-        one contiguous slice copy per (domain, pool) range.  Without it,
-        all registers commit (single-clock convenience).
-
-        ``active`` is an optional boolean (N,) lane mask: False lanes are
-        excluded from the copy, freezing their register state (the lane
-        quarantine of :mod:`repro.resilience.faults`).
-        """
-        n = self.n
-        if domain is None:
-            for pool_idx, (pool, r) in enumerate(
-                zip(self.pools, self.layout.reg_counts)
-            ):
-                if r:
-                    self._commit_range(pool_idx, pool, 0, r, r, active)
-            return
-        for pool_idx, start, count in self.layout.reg_ranges.get(domain, ()):
-            r = self.layout.reg_counts[pool_idx]
-            self._commit_range(
-                pool_idx, self.pools[pool_idx], start, count, r, active
-            )
-
-    def _commit_range(
-        self, pool_idx: int, pool: np.ndarray, start: int, count: int, r: int,
-        active: Optional[np.ndarray] = None,
-    ) -> None:
-        """Copy shadows ``[r+start, r+start+count)`` over currents, marking
-        the offsets whose batch values actually changed."""
-        if pool_idx == PACKED_POOL:
-            self._commit_packed_range(pool, start, count, r, active)
-            return
-        n = self.n
-        cur = pool[start * n : (start + count) * n]
-        nxt = pool[(r + start) * n : (r + start + count) * n]
-        if self.track_epochs:
-            diff = cur.reshape(count, n) != nxt.reshape(count, n)
-            if active is not None:
-                # Quarantined lanes never commit, so their pending diffs
-                # must not dirty the offsets (or tasks would re-run for
-                # state that is frozen by design).
-                diff = diff & active[None, :]
-            changed = np.nonzero(diff.any(axis=1))[0]
-            if changed.size:
-                e = self.bump_epoch()
-                assert self.write_epochs is not None
-                self.write_epochs[pool_idx][start + changed] = e
-            else:
-                return  # nothing changed: skip the copy too
-        if active is None:
-            np.copyto(cur, nxt)
-        else:
-            np.copyto(
-                cur.reshape(count, n), nxt.reshape(count, n),
-                where=active[None, :],
-            )
-
-    def _commit_packed_range(
-        self, pool: np.ndarray, start: int, count: int, r: int,
-        active: Optional[np.ndarray] = None,
-    ) -> None:
-        """Packed-pool register commit: word-level diff + masked blend.
-
-        One offset here is a block of ``self.words`` uint64 words; the
-        quarantine mask packs once per commit and blends bitwise, so a
-        frozen lane's current bit survives untouched.
-        """
-        w = self.words
-        cur = pool[start * w : (start + count) * w].reshape(count, w)
-        nxt = pool[(r + start) * w : (r + start + count) * w].reshape(count, w)
-        mask_words = None
-        if active is not None:
-            mask_words = pk.pack_bool(np.asarray(active, dtype=bool), self.n)
-        if self.track_epochs:
-            diff = cur ^ nxt
-            if mask_words is not None:
-                diff = diff & mask_words[None, :]
-            changed = np.nonzero(diff.any(axis=1))[0]
-            if changed.size:
-                e = self.bump_epoch()
-                assert self.write_epochs is not None
-                self.write_epochs[PACKED_POOL][start + changed] = e
-            else:
-                return  # nothing changed: skip the copy too
-        if mask_words is None:
-            np.copyto(cur, nxt)
-        else:
-            cur[:] = pk.blend(cur, nxt, mask_words[None, :])
 
     def uniform_value(self, name: str) -> Optional[int]:
         """Scalar value when every lane of ``name`` agrees, else None.
@@ -615,4 +416,3 @@ class DeviceArrays:
             hook(None)
         for dst, src in zip(self.pools, snap):
             np.copyto(dst, src)
-        self.mark_all_written()

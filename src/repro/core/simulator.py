@@ -169,11 +169,7 @@ class BatchSimulator:
         # the executor.
         self.layout = self.executor.layout
         self.mem_writes = self.executor.mem_writes
-        # Conditional executors need per-offset write epochs to compute
-        # their dirty sets; plain executors skip the bookkeeping cost.
-        self.arrays = DeviceArrays(
-            self.layout, n, track_epochs=self.executor.wants_epochs
-        )
+        self.arrays = DeviceArrays(self.layout, n)
         design = model.design
         self._input_names = {s.name for s in design.inputs}
         self._widths = {s.name: s.width for s in design.signals.values()}
@@ -186,19 +182,17 @@ class BatchSimulator:
         self._prev_clock: Dict[str, int] = {c: 0 for c in clocks}
         # Any named write to a clock (set_input or a direct arrays.write)
         # invalidates the set_clock scalar cache, so edge detection falls
-        # back to the per-lane uniformity scan.
+        # back to the per-lane uniformity scan; other host writes reach
+        # the executor's activity state (see _on_host_write).
         self.arrays.write_hook = self._on_host_write
         # Stable bound-method references: the executor caches the
         # evaluation plans that embed the commit (see _evaluate_inner).
         self._run_eval = self.executor.run_eval
         self._commit_cb = self._commit
         # Fast clock toggling: a cached pool view plus the two level
-        # values, set up below once the layout is known.  Disabled under
-        # epoch tracking (conditional executors need mark_written).
+        # values, set up below once the layout is known.
         self._clk_fast = None
-        if (self.clock is not None
-                and not self.arrays.track_epochs
-                and self.clock in self._input_names):
+        if self.clock is not None and self.clock in self._input_names:
             s = self.layout.slot(self.clock)
             if s.pool == PACKED_POOL:
                 w = self.arrays.words
@@ -218,6 +212,8 @@ class BatchSimulator:
         # The domain list is a property of the compiled model; scanning
         # the task graph twice per cycle is pure hot-loop overhead.
         self._domains: List[Tuple[str, str]] = model.clock_domains()
+        # Each domain's commit, built once for both run loops.
+        self._commits = {dom: self._build_commit(dom) for dom in self._domains}
         self.stopwatch = Stopwatch()
         self.cycles_run = 0
         # Lane fault isolation (see repro.resilience.faults): when enabled
@@ -303,7 +299,7 @@ class BatchSimulator:
             # Hot path: the clock toggles twice per cycle; a direct view
             # assignment skips the generic write machinery (safe because
             # restore() copies into the pools in place, keeping the view
-            # valid, and epoch tracking falls back to the slow path).
+            # valid).
             view, levels = fast
             view[:] = levels[level]
         else:
@@ -381,25 +377,59 @@ class BatchSimulator:
                 detail="zero divisor (two-state sentinel result 0)",
             )
 
+    def _build_commit(self, domain: Tuple[str, str]) -> tuple:
+        """``domain``'s commit over this simulator's pools: one
+        ``(pool, current, shadow)`` pair of flat views per register
+        range, and one ``(binding, rt.mem_commit arguments)`` per memory
+        write port."""
+        arrays, layout, n = self.arrays, self.layout, self.n
+        pools = arrays.pools
+        regs = []
+        for pool_idx, start, count in layout.reg_ranges.get(domain, ()):
+            unit = arrays.words if pool_idx == PACKED_POOL else n
+            r = layout.reg_counts[pool_idx]
+            pool = pools[pool_idx]
+            regs.append((
+                pool_idx,
+                pool[start * unit : (start + count) * unit],
+                pool[(r + start) * unit : (r + start + count) * unit],
+            ))
+        ports = [
+            (b, (pools[b.mem_pool], b.mem_base, b.mem_depth, n, arrays.lane,
+                 pools[b.cond_pool][b.cond_off * n : (b.cond_off + 1) * n],
+                 pools[b.addr_pool][b.addr_off * n : (b.addr_off + 1) * n],
+                 pools[b.data_pool][b.data_off * n : (b.data_off + 1) * n]))
+            for b in self.mem_writes if (b.clock, b.edge) == domain
+        ]
+        return regs, ports
+
     def _commit(self, domain: Tuple[str, str]) -> None:
-        arrays = self.arrays
+        """Copy ``domain``'s register shadows over their currents, then
+        apply its memory write ports.  Quarantined lanes are masked out
+        of both, and an enabled out-of-range write quarantines its lane."""
+        regs, ports = self._commits[domain]
         q = self.quarantine
-        active = None if q is None or q.all_active else q.active
-        arrays.commit_registers(domain, active)
-        n = arrays.n
+        if q is None or q.all_active:
+            for _, cur, nxt in regs:
+                cur[:] = nxt
+        else:
+            active = q.active
+            words = pk.pack_bool(active, self.n)
+            for pool_idx, cur, nxt in regs:
+                if pool_idx == PACKED_POOL:
+                    cur = cur.reshape(-1, words.size)
+                    cur[:] = pk.blend(cur, nxt.reshape(cur.shape), words)
+                else:
+                    np.copyto(cur.reshape(-1, self.n), nxt.reshape(-1, self.n),
+                              where=active)
         if self.metrics.enabled:
             self._count_commit_bytes(domain)
-        for b in self.mem_writes:
-            if (b.clock, b.edge) != domain:
-                continue
-            pools = arrays.pools
-            cond = pools[b.cond_pool][b.cond_off * n : (b.cond_off + 1) * n]
-            addr = pools[b.addr_pool][b.addr_off * n : (b.addr_off + 1) * n]
-            data = pools[b.data_pool][b.data_off * n : (b.data_off + 1) * n]
+        for b, args in ports:
             if q is not None:
                 # An enabled write beyond the memory depth poisons only
                 # its own lane: quarantine it, then mask the write enables
                 # so dead lanes never commit (here or in later cycles).
+                cond, addr = args[5], args[6]
                 oob = (cond != 0) & (addr >= np.uint64(b.mem_depth))
                 if oob.any():
                     self._quarantine_lanes(
@@ -408,31 +438,16 @@ class BatchSimulator:
                         detail=f"write address beyond depth {b.mem_depth}",
                     )
                 if not q.all_active:
-                    cond = np.where(q.active, cond, cond.dtype.type(0))
-            applied = rt.mem_commit(
-                pools[b.mem_pool], b.mem_base, b.mem_depth, n, arrays.lane,
-                cond, addr, data,
-            )
-            if applied and arrays.track_epochs:
-                # Readers treat the whole memory as one footprint (a
-                # dynamic mem[idx] may touch any word), so mark the range.
-                arrays.mark_written(
-                    b.mem_pool, b.mem_base, b.mem_base + b.mem_depth
-                )
+                    args = args[:5] + (
+                        np.where(q.active, cond, cond.dtype.type(0)),
+                    ) + args[6:]
+            rt.mem_commit(*args)
 
     def _count_commit_bytes(self, domain: Tuple[str, str], times: int = 1) -> None:
         """Count ``times`` register commits of ``domain`` in the metrics."""
-        arrays = self.arrays
-        for pool_idx, _start, count in arrays.layout.reg_ranges.get(domain, ()):
-            if pool_idx == PACKED_POOL:
-                self.metrics.inc(
-                    "mem.pool1.commit_bytes", times * count * arrays.words * 8,
-                )
-            else:
-                self.metrics.inc(
-                    f"mem.pool{_POOL_BITS[pool_idx]}.commit_bytes",
-                    times * count * arrays.n * (1, 2, 4, 8)[pool_idx],
-                )
+        for pool_idx, cur, _ in self._commits[domain][0]:
+            bits = 1 if pool_idx == PACKED_POOL else _POOL_BITS[pool_idx]
+            self.metrics.inc(f"mem.pool{bits}.commit_bytes", times * cur.nbytes)
 
     # -- checkpointing ------------------------------------------------------------
 
@@ -457,9 +472,8 @@ class BatchSimulator:
         The checkpoint is a plain dict of numpy arrays plus clock phase —
         picklable, so long regressions can be resumed across processes.
         A layout signature ties it to this design's memory layout.
-        Write-epoch bookkeeping and the lane-quarantine state ride along
-        (when present) so activity tracking and fault isolation resume
-        exactly where they left off.
+        The lane-quarantine state rides along (when present) so fault
+        isolation resumes exactly where it left off.
         """
         ckpt = {
             "pools": self.arrays.snapshot(),
@@ -471,9 +485,6 @@ class BatchSimulator:
                 "signature": self._layout_signature(),
             },
         }
-        epochs = self.arrays.epoch_state()
-        if epochs is not None:
-            ckpt["epochs"] = epochs
         if self.quarantine is not None:
             ckpt["quarantine"] = self.quarantine.state_dict()
         return ckpt
@@ -499,11 +510,6 @@ class BatchSimulator:
                     "(was it saved from a different design or partitioning?)"
                 )
         self.arrays.restore(ckpt["pools"])
-        epochs = ckpt.get("epochs")
-        if epochs is not None and self.arrays.track_epochs:
-            # restore() marked everything dirty; rewind to the exact saved
-            # epoch state so a resumed run's activity matches the original.
-            self.arrays.restore_epochs(epochs)
         self._prev_clock = dict(ckpt["prev_clock"])
         self._clock_scalar.clear()
         self.cycles_run = ckpt["cycles_run"]
@@ -514,10 +520,6 @@ class BatchSimulator:
             # Checkpoint predates quarantine state: restore means "as of
             # the snapshot", where no lane had faulted yet.
             self.quarantine = LaneQuarantine(self.n)
-        # The executor's per-task last-run epochs refer to a timeline that
-        # the restore just rewound; forget them so every task is dirty
-        # once and the first replay re-executes against restored state.
-        self.executor.reset_activity()
 
     def evaluate(self) -> None:
         """One full-cycle evaluation (edge updates, then comb settle).
@@ -595,24 +597,29 @@ class BatchSimulator:
             self.metrics.inc("sim.cycles")
 
     def _on_host_write(self, name: Optional[str]) -> None:
-        """DeviceArrays write hook: drop a written clock's cached level.
+        """DeviceArrays write hook: drop a written clock's cached level,
+        and reset the executor's activity on any write it cannot see.
 
         ``name is None`` is the bulk-invalidation signal (checkpoint
-        restore / rewind overwrote whole pools): every cached clock
-        scalar is stale, so edge detection must fall back to the
-        per-lane uniformity scan until set_clock repopulates them.
+        restore overwrote whole pools): every cached clock scalar is
+        stale, so edge detection must fall back to the per-lane
+        uniformity scan until set_clock repopulates them.  The executor
+        compares inputs by value itself; a memory load, a non-input
+        write or a restore makes every task dirty once.
         """
         if name is None:
             self._clock_scalar.clear()
         elif name in self._prev_clock:
             self._clock_scalar.pop(name, None)
+        if name not in self._input_names:
+            self.executor.reset_activity()
 
     def _stimulus_rows(
         self, stimulus, lo: int, hi: int,
-    ) -> Optional[List[Tuple[np.ndarray, np.ndarray, int, int]]]:
+    ) -> Optional[List[Tuple[np.ndarray, np.ndarray, int]]]:
         """Every column of a dense stimulus as its pool view, its rows
         ``[lo, hi)`` as the pool stores them (row ``c`` at index
-        ``c - lo``) and its ``(pool, offset)``; None when a column needs
+        ``c - lo``) and its pool index; None when a column needs
         ``set_input``'s per-name dispatch (a clock, a non-input, a column
         wider than 64 bits, or text data).
 
@@ -658,31 +665,24 @@ class BatchSimulator:
                         cast = cast & mask
                     else:
                         cast &= mask
-            rows.append((view, cast, s.pool, s.offset))
+            rows.append((view, cast, s.pool))
         return rows
 
     def _copy_rows(self, rows, i: int) -> Mapping[str, ArrayLike]:
         """Row ``i`` of every :meth:`_stimulus_rows` column into its pool
         view, stored as ``set_input`` would store it: a quarantined lane
-        keeps its frozen input, and under write epochs a column is stored
-        and marked written only when its values change.  Returns the
-        empty mapping, so :meth:`cycle` runs it inside its
-        ``set_inputs`` span."""
-        arrays = self.arrays
+        keeps its frozen input.  Returns the empty mapping, so
+        :meth:`cycle` runs it inside its ``set_inputs`` span."""
         q = self.quarantine
         active = active_words = None
         if q is not None and not q.all_active:
             active = q.active
             active_words = pk.pack_bool(active, self.n)
-        for view, mat, pool, offset in rows:
+        for view, mat, pool in rows:
             new = mat[i]
             if active is not None:
                 new = (pk.blend(view, new, active_words) if pool == PACKED_POOL
                        else np.where(active, new, view))
-            if arrays.track_epochs:
-                if np.array_equal(view, new):
-                    continue
-                arrays.mark_written(pool, offset)
             view[:] = new
         return {}
 
@@ -727,8 +727,6 @@ class BatchSimulator:
                 or list(self._prev_clock) != [self.clock]
                 or any(clk != self.clock for clk, _ in self._domains)):
             return None
-        arrays, n, layout = self.arrays, self.n, self.layout
-        pools = arrays.pools
 
         def step(edge: str):
             # One edge's evaluation minus the comb settle: its seq
@@ -737,27 +735,14 @@ class BatchSimulator:
             if dom not in self._domains:
                 return None
             prog = ex.programs.seq.get(dom)
-            copies = []
-            for pool_idx, start, count in layout.reg_ranges.get(dom, ()):
-                unit = arrays.words if pool_idx == PACKED_POOL else n
-                r = layout.reg_counts[pool_idx]
-                pool = pools[pool_idx]
-                copies.append((
-                    pool[start * unit : (start + count) * unit],
-                    pool[(r + start) * unit : (r + start + count) * unit],
-                ))
-            mems = [
-                (pools[b.mem_pool], b.mem_base, b.mem_depth, n, arrays.lane,
-                 pools[b.cond_pool][b.cond_off * n : (b.cond_off + 1) * n],
-                 pools[b.addr_pool][b.addr_off * n : (b.addr_off + 1) * n],
-                 pools[b.data_pool][b.data_off * n : (b.data_off + 1) * n])
-                for b in self.mem_writes if (b.clock, b.edge) == dom
-            ]
-            return dom, (prog.fn if prog is not None else None), copies, mems
+            regs, ports = self._commits[dom]
+            return (dom, (prog.fn if prog is not None else None),
+                    [(cur, nxt) for _, cur, nxt in regs],
+                    [args for _, args in ports])
 
         view, (lo, hi) = self._clk_fast
         return (view, lo, hi, base, [r[:2] for r in rows],
-                ex.programs.comb.fn, ex._args(arrays), step("negedge"),
+                ex.programs.comb.fn, ex._args(self.arrays), step("negedge"),
                 step("posedge"))
 
     def _chunk_end(
@@ -962,6 +947,9 @@ class BatchSimulator:
         ]
         check_run_options(trace_every, stop, stop_mode, stop_check_every,
                           start_cycle)
+        for what, name in [("watch", n) for n in names] + [("stop", stop)]:
+            if name is not None and name not in self.layout.slots:
+                raise SimulationError(f"no signal named {name!r} to {what}")
         total = cycles if cycles is not None else (
             len(stimulus) if stimulus is not None else 0
         )

@@ -24,10 +24,10 @@ class Executor:
     """Base of every replay engine.
 
     The simulator reads ``layout`` (the memory layout to allocate
-    :class:`DeviceArrays` for), ``mem_writes`` (commit bindings for that
-    layout) and ``wants_epochs`` (build the arrays with per-offset write
-    epochs; only ``graph-conditional`` asks), calls :meth:`reset_activity`
-    after a checkpoint restore, and otherwise only :meth:`run_eval`.
+    :class:`DeviceArrays` for) and ``mem_writes`` (commit bindings for
+    that layout), calls :meth:`reset_activity` after a host write the
+    engine cannot observe itself (a memory load, a non-input write, a
+    checkpoint restore), and otherwise only :meth:`run_eval`.
 
     ``layout`` and ``mem_writes`` are the model's own: every engine runs
     on the one layout, so a checkpoint taken on one engine restores on
@@ -35,7 +35,6 @@ class Executor:
     """
 
     name = ""
-    wants_epochs = False
 
     def __init__(self, model: "CompiledModel", device: SimulatedDevice):
         self.model = model
@@ -45,7 +44,7 @@ class Executor:
         self._args_cache: Optional[Tuple[object, tuple]] = None
 
     def reset_activity(self) -> None:
-        """Forget state tied to the write-epoch timeline (none here)."""
+        """Forget activity state (only ``graph-conditional`` keeps any)."""
 
     def run_seq(self, arrays: "DeviceArrays", clock: str, edge: str) -> None:
         raise NotImplementedError

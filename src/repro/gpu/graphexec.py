@@ -17,7 +17,6 @@ import numpy as np
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.executor import Executor
 from repro.obs import get_metrics, get_tracer
-from repro.utils.errors import SimulationError
 
 if TYPE_CHECKING:  # type-only: avoids a core <-> gpu import cycle
     from repro.core.codegen import CompiledModel
@@ -129,30 +128,37 @@ class ConditionalGraphExecutor(Executor):
     proportional to design size regardless of stimulus activity (the §2.3
     trade-off the event-driven baseline exploits).  This executor keeps
     the define-once plan but, before each replay, intersects every task's
-    read footprint (:meth:`CompiledModel.task_accesses`) with the per-
-    offset write epochs maintained by :class:`DeviceArrays`:
+    read footprint (:meth:`CompiledModel.task_accesses`) with per-offset
+    *write epochs* it keeps itself (one int64 per pool offset, shared by
+    the batch axis, and a monotone counter):
 
-    * a task is *dirty* when any offset it reads was written after the
-      task's last execution (host input writes, register commits, memory
-      commits, or an upstream task in this very replay);
-    * dirtiness propagates through the task DAG in topological order —
-      a dirty task marks its write offsets *before* downstream tasks are
-      examined, so transitive wake-up costs one pass, no fixpoint;
+    * external state — every offset some task reads and no task writes:
+      inputs (clocks included) and registers' current slots — is
+      compared by value against a saved copy, inputs when an evaluation
+      starts and a domain's registers after its commit, so only offsets
+      whose values changed are marked (an identical rewrite stays quiet);
+    * a memory is marked whole after the sequential phase when any lane's
+      write to it is enabled and in range (a dynamic ``mem[idx]`` read
+      may touch any word);
+    * a task is *dirty* when any offset it reads was marked after the
+      task's last execution; dirtiness propagates through the task DAG in
+      topological order — a dirty task marks its write offsets *before*
+      downstream tasks are examined, so transitive wake-up costs one
+      pass, no fixpoint;
     * clean tasks are skipped entirely: their outputs still hold exactly
       the value a re-execution would recompute (their inputs have not
       changed), which is what keeps conditional replay bit-identical to
       the unconditional executor.
 
-    Requires a ``DeviceArrays`` built with ``track_epochs=True`` (the
-    simulator arranges this via ``wants_epochs``).  Skip-rate
-    telemetry: ``tasks_run``/``tasks_skipped`` attributes, the
-    ``executor.tasks_run``/``executor.tasks_skipped`` counters in
-    :mod:`repro.obs` metrics, and a ``dirty_check`` tracer span per
-    replay.
+    Any other host write (a memory load, a non-input write, a restore)
+    must reach :meth:`reset_activity`; the simulator routes its write
+    hook there.  Skip-rate telemetry: ``tasks_run``/``tasks_skipped``
+    attributes, the ``executor.tasks_run``/``executor.tasks_skipped``
+    counters in :mod:`repro.obs` metrics, and a ``dirty_check`` tracer
+    span per replay.
     """
 
     name = "graph-conditional"
-    wants_epochs = True
 
     def __init__(
         self,
@@ -199,42 +205,117 @@ class ConditionalGraphExecutor(Executor):
         self._seq_plans: Dict[Tuple[str, str], List[int]] = {
             dom: model.seq_schedule(*dom) for dom in model.clock_domains()
         }
+        layout = self.layout
+        # External state is watched in contiguous (pool, lo, count)
+        # ranges: registers per clock domain (layout.reg_ranges), every
+        # other offset some task reads and no task writes (inputs, clocks
+        # included) in runs per pool.
+        regs = {(p, o) for ranges in layout.reg_ranges.values()
+                for p, lo, count in ranges for o in range(lo, lo + count)}
+        accs = self._access.values()
+        reads = {(p, int(o)) for acc in accs
+                 for p, offs in acc.read_offsets for o in offs}
+        writes = {(p, int(o)) for acc in accs
+                  for p, offs in acc.write_offsets for o in offs}
+        self._input_ranges: List[List[int]] = []
+        for p, o in sorted(reads - writes - regs):
+            last = self._input_ranges[-1] if self._input_ranges else None
+            if last is not None and last[0] == p and last[1] + last[2] == o:
+                last[2] += 1
+            else:
+                self._input_ranges.append([p, o, 1])
+        self._epochs: List[np.ndarray] = [
+            np.zeros(max(1, size), dtype=np.int64)
+            for size in layout.pool_sizes + [layout.packed_size]
+        ]
+        self._epoch = 0
         self.tasks_run = 0
         self.tasks_skipped = 0
         # Per-task epoch of last execution, valid for one DeviceArrays
         # instance at a time (a simulator binds 1:1; rebinding resets).
         self._last_run: Dict[int, int] = {}
+        self._synced = False
         self._bound: Optional[DeviceArrays] = None
 
     # -- bookkeeping ----------------------------------------------------------
 
     def _bind(self, arrays: DeviceArrays) -> None:
+        """Build the watched ranges ``[pool, lo, (rows, unit) view, saved
+        bytes]`` and the memory write ports' (cond, addr) views over
+        ``arrays``."""
         if arrays is self._bound:
             return
-        if not arrays.track_epochs:
-            raise SimulationError(
-                "the graph-conditional executor needs DeviceArrays built "
-                "with track_epochs=True (BatchSimulator does this when the "
-                "executor advertises wants_epochs)"
-            )
+        from repro.core.memory import PACKED_POOL  # repro.core imports us
+
         self._bound = arrays
-        self._last_run = {}
+        pools, n = arrays.pools, arrays.n
+
+        def watch(pool: int, lo: int, count: int):
+            unit = arrays.words if pool == PACKED_POOL else n
+            view = pools[pool][lo * unit : (lo + count) * unit]
+            return [pool, lo, view.reshape(count, unit), view.tobytes()]
+
+        self._inputs = [watch(*r) for r in self._input_ranges]
+        self._regs = {dom: [watch(*r) for r in ranges]
+                      for dom, ranges in self.layout.reg_ranges.items()}
+        self._ports: Dict[Tuple[str, str], list] = {}
+        for b in self.mem_writes:
+            self._ports.setdefault((b.clock, b.edge), []).append((
+                pools[b.cond_pool][b.cond_off * n : (b.cond_off + 1) * n],
+                pools[b.addr_pool][b.addr_off * n : (b.addr_off + 1) * n],
+                np.uint64(b.mem_depth),
+                (b.mem_pool, b.mem_base, b.mem_base + b.mem_depth),
+            ))
+        self.reset_activity()
 
     def reset_activity(self) -> None:
-        """Forget every task's last-run epoch (all tasks dirty once).
+        """Forget every task's last run (all tasks dirty once).
 
-        Checkpoint restore rewinds the arrays' write epochs; stale
-        last-run epochs from beyond the restore point would then make
-        tasks look clean when their inputs are about to change.  The
-        simulator calls this after every restore so the first replay
-        re-executes everything against the restored state.
+        Called after any host write the value comparisons do not see (a
+        memory load, a non-input write, a checkpoint restore): the next
+        evaluation re-executes everything against the new state and
+        re-reads the saved copies of external state.
         """
         self._last_run = {}
+        self._synced = False
 
-    def _dirty(self, arrays: DeviceArrays, tid: int, last: int) -> bool:
+    def _bump(self) -> int:
+        self._epoch += 1
+        return self._epoch
+
+    def _observe(self, watched) -> None:
+        """Mark the watched offsets whose values changed since the last
+        look, and save the new values; after a reset, only save.  A
+        byte compare of the whole range is the cheap common case."""
+        if not self._synced:
+            for ranges in (self._inputs, *self._regs.values()):
+                for w in ranges:
+                    w[3] = w[2].tobytes()
+            self._synced = True
+            return
+        epoch = 0
+        for w in watched:
+            pool, lo, view, seen = w
+            now = view.tobytes()
+            if now == seen:
+                continue
+            old = np.frombuffer(seen, dtype=view.dtype).reshape(view.shape)
+            rows = np.nonzero((view != old).any(axis=1))[0]
+            if not epoch:
+                epoch = self._bump()
+            self._epochs[pool][lo + rows] = epoch
+            w[3] = now
+
+    def _mark_memories(self, domain: Tuple[str, str]) -> None:
+        """Mark every memory with an enabled, in-range write this edge."""
+        for cond, addr, depth, (pool, lo, hi) in self._ports.get(domain, ()):
+            if ((cond != 0) & (addr < depth)).any():
+                self._epochs[pool][lo:hi] = self._bump()
+
+    def _dirty(self, tid: int, last: int) -> bool:
         if last < 0:
             return True
-        ep = arrays.write_epochs
+        ep = self._epochs
         for pool, offs in self._reads_small[tid]:
             col = ep[pool]
             for o in offs:
@@ -249,26 +330,23 @@ class ConditionalGraphExecutor(Executor):
         return False
 
     def _select(
-        self,
-        arrays: DeviceArrays,
-        tids: List[int],
-        preds: Optional[Dict[int, Set[int]]],
+        self, tids: List[int], preds: Optional[Dict[int, Set[int]]],
     ) -> List[Callable]:
         """One topo pass: pick dirty tasks, marking writes as we go."""
         plan: List[Callable] = []
         ran: Set[int] = set()
         epoch = 0
         last_run = self._last_run
-        ep = arrays.write_epochs
+        ep = self._epochs
         for tid in tids:
             last = last_run.get(tid, -1)
             woken = preds is not None and not ran.isdisjoint(
                 preds.get(tid, ())
             )
-            if not (woken or self._dirty(arrays, tid, last)):
+            if not (woken or self._dirty(tid, last)):
                 continue
             if not plan:
-                epoch = arrays.bump_epoch()
+                epoch = self._bump()
             for pool, offs in self._writes_small[tid]:
                 col = ep[pool]
                 for o in offs:
@@ -295,29 +373,40 @@ class ConditionalGraphExecutor(Executor):
 
     # -- executor interface ----------------------------------------------------
 
-    def run_comb(self, arrays: DeviceArrays) -> None:
-        self._bind(arrays)
-        if not self._comb_order:
+    def _replay(
+        self, arrays: DeviceArrays, tids: List[int],
+        preds: Optional[Dict[int, Set[int]]],
+    ) -> None:
+        if not tids:
             return
         if self.tracer.enabled:
             with self.tracer.span("dirty_check", resource="sim"):
-                plan = self._select(arrays, self._comb_order, self._comb_preds)
+                plan = self._select(tids, preds)
         else:
-            plan = self._select(arrays, self._comb_order, self._comb_preds)
+            plan = self._select(tids, preds)
         if plan:
             self.device.launch_graph(plan, self._args(arrays))
 
-    def run_seq(self, arrays: DeviceArrays, clock: str, edge: str) -> None:
+    def run_eval(
+        self,
+        arrays: DeviceArrays,
+        triggered: List[Tuple[str, str]],
+        commit: Callable[[Tuple[str, str]], None],
+    ) -> None:
+        """:meth:`Executor.run_eval` with the activity bookkeeping: inputs
+        are compared first, memories marked after every triggered
+        domain's sequential tasks (they all read pre-edge state, so no
+        wake-up propagation among them), registers compared after the
+        commits, then the comb settle.  The only entry point: a lone
+        ``run_seq`` or ``run_comb`` would miss those observations."""
         self._bind(arrays)
-        tids = self._seq_plans.get((clock, edge))
-        if not tids:
-            return
-        # Sequential tasks are mutually independent (they all read
-        # pre-edge state), so no wake-up propagation is needed.
-        if self.tracer.enabled:
-            with self.tracer.span("dirty_check", resource="sim"):
-                plan = self._select(arrays, tids, None)
-        else:
-            plan = self._select(arrays, tids, None)
-        if plan:
-            self.device.launch_graph(plan, self._args(arrays))
+        self._observe(self._inputs)
+        for dom in triggered:
+            self._replay(arrays, self._seq_plans.get(dom, ()), None)
+        for dom in triggered:
+            self._mark_memories(dom)
+        for dom in triggered:
+            commit(dom)
+        for dom in triggered:
+            self._observe(self._regs.get(dom, ()))
+        self._replay(arrays, self._comb_order, self._comb_preds)

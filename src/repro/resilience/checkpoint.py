@@ -1,7 +1,7 @@
 """Durable, atomic on-disk checkpoints for long batch runs.
 
-The in-memory ``save_checkpoint`` dict (pools + clock phase + epoch
-state + quarantine) is serialized with pickle and written with the
+The in-memory ``save_checkpoint`` dict (pools + clock phase +
+quarantine) is serialized with pickle and written with the
 classic crash-safe sequence: write to a temp file in the same directory,
 ``fsync``, then ``os.replace`` onto the final name (plus a best-effort
 directory fsync).  A SIGKILL at any instant leaves either the previous

@@ -4,20 +4,21 @@ The `"graph-conditional"` executor must be *bit-identical* to the
 unconditional `"graph"` executor on every design and stimulus — skipping
 is legal only when re-execution would recompute the value already in the
 pools.  These tests sweep the bundled designs across activity levels,
-compare complete pool state, and pin the epoch bookkeeping semantics the
-executor relies on.
+compare complete pool state, and pin what the executor observes change
+and which tasks it re-runs.
 """
 
 import numpy as np
 import pytest
 
 from repro import RTLFlow
-from repro.core.codegen import transpile
+from repro.core.codegen import KernelCodegen, transpile
 from repro.core.memory import DeviceArrays
 from repro.core.simulator import BatchSimulator, make_executor
 from repro.designs import get_design, list_designs
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.graphexec import ConditionalGraphExecutor
+from repro.partition.merge import partition
 from repro.partition.taskgraph import TaskGraph  # noqa: F401  (re-exported API)
 from repro.pipeline.scheduler import PipelineSimulator
 from repro.rtlir.graph import NodeKind
@@ -201,78 +202,172 @@ class TestMulticlockConditional:
         )
 
 
-class TestEpochBookkeeping:
-    """The DeviceArrays write-epoch semantics conditional replay needs."""
+ACTIVITY_V = """
+module act (
+    input wire clk,
+    input wire [7:0] a,
+    input wire [7:0] b,
+    input wire we,
+    input wire [1:0] waddr,
+    input wire [1:0] raddr,
+    output wire [7:0] ya,
+    output wire [7:0] yab,
+    output wire [7:0] yb,
+    output wire [7:0] yr,
+    output wire [7:0] ym
+);
+    reg [7:0] r;
+    reg [7:0] mem [0:3];
+    always @(posedge clk) begin
+        r <= b;
+        if (we) mem[waddr] <= a;
+    end
+    wire [7:0] ta = a + 8'd1;
+    assign ya = ta;
+    assign yab = ta ^ 8'h5a;
+    assign yb = b - 8'd3;
+    assign yr = r + 8'd7;
+    assign ym = mem[raddr];
+endmodule
+"""
 
-    @pytest.fixture()
-    def arrays(self):
-        model = transpile(compile_graph(COUNTER_V, "counter"))
-        return DeviceArrays(model.layout, 4, track_epochs=True), model
+_ACT_INPUTS = {"a": [1, 2, 3, 4, 5, 6, 7, 8], "b": 9, "we": 0, "waddr": 1,
+               "raddr": 1}
 
-    def test_unchanged_write_keeps_epochs_quiet(self, arrays):
-        arr, model = arrays
-        arr.write("en", [1, 0, 1, 0])
-        e = arr.epoch
-        arr.write("en", [1, 0, 1, 0])  # identical rewrite
-        assert arr.epoch == e
 
-    def test_changed_write_bumps_epoch(self, arrays):
-        arr, model = arrays
-        arr.write("en", [1, 0, 1, 0])
-        e = arr.epoch
-        arr.write("en", [1, 1, 1, 0])
-        assert arr.epoch == e + 1
-        s = model.layout.slot("en")
-        assert arr.write_epochs[s.pool][s.offset] == arr.epoch
+def _rerun(sim, action=lambda: None, edge=False):
+    """Task ids the next evaluation re-executes after ``action``; the
+    evaluation is a rising clock edge when ``edge``."""
+    if edge:
+        sim.set_clock(0)
+        sim.evaluate()
+    before = dict(sim.executor._last_run)
+    action()
+    if edge:
+        sim.set_clock(1)
+    sim.evaluate()
+    return {t for t, e in sim.executor._last_run.items() if before.get(t) != e}
 
-    def test_scalar_write_compare(self, arrays):
-        arr, _ = arrays
-        arr.write("en", 1)
-        e = arr.epoch
-        arr.write("en", 1)
-        assert arr.epoch == e
-        arr.write("en", 0)
-        assert arr.epoch == e + 1
 
-    def test_commit_marks_only_changed_registers(self, arrays):
-        arr, model = arrays
-        slot = next(
-            s for s in model.layout.slots.values() if s.is_state
-        )
-        domain = next(iter(model.layout.reg_ranges))
-        # Shadow == current: commit must not mark.
-        arr.commit_registers(domain)
-        e = arr.epoch
-        arr.commit_registers(domain)
-        assert arr.epoch == e
-        # Change the shadow: commit must mark the current offset.
-        pool = arr.pools[slot.pool]
-        assert slot.next_offset is not None
-        pool[slot.next_offset * arr.n : (slot.next_offset + 1) * arr.n] = 7
-        arr.commit_registers(domain)
-        assert arr.write_epochs[slot.pool][slot.offset] == arr.epoch == e + 1
+def _readers(sim, name):
+    """Comb tasks reading ``name``, and every comb task downstream."""
+    tg = sim.model.taskgraph
+    out = set()
+    for tid in sim.model.comb_schedule():  # topological order
+        if name in tg.task_reads(tid) or out & set(tg.preds.get(tid, ())):
+            out.add(tid)
+    return out
 
-    def test_restore_marks_everything(self, arrays):
-        arr, _ = arrays
-        snap = arr.snapshot()
-        e = arr.epoch
-        arr.restore(snap)
-        assert arr.epoch == e + 1
-        assert all(bool((ep == arr.epoch).all()) for ep in arr.write_epochs)
 
-    def test_untracked_arrays_have_no_epochs(self):
-        model = transpile(compile_graph(COUNTER_V, "counter"))
-        arr = DeviceArrays(model.layout, 4)
-        assert arr.write_epochs is None
-        arr.write("en", [1, 0, 1, 0])  # must not raise
-        assert arr.epoch == 0
+def _set_shadow(sim, name, values):
+    s = sim.layout.slot(name)
+    n = sim.n
+    sim.arrays.pools[s.pool][s.next_offset * n : (s.next_offset + 1) * n] = values
 
-    def test_conditional_rejects_untracked_arrays(self):
-        model = transpile(compile_graph(COUNTER_V, "counter"))
-        ex = ConditionalGraphExecutor(model, SimulatedDevice())
-        arr = DeviceArrays(model.layout, 4, track_epochs=False)
-        with pytest.raises(SimulationError):
-            ex.run_comb(arr)
+
+class TestActivityObservation:
+    """What the conditional executor sees change, and what it re-runs."""
+
+    def _sim(self, **kwargs):
+        graph = compile_graph(ACTIVITY_V, "act")
+        model = KernelCodegen(partition(graph, target_weight=1.0)).compile()
+        sim = BatchSimulator(model, 8, executor="graph-conditional", **kwargs)
+        sim.set_inputs(_ACT_INPUTS)
+        for _ in range(3):
+            sim.cycle()
+        assert _rerun(sim, edge=True) == set()  # settled
+        return sim
+
+    def test_fine_grained_partition(self):
+        sim = self._sim()
+        readers = {name: _readers(sim, name) for name in ("a", "b", "r", "mem")}
+        assert all(readers.values())
+        assert readers["a"] != readers["b"]
+        assert len(sim.model.comb_schedule()) > len(readers["a"])
+
+    def test_identical_input_rewrite_stays_quiet(self):
+        sim = self._sim()
+        assert _rerun(sim, lambda: sim.set_input("a", _ACT_INPUTS["a"])) == set()
+        assert _rerun(sim, lambda: sim.set_inputs(_ACT_INPUTS), edge=True) == set()
+
+    def test_changed_input_reruns_readers_and_downstream(self):
+        sim = self._sim()
+        ran = _rerun(sim, lambda: sim.set_input("a", 200))
+        assert ran == _readers(sim, "a")
+        assert not ran & _readers(sim, "b")
+
+    def test_register_commit_dirties_only_on_change(self):
+        sim = self._sim()
+        assert _rerun(sim, edge=True) == set()  # commit changed nothing
+        _set_shadow(sim, "r", 77)
+        assert _rerun(sim, edge=True) == _readers(sim, "r")
+        assert np.all(sim.get("yr") == 84)
+
+    def test_quarantined_lane_change_dirties_nothing(self):
+        sim = self._sim(fault_isolation=True)
+        sim.quarantine.quarantine([3], cycle=0, reason="injected")
+        pending = np.full(8, 9, dtype=np.uint8)
+        pending[3] = 77
+        _set_shadow(sim, "r", pending)
+        assert _rerun(sim, edge=True) == set()
+        assert np.all(sim.get("r") == 9)
+
+    def test_enabled_memory_write_dirties_readers(self):
+        sim = self._sim()
+        ran = _rerun(sim, lambda: sim.set_inputs({"we": 1, "a": 42}), edge=True)
+        assert _readers(sim, "mem") <= ran
+        assert np.all(sim.get("ym") == 42)
+
+    @pytest.mark.parametrize("write", ["load_memory", "non_input", "restore"])
+    def test_unobserved_host_write_dirties_every_task_once(self, write):
+        sim = self._sim()
+        sim.set_clock(0)
+        sim.evaluate()
+        ckpt = sim.save_checkpoint()  # low clock: the restore keeps the edge
+        action = {
+            "load_memory": lambda: sim.load_memory("mem", [5, 6, 7, 8]),
+            "non_input": lambda: sim.arrays.write("r", 3),
+            "restore": lambda: sim.restore_checkpoint(ckpt),
+        }[write]
+        every = {t.tid for t in sim.model.taskgraph.tasks}
+        assert _rerun(sim, action, edge=True) == every
+        assert _rerun(sim, edge=True) == set()
+
+
+#: graph-conditional's (tasks_run, tasks_skipped) on the bundled designs
+#: (seed 1, preloaded, bundle.watch), plus ``memdut`` at low activity:
+#: the bundled designs' memory readers always re-run for other reasons,
+#: so only that row notices a missed memory write.
+SKIP_TABLE = [
+    ("counter", 256, 60, (179, 1)),
+    ("spinal", 512, 60, (660, 0)),
+    ("riscv_mini", 512, 128, (1662, 1026)),
+    ("crypto", 128, 40, (1080, 0)),
+    ("nvdla", 64, 32, (580, 476)),
+    ("memdut", 16, 60, (73, 107)),
+]
+
+
+@pytest.mark.parametrize("design,n,cycles,counts", SKIP_TABLE)
+def test_skip_decisions_on_bundled_designs(design, n, cycles, counts):
+    if design == "memdut":
+        model = transpile(compile_graph(MEMDUT_V, "memdut"))
+        rng = np.random.default_rng(1)
+        stim = _hold_with_activity(StimulusBatch({
+            "we": rng.integers(0, 2, (cycles, n), dtype=np.uint64),
+            "waddr": rng.integers(0, 16, (cycles, n), dtype=np.uint64),
+            "wdata": rng.integers(0, 256, (cycles, n), dtype=np.uint64),
+            "raddr": np.full((cycles, n), 5, dtype=np.uint64),
+        }), 0.2)
+        sim = BatchSimulator(model, n, executor="graph-conditional")
+        sim.run(stim)
+    else:
+        bundle = get_design(design)
+        model = RTLFlow.from_source(bundle.source, bundle.top).compile()
+        sim = BatchSimulator(model, n, executor="graph-conditional")
+        bundle.preload(sim)
+        sim.run(bundle.make_stimulus(n, cycles, 1), watch=bundle.watch)
+    assert (sim.executor.tasks_run, sim.executor.tasks_skipped) == counts
 
 
 class TestTaskAccessMetadata:
@@ -349,14 +444,6 @@ class TestExecutorFactory:
         model = transpile(compile_graph(COUNTER_V, "counter"))
         ex = make_executor(model, SimulatedDevice(), "graph-conditional")
         assert isinstance(ex, ConditionalGraphExecutor)
-        assert ex.wants_epochs
-
-    def test_simulator_enables_tracking_for_conditional(self):
-        model = transpile(compile_graph(COUNTER_V, "counter"))
-        sim = BatchSimulator(model, 4, executor="graph-conditional")
-        assert sim.arrays.track_epochs
-        plain = BatchSimulator(model, 4, executor="graph")
-        assert not plain.arrays.track_epochs
 
     def test_unknown_kind_rejected(self):
         model = transpile(compile_graph(COUNTER_V, "counter"))

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.memory import DeviceArrays, MemoryLayout
+from repro.core.codegen import transpile
+from repro.core.memory import PACKED_POOL, DeviceArrays, MemoryLayout
+from repro.core.simulator import BatchSimulator
 from repro.utils import bitvec as bv
+from repro.utils import packbits as pk
 from repro.utils.errors import SimulationError
 
 from tests.conftest import COUNTER_V, MEMDUT_V, compile_graph
@@ -31,6 +34,44 @@ module mixed (
     assign o6 = r6;
 endmodule
 """
+
+
+TWO_DOMAINS_V = """
+module twodom (
+    input wire clk,
+    input wire slow_clk,
+    input wire [7:0] d,
+    output wire [7:0] q
+);
+    reg [7:0] f, s;
+    reg fb;
+    always @(posedge clk) begin
+        f <= d;
+        fb <= d[0];
+    end
+    always @(posedge slow_clk) s <= f;
+    assign q = f ^ s ^ {7'b0, fb};
+endmodule
+"""
+
+
+def _sim(src, top, **kwargs):
+    return BatchSimulator(transpile(compile_graph(src, top)), 8, **kwargs)
+
+
+def _set_shadow(sim, name, value):
+    """Write ``value`` into every lane of register ``name``'s shadow."""
+    s = sim.layout.slot(name)
+    if s.pool == PACKED_POOL:
+        w = sim.arrays.words
+        sim.arrays.pools[s.pool][s.next_offset * w : (s.next_offset + 1) * w] = (
+            pk.fill(value, sim.n)
+        )
+    else:
+        n = sim.n
+        sim.arrays.pools[s.pool][s.next_offset * n : (s.next_offset + 1) * n] = (
+            value
+        )
 
 
 class TestPoolSelection:
@@ -108,21 +149,40 @@ class TestDeviceArrays:
         with pytest.raises(SimulationError):
             arrays.write("in6", np.arange(5))
 
-    def test_commit_copies_shadow(self, arrays):
-        slot = arrays.layout.slot("r6")
-        n = arrays.n
-        pool = arrays.pools[slot.pool]
-        pool[slot.next_offset * n : (slot.next_offset + 1) * n] = 42
-        arrays.commit_registers()
-        assert np.all(arrays.read("r6") == 42)
+    def test_commit_copies_shadow(self):
+        sim = _sim(MIXED_V, "mixed")
+        for name, value in (("r6", 42), ("r14", 4242), ("r24", 424242),
+                            ("r64", 2**63 + 42)):
+            _set_shadow(sim, name, value)
+        sim._commit(("clk", "posedge"))
+        assert np.all(sim.get("r6") == 42)
+        assert np.all(sim.get("r14") == 4242)
+        assert np.all(sim.get("r24") == 424242)
+        assert np.all(sim.get("r64") == 2**63 + 42)
 
-    def test_commit_by_domain(self, arrays):
-        slot = arrays.layout.slot("r6")
-        n = arrays.n
-        pool = arrays.pools[slot.pool]
-        pool[slot.next_offset * n : (slot.next_offset + 1) * n] = 17
-        arrays.commit_registers(("clk", "posedge"))
-        assert np.all(arrays.read("r6") == 17)
+    def test_commit_by_domain(self):
+        sim = _sim(TWO_DOMAINS_V, "twodom")
+        _set_shadow(sim, "f", 17)
+        _set_shadow(sim, "s", 99)
+        _set_shadow(sim, "fb", 1)
+        sim._commit(("clk", "posedge"))
+        assert np.all(sim.get("f") == 17)
+        assert np.all(sim.get("fb") == 1)
+        assert np.all(sim.get("s") == 0)  # the other domain's register
+        sim._commit(("slow_clk", "posedge"))
+        assert np.all(sim.get("s") == 99)
+
+    def test_commit_freezes_quarantined_lanes(self):
+        sim = _sim(TWO_DOMAINS_V, "twodom", fault_isolation=True)
+        sim.quarantine.quarantine([2, 5], cycle=0, reason="injected")
+        _set_shadow(sim, "f", 17)
+        _set_shadow(sim, "fb", 1)
+        sim._commit(("clk", "posedge"))
+        live = np.ones(sim.n, dtype=bool)
+        live[[2, 5]] = False
+        for name, value in (("f", 17), ("fb", 1)):
+            got = sim.get(name)
+            assert np.all(got[live] == value) and not got[~live].any()
 
     def test_snapshot_restore(self, arrays):
         arrays.write("in24", 123456)
@@ -211,28 +271,24 @@ class TestKernelRuntimeRegressions:
         lane = np.arange(n, dtype=np.uint64)
         cond = np.array([1, 0, 1, 1], dtype=np.uint8)
         addr = np.array([0, 1, 2, 9], dtype=np.uint64)  # lane 3 dropped
-        applied = rt.mem_commit(
-            pool, 0, depth, n, lane, cond, addr, np.uint64(42)
-        )
-        assert applied == 2
+        rt.mem_commit(pool, 0, depth, n, lane, cond, addr, np.uint64(42))
         assert pool[0 * n + 0] == 42      # lane 0 -> mem[0]
         assert pool[2 * n + 2] == 42      # lane 2 -> mem[2]
         assert pool[1 * n + 1] == 0       # cond off
         assert int(pool.sum()) == 84      # nothing else touched
 
-    def test_mem_commit_returns_applied_count(self):
+    def test_mem_commit_disabled_write_touches_nothing(self):
         from repro.core import kernels as rt
 
         n = 3
         pool = np.zeros(2 * n, dtype=np.uint64)
         lane = np.arange(n, dtype=np.uint64)
-        zero = rt.mem_commit(
+        rt.mem_commit(
             pool, 0, 2, n, lane,
             np.zeros(n, dtype=np.uint8),
             np.zeros(n, dtype=np.uint64),
             np.ones(n, dtype=np.uint64),
         )
-        assert zero == 0
         assert not pool.any()
 
 

@@ -721,24 +721,43 @@ class TestCheckpointResume:
         assert np.array_equal(out["count"], ref_out["count"])
 
     def test_restore_rewinds_write_epochs(self):
-        """Satellite: a restore must rewind epoch state, not fake it.
-
-        The conditional executor skips tasks whose input epochs did not
-        advance; a restore that kept post-snapshot epoch state (or stale
-        executor last-run marks) would wrongly skip work after resume.
-        Bit-identity of the resumed run against the uninterrupted one is
-        the observable contract.
+        """A restore must not leave the conditional executor's activity
+        state from beyond the snapshot: stale last-run marks would
+        wrongly skip work after resume.  Bit-identity of the resumed run
+        against the uninterrupted one is the observable contract.
         """
         n = 16
         stim = counter_stim(n, self.CYCLES, seed=9)
         sim = make_sim(COUNTER_V, "counter", n, executor="graph-conditional")
         sim.run(stim, cycles=30)
         ckpt = sim.save_checkpoint()
-        assert "epochs" in ckpt
         sim.run(stim, cycles=45, start_cycle=30)  # advance past snapshot
         sim.restore_checkpoint(ckpt)  # rewind the same sim
         assert sim.cycles_run == 30
         out = sim.run(stim, start_cycle=30)
+        _, _, ref_out = self._full_run("graph-conditional")
+        assert np.array_equal(out["count"], ref_out["count"])
+
+    def test_checkpoint_with_epochs_field_restores(self):
+        """Older checkpoints carry a write-epoch snapshot under
+        ``"epochs"``; a restore ignores it and resumes bit-identically."""
+        n = 16
+        stim = counter_stim(n, self.CYCLES, seed=9)
+        sim = make_sim(COUNTER_V, "counter", n, executor="graph-conditional")
+        sim.run(stim, cycles=30)
+        ckpt = sim.save_checkpoint()
+        assert "epochs" not in ckpt
+        layout = sim.layout
+        ckpt["epochs"] = {
+            "epoch": 7,
+            "write_epochs": [
+                np.zeros(max(1, size), dtype=np.int64)
+                for size in layout.pool_sizes + [layout.packed_size]
+            ],
+        }
+        fresh = make_sim(COUNTER_V, "counter", n, executor="graph-conditional")
+        fresh.restore_checkpoint(ckpt)
+        out = fresh.run(stim, start_cycle=30)
         _, _, ref_out = self._full_run("graph-conditional")
         assert np.array_equal(out["count"], ref_out["count"])
 

@@ -28,6 +28,7 @@ from repro.core import codegen
 from repro.core.simulator import BatchSimulator
 from repro.designs import get_design
 from repro.resilience import FaultPlan, LaneFaultSpec
+from repro.stimulus.batch import StimulusBatch
 from repro.stimulus.generator import random_batch
 from repro.verify import ir_checks, verify_model
 
@@ -388,11 +389,27 @@ class TestValueNumbering:
 
     @pytest.mark.parametrize("n", [1, 65, codegen._ROW_BLOCK_ELEMS // 2 + 3])
     def test_wide_conditions_in_rolled_runs(self, n):
-        from tests.helpers import assert_batch_matches_reference
+        """The largest ``n`` takes the one-row blocks (``_RB == 1``).
+        Every lane of the fused run is compared with the ``graph``
+        executor, whose per-task programs do not roll; the scalar
+        reference replays each 64-lane word's first and last lane
+        (0, 63, 64, ..., n - 1)."""
+        from tests.conftest import compile_graph
+        from tests.helpers import batch_traces, reference_traces
 
         src = widecond_rolled_source()
-        graph = assert_batch_matches_reference(
-            src, "widecondr", n=n, cycles=10, seed=n)
+        graph = compile_graph(src, "widecondr")
+        watch = [s.name for s in graph.design.outputs]
+        stim = random_batch(graph.design, n, 10, seed=n)
+        fused_traces = batch_traces(graph, stim, watch)
+        unrolled = batch_traces(graph, stim, watch, executor="graph")
+        lanes = sorted({lane for lo in range(0, n, 64)
+                        for lane in (lo, min(lo + 63, n - 1))})
+        ref = reference_traces(graph, StimulusBatch(
+            {k: v[:, lanes] for k, v in stim.data.items()}), watch)
+        for w in watch:
+            assert np.array_equal(fused_traces[w], unrolled[w]), w
+            assert np.array_equal(fused_traces[w][:, lanes], ref[w]), w
         fused = codegen.FusedProgramCodegen(graph).compile()
         assert fused.stats["rolled_runs"] == 3
         # Inside the 32-bit run the per-block 8-bit mask is sign-extended.

@@ -255,10 +255,14 @@ class TestStopCondition:
         {"stop": "halted", "stop_check_every": 0},
         {"stop_mode": "most"},
         {"start_cycle": -3},
+        {"watch": ["a0_outt"]},
+        {"stop": "haltd"},
     ])
     def test_bad_run_options_rejected_before_any_cycle(self, rv, options):
         model, _ = rv
         sim = BatchSimulator(model, 2)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError) as err:
             sim.run(cycles=10, **options)
         assert sim.cycles_run == 0
+        for unknown in ("a0_outt", "haltd"):  # the error names the signal
+            assert unknown not in str(options) or repr(unknown) in str(err.value)
