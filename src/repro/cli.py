@@ -1041,6 +1041,9 @@ def _run_command(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cycles = getattr(args, "cycles", None)
+        if cycles is not None and cycles < 0:
+            raise ReproError(f"cycles must be >= 0, got {cycles}")
         return _run_command(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,11 +69,14 @@ def check_executor(kind: str) -> None:
 
 
 def check_run_options(trace_every: int, stop: Optional[str], stop_mode: str,
-                      stop_check_every: int, start_cycle: int = 0) -> None:
+                      stop_check_every: int, start_cycle: int = 0,
+                      cycles: Optional[int] = None) -> None:
     """Reject :meth:`BatchSimulator.run` options no run could honour:
-    a negative ``trace_every`` or ``start_cycle``, a ``stop_mode`` other
-    than 'all'/'any', or a ``stop`` signal polled every
-    ``stop_check_every <= 0`` cycles."""
+    a negative ``cycles``, ``trace_every`` or ``start_cycle``, a
+    ``stop_mode`` other than 'all'/'any', or a ``stop`` signal polled
+    every ``stop_check_every <= 0`` cycles."""
+    if cycles is not None and cycles < 0:
+        raise SimulationError(f"cycles must be >= 0, not {cycles}")
     if start_cycle < 0:
         raise SimulationError(f"start_cycle must be >= 0, not {start_cycle}")
     if trace_every < 0:
@@ -772,14 +775,23 @@ class BatchSimulator:
         Every cycle takes the steps of :meth:`cycle` in the same order:
         stimulus rows into the pool views, clock 0 and the comb settle
         (after the negedge step once the clock has been high), clock 1,
-        the posedge step and the comb settle.  Edge detection, stopwatch,
-        device accounting and ``cycles_run`` move to the chunk end, where
-        each cycle still counts two graph launches.
+        the posedge step and the comb settle.  Without a negedge step
+        the last of these settles runs only on the chunk's last cycle:
+        nothing reads the clock-high values before the next cycle's
+        clock-low settle rewrites every comb slot, so a chunk makes
+        ``cycles + 1`` comb calls instead of ``2 * cycles`` and ends in
+        exactly the per-cycle state.  Edge detection, stopwatch, device
+        accounting and ``cycles_run`` move to the chunk end, where each
+        cycle still counts two graph launches (the posedge launch holds
+        the seq program and the commit).
 
         A program that raises leaves the accounting where the per-cycle
         path leaves it: the failing cycle's stimulus write, its completed
         first launch and its register commits count; its evaluation time
-        does not, nor does the busy time of that first launch.
+        does not, nor does the busy time of that first launch.  If the
+        failing cycle's clock-low settle did not complete and its
+        predecessor's clock-high settle was skipped, that settle is run
+        again so the pools hold what :meth:`cycle` leaves.
         """
         clk, lo, hi, base, rows, comb, args, neg, pos = plan
         if not apply_rows:
@@ -787,6 +799,9 @@ class BatchSimulator:
         _, neg_seq, neg_copies, neg_mems = neg or _NO_STEP
         _, pos_seq, pos_copies, pos_mems = pos or _NO_STEP
         clock = self.clock
+        # The first cycle whose clock-high settle runs: every cycle when
+        # the next negedge step reads it, else only the chunk's last.
+        tail = c0 if neg is not None else c1 - 1
         # A falling edge is a negedge only once the clock has been high.
         armed0 = armed = neg is not None and self._prev_clock.get(clock, 0) == 1
         mem_commit = rt.mem_commit
@@ -829,7 +844,8 @@ class BatchSimulator:
                 stage = 4
                 for m in pos_mems:
                     mem_commit(*m)
-                comb(*args)
+                if c >= tail:
+                    comb(*args)
                 t = perf()
             c, stage, completed = c1, 0, True
         finally:
@@ -871,6 +887,18 @@ class BatchSimulator:
                     self._prev_clock[clock] = 0
                 elif done:
                     self._prev_clock[clock] = 1
+                if stage < 3 and c0 < c <= tail:
+                    # Cycle c - 1's clock-high settle was skipped and
+                    # cycle c's clock-low settle did not complete: settle
+                    # c - 1 as cycle() did, then put back c's rows and
+                    # clock low.
+                    for view, mat in rows:
+                        view[:] = mat[c - 1 - base]
+                    clk[:] = hi
+                    comb(*args)
+                    for view, mat in rows:
+                        view[:] = mat[c - base]
+                    clk[:] = lo
 
     def run(
         self,
@@ -936,7 +964,10 @@ class BatchSimulator:
         clock, the cycles between two of these callbacks run as one
         chunk: a plain loop over the compiled programs taking the same
         steps as :meth:`cycle`, with edge detection and accounting at
-        the chunk end (docs/INTERNALS.md §7).  A time-based checkpoint
+        the chunk end, except that without a negedge domain the comb
+        settle after the posedge commit, which nothing reads before the
+        next cycle's settle, runs only on the chunk's last cycle
+        (docs/INTERNALS.md §7).  A time-based checkpoint
         policy or any ``progress`` hook makes every cycle a chunk end.
         Everything else runs cycle by cycle, copying the rows inside
         :meth:`cycle`'s ``set_inputs`` span, or fetching
@@ -946,7 +977,7 @@ class BatchSimulator:
             s.name for s in self.model.design.outputs
         ]
         check_run_options(trace_every, stop, stop_mode, stop_check_every,
-                          start_cycle)
+                          start_cycle, cycles)
         for what, name in [("watch", n) for n in names] + [("stop", stop)]:
             if name is not None and name not in self.layout.slots:
                 raise SimulationError(f"no signal named {name!r} to {what}")

@@ -1,8 +1,11 @@
 """CLI behaviours that come from wiring a feature once for every command:
-the ``--fault-report`` writer, the one-simulator ``simulate --vcd`` and the
-shared checkpoint-flag check of ``run``/``campaign``."""
+the ``--fault-report`` writer, the one-simulator ``simulate --vcd``, the
+shared checkpoint-flag check of ``run``/``campaign`` and the shared
+``--cycles`` check."""
 
 import json
+
+import pytest
 
 from repro import RTLFlow
 from repro.analysis.report import format_table
@@ -34,6 +37,24 @@ def test_run_fault_report_with_injected_fault(tmp_path, capsys):
     assert report["faulted_lanes"] == [1]
     assert report["fault_plan"]["lane_faults"] == [
         {"cycle": 2, "lane": 1, "reason": "injected"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "counter", "-n", "8"],
+    ["profile", "counter", "-n", "8"],
+    ["campaign", "counter", "-n", "8"],
+])
+def test_negative_cycles_is_one_error_line(argv, capsys, monkeypatch):
+    """A negative ``--cycles`` is rejected before the design is looked
+    up, so before any stimulus is built."""
+    import repro.designs
+
+    monkeypatch.setattr(repro.designs, "get_design",
+                        lambda *a, **k: pytest.fail("design looked up"))
+    assert main(argv + ["--cycles", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cycles must be >= 0, got -5\n"
 
 
 def test_simulate_vcd_runs_one_simulator(tmp_path, capsys, monkeypatch):

@@ -513,14 +513,15 @@ def test_wide_native_columns_chunk_without_touching_the_stimulus(chunks):
 
 
 def _fail_on_call(monkeypatch, prog, k):
-    """Make ``prog.fn`` raise on its ``k``-th call (1-based); returns
-    the call counter, to be reset before each drive."""
+    """Make ``prog.fn`` raise on its ``calls["k"]``-th call (1-based,
+    ``k`` at first; 0 never raises); returns the call counter, whose
+    ``"n"`` is to be reset before each drive."""
     inner = prog.fn
-    calls = {"n": 0}
+    calls = {"n": 0, "k": k}
 
     def flaky(*args):
         calls["n"] += 1
-        if calls["n"] == k:
+        if calls["n"] == calls["k"]:
             raise RuntimeError("boom")
         return inner(*args)
 
@@ -529,31 +530,44 @@ def _fail_on_call(monkeypatch, prog, k):
 
 
 # Every failure lands in cycle 6 (0-based), at each point of its two
-# launches.  Per cycle the comb program runs twice and the posedge seq
-# program once; the negedge seq program runs from cycle 1 on.
+# launches: ``call`` numbers the failing call of the per-cycle loop,
+# ``run_call`` that of the chunked drive.  Per cycle the loop runs the
+# comb program twice and the posedge seq program once; the negedge seq
+# program runs from cycle 1 on.  Without a negedge step the chunk runs
+# the clock-high settle only on its last cycle, so counter's cycle 6
+# starts at comb call 7, and its second settle is run only when cycle 6
+# ends the stimulus (``cycles`` = 7).
 FAILURES = [
-    pytest.param(COUNTER_V, "counter", "comb", 13, id="counter-first-comb"),
-    pytest.param(COUNTER_V, "counter", "comb", 14, id="counter-second-comb"),
-    pytest.param(COUNTER_V, "counter", "posedge", 7, id="counter-seq"),
-    pytest.param(NEGEDGE_V, "negdut", "negedge", 6, id="negedge-neg-seq"),
-    pytest.param(NEGEDGE_V, "negdut", "comb", 13, id="negedge-first-comb"),
-    pytest.param(NEGEDGE_V, "negdut", "posedge", 7, id="negedge-pos-seq"),
-    pytest.param(NEGEDGE_V, "negdut", "comb", 14, id="negedge-second-comb"),
+    pytest.param(COUNTER_V, "counter", "comb", 13, 7, 20,
+                 id="counter-first-comb"),
+    pytest.param(COUNTER_V, "counter", "comb", 14, 8, 7,
+                 id="counter-second-comb"),
+    pytest.param(COUNTER_V, "counter", "posedge", 7, 7, 20, id="counter-seq"),
+    pytest.param(NEGEDGE_V, "negdut", "negedge", 6, 6, 20,
+                 id="negedge-neg-seq"),
+    pytest.param(NEGEDGE_V, "negdut", "comb", 13, 13, 20,
+                 id="negedge-first-comb"),
+    pytest.param(NEGEDGE_V, "negdut", "posedge", 7, 7, 20,
+                 id="negedge-pos-seq"),
+    pytest.param(NEGEDGE_V, "negdut", "comb", 14, 14, 20,
+                 id="negedge-second-comb"),
 ]
 
 
-@pytest.mark.parametrize("src,top,program,call", FAILURES)
+@pytest.mark.parametrize("src,top,program,call,run_call,cycles", FAILURES)
 def test_failure_mid_chunk_accounts_completed_cycles(src, top, program, call,
+                                                     run_call, cycles,
                                                      monkeypatch, chunks):
     model = RTLFlow.from_source(src, top).compile()
     fused = model.fused()
     prog = fused.comb if program == "comb" else fused.seq[("clk", program)]
     calls = _fail_on_call(monkeypatch, prog, call)
-    n, cycles, j = 8, 20, 6
+    n, j = 8, 6
     stim = random_batch(model.design, n, cycles, seed=2)
     results = []
     for drive in ("run", "loop"):
         calls["n"] = 0
+        calls["k"] = run_call if drive == "run" else call
         sim = BatchSimulator(model, n, metrics=MetricsRegistry())
         with pytest.raises(RuntimeError, match="boom"):
             if drive == "run":
@@ -569,3 +583,90 @@ def test_failure_mid_chunk_accounts_completed_cycles(src, top, program, call,
     assert ref.device.stats.graph_launches == 2 * j + first_done
     assert_same_state(sim, ref)
     assert sim.metrics.snapshot()["counters"] == ref.metrics.snapshot()["counters"]
+
+
+# ---------------------------------------------------------------------------
+# How often the comb program settles
+
+# Comb nodes read the clock, and a memory is written at posedge: the
+# clock-high values the chunk skips are read by nobody before the next
+# clock-low settle rewrites them.
+CLKREAD_V = """
+module clkread (
+    input wire clk,
+    input wire [7:0] a,
+    input wire [7:0] b,
+    input wire we,
+    output wire [7:0] g,
+    output wire h,
+    output wire [7:0] q,
+    output wire [7:0] rd
+);
+    reg [7:0] r;
+    reg [7:0] mem [0:3];
+    assign g = clk ? a : b;
+    assign h = clk & a[0];
+    always @(posedge clk) begin
+        r <= r + g + {7'd0, h};
+        if (we) mem[a[1:0]] <= g ^ r;
+    end
+    assign q = r;
+    assign rd = mem[b[1:0]];
+endmodule
+"""
+
+
+def _count_comb(monkeypatch, model):
+    return _fail_on_call(monkeypatch, model.fused().comb, 0)
+
+
+@pytest.mark.parametrize("src,top,stop", [
+    pytest.param(COUNTER_V, "counter", "en", id="counter"),
+    pytest.param(CLKREAD_V, "clkread", "h", id="clock-read"),
+])
+@pytest.mark.parametrize("options,n_chunks", [
+    pytest.param({}, 1, id="plain"),
+    pytest.param({"trace_every": 5}, 4, id="traced"),
+    pytest.param({"stop_check_every": 4}, 5, id="stop-polled"),
+    pytest.param({"stop_check_every": 6}, 4, id="stop-polled-6"),
+])
+def test_one_settle_per_cycle_and_one_per_chunk_end(src, top, stop, options,
+                                                     n_chunks, monkeypatch,
+                                                     chunks):
+    model = _source_model(src, top)
+    n, cycles = 64, 20
+    stim = random_batch(model.design, n, cycles, seed=12)
+    every = options.get("trace_every", 0)
+    kwargs = dict(options, stop=stop) if "stop_check_every" in options \
+        else options
+    watch = [s.name for s in model.design.outputs]
+    calls = _count_comb(monkeypatch, model)
+    sim, ref = _sim(model, n), _sim(model, n)
+    outs = sim.run(stim, watch=watch, **kwargs)
+    assert len(chunks) == n_chunks
+    assert calls["n"] == cycles + n_chunks
+    calls["n"] = 0
+    expected = {name: [] for name in watch}
+    for c in range(cycles):
+        ref.cycle(stim.inputs_at(c))
+        if every and c % every == every - 1:
+            for name in watch:
+                expected[name].append(ref.get(name).copy())
+    assert calls["n"] == 2 * cycles
+    assert_same_state(sim, ref)
+    for name in watch:
+        want = np.stack(expected[name]) if every else ref.get(name)
+        np.testing.assert_array_equal(outs[name], want, err_msg=name)
+
+
+def test_negedge_step_keeps_both_settles(monkeypatch, chunks):
+    model = _source_model(NEGEDGE_V, "negdut")
+    n, cycles = 8, 12
+    stim = random_batch(model.design, n, cycles, seed=6)
+    calls = _count_comb(monkeypatch, model)
+    sim, ref = _sim(model, n), _sim(model, n)
+    sim.run(stim)
+    assert chunks == [(0, cycles)]
+    assert calls["n"] == 2 * cycles
+    _reference(ref, stim, cycles)
+    assert_same_state(sim, ref)

@@ -255,6 +255,7 @@ class TestStopCondition:
         {"stop": "halted", "stop_check_every": 0},
         {"stop_mode": "most"},
         {"start_cycle": -3},
+        {"cycles": -3},
         {"watch": ["a0_outt"]},
         {"stop": "haltd"},
     ])
@@ -262,7 +263,8 @@ class TestStopCondition:
         model, _ = rv
         sim = BatchSimulator(model, 2)
         with pytest.raises(SimulationError) as err:
-            sim.run(cycles=10, **options)
+            sim.run(**{"cycles": 10, **options})
         assert sim.cycles_run == 0
         for unknown in ("a0_outt", "haltd"):  # the error names the signal
             assert unknown not in str(options) or repr(unknown) in str(err.value)
+        assert "cycles" not in options or "-3" in str(err.value)
