@@ -1,41 +1,27 @@
-"""Ablation: activity factor vs engine choice (§2.2-2.3 + future work).
+"""Ablation: activity factor vs engine choice (§2.2-2.3).
 
-The paper's conclusion plans evaluation over "a wide range of design
-sizes and activity factors".  This bench sweeps the stimulus activity of
-the counter/SoC designs and shows the §2.3 trade-off directly:
+The paper's §2.3 trade-off, measured on the counter design:
 
 * the event-driven (ESSENT-like) engine wins at LOW activity (it skips
   quiescent logic),
 * the full-cycle engine wins at HIGH activity (no bookkeeping),
-* the batch engine is activity-insensitive (it always evaluates
-  everything — but for all stimulus at once),
-* the ``graph-conditional`` batch executor (docs/activity.md) recovers
-  the event-driven win *inside* the batch engine: under batch-uniform
-  control activity it beats the unconditional executor at low activity
-  and stays within noise of it at full activity.
-
-Running this file as a script (``python benchmarks/bench_ablation_activity.py``)
-sweeps the executors over activity factors and writes ``BENCH_activity.json``
-at the repo root; ``--smoke`` selects the reduced CI configuration.
+* the batch engine is activity-insensitive: it evaluates every task on
+  every cycle, for all stimulus at once, and gets its speed from the
+  lane axis rather than from skipping work.
 """
 
-import argparse
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
 from benchmarks.common import load_design
-from repro.resilience import atomic_write_json
 from repro.baselines.essent import EssentSim
 from repro.baselines.verilator import VerilatorSim
 from repro.baselines.scalargen import generate_scalar_model
 from repro.stimulus.batch import StimulusBatch
 
 CYCLES = 300
-SWEEP_ACTIVITIES = (0.02, 0.1, 0.5, 1.0)
 
 
 def _stim_with_activity(design, activity: float, cycles: int, seed: int = 0):
@@ -123,190 +109,6 @@ def test_batch_engine_activity_insensitive(counter):
     assert hi / lo < 1.5, times  # full-cycle: work independent of activity
 
 
-# -- conditional-executor sweep (emits BENCH_activity.json) -------------------
-
-
-def _uniform_stim(n: int, cycles: int, activity: float, seed: int = 0):
-    """Batch-uniform counter stimulus: one Bernoulli enable row shared by
-    every lane.
-
-    The dirty set is batch-global (a task re-runs if ANY lane changed), so
-    independent per-lane activity ``a`` gives effective batch activity
-    ``1 - (1 - a)^N`` — indistinguishable from 1.0 at useful N.  Uniform
-    control activity is the regime where conditional replay pays; see
-    docs/activity.md.
-    """
-    rng = np.random.default_rng(seed)
-    row = rng.random((cycles, 1)) < activity
-    en = np.repeat(row, n, axis=1).astype(np.uint64)
-    rst = np.zeros((cycles, n), dtype=np.uint64)
-    rst[0] = 1
-    return StimulusBatch({"rst": rst, "en": en})
-
-
-def _batch_times(model, n, stim, executors, repeats):
-    """Fair comparative timing of batch executors.
-
-    Two fairness rules (the old ``_batch_time`` violated both):
-
-    * **per-variant warm-up** — each executor gets one untimed run first,
-      so one-time costs (``compile()`` of generated source, numpy/cache
-      warm-up, lazy imports) are paid by every variant, not just charged
-      to whichever ran first;
-    * **interleaved repeats** — repeat ``r`` runs every executor back to
-      back before repeat ``r+1``, so drift on a shared runner (thermal
-      throttling, noisy neighbours) hits all variants alike instead of
-      biasing the fixed back-to-back order.
-
-    Returns ``{executor: (best_seconds, last_sim)}``.
-    """
-    from repro.core.simulator import BatchSimulator
-
-    out = {ex: [None, None] for ex in executors}
-    for ex in executors:  # warm-up: untimed, fresh sim
-        BatchSimulator(model, n, executor=ex).run(stim)
-    for _ in range(repeats):
-        for ex in executors:
-            sim = BatchSimulator(model, n, executor=ex)
-            t0 = time.perf_counter()
-            sim.run(stim)
-            dt = time.perf_counter() - t0
-            slot = out[ex]
-            slot[0] = dt if slot[0] is None else min(slot[0], dt)
-            slot[1] = sim
-    return {ex: (best, sim) for ex, (best, sim) in out.items()}
-
-
-def run_activity_sweep(
-    n: int = 8192,
-    cycles: int = CYCLES,
-    activities=SWEEP_ACTIVITIES,
-    repeats: int = 3,
-    include_event_driven: bool = True,
-):
-    """Sweep executors over activity factors; returns the report payload."""
-    counter = load_design("counter")
-    model = counter.flow.compile()
-    graph = counter.graph
-    spec = generate_scalar_model(graph) if include_event_driven else None
-    results = []
-    for activity in activities:
-        stim = _uniform_stim(n, cycles, activity)
-        rec = {"activity": activity}
-        timed = _batch_times(
-            model, n, stim,
-            ("graph", "graph-conditional", "graph-fused"), repeats,
-        )
-        t_full, _ = timed["graph"]
-        t_cond, sim = timed["graph-conditional"]
-        t_fused, _ = timed["graph-fused"]
-        rec["batch_full_seconds"] = t_full
-        rec["batch_conditional_seconds"] = t_cond
-        rec["batch_fused_seconds"] = t_fused
-        rec["conditional_over_full"] = t_cond / t_full
-        rec["fused_over_full"] = t_fused / t_full
-        rec["skip_rate"] = sim.executor.skip_rate
-        if include_event_driven:
-            # One lane through the scalar event-driven engine, scaled to
-            # the batch size: the cost the batch engine amortizes away.
-            esim = EssentSim(graph, spec)
-            t0 = time.perf_counter()
-            for step in stim.lane(0):
-                esim.cycle(step)
-            t_lane = time.perf_counter() - t0
-            rec["event_driven_lane_seconds"] = t_lane
-            rec["event_driven_batch_estimate_seconds"] = t_lane * n
-        results.append(rec)
-    return {
-        "bench": "activity_ablation",
-        "design": "counter",
-        "n": n,
-        "cycles": cycles,
-        "repeats": repeats,
-        "results": results,
-    }
-
-
-def write_report(payload, path: str) -> None:
-    # Atomic: an interrupted sweep never truncates a previous report.
-    atomic_write_json(path, payload)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--smoke", action="store_true",
-                    help="reduced CI configuration (small n, fewer cycles)")
-    ap.add_argument("--n", type=int, default=None)
-    ap.add_argument("--cycles", type=int, default=None)
-    ap.add_argument("--repeats", type=int, default=None)
-    ap.add_argument("--out", default=os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "BENCH_activity.json",
-    ))
-    args = ap.parse_args(argv)
-    if args.smoke:
-        n, cycles, repeats = 1024, 100, 2
-    else:
-        n, cycles, repeats = 8192, CYCLES, 3
-    payload = run_activity_sweep(
-        n=args.n or n,
-        cycles=args.cycles or cycles,
-        repeats=args.repeats or repeats,
-    )
-    write_report(payload, args.out)
-    print(f"wrote {args.out}")
-    for rec in payload["results"]:
-        print(
-            f"  activity={rec['activity']:<5} "
-            f"full={rec['batch_full_seconds'] * 1e3:7.1f}ms "
-            f"cond={rec['batch_conditional_seconds'] * 1e3:7.1f}ms "
-            f"fused={rec['batch_fused_seconds'] * 1e3:7.1f}ms "
-            f"cond/full={rec['conditional_over_full']:.3f} "
-            f"fused/full={rec['fused_over_full']:.3f} "
-            f"skip={rec['skip_rate']:.3f}"
-        )
-    return 0
-
-
-def test_conditional_executor_beats_full_batch_at_low_activity(counter):
-    model = counter.flow.compile()
-    n = 4096
-    stim = _uniform_stim(n, 200, 0.05)
-    timed = _batch_times(model, n, stim, ("graph", "graph-conditional"), 3)
-    t_full, _ = timed["graph"]
-    t_cond, sim = timed["graph-conditional"]
-    assert sim.executor.skip_rate > 0.5, sim.executor.skip_rate
-    assert t_cond < t_full, (t_cond, t_full)
-
-
-def test_conditional_executor_near_parity_at_full_activity(counter):
-    model = counter.flow.compile()
-    n = 4096
-    stim = _uniform_stim(n, 200, 1.0)
-    timed = _batch_times(model, n, stim, ("graph", "graph-conditional"), 3)
-    t_full, _ = timed["graph"]
-    t_cond, _ = timed["graph-conditional"]
-    # Acceptance bound is 10%; leave headroom for shared-runner noise.
-    assert t_cond < t_full * 1.25, (t_cond, t_full)
-
-
-def test_sweep_report_shape(tmp_path, counter):
-    payload = run_activity_sweep(
-        n=256, cycles=40, activities=(0.1, 1.0), repeats=1,
-        include_event_driven=False,
-    )
-    out = tmp_path / "BENCH_activity.json"
-    write_report(payload, str(out))
-    loaded = json.loads(out.read_text())
-    assert loaded["bench"] == "activity_ablation"
-    assert [r["activity"] for r in loaded["results"]] == [0.1, 1.0]
-    for rec in loaded["results"]:
-        assert rec["batch_conditional_seconds"] > 0
-        assert rec["batch_fused_seconds"] > 0
-        assert rec["fused_over_full"] > 0
-        assert 0.0 <= rec["skip_rate"] <= 1.0
-
-
 def test_activity_sweep_benchmark(benchmark, counter):
     graph = counter.graph
     spec = generate_scalar_model(graph)
@@ -319,7 +121,3 @@ def test_activity_sweep_benchmark(benchmark, counter):
         return sim.activity_factor
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,8 +6,8 @@ into one straight-line generated program (docs/fusion.md) and stores
 a single launch of a few fused kernels instead of hundreds of per-node
 dispatches.  This bench measures that end to end: for each design it
 times ``graph`` (per-node replay) against ``graph-fused`` under the
-fairness protocol of ``bench_ablation_activity._batch_times`` (per
-variant warm-up, interleaved repeats) and checks the two executors are
+fairness protocol of ``_batch_times`` (per variant warm-up, interleaved
+repeats) and checks the two executors are
 **bit-identical** on every watched output before reporting a speedup.
 
 Running as a script writes ``BENCH_fusion.json`` at the repo root;
@@ -22,13 +22,57 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.bench_ablation_activity import _batch_times, _uniform_stim
 from benchmarks.common import load_design
 from repro.resilience import atomic_write_json
+from repro.stimulus.batch import StimulusBatch
 from repro.stimulus.generator import random_batch
 
 DESIGNS = ("counter", "crypto", "spinal")
 EXECUTORS = ("graph", "graph-fused")
+
+
+def _uniform_stim(n: int, cycles: int, activity: float, seed: int = 0):
+    """Batch-uniform counter stimulus: one Bernoulli enable row shared by
+    every lane."""
+    rng = np.random.default_rng(seed)
+    row = rng.random((cycles, 1)) < activity
+    en = np.repeat(row, n, axis=1).astype(np.uint64)
+    rst = np.zeros((cycles, n), dtype=np.uint64)
+    rst[0] = 1
+    return StimulusBatch({"rst": rst, "en": en})
+
+
+def _batch_times(model, n, stim, executors, repeats):
+    """Fair comparative timing of batch executors.
+
+    Two fairness rules (the old ``_batch_time`` violated both):
+
+    * **per-variant warm-up** — each executor gets one untimed run first,
+      so one-time costs (``compile()`` of generated source, numpy/cache
+      warm-up, lazy imports) are paid by every variant, not just charged
+      to whichever ran first;
+    * **interleaved repeats** — repeat ``r`` runs every executor back to
+      back before repeat ``r+1``, so drift on a shared runner (thermal
+      throttling, noisy neighbours) hits all variants alike instead of
+      biasing the fixed back-to-back order.
+
+    Returns ``{executor: (best_seconds, last_sim)}``.
+    """
+    from repro.core.simulator import BatchSimulator
+
+    out = {ex: [None, None] for ex in executors}
+    for ex in executors:  # warm-up: untimed, fresh sim
+        BatchSimulator(model, n, executor=ex).run(stim)
+    for _ in range(repeats):
+        for ex in executors:
+            sim = BatchSimulator(model, n, executor=ex)
+            t0 = time.perf_counter()
+            sim.run(stim)
+            dt = time.perf_counter() - t0
+            slot = out[ex]
+            slot[0] = dt if slot[0] is None else min(slot[0], dt)
+            slot[1] = sim
+    return {ex: (best, sim) for ex, (best, sim) in out.items()}
 
 
 def _design_stim(prep, n: int, cycles: int, seed: int = 0):

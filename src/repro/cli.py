@@ -1042,8 +1042,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cycles = getattr(args, "cycles", None)
-        if cycles is not None and cycles < 0:
-            raise ReproError(f"cycles must be >= 0, got {cycles}")
+        if cycles is not None and cycles < 1:
+            raise ReproError(f"cycles must be >= 1, got {cycles}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ReproError(f"seed must be >= 0, got {seed}")
         return _run_command(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,6 +95,8 @@ class CampaignSpec:
             raise ClusterError(f"campaign batch size must be positive, got {self.n}")
         if self.cycles <= 0:
             raise ClusterError(f"campaign cycles must be positive, got {self.cycles}")
+        if self.seed < 0:
+            raise ClusterError(f"campaign seed must be >= 0, got {self.seed}")
         if (self.design is None) == (self.source is None):
             raise ClusterError(
                 "set exactly one of spec.design (bundled name) or "

@@ -7,7 +7,7 @@ the two program sets the executors run — both emitted by
 :class:`FusedProgramCodegen` on that layout: the fused flat programs
 (:meth:`CompiledModel.fused`, the product engine) and the per-task
 module over a macro-task partition (:meth:`CompiledModel.tasks`, the
-Table 4 contrast engines, graph-conditional and the MCMC estimator).
+Table 4 contrast engines and the MCMC estimator).
 
 In the per-task module each macro task becomes one generated function
 
@@ -37,8 +37,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.annotate import render_header
 from repro.core.indexmap import IndexMapper
@@ -1750,89 +1748,6 @@ class MemWriteBinding:
 
 
 @dataclass
-class TaskAccess:
-    """Offset-level read/write footprint of one macro task.
-
-    ``read_offsets``/``write_offsets`` are per-pool sorted offset arrays
-    (scattered signal slots; in ``P1`` an offset is one signal's word
-    block); ``read_ranges`` are contiguous ``[lo, hi)``
-    pool ranges (whole memories — a dynamic ``mem[idx]`` read may touch
-    any word).  The conditional replay executor intersects these with the
-    per-offset write epochs it keeps
-    (:class:`~repro.gpu.graphexec.ConditionalGraphExecutor`) to decide
-    which tasks a replay can skip.
-    """
-
-    tid: int
-    read_offsets: List[Tuple[int, np.ndarray]]
-    read_ranges: List[Tuple[int, int, int]]
-    write_offsets: List[Tuple[int, np.ndarray]]
-
-
-def compute_task_accesses(
-    taskgraph: TaskGraph, layout: MemoryLayout
-) -> Dict[int, TaskAccess]:
-    """Derive every task's offset-level footprint from the task graph.
-
-    Reads map a node's ``reads`` names to current-value slots (plus whole
-    memory ranges); writes map COMB targets to their live slots, SEQ
-    targets to their *shadow* slots (the conditional executor compares the
-    current slot after the commit), and MEMW nodes to their cond/addr/data scratch.  A
-    sequential node's clock is excluded from its reads — edge detection
-    belongs to the simulator, and counting the toggle would dirty every
-    sequential task twice per cycle.
-    """
-    graph = taskgraph.graph
-    out: Dict[int, TaskAccess] = {}
-    for task in taskgraph.tasks:
-        reads: Dict[int, set] = {}
-        ranges: List[Tuple[int, int, int]] = []
-        writes: Dict[int, set] = {}
-
-        def add(acc: Dict[int, set], pool: int, lo: int, limbs: int) -> None:
-            acc.setdefault(pool, set()).update(range(lo, lo + limbs))
-
-        for nid in task.nodes:
-            node = graph.nodes[nid]
-            for name in node.reads:
-                if node.clock is not None and name == node.clock:
-                    continue
-                if name in layout.mems:
-                    ms = layout.mems[name]
-                    ranges.append((ms.pool, ms.base, ms.base + ms.depth))
-                    continue
-                s = layout.slots.get(name)
-                if s is not None:
-                    add(reads, s.pool, s.offset, s.limbs)
-            if node.kind is NodeKind.MEMW:
-                sc = layout.scratch[node.nid]
-                for slot in (sc.cond, sc.addr, sc.data):
-                    add(writes, slot.pool, slot.offset, slot.limbs)
-            else:
-                s = layout.slot(node.target)
-                lo = (
-                    s.next_offset
-                    if node.kind is NodeKind.SEQ and s.next_offset is not None
-                    else s.offset
-                )
-                add(writes, s.pool, lo, s.limbs)
-
-        out[task.tid] = TaskAccess(
-            tid=task.tid,
-            read_offsets=[
-                (p, np.fromiter(sorted(offs), dtype=np.int64, count=len(offs)))
-                for p, offs in sorted(reads.items())
-            ],
-            read_ranges=sorted(set(ranges)),
-            write_offsets=[
-                (p, np.fromiter(sorted(offs), dtype=np.int64, count=len(offs)))
-                for p, offs in sorted(writes.items())
-            ],
-        )
-    return out
-
-
-@dataclass
 class TaskModule:
     """The compiled per-task module: one program per macro task, emitted
     by :class:`FusedProgramCodegen` over the model's layout (``audit``
@@ -1874,9 +1789,8 @@ class CompiledModel:
     :meth:`fused`, built from the graph.  The partition (``taskgraph``)
     and the per-task module over it (:meth:`tasks`, and its views
     ``source``/``task_fns``/``transpile_seconds``) are made by their
-    first reader: the ``graph``/``stream``/``graph-conditional``
-    executors, the MCMC estimator, ``repro verify`` and
-    ``repro transpile``.  ``tasks_built`` tells whether the module was
+    first reader: the ``graph``/``stream`` executors, the MCMC
+    estimator, ``repro verify`` and ``repro transpile``.  ``tasks_built`` tells whether the module was
     built.
     """
 
@@ -1888,7 +1802,6 @@ class CompiledModel:
         self._tasks = tasks
         self._layout = None if tasks is None else tasks.layout
         self._mem_writes: Optional[List[MemWriteBinding]] = None
-        self._task_accesses: Optional[Dict[int, TaskAccess]] = None
         self._fused: Optional["FusedPrograms"] = None
 
     @property
@@ -1940,12 +1853,6 @@ class CompiledModel:
     @property
     def transpile_seconds(self) -> float:
         return self.tasks().transpile_seconds
-
-    def task_accesses(self) -> Dict[int, TaskAccess]:
-        """Per-task offset footprints (cached; layout is immutable)."""
-        if self._task_accesses is None:
-            self._task_accesses = compute_task_accesses(self.taskgraph, self.layout)
-        return self._task_accesses
 
     # -- the fused flat programs (lazy) -----------------------------------------
 

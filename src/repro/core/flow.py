@@ -240,10 +240,8 @@ class RTLFlow:
 
         ``executor`` picks the replay engine (see
         :func:`repro.core.simulator.make_executor`): ``"graph-fused"``
-        (flat fused programs, the default), the paper's Table 4 pair
-        ``"graph"``/``"stream"``, or ``"graph-conditional"``
-        (activity-aware dirty-set replay that skips quiescent tasks —
-        see docs/activity.md).  For a tuned partition:
+        (flat fused programs, the default) or the paper's Table 4 pair
+        ``"graph"``/``"stream"``.  For a tuned partition:
         ``BatchSimulator(flow.compile(use_mcmc=True), n, executor="graph")``.
         """
         return BatchSimulator(self.compile(), n, executor=executor, device=device)

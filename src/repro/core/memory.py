@@ -259,19 +259,15 @@ class DeviceArrays:
         )
         # LANE plays the role of the CUDA thread id within the batch.
         self.lane = np.arange(n, dtype=np.uint64)
-        # Optional host-write observer (the simulator's clock cache and,
-        # through it, the conditional executor's activity reset).
-        # Contract: called with the variable/memory name on every named
-        # mutation (write, load_memory), and with None for bulk pool
-        # overwrites (restore) meaning "assume everything changed".
-        # Always fires BEFORE the mutation.  Paths that mutate pools
-        # without a name and without the hook must be provably neutral
-        # to both observers: the simulator's register/memory commits
-        # (non-input state the conditional executor observes itself) and
-        # its stimulus row copies (statically clock-free input columns,
-        # which that executor compares by value; see
-        # BatchSimulator._stimulus_rows); the chunked path sets the clock
-        # cache itself at every chunk end.
+        # Optional host-write observer (the simulator's clock-level
+        # cache).  Contract: called with the variable name on every named
+        # write, and with None for bulk pool overwrites (restore) meaning
+        # "assume every clock changed".  Always fires BEFORE the
+        # mutation.  Paths that mutate pools without the hook never touch
+        # a clock: memory loads, the simulator's register/memory commits
+        # and its stimulus row copies (statically clock-free input
+        # columns; see BatchSimulator._stimulus_rows); the chunked path
+        # sets the clock cache itself at every chunk end.
         self.write_hook = None
 
     # -- scalar-signal access (host side; used by tests and set_inputs) -------
@@ -362,9 +358,6 @@ class DeviceArrays:
 
         ``values`` may be 1-D (broadcast to all lanes) or 2-D (depth, N).
         """
-        hook = self.write_hook
-        if hook is not None:
-            hook(name)
         m = self.layout.mem(name)
         pool = self.pools[m.pool]
         block = pool[m.base * self.n : (m.base + m.depth) * self.n].reshape(

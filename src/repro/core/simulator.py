@@ -21,11 +21,7 @@ from repro.core.codegen import CompiledModel
 from repro.core.memory import PACKED_POOL, DeviceArrays
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.executor import Executor
-from repro.gpu.graphexec import (
-    ConditionalGraphExecutor,
-    CudaGraphExecutor,
-    FusedProgramExecutor,
-)
+from repro.gpu.graphexec import CudaGraphExecutor, FusedProgramExecutor
 from repro.gpu.stream import StreamExecutor
 from repro.obs import get_metrics, get_tracer
 from repro.obs.metrics import MetricsRegistry
@@ -51,12 +47,9 @@ ArrayLike = Union[int, np.ndarray, Sequence[int]]
 DEFAULT_EXECUTOR = "graph-fused"
 
 #: Everything :func:`make_executor` accepts.  ``graph`` and ``stream``
-#: are the paper's Table 4 contrast, ``graph-conditional`` the
-#: activity-aware replay (docs/activity.md), ``sanitize`` the product's
-#: fused programs under runtime write-set checks (``repro run --verify``).
-EXECUTOR_KINDS = (
-    DEFAULT_EXECUTOR, "graph", "graph-conditional", "stream", "sanitize",
-)
+#: are the paper's Table 4 contrast, ``sanitize`` the product's fused
+#: programs under runtime write-set checks (``repro run --verify``).
+EXECUTOR_KINDS = (DEFAULT_EXECUTOR, "graph", "stream", "sanitize")
 
 
 def check_executor(kind: str) -> None:
@@ -105,18 +98,13 @@ def make_executor(
     checks (:class:`~repro.verify.hazards.CheckedFusedExecutor`).  The
     rest replay the per-task module (one program per macro task, from
     the same emitter, on the same layout), built on first use: 'graph'
-    and 'stream' are the paper's Table 4 pair, and 'graph-conditional'
-    replays only the macro tasks whose inputs changed since their last
-    execution (:class:`~repro.gpu.graphexec.ConditionalGraphExecutor`,
-    docs/activity.md).
+    and 'stream' are the paper's Table 4 pair.
     """
     check_executor(kind)
     if kind == DEFAULT_EXECUTOR:
         return FusedProgramExecutor(model, device, **kwargs)
     if kind == "graph":
         return CudaGraphExecutor(model, device)
-    if kind == "graph-conditional":
-        return ConditionalGraphExecutor(model, device, **kwargs)
     if kind == "stream":
         return StreamExecutor(model, device, **kwargs)
     # Lazy import: repro.verify pulls in the lint registry, which
@@ -185,8 +173,7 @@ class BatchSimulator:
         self._prev_clock: Dict[str, int] = {c: 0 for c in clocks}
         # Any named write to a clock (set_input or a direct arrays.write)
         # invalidates the set_clock scalar cache, so edge detection falls
-        # back to the per-lane uniformity scan; other host writes reach
-        # the executor's activity state (see _on_host_write).
+        # back to the per-lane uniformity scan (see _on_host_write).
         self.arrays.write_hook = self._on_host_write
         # Stable bound-method references: the executor caches the
         # evaluation plans that embed the commit (see _evaluate_inner).
@@ -600,22 +587,17 @@ class BatchSimulator:
             self.metrics.inc("sim.cycles")
 
     def _on_host_write(self, name: Optional[str]) -> None:
-        """DeviceArrays write hook: drop a written clock's cached level,
-        and reset the executor's activity on any write it cannot see.
+        """DeviceArrays write hook: drop a written clock's cached level.
 
         ``name is None`` is the bulk-invalidation signal (checkpoint
         restore overwrote whole pools): every cached clock scalar is
         stale, so edge detection must fall back to the per-lane
-        uniformity scan until set_clock repopulates them.  The executor
-        compares inputs by value itself; a memory load, a non-input
-        write or a restore makes every task dirty once.
+        uniformity scan until set_clock repopulates them.
         """
         if name is None:
             self._clock_scalar.clear()
-        elif name in self._prev_clock:
+        else:
             self._clock_scalar.pop(name, None)
-        if name not in self._input_names:
-            self.executor.reset_activity()
 
     def _stimulus_rows(
         self, stimulus, lo: int, hi: int,

@@ -25,9 +25,7 @@ class Executor:
 
     The simulator reads ``layout`` (the memory layout to allocate
     :class:`DeviceArrays` for) and ``mem_writes`` (commit bindings for
-    that layout), calls :meth:`reset_activity` after a host write the
-    engine cannot observe itself (a memory load, a non-input write, a
-    checkpoint restore), and otherwise only :meth:`run_eval`.
+    that layout), and otherwise calls only :meth:`run_eval`.
 
     ``layout`` and ``mem_writes`` are the model's own: every engine runs
     on the one layout, so a checkpoint taken on one engine restores on
@@ -42,9 +40,6 @@ class Executor:
         self.layout = model.layout
         self.mem_writes = model.mem_writes
         self._args_cache: Optional[Tuple[object, tuple]] = None
-
-    def reset_activity(self) -> None:
-        """Forget activity state (only ``graph-conditional`` keeps any)."""
 
     def run_seq(self, arrays: "DeviceArrays", clock: str, edge: str) -> None:
         raise NotImplementedError

@@ -94,11 +94,11 @@ class TaskGraph:
     # -- introspection ---------------------------------------------------------
 
     def task_reads(self, tid: int) -> Set[str]:
-        """Signal/memory names task ``tid`` reads (its activity trigger set).
+        """Signal/memory names task ``tid`` reads (its data dependences).
 
-        A SEQ/MEMW task's clock is *not* a read: edge detection is the
-        simulator's job, and including it would mark every sequential
-        task dirty on each toggle, defeating conditional replay.
+        A SEQ/MEMW task's clock is *not* a read: it is the task's
+        trigger (edge detection is the simulator's job), not a data
+        dependence between tasks.
         """
         task = self.tasks[tid]
         out: Set[str] = set()

@@ -57,9 +57,9 @@ class PipelineSimulator:
     """Multi-group batch simulation timed for the CPU/GPU pipeline model.
 
     ``executor`` selects each group's replay engine (same choices as
-    :func:`repro.core.simulator.make_executor`, including the
-    activity-aware ``"graph-conditional"``); each group gets its own
-    executor instance so dirty-set state never crosses group boundaries.
+    :func:`repro.core.simulator.make_executor`); each group gets its own
+    executor instance, because ``graph-fused`` caches its evaluation
+    plans per owning simulator's commit.
     """
 
     def __init__(

@@ -175,7 +175,7 @@ class TestProfile:
         assert main(["profile", "counter", "-n", "4", "-c", "4",
                      "--mcmc-iters", "2", "--trace-json", trace]) == 2
         err = capsys.readouterr().err
-        assert "--executor graph|graph-conditional|stream" in err
+        assert "--executor graph|stream" in err
         assert not os.path.exists(trace)
 
     def test_profile_unknown_design(self, capsys):

@@ -10,7 +10,7 @@ import argparse
 
 from repro.cli import build_parser
 
-EXECUTORS = ("graph-fused", "graph", "graph-conditional", "stream")
+EXECUTORS = ("graph-fused", "graph", "stream")
 FAIL_ON = ("error", "warning", "info", "never")
 
 #: subcommand -> dest -> (option strings, default, type name, choices,

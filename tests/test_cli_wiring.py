@@ -1,7 +1,7 @@
 """CLI behaviours that come from wiring a feature once for every command:
 the ``--fault-report`` writer, the one-simulator ``simulate --vcd``, the
 shared checkpoint-flag check of ``run``/``campaign`` and the shared
-``--cycles`` check."""
+``--cycles``/``--seed`` check."""
 
 import json
 
@@ -45,16 +45,35 @@ def test_run_fault_report_with_injected_fault(tmp_path, capsys):
     ["campaign", "counter", "-n", "8"],
 ])
 def test_negative_cycles_is_one_error_line(argv, capsys, monkeypatch):
-    """A negative ``--cycles`` is rejected before the design is looked
-    up, so before any stimulus is built."""
+    """A negative or zero ``--cycles`` is rejected before the design is
+    looked up, so before any stimulus is built."""
     import repro.designs
 
     monkeypatch.setattr(repro.designs, "get_design",
                         lambda *a, **k: pytest.fail("design looked up"))
-    assert main(argv + ["--cycles", "-5"]) == 2
+    for cycles in ("-5", "0"):
+        assert main(argv + ["--cycles", cycles]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cycles must be >= 1, got {cycles}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "counter", "-n", "8", "--cycles", "20"],
+    ["profile", "counter", "-n", "8", "--cycles", "20"],
+    ["campaign", "counter", "-n", "8", "--cycles", "20"],
+])
+def test_negative_seed_is_one_error_line(argv, capsys, monkeypatch):
+    """A negative ``--seed`` is an input error like ``--cycles``, not a
+    numpy traceback or a failed shard."""
+    import repro.designs
+
+    monkeypatch.setattr(repro.designs, "get_design",
+                        lambda *a, **k: pytest.fail("design looked up"))
+    assert main(argv + ["--seed", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: cycles must be >= 0, got -5\n"
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_simulate_vcd_runs_one_simulator(tmp_path, capsys, monkeypatch):

@@ -265,6 +265,10 @@ class TestCampaignSpec:
             ).validate()
         CampaignSpec(n=4, cycles=2, design="counter").validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ClusterError, match="seed must be >= 0, got -1"):
+            CampaignSpec(n=4, cycles=2, design="counter", seed=-1).validate()
+
     def test_lane_fault_bounds(self):
         with pytest.raises(ClusterError):
             CampaignSpec(
@@ -444,9 +448,7 @@ def _assert_campaign_matches(res, ref_outputs, ref_faults):
 
 DETERMINISM_MATRIX = [
     ("counter", "graph"),
-    ("counter", "graph-conditional"),
     ("crypto", "graph"),
-    ("crypto", "graph-conditional"),
 ]
 
 
@@ -491,7 +493,7 @@ def test_ragged_final_shard_merges_bit_identical():
 
 
 @pytest.mark.skipif(not IS_LINUX, reason="spawn/SIGKILL tests are Linux-only")
-@pytest.mark.parametrize("design,executor", DETERMINISM_MATRIX[:2])
+@pytest.mark.parametrize("design,executor", DETERMINISM_MATRIX[:1])
 def test_multiprocess_campaign_bit_identical(design, executor):
     n, cycles, seed = 24, 40, 7
     faults = [(7, 13, "injected")]

@@ -50,10 +50,8 @@ N, CYCLES, MID = 67, 24, 11
 RESTORE_PAIRS = [
     (DEFAULT_EXECUTOR, "graph"),
     (DEFAULT_EXECUTOR, "stream"),
-    (DEFAULT_EXECUTOR, "graph-conditional"),
     (DEFAULT_EXECUTOR, "sanitize"),
     ("graph", DEFAULT_EXECUTOR),
-    ("graph-conditional", DEFAULT_EXECUTOR),
 ]
 _UNINTERRUPTED = {}
 

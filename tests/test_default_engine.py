@@ -87,9 +87,7 @@ ENTRY_POINT_DEFAULTS = {
 class TestOneDefault:
     def test_the_constant(self):
         assert DEFAULT_EXECUTOR == "graph-fused"
-        assert EXECUTOR_KINDS == (
-            "graph-fused", "graph", "graph-conditional", "stream", "sanitize",
-        )
+        assert EXECUTOR_KINDS == ("graph-fused", "graph", "stream", "sanitize")
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINT_DEFAULTS))
     def test_entry_point_default(self, entry):
@@ -236,7 +234,7 @@ class TestQuarantineStaysOnRunEval:
 class TestDeletedSpellingsAreRejected:
     @pytest.mark.parametrize(
         "kind", ["graph-inlined", "fused", "inlined", "conditional",
-                 "sanitized"])
+                 "sanitized", "graph-conditional"])
     def test_make_executor_names_the_accepted_kinds(self, kind):
         model = transpile(compile_graph(COUNTER_V, "counter"))
         with pytest.raises(SimulationError) as ei:
@@ -245,9 +243,19 @@ class TestDeletedSpellingsAreRejected:
             assert accepted in str(ei.value)
 
     def test_campaign_spec_uses_the_same_rule(self):
-        with pytest.raises(ClusterError, match="accepted kinds"):
-            CampaignSpec(n=4, cycles=4, design="counter",
-                         executor="fused").validate()
+        for kind in ("fused", "graph-conditional"):
+            with pytest.raises(ClusterError, match="accepted kinds"):
+                CampaignSpec(n=4, cycles=4, design="counter",
+                             executor=kind).validate()
+
+    def test_cli_rejects_the_activity_skipping_engine(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", "counter", "--executor", "graph-conditional"])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'graph-conditional'" in err
+        for accepted in ("graph-fused", "graph", "stream"):
+            assert repr(accepted) in err
 
     @pytest.mark.parametrize("backend", ["numba", "cupy"])
     def test_cli_rejects_removed_backends(self, backend, capsys):

@@ -9,7 +9,7 @@ from repro.partition.taskgraph import TaskGraph
 from repro.partition.weights import WeightVector
 from repro.rtlir.graph import NodeKind
 
-from tests.conftest import ALU_V, HIER_V, compile_graph
+from tests.conftest import ALU_V, COUNTER_V, HIER_V, compile_graph
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,24 @@ class TestPartition:
 
         with pytest.raises(SimulationError):
             partition(adder_graph, strategy="bogus")
+
+
+class TestTaskFootprints:
+    """``task_reads``/``task_writes``: the footprints the hazard checker
+    (``repro verify``) compares unordered comb tasks by."""
+
+    def test_task_reads_exclude_clock(self):
+        tg = partition(compile_graph(COUNTER_V, "counter"))
+        for task in tg.tasks:
+            if task.kind is NodeKind.SEQ:
+                assert task.clock not in tg.task_reads(task.tid)
+
+    def test_task_writes_cover_targets(self):
+        tg = partition(compile_graph(COUNTER_V, "counter"))
+        written = set()
+        for task in tg.tasks:
+            written |= tg.task_writes(task.tid)
+        assert "count" in written and "q" in written
 
 
 class TestEstimator:

@@ -195,8 +195,7 @@ class TestSurvivorBitIdentity:
             assert_survivors_identical(base, faulted)
 
     @pytest.mark.parametrize("executor",
-                             ["graph", "stream", "graph-conditional",
-                              "graph-fused"])
+                             ["graph", "stream", "graph-fused"])
     def test_every_executor(self, executor):
         n, cycles = 16, 40
         stim = counter_stim(n, cycles, seed=3)
@@ -687,8 +686,7 @@ class TestCheckpointResume:
         out = sim.run(stim)
         return sim, stim, out
 
-    @pytest.mark.parametrize("executor",
-                             ["graph", "stream", "graph-conditional"])
+    @pytest.mark.parametrize("executor", ["graph", "stream"])
     def test_inproc_midrun_restore(self, executor):
         ref_sim, stim, ref_out = self._full_run(executor)
         n = 16
@@ -704,8 +702,7 @@ class TestCheckpointResume:
         for p, q in zip(ref_sim.arrays.pools, fresh.arrays.pools):
             assert np.array_equal(p, q)
 
-    @pytest.mark.parametrize("executor",
-                             ["graph", "stream", "graph-conditional"])
+    @pytest.mark.parametrize("executor", ["graph", "stream"])
     def test_pickled_from_disk_restore(self, executor, tmp_path):
         _, stim, ref_out = self._full_run(executor)
         n = 16
@@ -720,30 +717,12 @@ class TestCheckpointResume:
         out = fresh.run(stim, start_cycle=fresh.cycles_run)
         assert np.array_equal(out["count"], ref_out["count"])
 
-    def test_restore_rewinds_write_epochs(self):
-        """A restore must not leave the conditional executor's activity
-        state from beyond the snapshot: stale last-run marks would
-        wrongly skip work after resume.  Bit-identity of the resumed run
-        against the uninterrupted one is the observable contract.
-        """
-        n = 16
-        stim = counter_stim(n, self.CYCLES, seed=9)
-        sim = make_sim(COUNTER_V, "counter", n, executor="graph-conditional")
-        sim.run(stim, cycles=30)
-        ckpt = sim.save_checkpoint()
-        sim.run(stim, cycles=45, start_cycle=30)  # advance past snapshot
-        sim.restore_checkpoint(ckpt)  # rewind the same sim
-        assert sim.cycles_run == 30
-        out = sim.run(stim, start_cycle=30)
-        _, _, ref_out = self._full_run("graph-conditional")
-        assert np.array_equal(out["count"], ref_out["count"])
-
     def test_checkpoint_with_epochs_field_restores(self):
         """Older checkpoints carry a write-epoch snapshot under
         ``"epochs"``; a restore ignores it and resumes bit-identically."""
         n = 16
         stim = counter_stim(n, self.CYCLES, seed=9)
-        sim = make_sim(COUNTER_V, "counter", n, executor="graph-conditional")
+        sim = make_sim(COUNTER_V, "counter", n, executor="graph")
         sim.run(stim, cycles=30)
         ckpt = sim.save_checkpoint()
         assert "epochs" not in ckpt
@@ -755,10 +734,10 @@ class TestCheckpointResume:
                 for size in layout.pool_sizes + [layout.packed_size]
             ],
         }
-        fresh = make_sim(COUNTER_V, "counter", n, executor="graph-conditional")
+        fresh = make_sim(COUNTER_V, "counter", n, executor="graph")
         fresh.restore_checkpoint(ckpt)
         out = fresh.run(stim, start_cycle=30)
-        _, _, ref_out = self._full_run("graph-conditional")
+        _, _, ref_out = self._full_run("graph")
         assert np.array_equal(out["count"], ref_out["count"])
 
     def test_quarantine_state_rides_in_checkpoint(self):

@@ -432,7 +432,7 @@ def test_per_cycle_cases_do_not_chunk(chunks):
 
 @pytest.mark.parametrize("isolation", ["plain", "isolated", "quarantined"])
 @pytest.mark.parametrize("executor", [
-    "graph", "stream", "graph-conditional", "graph-fused-traced",
+    "graph", "stream", "graph-fused-traced",
 ])
 @pytest.mark.parametrize("src,top", [
     pytest.param(COUNTER_V, "counter", id="counter"),
@@ -442,10 +442,9 @@ def test_per_cycle_cases_do_not_chunk(chunks):
 def test_per_cycle_engines_copy_rows_without_set_input(src, top, executor,
                                                        isolation, monkeypatch):
     # The per-cycle path copies the stimulus rows into their views too,
-    # storing what set_input would: under tracing, under write epochs
-    # (graph-conditional, which must then skip the same tasks) and with
-    # a lane quarantined at cycle 3, whose inputs stay frozen.  A
-    # resumed run indexes its rows from start_cycle.
+    # storing what set_input would: on the per-task engines, under
+    # tracing and with a lane quarantined at cycle 3, whose inputs stay
+    # frozen.  A resumed run indexes its rows from start_cycle.
     model = _source_model(src, top)
     n, cycles, lane = 65, 9, 5
     kind = executor.removesuffix("-traced")
@@ -457,9 +456,9 @@ def test_per_cycle_engines_copy_rows_without_set_input(src, top, executor,
 
     stim = random_batch(model.design, n, cycles, seed=7)
     for v in stim.data.values():
-        # Cycles 6-8 repeat cycle 5's inputs, which write epochs must see
-        # as unchanged; the lane quarantined at cycle 3 is then driven to
-        # the complement of its frozen inputs, which must not get in.
+        # Cycles 6-8 repeat cycle 5's inputs; the lane quarantined at
+        # cycle 3 is then driven to the complement of its frozen inputs,
+        # which must not get in.
         v[6:] = v[5]
         if isolation == "quarantined":
             v[3:, lane] = v[2, lane] ^ 1
@@ -484,9 +483,6 @@ def test_per_cycle_engines_copy_rows_without_set_input(src, top, executor,
     sim.run(stim, start_cycle=4, fault_plan=plan)
     assert writes == []
     assert_same_state(sim, ref)
-    if kind == "graph-conditional":
-        assert (sim.executor.tasks_run, sim.executor.tasks_skipped) \
-            == (ref.executor.tasks_run, ref.executor.tasks_skipped)
     if plan is not None:
         assert sim.quarantine.faulted_lanes() == [lane]
     for k, v in given.items():

@@ -246,6 +246,7 @@ class TestProtocol:
              "stop_check_every": 0},
             {"n": 4, "cycles": 5, "design": "counter", "stop_mode": "most"},
             {"n": 4, "cycles": 5, "design": "counter", "trace_every": -3},
+            {"n": 4, "cycles": 5, "design": "counter", "seed": -1},
         ):
             with pytest.raises(ServiceError, match="bad spec"):
                 spec_from_dict(spec)

@@ -229,21 +229,37 @@ def test_sanitizer_matches_fused_bit_for_bit():
 
 @pytest.mark.parametrize("name", list_designs())
 def test_write_sets_match_task_footprints(name):
-    # The runtime check and the per-task footprints graph-conditional
-    # trusts for skipping are one rule: per program, the checker's write
-    # set is the union of its tasks' declared write offsets.
+    # The runtime check against an independent derivation from the task
+    # graph: per program, the checker's write set is the union of its
+    # tasks' targets -- COMB nodes their slot, SEQ nodes their shadow
+    # slot, MEMW nodes their cond/addr/data scratch.
     from repro.core.simulator import make_executor
     from repro.gpu.device import SimulatedDevice
+    from repro.rtlir.graph import NodeKind
 
     _, model = _bundled_model(name)
     ex = make_executor(model, SimulatedDevice(), "sanitize")
-    acc = model.task_accesses()
+    tg, layout = model.taskgraph, model.layout
 
     def declared(tids):
         sets = [set() for _ in range(5)]
+
+        def add(slot, lo):
+            sets[slot.pool].update(range(lo, lo + slot.limbs))
+
         for tid in tids:
-            for pool, offs in acc[tid].write_offsets:
-                sets[pool].update(offs.tolist())
+            for nid in tg.tasks[tid].nodes:
+                node = tg.graph.nodes[nid]
+                if node.kind is NodeKind.MEMW:
+                    sc = layout.scratch[nid]
+                    for slot in (sc.cond, sc.addr, sc.data):
+                        add(slot, slot.offset)
+                    continue
+                slot = layout.slot(node.target)
+                if node.kind is NodeKind.SEQ and slot.next_offset is not None:
+                    add(slot, slot.next_offset)
+                else:
+                    add(slot, slot.offset)
         return sets
 
     def checked(step):
