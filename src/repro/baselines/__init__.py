@@ -4,8 +4,8 @@
   the golden model (the paper validates against Verilator's outputs; every
   engine here validates against this).
 * :mod:`repro.baselines.verilator` — a Verilator-like full-cycle compiled
-  CPU simulator with static macro-task scheduling and a multi-process batch
-  model (§2.1, §4.1).
+  CPU simulator with static macro-task scheduling (§2.1, §4.1); the paper
+  benches model its multi-process batch time (``benchmarks/common.py``).
 * :mod:`repro.baselines.essent` — an ESSENT-like event-driven simulator
   that skips inactive logic (§2.2, §2.3).
 """

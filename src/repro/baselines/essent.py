@@ -194,80 +194,3 @@ class EssentSim:
         total = self.nodes_evaluated + self.nodes_skipped
         return self.nodes_evaluated / total if total else 0.0
 
-
-# ---------------------------------------------------------------------------
-# Batch runner: fork K single-threaded ESSENT processes (the paper forks 80)
-# ---------------------------------------------------------------------------
-
-import concurrent.futures as _cf
-
-import numpy as _np
-
-_E_WORKER = None
-
-
-def _essent_worker_init(graph, spec) -> None:
-    global _E_WORKER
-    _E_WORKER = (graph, spec)
-
-
-def _essent_worker_run(args):
-    lanes, cycles, input_names, stim_arrays, watch, memories = args
-    assert _E_WORKER is not None
-    graph, spec = _E_WORKER
-    out = {w: _np.zeros(len(lanes), dtype=_np.uint64) for w in watch}
-    for j, _ in enumerate(lanes):
-        sim = EssentSim(graph, spec)
-        if memories:
-            for name, vals in memories.items():
-                sim.load_memory(name, vals)
-        for c in range(cycles):
-            sim.cycle(
-                {name: int(stim_arrays[k][c, j]) for k, name in enumerate(input_names)}
-            )
-        for w in watch:
-            out[w][j] = sim.get(w)
-    return out
-
-
-class EssentBatchRunner:
-    """Runs a batch of stimulus across forked event-driven simulators."""
-
-    def __init__(self, graph: RtlGraph, workers: int = 1):
-        self.graph = graph
-        self.spec = generate_scalar_model(graph)
-        self.workers = max(1, workers)
-
-    def run(self, stim, watch=None, memories=None):
-        names = list(watch) if watch is not None else list(self.spec.output_names)
-        input_names = stim.names
-        n = stim.n
-        if self.workers == 1:
-            _essent_worker_init(self.graph, self.spec)
-            arrays = tuple(stim.data[k] for k in input_names)
-            return _essent_worker_run(
-                (list(range(n)), stim.cycles, input_names, arrays, names, memories)
-            )
-        per = (n + self.workers - 1) // self.workers
-        chunks = [list(range(lo, min(lo + per, n))) for lo in range(0, n, per)]
-        jobs = []
-        for lanes in chunks:
-            arrays = tuple(
-                _np.ascontiguousarray(stim.data[k][:, lanes[0] : lanes[-1] + 1])
-                for k in input_names
-            )
-            jobs.append((lanes, stim.cycles, input_names, arrays, names, memories))
-        out = {w: _np.zeros(n, dtype=_np.uint64) for w in names}
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with _cf.ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_essent_worker_init,
-            initargs=(self.graph, self.spec),
-            mp_context=ctx,
-        ) as pool:
-            for lanes, result in zip(chunks, pool.map(_essent_worker_run, jobs)):
-                for w in names:
-                    out[w][lanes[0] : lanes[-1] + 1] = result[w]
-        return out

@@ -160,8 +160,8 @@ class ScalarExprCodegen:
 
 @dataclass
 class ScalarModelSpec:
-    """Everything needed to rebuild the scalar simulator in a worker
-    process (all fields are picklable)."""
+    """Everything needed to rebuild the scalar simulator (all fields
+    are picklable)."""
 
     top: str
     source: str

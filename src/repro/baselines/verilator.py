@@ -1,22 +1,17 @@
 """Verilator-like CPU baseline (§2.1, §4.1).
 
-Full-cycle, compiled, single-stimulus simulation plus the de-facto batch
-strategy the paper describes: "fork multiple Verilator processes and run
-independent stimulus in parallel".  The ``workers`` knob plays the role of
-the CPU-thread count axis in Fig. 12/13 (each worker simulates its chunk
-of the batch start to finish).
+Full-cycle, compiled, single-stimulus simulation.  The de-facto batch
+strategy the paper describes, "fork multiple Verilator processes and run
+independent stimulus in parallel", is modelled from measured
+single-process time by the paper benches (``benchmarks/common.py``),
+not run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 from typing import Dict, List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.baselines.scalargen import ScalarModelSpec, generate_scalar_model
-from repro.rtlir.graph import RtlGraph
-from repro.stimulus.batch import StimulusBatch
+from repro.baselines.scalargen import ScalarModelSpec
 from repro.utils import bitvec as bv
 from repro.utils.errors import SimulationError
 
@@ -121,99 +116,3 @@ class VerilatorSim:
                 traces[n].append(self.get(n))
         return traces
 
-
-# ---------------------------------------------------------------------------
-# Batch runner: fork K workers over N stimulus
-# ---------------------------------------------------------------------------
-
-_WORKER_SPEC: Optional[ScalarModelSpec] = None
-_WORKER_NS: Optional[dict] = None
-
-
-def _worker_init(spec: ScalarModelSpec) -> None:
-    global _WORKER_SPEC, _WORKER_NS
-    _WORKER_SPEC = spec
-    _WORKER_NS = {}
-    exec(compile(spec.source, f"<verilator:{spec.top}>", "exec"), _WORKER_NS)
-
-
-def _worker_run_chunk(args) -> Dict[str, np.ndarray]:
-    lanes, cycles, input_names, stim_arrays, watch, memories = args
-    assert _WORKER_SPEC is not None and _WORKER_NS is not None
-    out = {w: np.zeros(len(lanes), dtype=np.uint64) for w in watch}
-    for j, _ in enumerate(lanes):
-        sim = VerilatorSim(_WORKER_SPEC, dict(_WORKER_NS))
-        if memories:
-            for name, vals in memories.items():
-                sim.load_memory(name, vals)
-        for c in range(cycles):
-            sim.cycle(
-                {name: int(stim_arrays[k][c, j]) for k, name in enumerate(input_names)}
-            )
-        for w in watch:
-            out[w][j] = sim.get(w)
-    return out
-
-
-class VerilatorBatchRunner:
-    """Runs a batch of stimulus across worker processes.
-
-    ``workers=1`` runs in-process (no fork overhead); larger counts fork a
-    pool, each worker compiling the generated source once and simulating
-    its lane chunk start to finish — the multi-process organization §2.3
-    describes as the de-facto standard.
-    """
-
-    def __init__(self, graph: RtlGraph, workers: int = 1):
-        self.graph = graph
-        self.spec = generate_scalar_model(graph)
-        self.workers = max(1, workers)
-
-    def run(
-        self,
-        stim: StimulusBatch,
-        watch: Optional[Sequence[str]] = None,
-        memories: Optional[Mapping[str, Sequence[int]]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Simulate all lanes; returns final values of watched signals."""
-        names = list(watch) if watch is not None else list(self.spec.output_names)
-        input_names = stim.names
-        n = stim.n
-        if self.workers == 1:
-            _worker_init(self.spec)
-            arrays = tuple(stim.data[k] for k in input_names)
-            return _worker_run_chunk(
-                (list(range(n)), stim.cycles, input_names, arrays, names, memories)
-            )
-
-        chunks: List[List[int]] = []
-        per = (n + self.workers - 1) // self.workers
-        for lo in range(0, n, per):
-            chunks.append(list(range(lo, min(lo + per, n))))
-
-        jobs = []
-        for lanes in chunks:
-            arrays = tuple(
-                np.ascontiguousarray(stim.data[k][:, lanes[0] : lanes[-1] + 1])
-                for k in input_names
-            )
-            jobs.append((lanes, stim.cycles, input_names, arrays, names, memories))
-
-        out = {w: np.zeros(n, dtype=np.uint64) for w in names}
-        ctx = None
-        try:
-            import multiprocessing as mp
-
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            pass
-        with cf.ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_worker_init,
-            initargs=(self.spec,),
-            mp_context=ctx,
-        ) as pool:
-            for lanes, result in zip(chunks, pool.map(_worker_run_chunk, jobs)):
-                for w in names:
-                    out[w][lanes[0] : lanes[-1] + 1] = result[w]
-        return out

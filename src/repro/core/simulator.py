@@ -86,7 +86,6 @@ def make_executor(
     model: CompiledModel,
     device: SimulatedDevice,
     kind: str = DEFAULT_EXECUTOR,
-    **kwargs,
 ) -> Executor:
     """Executor factory over :data:`EXECUTOR_KINDS`.
 
@@ -102,23 +101,23 @@ def make_executor(
     """
     check_executor(kind)
     if kind == DEFAULT_EXECUTOR:
-        return FusedProgramExecutor(model, device, **kwargs)
+        return FusedProgramExecutor(model, device)
     if kind == "graph":
         return CudaGraphExecutor(model, device)
     if kind == "stream":
-        return StreamExecutor(model, device, **kwargs)
+        return StreamExecutor(model, device)
     # Lazy import: repro.verify pulls in the lint registry, which
     # plain simulation never needs.
     from repro.verify.hazards import CheckedFusedExecutor
 
-    return CheckedFusedExecutor(model, device, **kwargs)
+    return CheckedFusedExecutor(model, device)
 
 
 _POOL_BITS = (8, 16, 32, 64)
 
 # The chunked run's stand-in for an edge without a clock domain:
-# (domain, seq program, register-commit copies, memory commits).
-_NO_STEP = (None, None, (), ())
+# (domain, seq program).
+_NO_STEP = (None, None)
 
 
 class BatchSimulator:
@@ -175,10 +174,6 @@ class BatchSimulator:
         # invalidates the set_clock scalar cache, so edge detection falls
         # back to the per-lane uniformity scan (see _on_host_write).
         self.arrays.write_hook = self._on_host_write
-        # Stable bound-method references: the executor caches the
-        # evaluation plans that embed the commit (see _evaluate_inner).
-        self._run_eval = self.executor.run_eval
-        self._commit_cb = self._commit
         # Fast clock toggling: a cached pool view plus the two level
         # values, set up below once the layout is known.
         self._clk_fast = None
@@ -433,11 +428,11 @@ class BatchSimulator:
                     ) + args[6:]
             rt.mem_commit(*args)
 
-    def _count_commit_bytes(self, domain: Tuple[str, str], times: int = 1) -> None:
-        """Count ``times`` register commits of ``domain`` in the metrics."""
+    def _count_commit_bytes(self, domain: Tuple[str, str]) -> None:
+        """Count one register commit of ``domain`` in the metrics."""
         for pool_idx, cur, _ in self._commits[domain][0]:
             bits = 1 if pool_idx == PACKED_POOL else _POOL_BITS[pool_idx]
-            self.metrics.inc(f"mem.pool{bits}.commit_bytes", times * cur.nbytes)
+            self.metrics.inc(f"mem.pool{bits}.commit_bytes", cur.nbytes)
 
     # -- checkpointing ------------------------------------------------------------
 
@@ -531,7 +526,7 @@ class BatchSimulator:
         triggered, levels = self._triggered_domains()
         # seq programs of every triggered domain -> commits -> comb
         # settle (Executor.run_eval); _commit masks quarantined lanes.
-        self._run_eval(self.arrays, triggered, self._commit_cb)
+        self.executor.run_eval(self.arrays, triggered, self._commit)
         for clock in self._prev_clock:
             # Input clocks can only change via host writes, so the level
             # sampled during edge detection is still current.  Derived
@@ -715,15 +710,12 @@ class BatchSimulator:
 
         def step(edge: str):
             # One edge's evaluation minus the comb settle: its seq
-            # program, register commits as slice copies, memory commits.
+            # program, then _commit(domain).
             dom = (self.clock, edge)
             if dom not in self._domains:
                 return None
             prog = ex.programs.seq.get(dom)
-            regs, ports = self._commits[dom]
-            return (dom, (prog.fn if prog is not None else None),
-                    [(cur, nxt) for _, cur, nxt in regs],
-                    [args for _, args in ports])
+            return dom, (prog.fn if prog is not None else None)
 
         view, (lo, hi) = self._clk_fast
         return (view, lo, hi, base, [r[:2] for r in rows],
@@ -757,20 +749,22 @@ class BatchSimulator:
         Every cycle takes the steps of :meth:`cycle` in the same order:
         stimulus rows into the pool views, clock 0 and the comb settle
         (after the negedge step once the clock has been high), clock 1,
-        the posedge step and the comb settle.  Without a negedge step
-        the last of these settles runs only on the chunk's last cycle:
-        nothing reads the clock-high values before the next cycle's
-        clock-low settle rewrites every comb slot, so a chunk makes
-        ``cycles + 1`` comb calls instead of ``2 * cycles`` and ends in
-        exactly the per-cycle state.  Edge detection, stopwatch, device
-        accounting and ``cycles_run`` move to the chunk end, where each
-        cycle still counts two graph launches (the posedge launch holds
-        the seq program and the commit).
+        the posedge step and the comb settle.  A step is the domain's
+        seq program and then :meth:`_commit`, the per-cycle path's own
+        commit (which also counts the commit bytes).  Without a negedge
+        step the last of these settles runs only on the chunk's last
+        cycle: nothing reads the clock-high values before the next
+        cycle's clock-low settle rewrites every comb slot, so a chunk
+        makes ``cycles + 1`` comb calls instead of ``2 * cycles`` and
+        ends in exactly the per-cycle state.  Edge detection, stopwatch,
+        device accounting, ``sim.cycles`` and ``cycles_run`` move to the
+        chunk end, where each cycle still counts two graph launches (the
+        posedge launch holds the seq program and the commit).
 
         A program that raises leaves the accounting where the per-cycle
         path leaves it: the failing cycle's stimulus write, its completed
-        first launch and its register commits count; its evaluation time
-        does not, nor does the busy time of that first launch.  If the
+        first launch and its commits count; its evaluation time does
+        not, nor does the busy time of that first launch.  If the
         failing cycle's clock-low settle did not complete and its
         predecessor's clock-high settle was skipped, that settle is run
         again so the pools hold what :meth:`cycle` leaves.
@@ -778,20 +772,19 @@ class BatchSimulator:
         clk, lo, hi, base, rows, comb, args, neg, pos = plan
         if not apply_rows:
             rows = ()
-        _, neg_seq, neg_copies, neg_mems = neg or _NO_STEP
-        _, pos_seq, pos_copies, pos_mems = pos or _NO_STEP
+        neg_dom, neg_seq = neg or _NO_STEP
+        pos_dom, pos_seq = pos or _NO_STEP
+        commit = self._commit
         clock = self.clock
         # The first cycle whose clock-high settle runs: every cycle when
         # the next negedge step reads it, else only the chunk's last.
         tail = c0 if neg is not None else c1 - 1
         # A falling edge is a negedge only once the clock has been high.
-        armed0 = armed = neg is not None and self._prev_clock.get(clock, 0) == 1
-        mem_commit = rt.mem_commit
+        armed = neg is not None and self._prev_clock.get(clock, 0) == 1
         perf = time.perf_counter
         set_s = 0.0
-        # How far the current cycle got: 1 its rows are in, 2 its
-        # negedge registers are committed, 3 its first launch is done,
-        # 4 its posedge registers are committed.
+        # How far the current cycle got: 1 its rows are in, 2 its first
+        # launch is done.
         stage = 0
         c = c0
         completed = False
@@ -810,22 +803,15 @@ class BatchSimulator:
                 if armed:
                     if neg_seq is not None:
                         neg_seq(*args)
-                    for dst, src in neg_copies:
-                        dst[:] = src
-                    stage = 2
-                    for m in neg_mems:
-                        mem_commit(*m)
+                    commit(neg_dom)
                 comb(*args)
-                stage = 3
+                stage = 2
                 armed = neg is not None
                 clk[:] = hi
                 if pos_seq is not None:
                     pos_seq(*args)
-                for dst, src in pos_copies:
-                    dst[:] = src
-                stage = 4
-                for m in pos_mems:
-                    mem_commit(*m)
+                if pos_dom is not None:
+                    commit(pos_dom)
                 if c >= tail:
                     comb(*args)
                 t = perf()
@@ -837,7 +823,7 @@ class BatchSimulator:
             rows_in = bool(rows) and stage >= 1
             set_done = set_s - (t_in - t) if rows_in else set_s
             eval_s = t - start - set_done
-            launches = 2 * done + (stage >= 3)
+            launches = 2 * done + (stage >= 2)
             if launches:
                 self.device.record_graph_launches(launches, eval_s)
             if rows and (done or rows_in):
@@ -845,19 +831,8 @@ class BatchSimulator:
             if done:
                 self.stopwatch.add("evaluate", eval_s, done)
                 self.cycles_run += done
-            if self.metrics.enabled:
-                if done:
+                if self.metrics.enabled:
                     self.metrics.inc("sim.cycles", done)
-                if pos is not None and done + (stage >= 4):
-                    self._count_commit_bytes(pos[0], done + (stage >= 4))
-                if neg is not None:
-                    # Cycle c0 commits a negedge only if armed0; every
-                    # later cycle does, the failing one once past stage 2.
-                    negedges = max(0, done - (not armed0)) + (
-                        stage >= 2 and (armed0 or c > c0)
-                    )
-                    if negedges:
-                        self._count_commit_bytes(neg[0], negedges)
             if completed:
                 self._prev_clock[clock] = 1
                 self._clock_scalar[clock] = 1
@@ -865,11 +840,11 @@ class BatchSimulator:
                 # A program raised: as in cycle(), the clock phase is
                 # that of the last completed evaluation.
                 self._clock_scalar.pop(clock, None)
-                if stage >= 3:
+                if stage >= 2:
                     self._prev_clock[clock] = 0
                 elif done:
                     self._prev_clock[clock] = 1
-                if stage < 3 and c0 < c <= tail:
+                if stage < 2 and c0 < c <= tail:
                     # Cycle c - 1's clock-high settle was skipped and
                     # cycle c's clock-low settle did not complete: settle
                     # c - 1 as cycle() did, then put back c's rows and

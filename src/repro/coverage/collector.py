@@ -72,10 +72,7 @@ class CoverageCollector:
         return self.toggle.report()
 
     def run(self, stim, cycles: Optional[int] = None) -> CoverageReport:
-        """Convenience: drive the simulator and sample every cycle."""
-        total = cycles if cycles is not None else len(stim)
-        for c in range(total):
-            inputs = stim.inputs_at(c) if c < len(stim) else None
-            self.sim.cycle(inputs)
-            self.sample()
+        """Convenience: drive the simulator's ``run`` and sample after
+        every cycle from its ``progress`` hook."""
+        self.sim.run(stim, cycles=cycles, progress=lambda c: self.sample())
         return self.report()

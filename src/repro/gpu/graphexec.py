@@ -10,7 +10,7 @@ stream/event bookkeeping the stream executor re-pays every cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.executor import Executor
@@ -61,22 +61,7 @@ class FusedProgramExecutor(Executor):
 
     def __init__(self, model: CompiledModel, device: SimulatedDevice):
         super().__init__(model, device)
-        self.programs = programs = model.fused()
-        # cudaGraphInstantiate analog: plans are fixed at construction.
-        self._comb_plan: List[Callable] = [programs.comb.fn]
-        self._seq_plans: Dict[Tuple[str, str], List[Callable]] = {
-            dom: [p.fn] for dom, p in programs.seq.items()
-        }
-        self._eval_plans: Dict[tuple, List[Callable]] = {}
-        self._eval_commit: Optional[Callable] = None
-
-    def run_comb(self, arrays: DeviceArrays) -> None:
-        self.device.launch_graph(self._comb_plan, self._args(arrays))
-
-    def run_seq(self, arrays: DeviceArrays, clock: str, edge: str) -> None:
-        plan = self._seq_plans.get((clock, edge))
-        if plan:
-            self.device.launch_graph(plan, self._args(arrays))
+        self.programs = model.fused()
 
     def run_eval(
         self,
@@ -86,33 +71,22 @@ class FusedProgramExecutor(Executor):
     ) -> None:
         """A whole evaluation as ONE graph launch.
 
-        The plan is: sequential programs of every triggered domain (all
-        reading pre-edge state through shadow slots), then the per-domain
-        register/memory commits — modeled as the graph's device-side copy
-        nodes — then the comb settle.  Identical ordering to the generic
-        ``run_seq``/commit/``run_comb`` sequence in the simulator, minus
-        two launch calls and the Python in between.  ``commit`` must be
-        the owning simulator's domain-commit callable.  Every per-cycle
-        evaluation of the simulator comes here, quarantined lanes or
-        not: the commit node is the simulator's ``_commit``, which masks
-        dead lanes out of the register and memory commits.
+        The launch list is built per evaluation: the sequential programs
+        of every triggered domain (all reading pre-edge state through
+        shadow slots), then one commit node per domain — the graph's
+        device-side copy node, named ``commit_<clock>_<edge>`` in trace
+        spans — then the comb settle.  That is :meth:`Executor.run_eval`'s
+        order in one launch instead of one per phase.  ``commit`` is the
+        owning simulator's ``_commit``, which masks quarantined lanes out
+        of the register and memory commits, so quarantined batches take
+        the same single launch.
         """
-        if commit is not self._eval_commit:
-            # A different simulator took over this executor: cached plans
-            # hold the previous owner's commit nodes.
-            self._eval_plans.clear()
-            self._eval_commit = commit
-        key = tuple(triggered)
-        plan = self._eval_plans.get(key)
-        if plan is None:
-            plan = []
-            for dom in triggered:
-                plan.extend(self._seq_plans.get(dom, ()))
-            for dom in triggered:
-                def commit_node(*_a, _dom=dom):
-                    commit(_dom)
-                commit_node.__name__ = f"commit_{dom[0]}_{dom[1]}"
-                plan.append(commit_node)
-            plan.extend(self._comb_plan)
-            self._eval_plans[key] = plan
+        seq = self.programs.seq
+        plan: List[Callable] = [seq[dom].fn for dom in triggered if dom in seq]
+        for dom in triggered:
+            def commit_node(*_a, _dom=dom):
+                commit(_dom)
+            commit_node.__name__ = f"commit_{dom[0]}_{dom[1]}"
+            plan.append(commit_node)
+        plan.append(self.programs.comb.fn)
         self.device.launch_graph(plan, self._args(arrays))

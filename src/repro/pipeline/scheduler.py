@@ -57,9 +57,9 @@ class PipelineSimulator:
     """Multi-group batch simulation timed for the CPU/GPU pipeline model.
 
     ``executor`` selects each group's replay engine (same choices as
-    :func:`repro.core.simulator.make_executor`); each group gets its own
-    executor instance, because ``graph-fused`` caches its evaluation
-    plans per owning simulator's commit.
+    :func:`repro.core.simulator.make_executor`); each group's
+    :class:`BatchSimulator` builds its own executor, which binds the
+    generated programs' arguments to that group's pools.
     """
 
     def __init__(

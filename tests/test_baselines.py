@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines.essent import EssentBatchRunner, EssentSim
+from repro.baselines.essent import EssentSim
 from repro.baselines.reference import ReferenceSimulator
 from repro.baselines.scalargen import generate_scalar_model
-from repro.baselines.verilator import VerilatorBatchRunner, VerilatorSim
+from repro.baselines.verilator import VerilatorSim
 from repro.stimulus.generator import random_batch
 
 from tests.conftest import ALU_V, COUNTER_V, HIER_V, MEMDUT_V, compile_graph
@@ -125,43 +125,7 @@ class TestEssentLike:
 
 
 class TestBatchRunners:
-    def _expected_counts(self, stim):
-        # count = number of enabled cycles after the last reset, mod 256
-        n = stim.n
-        out = np.zeros(n, dtype=np.uint64)
-        for lane in range(n):
-            v = 0
-            for step in stim.lane(lane):
-                if step["rst"]:
-                    v = 0
-                elif step["en"]:
-                    v = (v + 1) % 256
-            out[lane] = v
-        return out
-
-    def test_verilator_runner_serial(self):
-        graph = compile_graph(COUNTER_V, "counter")
-        stim = random_batch(graph.design, 12, 30, seed=7)
-        out = VerilatorBatchRunner(graph, workers=1).run(stim)
-        assert np.array_equal(out["count"], self._expected_counts(stim))
-
-    def test_verilator_runner_forked(self):
-        graph = compile_graph(COUNTER_V, "counter")
-        stim = random_batch(graph.design, 12, 30, seed=8)
-        out = VerilatorBatchRunner(graph, workers=3).run(stim)
-        assert np.array_equal(out["count"], self._expected_counts(stim))
-
-    def test_essent_runner_serial(self):
-        graph = compile_graph(COUNTER_V, "counter")
-        stim = random_batch(graph.design, 8, 20, seed=9)
-        out = EssentBatchRunner(graph, workers=1).run(stim)
-        assert np.array_equal(out["count"], self._expected_counts(stim))
-
-    def test_essent_runner_forked(self):
-        graph = compile_graph(COUNTER_V, "counter")
-        stim = random_batch(graph.design, 8, 20, seed=10)
-        out = EssentBatchRunner(graph, workers=2).run(stim)
-        assert np.array_equal(out["count"], self._expected_counts(stim))
+    """The scalar baseline, one lane at a time, against the batch engine."""
 
     def test_runners_agree_with_batch_simulator(self):
         from repro.core.codegen import transpile
@@ -169,7 +133,13 @@ class TestBatchRunners:
 
         graph = compile_graph(MEMDUT_V, "memdut")
         stim = random_batch(graph.design, 10, 25, seed=11)
-        vl = VerilatorBatchRunner(graph, workers=2).run(stim)
+        spec = generate_scalar_model(graph)
+        vl = []
+        for lane in range(stim.n):
+            scalar = VerilatorSim(spec)
+            for step in stim.lane(lane):
+                scalar.cycle(step)
+            vl.append(scalar.get("rdata"))
         sim = BatchSimulator(transpile(graph), stim.n)
         batch = sim.run(stim)
-        assert np.array_equal(vl["rdata"], batch["rdata"])
+        assert np.array_equal(np.array(vl, dtype=np.uint64), batch["rdata"])

@@ -18,8 +18,10 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.flow import RTLFlow
 from repro.core.simulator import BatchSimulator
+from repro.coverage.collector import CoverageCollector
 from repro.designs import get_design
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -489,6 +491,25 @@ def test_per_cycle_engines_copy_rows_without_set_input(src, top, executor,
         np.testing.assert_array_equal(stim.data[k], v, err_msg=k)
 
 
+@pytest.mark.parametrize("design", ["riscv_mini", "spinal"])
+def test_coverage_run_matches_the_hand_loop(design, chunks):
+    # CoverageCollector.run samples from run()'s progress hook, so every
+    # cycle is a chunk; its report equals sampling after each cycle().
+    model, bundle = _bundle_model(design)
+    n, cycles = 65, 24
+    stim = bundle.make_stimulus(n, cycles, seed=8)
+    sim, ref = _sim(model, n, bundle), _sim(model, n, bundle)
+    report = CoverageCollector(sim).run(stim, cycles=cycles + 3)
+    hand = CoverageCollector(ref)
+    for c in range(cycles + 3):
+        ref.cycle(stim.inputs_at(c) if c < cycles else None)
+        hand.sample()
+    assert chunks == [(c, c + 1) for c in range(cycles + 3)]
+    assert report == hand.report()
+    assert report.covered_points > 0
+    assert_same_state(sim, ref)
+
+
 def test_wide_native_columns_chunk_without_touching_the_stimulus(chunks):
     model = _source_model(WIDE_V, "widedut")
     n, cycles = 64, 7
@@ -666,3 +687,93 @@ def test_negedge_step_keeps_both_settles(monkeypatch, chunks):
     assert calls["n"] == 2 * cycles
     _reference(ref, stim, cycles)
     assert_same_state(sim, ref)
+
+
+
+# ---------------------------------------------------------------------------
+# Commit metrics: the chunked loop against the per-cycle graph engine
+
+
+def _commit_counters(metrics):
+    return {k: v for k, v in metrics.snapshot()["counters"].items()
+            if k == "sim.cycles" or k.endswith(".commit_bytes")}
+
+
+def _fail_graph_on_call(sim, program, k):
+    """Make the ``graph`` engine of ``sim`` raise on the ``k``-th call
+    of its comb phase or of one edge's seq phase, numbered as the
+    ``call`` of ``FAILURES``."""
+    ex = sim.executor
+    calls = {"n": 0}
+
+    def counted(inner, *args):
+        calls["n"] += 1
+        if calls["n"] == k:
+            raise RuntimeError("boom")
+        return inner(*args)
+
+    if program == "comb":
+        comb = ex.run_comb
+        ex.run_comb = lambda arrays: counted(comb, arrays)
+    else:
+        seq = ex.run_seq
+        ex.run_seq = lambda arrays, clock, edge: (
+            counted(seq, arrays, clock, edge) if edge == program
+            else seq(arrays, clock, edge))
+
+
+STOP_SIGNALS = {"counter": "wrap", "riscv_mini": "halted", "negdut": "t"}
+
+COMMIT_DRIVES = [
+    pytest.param(src, top, drive, None, id=f"{top}-{drive}")
+    for src, top in [(None, "counter"), (None, "riscv_mini"),
+                     (NEGEDGE_V, "negdut")]
+    for drive in ("plain", "traced", "stop")
+] + [
+    pytest.param(*p.values[:2], "fail", p.values[2:], id=f"fail-{p.id}")
+    for p in FAILURES
+]
+
+
+@pytest.mark.parametrize("src,top,drive,failure", COMMIT_DRIVES)
+def test_commit_metrics_match_per_cycle_graph_engine(src, top, drive, failure,
+                                                     monkeypatch, chunks):
+    # Metrics on and tracing off, so the product engine's run() chunks:
+    # every commit_bytes counter and sim.cycles equal a per-cycle graph
+    # run's, also when a program raises partway through a chunk.
+    if src is None:
+        model, bundle = _bundle_model(top)
+    else:
+        model, bundle = _source_model(src, top), None
+    n, cycles = 70, 20
+    if failure is not None:
+        program, call, run_call, cycles = failure
+        fused = model.fused()
+        _fail_on_call(monkeypatch, fused.comb if program == "comb"
+                      else fused.seq[("clk", program)], run_call)
+    stim = (bundle.make_stimulus(n, cycles, seed=4) if bundle is not None
+            else random_batch(model.design, n, cycles, seed=2))
+    options = {
+        "traced": {"trace_every": 3},
+        "stop": {"stop": STOP_SIGNALS[top], "stop_mode": "any",
+                 "stop_check_every": 4},
+    }.get(drive, {})
+    counters = []
+    for kind in ("graph-fused", "graph"):
+        with obs.capture(trace=False) as (_, metrics):
+            sim = BatchSimulator(model, n, executor=kind)
+            if bundle is not None:
+                bundle.preload(sim)
+            if failure is None:
+                sim.run(stim, **options)
+            elif kind == "graph-fused":
+                with pytest.raises(RuntimeError, match="boom"):
+                    sim.run(stim)
+            else:
+                _fail_graph_on_call(sim, program, call)
+                with pytest.raises(RuntimeError, match="boom"):
+                    _reference(sim, stim, cycles)
+        counters.append(_commit_counters(metrics))
+    assert chunks
+    assert any(k.endswith(".commit_bytes") for k in counters[1])
+    assert counters[0] == counters[1]
